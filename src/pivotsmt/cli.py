@@ -104,10 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lm-lambda", type=float, default=0.5)
         p.add_argument("--weights", help="feature_name<TAB>weight file")
         p.add_argument("--translit-model")
-        p.add_argument("--option-limit", type=int, default=20)
-        p.add_argument("--translit-k", type=int, default=10)
-        p.add_argument("--distortion-limit", type=int, default=6)
-        p.add_argument("--stack-size", type=int, default=100)
+        search = decoder.DecoderSystem
+        p.add_argument("--option-limit", type=int, default=search.option_limit)
+        p.add_argument("--translit-k", type=int, default=search.translit_k)
+        p.add_argument("--distortion-limit", type=int, default=search.distortion_limit)
+        p.add_argument("--stack-size", type=int, default=search.stack_size)
 
     p = sub.add_parser("synthesize", help="re-source a bitext through a translation system")
     p.add_argument("--src", required=True)
@@ -282,17 +283,23 @@ def cmd_tune(args, seed: int) -> int:
 def cmd_decode(args, threads: int) -> int:
     system, model = _load_system(args)
     sentences = [line.split() for line in read_lines(args.input)]
-    hyps = pipeline.decode_corpus(system, model, sentences, threads=threads)
-    write_lines(args.output, (" ".join(h) for h in hyps))
     if args.nbest > 0 and args.nbest_out:
+        # one serial decode per sentence yields both its 1-best and n-best lines
         order = model.feature_order()
-        with open(args.nbest_out, "w", encoding="utf-8") as handle:
-            for sid, sent in enumerate(sentences):
-                if not sent:
-                    continue
-                result = system.decode(sent, model)
-                for item in decoder.nbest(result, args.nbest):
-                    handle.write(decoder.format_nbest_line(sid, item, order) + "\n")
+        hyps = []
+        nbest_lines = []
+        for sid, sent in enumerate(sentences):
+            if not sent:
+                hyps.append(())
+                continue
+            result = system.decode(sent, model)
+            hyps.append(result.best_tokens())
+            nbest_lines.extend(decoder.format_nbest_line(sid, item, order)
+                               for item in decoder.nbest(result, args.nbest))
+        write_lines(args.nbest_out, nbest_lines)
+    else:
+        hyps = pipeline.decode_corpus(system, model, sentences, threads=threads)
+    write_lines(args.output, (" ".join(h) for h in hyps))
     print(f"decoded {len(hyps)} sentences")
     return 0
 

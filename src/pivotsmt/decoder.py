@@ -6,6 +6,11 @@ lattice so n-best lists are exact back-pointer enumerations. One or more
 phrase tables score as separate blocks of four features; sources covered
 by no table fall back to transliteration or pass-through options, so
 decoding never fails for lack of coverage.
+
+Within one sentence the search reuses work without changing its result:
+each LM step is computed once per (LM state, target phrase), each future
+cost once per coverage mask, and a hypothesis visits only the spans that
+start inside its distortion window.
 """
 
 from __future__ import annotations
@@ -303,17 +308,14 @@ def _future_costs(n: int, lattice: OptionLattice, model: LogLinearModel, lm):
 
 
 def _coverage_future(coverage: int, n: int, fc: dict[tuple[int, int], float]) -> float:
+    """Sum of the future costs of the uncovered gaps, left to right."""
     total = 0.0
-    i = 0
-    while i < n:
-        if coverage >> i & 1:
-            i += 1
-            continue
-        j = i
-        while j < n and not (coverage >> j & 1):
-            j += 1
-        total += fc[(i, j)]
-        i = j
+    gaps = ~coverage & ((1 << n) - 1)
+    while gaps:
+        low = gaps & -gaps
+        carry = gaps + low  # clears the lowest gap and sets the bit just past it
+        total += fc[(low.bit_length() - 1, (gaps ^ carry).bit_length() - 1)]
+        gaps &= carry
     return total
 
 
@@ -346,55 +348,71 @@ def decode(
     w_pp = model.weights["phrase_penalty"]
     w_dist = model.weights["distortion"]
     order = lm.order
-    static_cache: dict[int, float] = {}
+
+    # Per start position: (end, mask, length, [(option, static score, word
+    # penalty, LM steps)]) in end order. LM steps are shared by every option
+    # with the same target and map an LM state to (lm_sum, next state).
+    lm_steps: dict[tuple[str, ...], dict[tuple[str, ...], tuple[float, tuple[str, ...]]]] = {}
+    by_start: list[list[tuple[int, int, int, list]]] = [[] for _ in range(n)]
+    for start, end in sorted(options):
+        scored = [(option, model.static_score(option), w_wp * len(option.target),
+                   lm_steps.setdefault(option.target, {}))
+                  for option in options[(start, end)]]
+        by_start[start].append((end, ((1 << (end - start)) - 1) << start,
+                                end - start, scored))
+    futures: dict[int, float] = {}
 
     init_state: tuple[str, ...] = (BOS,) if order > 1 else ()
     init = _Node(0, init_state, 0, _coverage_future(0, n, fc))
     init.score = 0.0
     stacks: list[dict[tuple, _Node]] = [dict() for _ in range(n + 1)]
     stacks[0][(0, init_state, 0)] = init
-    spans = sorted(options)
     full = (1 << n) - 1
 
     for cardinality in range(n):
         stack = stacks[cardinality]
         if not stack:
             continue
-        survivors = sorted(stack.values(),
-                           key=lambda nd: (-(nd.score + nd.future), nd.sort_key()))
-        for node in survivors[:stack_size]:
-            for start, end in spans:
-                mask = ((1 << (end - start)) - 1) << start
-                if node.coverage & mask:
-                    continue
-                jump = abs(start - node.prev_end)
-                if jump > distortion_limit:
-                    continue
-                for option in options[(start, end)]:
-                    static = static_cache.get(id(option))
-                    if static is None:
-                        static = model.static_score(option)
-                        static_cache[id(option)] = static
-                    state = node.lm_state
-                    lm_sum = 0.0
-                    for word in option.target:
-                        lm_sum += lm.logprob(state, word)
-                        state = _advance_lm_state(state, (word,), order)
-                    inc = (static + w_lm * lm_sum - w_wp * len(option.target)
-                           - w_pp - w_dist * jump)
-                    coverage = node.coverage | mask
-                    key = (coverage, state, end)
-                    child_card = cardinality + (end - start)
-                    child = stacks[child_card].get(key)
-                    if child is None:
-                        child = _Node(coverage, state, end,
-                                      _coverage_future(coverage, n, fc))
-                        stacks[child_card][key] = child
-                    arc = (node, option, inc)
-                    child.arcs.append(arc)
-                    if node.score + inc > child.score:
-                        child.score = node.score + inc
-                        child.best_arc = arc
+        # a stack key is its node's sort_key, so no two entries tie
+        ranked = [(-(nd.score + nd.future), key, nd) for key, nd in stack.items()]
+        for _, _, node in heapq.nsmallest(stack_size, ranked):
+            covered = node.coverage
+            node_state = node.lm_state
+            node_score = node.score
+            prev_end = node.prev_end
+            for start in range(max(0, prev_end - distortion_limit),
+                               min(n, prev_end + distortion_limit + 1)):
+                dist_cost = w_dist * abs(start - prev_end)
+                for end, mask, length, scored in by_start[start]:
+                    if covered & mask:
+                        break  # every longer span from this start overlaps too
+                    coverage = covered | mask
+                    child_stack = stacks[cardinality + length]
+                    for option, static, wp_cost, steps in scored:
+                        step = steps.get(node_state)
+                        if step is None:
+                            state = node_state
+                            lm_sum = 0.0
+                            for word in option.target:
+                                lm_sum += lm.logprob(state, word)
+                                state = _advance_lm_state(state, (word,), order)
+                            step = steps[node_state] = (lm_sum, state)
+                        lm_sum, state = step
+                        inc = static + w_lm * lm_sum - wp_cost - w_pp - dist_cost
+                        key = (coverage, state, end)
+                        child = child_stack.get(key)
+                        if child is None:
+                            future = futures.get(coverage)
+                            if future is None:
+                                future = futures[coverage] = _coverage_future(
+                                    coverage, n, fc)
+                            child = _Node(coverage, state, end, future)
+                            child_stack[key] = child
+                        arc = (node, option, inc)
+                        child.arcs.append(arc)
+                        if node_score + inc > child.score:
+                            child.score = node_score + inc
+                            child.best_arc = arc
 
     complete = sorted(stacks[n].values(),
                       key=lambda nd: (-nd.score, nd.sort_key()))
@@ -585,15 +603,18 @@ def tune_weights(
     order = initial.feature_order()
     refs = [tuple(ref) for _, ref in dev]
     pools: list[dict[tuple[str, ...], dict[str, float]]] = [dict() for _ in dev]
+    # each pool's (tokens, features) in token order; pools change only while
+    # decoding, so this is rebuilt once per round
+    sorted_pools: list[list[tuple[tuple[str, ...], dict[str, float]]]] = []
 
     def rescore_bleu(candidate: dict[str, float]) -> float:
         hyps = []
-        for pool in pools:
+        for pool in sorted_pools:
             best_tokens: tuple[str, ...] = ()
             best_score = -math.inf
-            for tokens in sorted(pool):
+            for tokens, features in pool:
                 score = sum(candidate[name] * value
-                            for name, value in pool[tokens].items())
+                            for name, value in features.items())
                 if score > best_score:
                     best_score = score
                     best_tokens = tokens
@@ -616,6 +637,7 @@ def tune_weights(
                     new = sum(weights[k] * v for k, v in item.features.items())
                     if new > old:
                         pool[item.tokens] = item.features
+        sorted_pools = [sorted(pool.items()) for pool in pools]
         current = rescore_bleu(weights)
         if current > best_bleu:
             best_bleu = current

@@ -52,10 +52,10 @@ class ExperimentConfig:
     em_iterations: int = 5
     max_phrase_len: int = 5
     prune_top_k: int = 0        # 0 disables pruning
-    option_limit: int = 20
-    translit_k: int = 10
-    distortion_limit: int = 6
-    stack_size: int = 200
+    option_limit: int = decoder.DecoderSystem.option_limit
+    translit_k: int = decoder.DecoderSystem.translit_k
+    distortion_limit: int = decoder.DecoderSystem.distortion_limit
+    stack_size: int = decoder.DecoderSystem.stack_size
     tune_rounds: int = 0        # 0 freezes the default weights
     nbest_size: int = 50
     seed: int = 0

@@ -238,6 +238,22 @@ def enumerate_decodings(n, lattice, weights, lm, distortion_limit):
     return results
 
 
+def coverage_future_reference(coverage, n, fc):
+    """Future cost of a coverage mask, scanning one bit at a time."""
+    total = 0.0
+    i = 0
+    while i < n:
+        if coverage >> i & 1:
+            i += 1
+            continue
+        j = i
+        while j < n and not (coverage >> j & 1):
+            j += 1
+        total += fc[(i, j)]
+        i = j
+    return total
+
+
 # --- transliteration fixture -----------------------------------------------------
 
 SRC_ALPHABET = "abcdefgh"

@@ -109,6 +109,41 @@ class TestCommands:
         assert lines[0].startswith("0 ||| ")
         assert " ||| tm0.phi_fwd=" in lines[0]
 
+    def test_decode_nbest_decodes_each_sentence_once(self, tmp_path, capsys,
+                                                     monkeypatch):
+        from pivotsmt import decoder
+        calls = []
+        real_decode = decoder.decode
+
+        def counting_decode(*args, **kwargs):
+            calls.append(args[0])
+            return real_decode(*args, **kwargs)
+
+        monkeypatch.setattr(decoder, "decode", counting_decode)
+        table = write(tmp_path / "t.moses",
+                      ["a ||| x ||| 0.6 0.6 0.6 0.6",
+                       "a ||| y ||| 0.4 0.4 0.4 0.4",
+                       "b ||| y ||| 0.9 0.9 0.9 0.9"])
+        corpus = write(tmp_path / "lmc.txt", ["x y", "y x"])
+        arpa = str(tmp_path / "lm.arpa")
+        main(["train-lm", "--corpus", corpus, "--out", arpa, "--order", "2"])
+        inp = write(tmp_path / "in.txt", ["a", "a b", "b"])
+        out = str(tmp_path / "o.txt")
+        nbest_path = str(tmp_path / "nbest.txt")
+        assert main(["decode", "--input", inp, "--table", table,
+                     "--lm", arpa, "--output", out,
+                     "--nbest", "3", "--nbest-out", nbest_path]) == 0
+        assert len(calls) == 3
+        with open(out, encoding="utf-8") as handle:
+            hyps = handle.read().splitlines()
+        with open(nbest_path, encoding="utf-8") as handle:
+            firsts = {}
+            for line in handle.read().splitlines():
+                sid, tokens = line.split(" ||| ")[:2]
+                firsts.setdefault(int(sid), tokens)
+        # the 1-best line is the top of the same sentence's n-best list
+        assert [firsts[sid] for sid in range(3)] == hyps
+
     def test_align_dump_tables(self, tmp_path, capsys):
         src = write(tmp_path / "s.txt", ["das haus", "das buch"])
         tgt = write(tmp_path / "t.txt", ["the house", "the book"])

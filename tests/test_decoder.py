@@ -4,16 +4,16 @@ import random
 import pytest
 
 from pivotsmt.decoder import (
-    DecoderSystem, LogLinearModel, TranslationOption, collect_options, decode,
-    derivation_features, format_nbest_line, nbest, read_weights, tune_weights,
-    weighted_total, write_weights,
+    DecoderSystem, LogLinearModel, TranslationOption, _coverage_future,
+    collect_options, decode, derivation_features, format_nbest_line, nbest,
+    read_weights, tune_weights, weighted_total, write_weights,
 )
 from pivotsmt.errors import DataError
 from pivotsmt.ngramlm import train_kn
 from pivotsmt.phrasetab import PhraseEntry, PhraseTable, TableSet
 from pivotsmt.translit import WordPairCorpus, mine_transliterations
 
-from oracles import enumerate_decodings
+from oracles import coverage_future_reference, enumerate_decodings
 
 
 def table_of(entries, role="baseline"):
@@ -106,9 +106,9 @@ class TestCollect:
             math.log10(0.7) + 2 * floor)
 
 
-def random_instance(rng, lm_words):
+def random_instance(rng, lm_words, min_len=1, max_len=4):
     """A short sentence with random options over one table block."""
-    n = rng.randint(1, 4)
+    n = rng.randint(min_len, max_len)
     sentence = [f"w{i}" for i in range(n)]
     lattice = {}
     total_options = 0
@@ -163,6 +163,33 @@ class TestDecode:
                                          uniform_lm, 6)
             assert ranked, "enumerator found no complete decoding"
             assert result.best_score == pytest.approx(ranked[0][1], abs=1e-9)
+
+    def test_matches_exhaustive_enumeration_tight_window(self, uniform_lm):
+        # 5-6 words under limits 0-3: the distortion window cuts off spans
+        rng = random.Random(2718)
+        lm_words = [f"x{i}" for i in range(8)]
+        model = LogLinearModel.default(1)
+        for trial in range(40):
+            sentence, lattice = random_instance(rng, lm_words, 5, 6)
+            limit = rng.randint(0, 3)
+            ranked = enumerate_decodings(len(sentence), lattice, model.weights,
+                                         uniform_lm, limit)
+            try:
+                result = decode(sentence, model, uniform_lm, lattice,
+                                distortion_limit=limit, stack_size=5000)
+            except DataError:
+                assert not ranked, "decoder dead-ended where a decoding exists"
+                continue
+            assert result.best_score == pytest.approx(ranked[0][1], abs=1e-9)
+
+    def test_coverage_future_matches_bitwise_scan(self):
+        rng = random.Random(17)
+        for n in range(1, 11):
+            fc = {(i, j): rng.uniform(-20.0, 0.0)
+                  for i in range(n) for j in range(i + 1, n + 1)}
+            for coverage in range(1 << n):
+                assert _coverage_future(coverage, n, fc) == \
+                    coverage_future_reference(coverage, n, fc)
 
     def test_distortion_limit_soundness(self, uniform_lm):
         rng = random.Random(99)
