@@ -7,8 +7,11 @@ symmetrized link sets.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -75,7 +78,14 @@ def train_model1(
     enabled), i.e. each source word is generated by one target word.
     Initialization is uniform over the source vocabulary; passing a
     previously trained table as `initial` resumes EM from it, so k
-    iterations followed by k more equals 2k iterations in one call.
+    iterations followed by k more equals 2k iterations in one call. On
+    resume, a (conditioning, predicted) pair absent from `initial` starts
+    at the fresh-run uniform value.
+
+    EM runs over interned co-occurrence cells: every (conditioning,
+    predicted) pair of the bitext is numbered once, in corpus-scan order,
+    and each iteration walks flat arrays of cell ids, adding up posteriors
+    in the same order as a per-word dict walk would.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -87,47 +97,79 @@ def train_model1(
         pairs.append((src, tgt))
     if not pairs:
         raise DataError("cannot train alignment model on an empty bitext")
+    if initial is not None and initial.use_null != use_null:
+        raise ValueError("initial table NULL setting does not match use_null")
 
-    if initial is not None:
-        if initial.use_null != use_null:
-            raise ValueError("initial table NULL setting does not match use_null")
-        probs = {e: dict(row) for e, row in initial.probs.items()}
-        uniform = 0.0
+    words = list(dict.fromkeys(w for src, _ in pairs for w in src))
+    word_ids = {w: i for i, w in enumerate(words)}
+    cond_ids: dict[str | None, int] = {}
+    next_cell = itertools.count().__next__
+    rows: list[dict[int, int]] = []  # per conditioning id: word id -> cell id
+    cells = array("i")  # per source token, the cells of its conditioning words
+    shapes = []  # per pair: (source length, conditioning ids)
+    for src, tgt in pairs:
+        cond = (None, *tgt) if use_null else tgt
+        conds = tuple([cond_ids.setdefault(e, len(cond_ids)) for e in cond])
+        rows += [defaultdict(next_cell) for _ in range(len(cond_ids) - len(rows))]
+        sentence_rows = [rows[e] for e in conds]
+        for f in src:
+            f_id = word_ids[f]
+            cells.extend([row[f_id] for row in sentence_rows])
+        shapes.append((len(src), conds))
+    n_cells = sum(map(len, rows))
+    cell_cond = array("i", bytes(4 * n_cells))
+    cell_word = array("i", bytes(4 * n_cells))
+    for e, row in enumerate(rows):
+        for w, c in row.items():
+            cell_cond[c] = e
+            cell_word[c] = w
+    del rows, word_ids
+    cond_words = list(cond_ids)
+
+    uniform = 1.0 / len(words)
+    if initial is None:
+        t = array("d", [uniform]) * len(cell_cond)
     else:
-        src_vocab = {w for src, _ in pairs for w in src}
-        uniform = 1.0 / len(src_vocab)
-        probs = {}
+        t = array("d", [
+            initial.probs.get(cond_words[e], {}).get(words[w], uniform)
+            for e, w in zip(cell_cond, cell_word)
+        ])
 
     log_likelihoods = list(initial.log_likelihoods) if initial is not None else []
-    for _ in range(iterations):
-        counts: dict[str | None, dict[str, float]] = {}
-        totals: dict[str | None, float] = {}
+    for iteration in range(iterations):
+        if iteration:  # M-step; a cell no posterior reached stays at 0
+            t = array("d", [
+                c / totals[e] if p else 0.0
+                for p, c, e in zip(t, counts, cell_cond)
+            ])
+        counts = array("d", bytes(8 * len(t)))
+        totals = [0.0] * len(cond_words)
         ll = 0.0
-        for src, tgt in pairs:
-            cond: list[str | None] = [None] + list(tgt) if use_null else list(tgt)
-            rows = [probs.get(e) for e in cond]
-            norm = math.log(len(cond))
-            for f in src:
-                scores = [
-                    (row.get(f, uniform) if row is not None else uniform)
-                    for row in rows
-                ]
+        pos = 0
+        for n_src, conds in shapes:
+            n = len(conds)
+            norm = math.log(n)
+            for _ in range(n_src):
+                ids = cells[pos:pos + n]
+                pos += n
+                scores = list(map(t.__getitem__, ids))
                 denom = sum(scores)
                 ll += math.log(denom) - norm
-                for e, score in zip(cond, scores):
+                for c, e, score in zip(ids, conds, scores):
                     if score == 0.0:
                         continue
                     post = score / denom
-                    row_counts = counts.setdefault(e, {})
-                    row_counts[f] = row_counts.get(f, 0.0) + post
-                    totals[e] = totals.get(e, 0.0) + post
+                    counts[c] += post
+                    totals[e] += post
         log_likelihoods.append(ll)
-        probs = {
-            e: {f: c / totals[e] for f, c in row.items()}
-            for e, row in counts.items()
-        }
-        uniform = 0.0  # only the first E-step sees the uniform init
+        logger.info("model 1 iteration %d/%d: log-likelihood %.6f",
+                    iteration + 1, iterations, ll)
 
+    # Keep the cells the last E-step scored, in cell order.
+    probs: dict[str | None, dict[str, float]] = {}
+    for p, c, e, w in zip(t, counts, cell_cond, cell_word):
+        if p:
+            probs.setdefault(cond_words[e], {})[words[w]] = c / totals[e]
     return TranslationTable(probs=probs, use_null=use_null,
                             log_likelihoods=log_likelihoods)
 
@@ -156,26 +198,27 @@ def viterbi_align(
     src, tgt = pair
     links: set[tuple[int, int]] = set()
     if direction == "forward":
-        predicted, conditioning = list(src), list(tgt)
+        predicted, conditioning = src, tgt
     else:
-        predicted, conditioning = list(tgt), list(src)
+        predicted, conditioning = tgt, src
+    if not conditioning:
+        return AlignmentMatrix(len(src), len(tgt), frozenset())
+    rows = [table.probs.get(cond_word) or {} for cond_word in conditioning]
+    null_row = (table.probs.get(None) or {}) if table.use_null else {}
     for p_idx, word in enumerate(predicted):
-        if not conditioning:
-            continue
         best_idx = -1
         best = 0.0
-        for c_idx, cond_word in enumerate(conditioning):
-            score = table.prob(word, cond_word)
+        for c_idx, row in enumerate(rows):
+            score = row.get(word, 0.0)
             if score > best:
                 best = score
                 best_idx = c_idx
-        null_score = table.prob(word, None) if table.use_null else 0.0
         if best == 0.0:
             if table.use_null:
                 continue  # unknown word absorbed by NULL
             logger.warning("word %r unknown to table; uniform fallback alignment", word)
             best_idx = 0
-        elif null_score > best:
+        elif null_row.get(word, 0.0) > best:
             continue  # NULL alignment: no link
         if direction == "forward":
             links.add((p_idx, best_idx))
@@ -299,5 +342,8 @@ def read_table(lines: Iterable[str], path: str = "<table>") -> TranslationTable:
             prob = float(fields[2])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad probability {fields[2]!r}") from exc
+        if not (math.isfinite(prob) and prob >= 0.0):
+            raise DataError(f"{path}:{lineno}: probability {fields[2]!r} is not "
+                            "a finite non-negative number")
         probs.setdefault(cond, {})[fields[1]] = prob
     return TranslationTable(probs=probs, use_null=None in probs)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -151,27 +152,26 @@ def extract_phrases(alignment: AlignmentMatrix, max_len: int) -> set[tuple[Span,
     return out
 
 
-def _lex_weight(
-    phrase_words: Sequence[str],
+def _link_averages(
+    words: Sequence[str],
     other_words: Sequence[str],
-    links_for: dict[int, list[int]],
+    links_for: Sequence[list[int]],
     table: TranslationTable,
-) -> float:
-    """Product over phrase words of the average link probability.
+) -> list[float]:
+    """Per word, the average probability over its links, in link order.
 
     Unlinked words use the NULL row when the table has one, else 1.0.
     """
-    weight = 1.0
-    for idx, word in enumerate(phrase_words):
-        linked = links_for.get(idx)
+    averages = []
+    for word, linked in zip(words, links_for):
         if linked:
-            avg = sum(table.prob(word, other_words[k]) for k in linked) / len(linked)
+            averages.append(sum(table.prob(word, other_words[k]) for k in linked)
+                            / len(linked))
         elif table.use_null:
-            avg = table.prob(word, None)
+            averages.append(table.prob(word, None))
         else:
-            avg = 1.0
-        weight *= avg
-    return max(weight, SCORE_FLOOR)
+            averages.append(1.0)
+    return averages
 
 
 def score_phrase_table(
@@ -187,7 +187,8 @@ def score_phrase_table(
     Phrase probabilities are relative frequencies of extracted pair counts
     in both directions; lexical weights are alignment-based products of
     averages, keeping the best weight when a pair is observed with several
-    internal alignments (deterministic).
+    internal alignments (deterministic). Each word's average is computed
+    once per sentence, since a consistent box holds all of its links.
     """
     if isinstance(bitext, Bitext):
         pairs = bitext.token_pairs()
@@ -205,6 +206,13 @@ def score_phrase_table(
     lex_bwd: dict[tuple[Phrase, Phrase], float] = {}
 
     for (src, tgt), alignment in zip(pairs, alignments):
+        tgt_links: list[list[int]] = [[] for _ in tgt]
+        src_links: list[list[int]] = [[] for _ in src]
+        for i, j in sorted(alignment.links):
+            tgt_links[j].append(i)
+            src_links[i].append(j)
+        fwd_avg = _link_averages(tgt, src, tgt_links, w_tgt_given_src)
+        bwd_avg = _link_averages(src, tgt, src_links, w_src_given_tgt)
         for (i1, i2), (j1, j2) in sorted(extract_phrases(alignment, max_len)):
             s_phrase = tuple(src[i1 : i2 + 1])
             t_phrase = tuple(tgt[j1 : j2 + 1])
@@ -212,14 +220,8 @@ def score_phrase_table(
             counts[key] = counts.get(key, 0) + 1
             src_totals[s_phrase] = src_totals.get(s_phrase, 0) + 1
             tgt_totals[t_phrase] = tgt_totals.get(t_phrase, 0) + 1
-            tgt_links: dict[int, list[int]] = {}
-            src_links: dict[int, list[int]] = {}
-            for i, j in sorted(alignment.links):
-                if i1 <= i <= i2 and j1 <= j <= j2:
-                    tgt_links.setdefault(j - j1, []).append(i - i1)
-                    src_links.setdefault(i - i1, []).append(j - j1)
-            fwd = _lex_weight(t_phrase, s_phrase, tgt_links, w_tgt_given_src)
-            bwd = _lex_weight(s_phrase, t_phrase, src_links, w_src_given_tgt)
+            fwd = max(math.prod(fwd_avg[j1 : j2 + 1]), SCORE_FLOOR)
+            bwd = max(math.prod(bwd_avg[i1 : i2 + 1]), SCORE_FLOOR)
             if fwd > lex_fwd.get(key, 0.0):
                 lex_fwd[key] = fwd
             if bwd > lex_bwd.get(key, 0.0):
@@ -305,6 +307,9 @@ def read_moses(src: str | TextIO | Iterable[str], role: str = "",
                 raise DataError(f"{name}:{lineno}: bad score field {fields[2]!r}") from exc
             if len(scores) != 4:
                 raise DataError(f"{name}:{lineno}: expected 4 scores, got {len(scores)}")
+            if not all(math.isfinite(x) and x >= 0.0 for x in scores):
+                raise DataError(f"{name}:{lineno}: scores {fields[2]!r} are not all "
+                                "finite non-negative numbers")
             try:
                 table.add(PhraseEntry(tuple(fields[0].split()), tuple(fields[1].split()),
                                       *scores))

@@ -26,21 +26,24 @@ def reference_tokenize(line: str) -> list[str]:
 
 # --- brute-force IBM Model 1 EM ----------------------------------------------
 
-def em_model1_reference(pairs, iterations, use_null=False):
+def em_model1_reference(pairs, iterations, use_null=False, initial=None):
     """Flat-dict EM over t(src_word | tgt_word); returns (probs, lls).
 
     probs is keyed (conditioning, predicted); lls is the corpus
     log-likelihood evaluated with the parameters entering each iteration.
+    initial, keyed the same way, resumes EM from earlier parameters; a
+    co-occurring pair it lacks starts at 1 / |source vocabulary|.
     """
     pairs = [(list(s), list(t)) for s, t in pairs if s and t]
     src_vocab = sorted({w for s, _ in pairs for w in s})
     uniform = 1.0 / len(src_vocab)
+    initial = initial or {}
     t: dict[tuple, float] = {}
     for s, tgt in pairs:
         conds = [None] + tgt if use_null else tgt
         for e in conds:
             for f in s:
-                t[(e, f)] = uniform
+                t[(e, f)] = initial.get((e, f), uniform)
     lls = []
     for _ in range(iterations):
         counts = {key: 0.0 for key in t}
@@ -58,6 +61,124 @@ def em_model1_reference(pairs, iterations, use_null=False):
             totals[e] = totals.get(e, 0.0) + c
         t = {(e, f): c / totals[e] for (e, f), c in counts.items()}
     return t, lls
+
+
+# --- arithmetic-order references for the align and phrasetab fast paths -------
+#
+# These are the straightforward dict walks the package's flat-array code
+# replaces. They add and multiply in the same order, so the package must
+# match them with ==, dict order included.
+
+def model1_dict_reference(pairs, iterations, use_null=False, initial=None):
+    """Nested-dict Model 1 EM; returns (probs, lls) like TranslationTable.
+
+    probs is {conditioning: {predicted: t}} holding the pairs the last
+    E-step scored non-zero; initial is such a dict to resume from.
+    """
+    pairs = [(tuple(s), tuple(t)) for s, t in pairs if s and t]
+    uniform = 1.0 / len({w for s, _ in pairs for w in s})
+    probs = {e: dict(row) for e, row in (initial or {}).items()}
+    lls = []
+    for _ in range(iterations):
+        counts: dict = {}
+        totals: dict = {}
+        ll = 0.0
+        for src, tgt in pairs:
+            cond = [None] + list(tgt) if use_null else list(tgt)
+            rows = [probs.get(e) for e in cond]
+            norm = math.log(len(cond))
+            for f in src:
+                scores = [(row.get(f, uniform) if row is not None else uniform)
+                          for row in rows]
+                denom = sum(scores)
+                ll += math.log(denom) - norm
+                for e, score in zip(cond, scores):
+                    if score == 0.0:
+                        continue
+                    post = score / denom
+                    row_counts = counts.setdefault(e, {})
+                    row_counts[f] = row_counts.get(f, 0.0) + post
+                    totals[e] = totals.get(e, 0.0) + post
+        lls.append(ll)
+        probs = {e: {f: c / totals[e] for f, c in row.items()}
+                 for e, row in counts.items()}
+        uniform = 0.0  # only the first E-step sees the uniform init
+    return probs, lls
+
+
+def _t_prob(probs, predicted, conditioning):
+    return probs.get(conditioning, {}).get(predicted, 0.0)
+
+
+def viterbi_reference(probs, use_null, pair, direction):
+    """Argmax links per predicted word, one probability lookup per cell."""
+    src, tgt = pair
+    predicted, conditioning = (src, tgt) if direction == "forward" else (tgt, src)
+    links = set()
+    for p_idx, word in enumerate(predicted):
+        if not conditioning:
+            continue
+        best_idx, best = -1, 0.0
+        for c_idx, cond_word in enumerate(conditioning):
+            score = _t_prob(probs, word, cond_word)
+            if score > best:
+                best, best_idx = score, c_idx
+        null_score = _t_prob(probs, word, None) if use_null else 0.0
+        if best == 0.0:
+            if use_null:
+                continue
+            best_idx = 0
+        elif null_score > best:
+            continue
+        links.add((p_idx, best_idx) if direction == "forward" else (best_idx, p_idx))
+    return links
+
+
+def _lex_weight_reference(phrase_words, other_words, links_for, probs, use_null):
+    weight = 1.0
+    for idx, word in enumerate(phrase_words):
+        linked = links_for.get(idx)
+        if linked:
+            avg = sum(_t_prob(probs, word, other_words[k]) for k in linked) / len(linked)
+        elif use_null:
+            avg = _t_prob(probs, word, None)
+        else:
+            avg = 1.0
+        weight *= avg
+    return max(weight, 1e-12)
+
+
+def score_phrases_reference(pairs, alignments, w_tgt_given_src, w_src_given_tgt,
+                            max_len):
+    """Per-box lexical weighting: re-scan the sentence's links for every box.
+
+    pairs are (src, tgt) token tuples, alignments are link sets and the two
+    w tables are (probs, use_null). Returns {(src phrase, tgt phrase):
+    (phi(t|s), lex(t|s), phi(s|t), lex(s|t))}.
+    """
+    counts, src_totals, tgt_totals, lex_fwd, lex_bwd = {}, {}, {}, {}, {}
+    for (src, tgt), links in zip(pairs, alignments):
+        boxes = enumerate_phrase_pairs(len(src), len(tgt), links, max_len)
+        for (i1, i2), (j1, j2) in sorted(boxes):
+            s_phrase, t_phrase = tuple(src[i1:i2 + 1]), tuple(tgt[j1:j2 + 1])
+            key = (s_phrase, t_phrase)
+            counts[key] = counts.get(key, 0) + 1
+            src_totals[s_phrase] = src_totals.get(s_phrase, 0) + 1
+            tgt_totals[t_phrase] = tgt_totals.get(t_phrase, 0) + 1
+            tgt_links, src_links = {}, {}
+            for i, j in sorted(links):
+                if i1 <= i <= i2 and j1 <= j <= j2:
+                    tgt_links.setdefault(j - j1, []).append(i - i1)
+                    src_links.setdefault(i - i1, []).append(j - j1)
+            fwd = _lex_weight_reference(t_phrase, s_phrase, tgt_links, *w_tgt_given_src)
+            bwd = _lex_weight_reference(s_phrase, t_phrase, src_links, *w_src_given_tgt)
+            lex_fwd[key] = max(fwd, lex_fwd.get(key, 0.0))
+            lex_bwd[key] = max(bwd, lex_bwd.get(key, 0.0))
+    return {
+        (s, t): (count / src_totals[s], lex_fwd[(s, t)],
+                 count / tgt_totals[t], lex_bwd[(s, t)])
+        for (s, t), count in counts.items()
+    }
 
 
 # --- brute-force consistent phrase enumeration ---------------------------------

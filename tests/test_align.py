@@ -1,3 +1,4 @@
+import logging
 import random
 
 import pytest
@@ -8,7 +9,8 @@ from pivotsmt.align import (
 )
 from pivotsmt.errors import DataError
 
-from oracles import em_model1_reference
+from oracles import (em_model1_reference, model1_dict_reference,
+                     viterbi_reference)
 
 DAS_HAUS = [
     (("das", "haus"), ("the", "house")),
@@ -73,6 +75,31 @@ class TestModel1:
             for word, prob in row.items():
                 assert resumed.prob(word, cond) == pytest.approx(prob, abs=1e-12)
 
+    def test_resume_with_new_words_matches_oracle(self):
+        rng = random.Random(13)
+        for use_null in (False, True):
+            first = random_toy_corpus(rng, vocab=4)
+            # s4, s5 and t4, t5 are unseen by the first table
+            second = random_toy_corpus(rng, n_pairs=8, vocab=6) + [(("s5",), ("t5",))]
+            start = train_model1(first, iterations=3, use_null=use_null)
+            resumed = train_model1(second, iterations=5, use_null=use_null,
+                                   initial=start)
+            flat = {(e, f): p for e, row in start.probs.items() for f, p in row.items()}
+            ref, _ = em_model1_reference(second, 5, use_null=use_null, initial=flat)
+            for (e, f), p in ref.items():
+                assert resumed.prob(f, e) == pytest.approx(p, abs=1e-6)
+            for row in resumed.probs.values():
+                assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
+
+    def test_logs_each_iteration(self, caplog):
+        with caplog.at_level(logging.INFO, logger="pivotsmt.align"):
+            table = train_model1(DAS_HAUS, iterations=3)
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert len(lines) == 3
+        for k, (line, ll) in enumerate(zip(lines, table.log_likelihoods), start=1):
+            assert line.startswith(f"model 1 iteration {k}/3")
+            assert f"{ll:.6f}" in line
+
     def test_empty_bitext_rejected(self):
         with pytest.raises(DataError):
             train_model1([], iterations=1)
@@ -81,6 +108,63 @@ class TestModel1:
         table = train_model1([(("a",), ()), (("a",), ("x",))], iterations=2,
                              use_null=False)
         assert table.prob("a", "x") == pytest.approx(1.0)
+
+
+def repetitive_corpus(rng, n_pairs=12, vocab=4, max_len=7):
+    """Few words and long sentences, so both sides repeat words."""
+    return [
+        (tuple(f"s{rng.randrange(vocab)}" for _ in range(rng.randint(1, max_len))),
+         tuple(f"t{rng.randrange(vocab)}" for _ in range(rng.randint(1, max_len))))
+        for _ in range(n_pairs)
+    ]
+
+
+def nested_items(probs):
+    return [(e, list(row.items())) for e, row in probs.items()]
+
+
+class TestBitExact:
+    """The interned-cell EM and row-lookup Viterbi against the dict walks."""
+
+    def test_model1_equals_dict_walk(self):
+        rng = random.Random(21)
+        for _ in range(12):
+            pairs = repetitive_corpus(rng)
+            for use_null in (False, True):
+                table = train_model1(pairs, iterations=6, use_null=use_null)
+                probs, lls = model1_dict_reference(pairs, 6, use_null=use_null)
+                assert nested_items(table.probs) == nested_items(probs)
+                assert table.log_likelihoods == lls
+
+    def test_resumed_model1_equals_dict_walk(self):
+        rng = random.Random(22)
+        for _ in range(12):
+            first = repetitive_corpus(rng, vocab=3)
+            second = repetitive_corpus(rng, vocab=5)  # new words on both sides
+            for use_null in (False, True):
+                start = train_model1(first, iterations=3, use_null=use_null)
+                table = train_model1(second, iterations=4, use_null=use_null,
+                                     initial=start)
+                probs, lls = model1_dict_reference(second, 4, use_null=use_null,
+                                                   initial=start.probs)
+                assert nested_items(table.probs) == nested_items(probs)
+                assert table.log_likelihoods == start.log_likelihoods + lls
+
+    def test_viterbi_equals_per_cell_lookup(self):
+        rng = random.Random(23)
+        for _ in range(12):
+            pairs = repetitive_corpus(rng)
+            held_out = repetitive_corpus(rng, vocab=6)  # s4, s5, t4, t5 unknown
+            for use_null in (False, True):
+                cond_tgt = train_model1(pairs, iterations=4, use_null=use_null)
+                cond_src = train_model1([(t, s) for s, t in pairs], iterations=4,
+                                        use_null=use_null)
+                for pair in pairs + held_out:
+                    for table, direction in ((cond_tgt, "forward"),
+                                             (cond_src, "backward")):
+                        got = viterbi_align(table, pair, direction=direction)
+                        assert got.links == viterbi_reference(
+                            table.probs, use_null, pair, direction)
 
 
 class TestViterbi:
@@ -182,3 +266,9 @@ class TestSerialization:
         for cond, row in table.probs.items():
             for word, prob in row.items():
                 assert back.prob(word, cond) == pytest.approx(prob, rel=1e-8)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-0.5"])
+    def test_table_bad_probability_rejected(self, bad):
+        lines = ["x\ta\t0.5", f"x\tb\t{bad}"]
+        with pytest.raises(DataError, match="t.tsv:2"):
+            read_table(lines, path="t.tsv")

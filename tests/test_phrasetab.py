@@ -10,7 +10,7 @@ from pivotsmt.phrasetab import (
     prune_table, read_moses, score_phrase_table, write_moses,
 )
 
-from oracles import enumerate_phrase_pairs
+from oracles import enumerate_phrase_pairs, score_phrases_reference
 
 
 def matrix(src_len, tgt_len, links):
@@ -155,6 +155,35 @@ class TestScoring:
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
+class TestScoringBitExact:
+    """Per-sentence link averages against the per-box link re-scan."""
+
+    def test_moses_dump_equals_per_box_scoring(self):
+        rng = random.Random(31)
+        for _ in range(10):
+            pairs = []
+            alignments = []
+            for _ in range(15):
+                n, m = rng.randint(1, 7), rng.randint(1, 7)
+                pairs.append((tuple(f"s{rng.randrange(4)}" for _ in range(n)),
+                              tuple(f"t{rng.randrange(4)}" for _ in range(m))))
+                alignments.append(matrix(n, m, {(rng.randrange(n), rng.randrange(m))
+                                                for _ in range(rng.randint(0, 6))}))
+            for use_null in (False, True):
+                w_fwd = train_model1([(t, s) for s, t in pairs], iterations=3,
+                                     use_null=use_null)
+                w_bwd = train_model1(pairs, iterations=3, use_null=use_null)
+                table = score_phrase_table(pairs, alignments, w_fwd, w_bwd, max_len=4)
+                want = score_phrases_reference(
+                    pairs, [a.links for a in alignments],
+                    (w_fwd.probs, use_null), (w_bwd.probs, use_null), max_len=4)
+                assert {(e.source, e.target): e.scores() for e in table} == want
+                ref_table = PhraseTable()
+                for (source, target), scores in want.items():
+                    ref_table.add(PhraseEntry(source, target, *scores))
+                assert moses_dumps(table) == moses_dumps(ref_table)
+
+
 def make_table(entries):
     table = PhraseTable()
     for src, tgt, phi in entries:
@@ -249,6 +278,15 @@ class TestMosesFormat:
     def test_bad_score_count(self):
         with pytest.raises(DataError, match="4 scores"):
             read_moses(io.StringIO("a ||| b ||| 1 1\n"))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-0.5"])
+    @pytest.mark.parametrize("column", range(4))
+    def test_bad_score_value_rejected(self, bad, column):
+        scores = ["0.5"] * 4
+        scores[column] = bad
+        text = "a ||| b ||| 1 1 1 1\nc ||| d ||| " + " ".join(scores) + "\n"
+        with pytest.raises(DataError, match="pt.moses:2"):
+            read_moses(io.StringIO(text), name="pt.moses")
 
 
 class TestTableSet:
