@@ -15,7 +15,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .corpus import Bitext
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -60,14 +59,8 @@ class AlignmentMatrix:
                                  f"{self.src_len}x{self.tgt_len} pair")
 
 
-def _token_pairs(bitext: Bitext | Iterable[TokenPair]) -> list[TokenPair]:
-    if isinstance(bitext, Bitext):
-        return bitext.token_pairs()
-    return [(tuple(s), tuple(t)) for s, t in bitext]
-
-
 def train_model1(
-    bitext: Bitext | Iterable[TokenPair],
+    bitext: Iterable[TokenPair],
     iterations: int,
     use_null: bool = True,
     initial: TranslationTable | None = None,
@@ -90,7 +83,7 @@ def train_model1(
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     pairs = []
-    for src, tgt in _token_pairs(bitext):
+    for src, tgt in bitext:
         if not src or not tgt:
             logger.warning("skipping sentence pair with an empty side")
             continue

@@ -30,7 +30,6 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pivotsmt", description=__doc__)
     parser.add_argument("--config", help="experiment config file (key = value lines)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker processes for corpus decoding")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -68,10 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", type=int, default=0, help="prune per source (0 = off)")
 
     p = sub.add_parser("triangulate", help="compose two tables over a pivot language")
-    p.add_argument("--src-pivot", required=True,
-                   help="table mapping pivot phrases to output-target phrases")
-    p.add_argument("--pivot-tgt", required=True,
-                   help="table mapping output-source phrases to pivot phrases")
+    p.add_argument("--pivot-to-tgt", required=True,
+                   help="table mapping pivot phrases to target phrases")
+    p.add_argument("--src-to-pivot", required=True,
+                   help="table mapping source phrases to pivot phrases")
     p.add_argument("--out", required=True)
     p.add_argument("--min-score", type=float, default=1e-7)
     p.add_argument("--top-k", type=int, default=20)
@@ -143,12 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_system(args, seed: int = 0) -> tuple[decoder.DecoderSystem, decoder.LogLinearModel]:
+def _load_system(args) -> tuple[decoder.DecoderSystem, decoder.LogLinearModel]:
     tables = [phrasetab.read_moses(path) for path in args.table]
     table_set = phrasetab.TableSet(tables)
     lm = ngramlm.read_arpa(args.lm)
     if args.lm2:
-        lm = ngramlm.interpolate_lms(lm, ngramlm.read_arpa(args.lm2), args.lm_lambda)
+        lm = ngramlm.MixtureModel(lm, ngramlm.read_arpa(args.lm2), args.lm_lambda)
     translit_model = None
     if args.translit_model:
         translit_model = translit.read_char_model(args.translit_model)
@@ -175,8 +174,8 @@ def cmd_tokenize(args) -> int:
 def cmd_ingest(args) -> int:
     bitext = ingest_bitext(read_lines(args.src), read_lines(args.tgt),
                            max_len=args.max_len)
-    write_lines(args.out_src, (" ".join(s) for s in bitext.source_tokens()))
-    write_lines(args.out_tgt, (" ".join(t) for t in bitext.target_tokens()))
+    write_lines(args.out_src, (" ".join(s) for s, _ in bitext.pairs))
+    write_lines(args.out_tgt, (" ".join(t) for _, t in bitext.pairs))
     print(f"kept {len(bitext)} pairs, dropped {bitext.dropped_pairs}")
     return 0
 
@@ -197,12 +196,12 @@ def cmd_align(args) -> int:
 def cmd_extract(args) -> int:
     bitext = ingest_bitext(read_lines(args.src), read_lines(args.tgt),
                            max_len=10 ** 9)
-    pairs = bitext.token_pairs()
+    pairs = bitext.pairs
     sizes = [(len(s), len(t)) for s, t in pairs]
     matrices = align_mod.read_alignments(read_lines(args.alignments), sizes)
     cond_tgt = align_mod.train_model1(pairs, args.iterations)
     cond_src = align_mod.train_model1([(t, s) for s, t in pairs], args.iterations)
-    table = phrasetab.score_phrase_table(bitext, matrices, cond_src, cond_tgt,
+    table = phrasetab.score_phrase_table(pairs, matrices, cond_src, cond_tgt,
                                          max_len=args.max_phrase_len)
     if args.top_k > 0:
         table = phrasetab.prune_table(table, args.top_k)
@@ -212,10 +211,10 @@ def cmd_extract(args) -> int:
 
 
 def cmd_triangulate(args) -> int:
-    src_pivot = phrasetab.read_moses(args.src_pivot)
-    pivot_tgt = phrasetab.read_moses(args.pivot_tgt)
+    pivot_to_tgt = phrasetab.read_moses(args.pivot_to_tgt)
+    src_to_pivot = phrasetab.read_moses(args.src_to_pivot)
     config = pivot.TriangulationConfig(min_score=args.min_score, top_k=args.top_k)
-    table = pivot.triangulate(src_pivot, pivot_tgt, config)
+    table = pivot.triangulate(pivot_to_tgt, src_to_pivot, config)
     phrasetab.write_moses(table, args.out)
     print(f"triangulated {len(table)} phrase pairs")
     return 0
@@ -259,13 +258,13 @@ def cmd_synthesize(args) -> int:
     bitext = ingest_bitext(read_lines(args.src), read_lines(args.tgt),
                            max_len=10 ** 9)
     synth = pipeline.synthesize_bitext(bitext, system, model)
-    write_lines(args.out_src, (" ".join(s) for s in synth.source_tokens()))
-    write_lines(args.out_tgt, (" ".join(t) for t in synth.target_tokens()))
+    write_lines(args.out_src, (" ".join(s) for s, _ in synth.pairs))
+    write_lines(args.out_tgt, (" ".join(t) for _, t in synth.pairs))
     print(f"synthesized {len(synth)} pairs, dropped {synth.dropped_pairs}")
     return 0
 
 
-def cmd_tune(args, seed: int) -> int:
+def cmd_tune(args) -> int:
     system, model = _load_system(args)
     dev_src = [line.split() for line in read_lines(args.dev_src)]
     dev_ref = [line.split() for line in read_lines(args.dev_ref)]
@@ -273,8 +272,7 @@ def cmd_tune(args, seed: int) -> int:
         raise PivotSmtError(
             f"dev line count mismatch: {len(dev_src)} vs {len(dev_ref)}")
     tuned = decoder.tune_weights(list(zip(dev_src, dev_ref)), system, model,
-                                 rounds=args.rounds, nbest_size=args.nbest,
-                                 seed=seed)
+                                 rounds=args.rounds, nbest_size=args.nbest)
     decoder.write_weights(tuned, args.weights_out)
     print(f"wrote tuned weights to {args.weights_out}")
     return 0
@@ -320,8 +318,6 @@ def cmd_experiment(args) -> int:
     if not path:
         raise PivotSmtError("experiment requires --config")
     config = pipeline.ExperimentConfig.from_file(path)
-    if args.seed:
-        config.seed = args.seed
     if args.threads != 1:
         config.threads = args.threads
     result = pipeline.run_experiment(config)
@@ -357,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "synthesize":
             return cmd_synthesize(args)
         if args.command == "tune":
-            return cmd_tune(args, args.seed)
+            return cmd_tune(args)
         if args.command == "decode":
             return cmd_decode(args, args.threads)
         if args.command == "score":
@@ -372,6 +368,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"pivotsmt: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # an argument outside the range the library accepts
+        print(f"pivotsmt: {exc}", file=sys.stderr)
+        return 1
 
 
 def run() -> None:

@@ -1,4 +1,4 @@
-"""Text ingestion, tokenization, vocabularies, bitexts and dictionaries.
+"""Text ingestion, tokenization, bitexts and dictionaries.
 
 All text is Unicode; corpora on disk are UTF-8, one tokenized sentence per
 line, with line i of the source file aligned to line i of the target file.
@@ -9,8 +9,9 @@ from __future__ import annotations
 import logging
 import re
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import DataError
 
@@ -27,99 +28,22 @@ TOKENIZE_SCHEMES = ("unicode-punct", "whitespace")
 DEFAULT_MAX_SENT_LEN = 80
 
 
-class Vocabulary:
-    """Bijective word <-> dense id mapping with reserved marker ids.
-
-    Ids 0/1/2 are reserved for the sentence-start, sentence-end and unknown
-    markers. Construction is single-writer; after the building phase the
-    instance should be treated as read-only and may be shared freely.
-    """
-
-    def __init__(self) -> None:
-        self._words: list[str] = [BOS, EOS, UNK]
-        self._ids: dict[str, int] = {BOS: 0, EOS: 1, UNK: 2}
-
-    bos_id = 0
-    eos_id = 1
-    unk_id = 2
-
-    def add(self, word: str) -> int:
-        """Register a word (idempotent) and return its id."""
-        idx = self._ids.get(word)
-        if idx is None:
-            idx = len(self._words)
-            self._words.append(word)
-            self._ids[word] = idx
-        return idx
-
-    def id_of(self, word: str) -> int:
-        return self._ids[word]
-
-    def id_or_unk(self, word: str) -> int:
-        return self._ids.get(word, self.unk_id)
-
-    def word_of(self, idx: int) -> str:
-        return self._words[idx]
-
-    def words(self) -> list[str]:
-        """All registered words excluding the reserved markers."""
-        return self._words[3:]
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._ids
-
-    def __len__(self) -> int:
-        return len(self._words)
-
-
-@dataclass(frozen=True)
-class Sentence:
-    """Token ids plus the original surface line they came from."""
-
-    ids: tuple[int, ...]
-    surface: str
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def tokens(self, vocab: Vocabulary) -> tuple[str, ...]:
-        return tuple(vocab.word_of(i) for i in self.ids)
-
-
-def make_sentence(tokens: Sequence[str], vocab: Vocabulary) -> Sentence:
-    return Sentence(tuple(vocab.add(t) for t in tokens), " ".join(tokens))
-
-
 @dataclass
 class Bitext:
-    """Sentence-aligned parallel corpus with per-pair provenance tags."""
+    """Sentence-aligned parallel corpus of token tuples with per-pair provenance tags."""
 
-    src_vocab: Vocabulary = field(default_factory=Vocabulary)
-    tgt_vocab: Vocabulary = field(default_factory=Vocabulary)
-    pairs: list[tuple[Sentence, Sentence]] = field(default_factory=list)
+    pairs: list[tuple[tuple[str, ...], tuple[str, ...]]] = field(default_factory=list)
     provenance: list[str] = field(default_factory=list)
     dropped_pairs: int = 0
 
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def add_pair(self, src: Sentence, tgt: Sentence, provenance: str) -> None:
+    def add_pair(self, src: Sequence[str], tgt: Sequence[str], provenance: str) -> None:
         if provenance not in PROVENANCE_TAGS:
             raise ValueError(f"unknown provenance tag: {provenance!r}")
-        self.pairs.append((src, tgt))
+        self.pairs.append((tuple(src), tuple(tgt)))
         self.provenance.append(provenance)
-
-    def token_pairs(self) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-        return [
-            (s.tokens(self.src_vocab), t.tokens(self.tgt_vocab))
-            for s, t in self.pairs
-        ]
-
-    def source_tokens(self) -> list[tuple[str, ...]]:
-        return [s.tokens(self.src_vocab) for s, _ in self.pairs]
-
-    def target_tokens(self) -> list[tuple[str, ...]]:
-        return [t.tokens(self.tgt_vocab) for _, t in self.pairs]
 
 
 @dataclass(frozen=True)
@@ -182,12 +106,24 @@ def write_lines(path: str, lines: Iterable[str]) -> None:
             handle.write("\n")
 
 
+@contextmanager
+def open_text(src: str | TextIO | Iterable[str], mode: str = "r") -> Iterator:
+    """Open a path as UTF-8 text and close it afterwards; pass anything else through.
+
+    Readers and writers accept a path, an open handle or (for readers) a
+    list of lines; only the path is theirs to close.
+    """
+    if isinstance(src, str):
+        with open(src, mode, encoding="utf-8") as handle:
+            yield handle
+    else:
+        yield src
+
+
 def ingest_bitext(
     source_lines: Iterable[str],
     target_lines: Iterable[str],
     max_len: int = DEFAULT_MAX_SENT_LEN,
-    src_vocab: Vocabulary | None = None,
-    tgt_vocab: Vocabulary | None = None,
     provenance: str = "baseline",
 ) -> Bitext:
     """Pair up two pre-tokenized line streams into a Bitext.
@@ -203,61 +139,33 @@ def ingest_bitext(
             f"line count mismatch: source has {len(src_lines)} lines, "
             f"target has {len(tgt_lines)} lines"
         )
-    bitext = Bitext(src_vocab or Vocabulary(), tgt_vocab or Vocabulary())
-    dropped = 0
+    bitext = Bitext()
     for src_line, tgt_line in zip(src_lines, tgt_lines):
         src_toks = src_line.split()
         tgt_toks = tgt_line.split()
         if len(src_toks) > max_len or len(tgt_toks) > max_len:
-            dropped += 1
+            bitext.dropped_pairs += 1
             continue
-        bitext.add_pair(
-            make_sentence(src_toks, bitext.src_vocab),
-            make_sentence(tgt_toks, bitext.tgt_vocab),
-            provenance,
-        )
-    bitext.dropped_pairs = dropped
-    if dropped:
-        logger.info("ingest: dropped %d pairs over %d tokens", dropped, max_len)
+        bitext.add_pair(src_toks, tgt_toks, provenance)
+    if bitext.dropped_pairs:
+        logger.info("ingest: dropped %d pairs over %d tokens", bitext.dropped_pairs, max_len)
     return bitext
 
 
 def concat_bitexts(parts: Sequence[Bitext]) -> Bitext:
-    """Order-preserving concatenation; vocabularies are merged as needed."""
-    if not parts:
-        return Bitext()
-    first = parts[0]
-    if all(p.src_vocab is first.src_vocab and p.tgt_vocab is first.tgt_vocab for p in parts):
-        out = Bitext(first.src_vocab, first.tgt_vocab)
-        for part in parts:
-            out.pairs.extend(part.pairs)
-            out.provenance.extend(part.provenance)
-        return out
-    # Distinct vocabularies: re-encode every sentence into merged ones.
+    """Order-preserving concatenation."""
     out = Bitext()
     for part in parts:
-        for (src, tgt), tag in zip(part.pairs, part.provenance):
-            out.add_pair(
-                make_sentence(src.tokens(part.src_vocab), out.src_vocab),
-                make_sentence(tgt.tokens(part.tgt_vocab), out.tgt_vocab),
-                tag,
-            )
+        out.pairs.extend(part.pairs)
+        out.provenance.extend(part.provenance)
     return out
 
 
-def dict_to_bitext(
-    entries: Sequence[DictionaryEntry],
-    src_vocab: Vocabulary | None = None,
-    tgt_vocab: Vocabulary | None = None,
-) -> Bitext:
+def dict_to_bitext(entries: Sequence[DictionaryEntry]) -> Bitext:
     """Turn dictionary entries into one-sentence-pair-per-entry training data."""
-    bitext = Bitext(src_vocab or Vocabulary(), tgt_vocab or Vocabulary())
+    bitext = Bitext()
     for entry in entries:
-        bitext.add_pair(
-            make_sentence(entry.source, bitext.src_vocab),
-            make_sentence(entry.target, bitext.tgt_vocab),
-            "dictionary",
-        )
+        bitext.add_pair(entry.source, entry.target, "dictionary")
     return bitext
 
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .corpus import BOS, Bitext
+from .corpus import BOS
 from .errors import DataError
 from .evalkit import corpus_bleu
 from .phrasetab import SCORE_FLOOR, TableSet
@@ -577,24 +577,19 @@ _TUNE_STEPS = (-1.0, -0.5, -0.2, -0.05, 0.05, 0.2, 0.5, 1.0)
 
 
 def tune_weights(
-    dev: Bitext | Sequence[tuple[Sequence[str], Sequence[str]]],
+    dev: Sequence[tuple[Sequence[str], Sequence[str]]],
     system: DecoderSystem,
     initial: LogLinearModel,
     rounds: int = 3,
     nbest_size: int = 50,
-    seed: int = 0,
 ) -> LogLinearModel:
     """Coordinate ascent on corpus BLEU over pooled n-best lists.
 
-    The dev set (a Bitext or (source, reference) token pairs) is re-decoded
-    every round with the current weights; the n-best pool accumulates
-    across rounds. Fully deterministic: the step grid is fixed and ties
-    keep the incumbent weight (the seed is accepted for interface
-    stability but no randomness is needed at this scale).
+    The dev set of (source, reference) token pairs is re-decoded every
+    round with the current weights; the n-best pool accumulates across
+    rounds. Fully deterministic: the step grid is fixed and ties keep the
+    incumbent weight.
     """
-    del seed
-    if isinstance(dev, Bitext):
-        dev = dev.token_pairs()
     if not dev:
         raise DataError("cannot tune on an empty dev set")
     if rounds < 1:
@@ -684,7 +679,10 @@ def read_weights(path: str, n_tables: int, use_translit: bool = False) -> LogLin
             if len(fields) != 2:
                 raise DataError(f"{path}:{lineno}: expected `name<TAB>weight`")
             try:
-                weights[fields[0]] = float(fields[1])
+                weight = float(fields[1])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad weight {fields[1]!r}") from exc
+            if not math.isfinite(weight):
+                raise DataError(f"{path}:{lineno}: weight {fields[1]!r} is not finite")
+            weights[fields[0]] = weight
     return LogLinearModel(weights=weights, n_tables=n_tables, use_translit=use_translit)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
-from .corpus import BOS, EOS, UNK
+from .corpus import BOS, EOS, UNK, open_text
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -51,10 +51,6 @@ class NGramModel:
                 return penalty + self.unk_logprob
             penalty += self.backoffs.get(ctx, 0.0)
             ctx = ctx[1:]
-
-
-def logprob(model: NGramModel, context: Sequence[str], word: str) -> float:
-    return model.logprob(context, word)
 
 
 def perplexity(model, sentences: Iterable[Sequence[str]]) -> float:
@@ -203,23 +199,13 @@ class MixtureModel:
         return math.log10(self.lam * pa + (1.0 - self.lam) * pb)
 
 
-def interpolate_lms(a: NGramModel, b: NGramModel, lam: float) -> MixtureModel:
-    return MixtureModel(a=a, b=b, lam=lam)
-
-
 # --- ARPA I/O ----------------------------------------------------------------
 
 def write_arpa(model: NGramModel, dest: str | TextIO) -> None:
-    if isinstance(dest, str):
-        handle: TextIO = open(dest, "w", encoding="utf-8")
-        close = True
-    else:
-        handle = dest
-        close = False
-    try:
-        by_order: dict[int, list[NGram]] = {n: [] for n in range(1, model.order + 1)}
-        for gram in model.logprobs:
-            by_order[len(gram)].append(gram)
+    by_order: dict[int, list[NGram]] = {n: [] for n in range(1, model.order + 1)}
+    for gram in model.logprobs:
+        by_order[len(gram)].append(gram)
+    with open_text(dest, "w") as handle:
         handle.write("\\data\\\n")
         for n in range(1, model.order + 1):
             count = len(by_order[n]) + (1 if n == 1 else 0)  # +1 for <unk>
@@ -235,20 +221,23 @@ def write_arpa(model: NGramModel, dest: str | TextIO) -> None:
                     line += f"\t{bow:.7f}"
                 handle.write(line + "\n")
         handle.write("\n\\end\\\n")
-    finally:
-        if close:
-            handle.close()
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 def read_arpa(src: str | TextIO | Iterable[str], name: str = "<arpa>") -> NGramModel:
-    if isinstance(src, str):
-        with open(src, "r", encoding="utf-8") as handle:
+    """Parse an ARPA model; a malformed or non-finite value raises DataError with path:line."""
+    name = src if isinstance(src, str) else name
+    with open_text(src) as handle:
+        if hasattr(handle, "read"):
             lines: list[str] = handle.read().splitlines()
-        name = src
-    elif hasattr(src, "read"):
-        lines = src.read().splitlines()  # type: ignore[union-attr]
-    else:
-        lines = [str(line).rstrip("\n") for line in src]
+        else:
+            lines = [str(line).rstrip("\n") for line in handle]
 
     counts: dict[int, int] = {}
     logprobs: dict[NGram, float] = {}
@@ -296,7 +285,7 @@ def read_arpa(src: str | TextIO | Iterable[str], name: str = "<arpa>") -> NGramM
             if len(fields) not in (2, 3):
                 raise DataError(f"{name}:{lineno}: expected 2 or 3 fields, got {len(fields)}")
             try:
-                prob = float(fields[0])
+                prob = _finite(fields[0])
             except ValueError as exc:
                 raise DataError(f"{name}:{lineno}: bad log probability {fields[0]!r}") from exc
             gram = tuple(fields[1].split())
@@ -311,7 +300,7 @@ def read_arpa(src: str | TextIO | Iterable[str], name: str = "<arpa>") -> NGramM
                 logprobs[gram] = prob
             if len(fields) == 3:
                 try:
-                    backoffs[gram] = float(fields[2])
+                    backoffs[gram] = _finite(fields[2])
                 except ValueError as exc:
                     raise DataError(f"{name}:{lineno}: bad backoff {fields[2]!r}") from exc
             continue

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .align import AlignmentMatrix, TranslationTable
-from .corpus import Bitext
+from .corpus import open_text
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -85,21 +85,13 @@ class PhraseTable:
 
 @dataclass
 class TableSet:
-    """Phrase tables registered for decoding.
-
-    "separate-features" scores each table as its own block of four
-    features; "concat-data" is a marker that the merge already happened
-    (or must happen) at the bitext level, so a single table is expected.
-    """
+    """Phrase tables registered for decoding; each scores as its own block of four features."""
 
     tables: list[PhraseTable]
-    mode: str = "separate-features"
 
     def __post_init__(self) -> None:
         if not self.tables:
             raise ValueError("a table set needs at least one phrase table")
-        if self.mode not in ("separate-features", "concat-data"):
-            raise ValueError(f"unknown table combination mode: {self.mode!r}")
 
 
 def extract_phrases(alignment: AlignmentMatrix, max_len: int) -> set[tuple[Span, Span]]:
@@ -175,7 +167,7 @@ def _link_averages(
 
 
 def score_phrase_table(
-    bitext: Bitext | Iterable[tuple[Sequence[str], Sequence[str]]],
+    bitext: Iterable[tuple[Sequence[str], Sequence[str]]],
     alignments: Sequence[AlignmentMatrix],
     w_tgt_given_src: TranslationTable,
     w_src_given_tgt: TranslationTable,
@@ -190,10 +182,7 @@ def score_phrase_table(
     internal alignments (deterministic). Each word's average is computed
     once per sentence, since a consistent box holds all of its links.
     """
-    if isinstance(bitext, Bitext):
-        pairs = bitext.token_pairs()
-    else:
-        pairs = [(tuple(s), tuple(t)) for s, t in bitext]
+    pairs = [(tuple(s), tuple(t)) for s, t in bitext]
     if len(pairs) != len(alignments):
         raise DataError(
             f"bitext has {len(pairs)} pairs but {len(alignments)} alignments given"
@@ -263,35 +252,19 @@ _DELIM = " ||| "
 
 def write_moses(table: PhraseTable, dest: str | TextIO) -> None:
     """Serialize a table; scores are floored at 1e-12 so logs stay finite."""
-    handle: TextIO
-    if isinstance(dest, str):
-        handle = open(dest, "w", encoding="utf-8")
-        close = True
-    else:
-        handle = dest
-        close = False
-    try:
+    with open_text(dest, "w") as handle:
         for source in sorted(table.sources()):
             for entry in sorted(table.get(source), key=lambda e: e.target):
                 scores = " ".join(f"{max(s, SCORE_FLOOR):.10g}" for s in entry.scores())
                 handle.write(f"{' '.join(entry.source)}{_DELIM}"
                              f"{' '.join(entry.target)}{_DELIM}{scores}\n")
-    finally:
-        if close:
-            handle.close()
 
 
 def read_moses(src: str | TextIO | Iterable[str], role: str = "",
                name: str = "<phrase-table>") -> PhraseTable:
-    if isinstance(src, str):
-        handle: Iterable[str] = open(src, "r", encoding="utf-8")
-        name = src
-        close = True
-    else:
-        handle = src
-        close = False
+    name = src if isinstance(src, str) else name
     table = PhraseTable(role=role)
-    try:
+    with open_text(src) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -315,9 +288,6 @@ def read_moses(src: str | TextIO | Iterable[str], role: str = "",
                                       *scores))
             except ValueError as exc:
                 raise DataError(f"{name}:{lineno}: {exc}") from exc
-    finally:
-        if close:
-            handle.close()  # type: ignore[union-attr]
     return table
 
 

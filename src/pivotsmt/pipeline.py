@@ -8,7 +8,7 @@ An experiment runs the mode matrix over one language direction:
   +Dict dictionary entries concatenated as sentence pairs
 
 and writes a deterministic manifest (config hash, artifact hashes, scores)
-so reruns with the same config and seed are byte-identical.
+so reruns with the same config are byte-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import align, decoder, evalkit, ngramlm, phrasetab, translit
 from .corpus import Bitext, concat_bitexts, count_oov, dict_to_bitext, \
-    ingest_bitext, make_sentence, read_dictionary_tsv, read_lines, write_lines
+    ingest_bitext, read_dictionary_tsv, read_lines, write_lines
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -114,7 +114,7 @@ def align_bitext(bitext: Bitext, iterations: int, use_null: bool = True):
 
     Returns (alignments, w(tgt|src) table, w(src|tgt) table).
     """
-    pairs = bitext.token_pairs()
+    pairs = bitext.pairs
     cond_tgt = align.train_model1(pairs, iterations, use_null=use_null)
     swapped = [(t, s) for s, t in pairs]
     cond_src = align.train_model1(swapped, iterations, use_null=use_null)
@@ -130,7 +130,7 @@ def build_phrase_table(bitext: Bitext, em_iterations: int, max_phrase_len: int,
                        prune_top_k: int = 0, role: str = "baseline") -> phrasetab.PhraseTable:
     alignments, w_tgt_given_src, w_src_given_tgt = align_bitext(bitext, em_iterations)
     table = phrasetab.score_phrase_table(
-        bitext, alignments, w_tgt_given_src, w_src_given_tgt,
+        bitext.pairs, alignments, w_tgt_given_src, w_src_given_tgt,
         max_len=max_phrase_len, role=role,
     )
     if prune_top_k > 0:
@@ -183,7 +183,7 @@ def synthesize_bitext(
     model = model or system.default_model()
     out = Bitext()
     dropped = 0
-    for src, tgt in bitext.token_pairs():
+    for src, tgt in bitext.pairs:
         try:
             hyp = system.translate(src, model) if src else ()
         except DataError as exc:
@@ -191,11 +191,7 @@ def synthesize_bitext(
             logger.warning("synthesize: dropping undecodable pair %r (%s)",
                            " ".join(src), exc)
             continue
-        out.add_pair(
-            make_sentence(hyp, out.src_vocab),
-            make_sentence(tgt, out.tgt_vocab),
-            "synthetic",
-        )
+        out.add_pair(hyp, tgt, "synthetic")
     out.dropped_pairs = dropped
     return out
 
@@ -267,7 +263,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if config.lm_corpus:
         lm_sentences = [tuple(line.split()) for line in read_lines(config.lm_corpus)]
     else:
-        lm_sentences = baseline.target_tokens()
+        lm_sentences = [tgt for _, tgt in baseline.pairs]
     lm = ngramlm.train_kn(lm_sentences, config.lm_order)
 
     translit_model = None
@@ -299,9 +295,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     mode_tables["B0"] = phrasetab.TableSet([baseline_table])
     if synth is not None and config.use_synth == "concat":
         mode_tables["Syn"] = phrasetab.TableSet(
-            [make_table(concat_bitexts([baseline, synth]), "baseline")],
-            mode="concat-data",
-        )
+            [make_table(concat_bitexts([baseline, synth]), "baseline")])
     if synth is not None and config.use_synth == "separate":
         synth_table = make_table(synth, "synthetic")
         mode_tables["PT"] = phrasetab.TableSet([baseline_table, synth_table])
@@ -312,8 +306,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             parts.append(synth)
         parts.append(dict_to_bitext(dict_entries))
         mode_tables["Dict"] = phrasetab.TableSet(
-            [make_table(concat_bitexts(parts), "baseline")], mode="concat-data",
-        )
+            [make_table(concat_bitexts(parts), "baseline")])
 
     artifacts: dict[str, str] = {}
     lm_path = os.path.join(config.work_dir, "lm.arpa")
@@ -331,8 +324,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if config.tune_rounds > 0 and dev_pairs:
             model = decoder.tune_weights(dev_pairs, system, model,
                                          rounds=config.tune_rounds,
-                                         nbest_size=config.nbest_size,
-                                         seed=config.seed)
+                                         nbest_size=config.nbest_size)
         hyps = decode_corpus(system, model, test_src, threads=config.threads)
         bleu, _ = evalkit.corpus_bleu(hyps, test_ref)
         oov = _oov_count(test_src, tables)

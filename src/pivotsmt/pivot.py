@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .phrasetab import Phrase, PhraseEntry, PhraseTable, TableSet, prune_table
+from .phrasetab import Phrase, PhraseEntry, PhraseTable, prune_table
 
 logger = logging.getLogger(__name__)
 
@@ -30,56 +30,44 @@ class TriangulationConfig:
 
 
 def triangulate(
-    src_pivot: PhraseTable,
-    pivot_tgt: PhraseTable,
+    pivot_to_tgt: PhraseTable,
+    src_to_pivot: PhraseTable,
     config: TriangulationConfig = TriangulationConfig(),
 ) -> PhraseTable:
-    """Compose p(out_tgt | pivot) with p(pivot | out_src) into p(out_tgt | out_src).
+    """Compose p(tgt | pivot) with p(pivot | src) into p(tgt | src).
 
-    `src_pivot` maps pivot phrases to output-target candidates; `pivot_tgt`
-    maps output-source phrases to pivot candidates. Forward features combine
+    `pivot_to_tgt` maps pivot phrases to target candidates; `src_to_pivot`
+    maps source phrases to pivot candidates. Forward features combine
     forward features and backward combine backward. Entries whose forward
     phrase probability falls below config.min_score are dropped, then
     config.top_k pruning applies per source.
     """
-    if (src_pivot.src_lang is not None and pivot_tgt.tgt_lang is not None
-            and src_pivot.src_lang != pivot_tgt.tgt_lang):
+    if (pivot_to_tgt.src_lang is not None and src_to_pivot.tgt_lang is not None
+            and pivot_to_tgt.src_lang != src_to_pivot.tgt_lang):
         raise ValueError(
-            f"pivot vocabulary spaces differ: {src_pivot.src_lang!r} vs "
-            f"{pivot_tgt.tgt_lang!r}"
+            f"pivot vocabulary spaces differ: {pivot_to_tgt.src_lang!r} vs "
+            f"{src_to_pivot.tgt_lang!r}"
         )
 
     acc: dict[Phrase, dict[Phrase, list[float]]] = {}
-    for out_src in pivot_tgt.sources():
-        for bridge in pivot_tgt.get(out_src):
-            inner = src_pivot.get(bridge.target)
+    for src in src_to_pivot.sources():
+        for bridge in src_to_pivot.get(src):
+            inner = pivot_to_tgt.get(bridge.target)
             if not inner:
                 continue
             b_scores = bridge.scores()
-            row = acc.setdefault(out_src, {})
+            row = acc.setdefault(src, {})
             for cand in inner:
                 sums = row.setdefault(cand.target, [0.0, 0.0, 0.0, 0.0])
                 c_scores = cand.scores()
                 for k in range(4):
                     sums[k] += c_scores[k] * b_scores[k]
 
-    table = PhraseTable(role="triangulated", src_lang=pivot_tgt.src_lang,
-                        tgt_lang=src_pivot.tgt_lang)
-    for out_src, row in acc.items():
-        for out_tgt, sums in row.items():
+    table = PhraseTable(role="triangulated", src_lang=src_to_pivot.src_lang,
+                        tgt_lang=pivot_to_tgt.tgt_lang)
+    for src, row in acc.items():
+        for tgt, sums in row.items():
             if sums[0] < config.min_score:
                 continue
-            table.add(PhraseEntry(out_src, out_tgt, *sums))
+            table.add(PhraseEntry(src, tgt, *sums))
     return prune_table(table, config.top_k)
-
-
-def combine_tables(tables: list[PhraseTable], mode: str) -> TableSet:
-    """Register tables for decoding.
-
-    "separate-features" gives each table its own block of four log-linear
-    features; "concat-data" instructs the pipeline to merge at the bitext
-    level instead and expects a single (already merged) table downstream.
-    """
-    if not tables:
-        raise ValueError("cannot combine an empty table list")
-    return TableSet(tables=list(tables), mode=mode)

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
+from .corpus import open_text
 from .errors import DataError
 from .phrasetab import PhraseEntry, PhraseTable
 
@@ -369,7 +370,8 @@ def mine_transliterations(
                 s, t, joint, init_prob if first_pass else None, allowed_multi)
             p_noise = math.exp(log_noise[idx])
             mix = lam * p_translit + (1.0 - lam) * p_noise
-            ll += w * math.log(mix)
+            # a long pair can underflow both terms; its noise term in log space stays finite
+            ll += w * (math.log(mix) if mix > 0 else math.log1p(-lam) + log_noise[idx])
             post = (lam * p_translit / mix) if mix > 0 else 0.0
             posteriors.append(post)
             lam_num += w * post
@@ -554,13 +556,9 @@ def build_translit_table(model: CharModel, words: Sequence[str], k: int) -> Phra
 # --- Serialization -----------------------------------------------------------
 
 def write_mined_pairs(pairs: Iterable[MinedPair], dest: str | TextIO) -> None:
-    handle = open(dest, "w", encoding="utf-8") if isinstance(dest, str) else dest
-    try:
+    with open_text(dest, "w") as handle:
         for pair in pairs:
             handle.write(f"{pair.source}\t{pair.target}\t{pair.posterior:.6f}\n")
-    finally:
-        if isinstance(dest, str):
-            handle.close()
 
 
 def read_mined_pairs(lines: Iterable[str], name: str = "<mined>") -> list[MinedPair]:

@@ -33,6 +33,29 @@ class TestExitCodes:
                      "--output", str(tmp_path / "out.txt")])
         assert code == 2
 
+    @pytest.mark.parametrize("args, code", [
+        (["decode", "--stack-size", "0"], 1),
+        (["train-lm", "--order", "9"], 1),
+        (["decode", "--lm2", "{lm}", "--lm-lambda", "2"], 1),
+        (["decode", "--weights", "{nan_weights}"], 2),
+    ])
+    def test_bad_value_is_one_line_not_traceback(self, tmp_path, capsys, args, code):
+        table = write(tmp_path / "t.moses", ["a ||| x ||| 1 1 1 1"])
+        corpus = write(tmp_path / "c.txt", ["x x", "x"])
+        lm = str(tmp_path / "lm.arpa")
+        assert main(["train-lm", "--corpus", corpus, "--out", lm, "--order", "2"]) == 0
+        paths = {"lm": lm, "nan_weights": write(tmp_path / "w.tsv", ["lm\tnan"])}
+        args = [arg.format(**paths) for arg in args]
+        if args[0] == "decode":
+            args += ["--input", write(tmp_path / "in.txt", ["a"]), "--table", table,
+                     "--lm", lm, "--output", str(tmp_path / "o.txt")]
+        else:
+            args += ["--corpus", corpus, "--out", str(tmp_path / "lm9.arpa")]
+        capsys.readouterr()
+        assert main(args) == code
+        err = capsys.readouterr().err
+        assert err.startswith("pivotsmt: ") and err.count("\n") == 1, err
+
 
 class TestCommands:
     def test_tokenize(self, tmp_path, capsys):
@@ -157,14 +180,15 @@ class TestCommands:
         assert back.prob("das", "the") > 0.9
 
     def test_triangulate_command(self, tmp_path, capsys):
-        sp = write(tmp_path / "sp.moses",
-                   ["e1 ||| u1 ||| 0.5 0.5 0.5 0.5",
-                    "e2 ||| u1 ||| 0.5 0.5 0.5 0.5"])
-        pt = write(tmp_path / "pt.moses",
-                   ["h1 ||| e1 ||| 0.4 0.4 0.4 0.4",
-                    "h1 ||| e2 ||| 0.6 0.6 0.6 0.6"])
+        pivot_to_tgt = write(tmp_path / "p2t.moses",
+                             ["e1 ||| u1 ||| 0.5 0.5 0.5 0.5",
+                              "e2 ||| u1 ||| 0.5 0.5 0.5 0.5"])
+        src_to_pivot = write(tmp_path / "s2p.moses",
+                             ["h1 ||| e1 ||| 0.4 0.4 0.4 0.4",
+                              "h1 ||| e2 ||| 0.6 0.6 0.6 0.6"])
         out = str(tmp_path / "tri.moses")
-        assert main(["triangulate", "--src-pivot", sp, "--pivot-tgt", pt,
+        assert main(["triangulate", "--pivot-to-tgt", pivot_to_tgt,
+                     "--src-to-pivot", src_to_pivot,
                      "--out", out, "--min-score", "0.0"]) == 0
         with open(out, encoding="utf-8") as handle:
             assert handle.read() == "h1 ||| u1 ||| 0.5 0.5 0.5 0.5\n"

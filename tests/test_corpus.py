@@ -1,8 +1,8 @@
 import pytest
 
 from pivotsmt.corpus import (
-    DictionaryEntry, Vocabulary, concat_bitexts, count_oov, dict_to_bitext,
-    extract_language_links, ingest_bitext, make_sentence, mine_language_links,
+    DictionaryEntry, concat_bitexts, count_oov, dict_to_bitext,
+    extract_language_links, ingest_bitext, mine_language_links,
     parse_wiki_pages, read_dictionary_tsv, read_lines, tokenize,
 )
 from pivotsmt.errors import DataError
@@ -45,33 +45,12 @@ class TestTokenize:
         assert tokenize(" ".join(once)) == once
 
 
-class TestVocabulary:
-    def test_reserved_ids(self):
-        vocab = Vocabulary()
-        assert vocab.word_of(vocab.bos_id) == "<s>"
-        assert vocab.word_of(vocab.eos_id) == "</s>"
-        assert vocab.word_of(vocab.unk_id) == "<unk>"
-
-    def test_bijection(self):
-        vocab = Vocabulary()
-        words = ["cat", "घर", "dog", "cat"]
-        for w in words:
-            vocab.add(w)
-        for w in set(words):
-            assert vocab.word_of(vocab.id_of(w)) == w
-        assert len(vocab) == 3 + 3
-
-    def test_unknown_lookup(self):
-        vocab = Vocabulary()
-        assert vocab.id_or_unk("never-seen") == vocab.unk_id
-
-
 class TestIngest:
     def test_basic(self):
         bitext = ingest_bitext(["a b", "c", "d e f"], ["x", "y z", "w"], max_len=80)
         assert len(bitext) == 3
         assert bitext.dropped_pairs == 0
-        assert bitext.token_pairs()[0] == (("a", "b"), ("x",))
+        assert bitext.pairs[0] == (("a", "b"), ("x",))
 
     def test_drop_over_limit(self):
         long_line = " ".join(f"w{i}" for i in range(81))
@@ -92,7 +71,7 @@ class TestIngest:
         lines = [" ".join("w" for _ in range(n)) for n in (1, 5, 9, 12, 3)]
         bitext = ingest_bitext(lines, list(lines), max_len=8)
         assert bitext.dropped_pairs + len(bitext) == 5
-        for src, tgt in bitext.token_pairs():
+        for src, tgt in bitext.pairs:
             assert len(src) <= 8 and len(tgt) <= 8
 
     def test_invalid_utf8_names_line(self, tmp_path):
@@ -113,8 +92,8 @@ class TestConcat:
                           [f"y{i}" for i in range(5)])
         merged = concat_bitexts([a, b])
         assert len(merged) == 15
-        assert merged.token_pairs()[0] == (("a0",), ("x0",))
-        assert merged.token_pairs()[10] == (("b0",), ("y0",))
+        assert merged.pairs[0] == (("a0",), ("x0",))
+        assert merged.pairs[10] == (("b0",), ("y0",))
 
     def test_associative_pair_multiset(self):
         parts = [
@@ -124,7 +103,7 @@ class TestConcat:
         ]
         left = concat_bitexts([concat_bitexts(parts[:2]), parts[2]])
         right = concat_bitexts([parts[0], concat_bitexts(parts[1:])])
-        assert left.token_pairs() == right.token_pairs()
+        assert left.pairs == right.pairs
 
     def test_provenance_retained(self):
         a = ingest_bitext(["a"], ["x"])
@@ -138,8 +117,8 @@ class TestConcat:
         merged = concat_bitexts([train, dict_to_bitext(entries)])
         test_set = [("a", "d"), ("c",)]
         # oracle: plain set-difference OOV counting
-        before = {w for s, _ in train.token_pairs() for w in s}
-        after = {w for s, _ in merged.token_pairs() for w in s}
+        before = {w for s, _ in train.pairs for w in s}
+        after = {w for s, _ in merged.pairs for w in s}
         oov_before = sum(1 for s in test_set for w in s if w not in before)
         oov_after = sum(1 for s in test_set for w in s if w not in after)
         assert count_oov(test_set, before) == oov_before == 1
@@ -154,7 +133,7 @@ class TestDictionary:
     def test_single_entry(self):
         bitext = dict_to_bitext([DictionaryEntry(("house",), ("haus",), "wiktionary")])
         assert len(bitext) == 1
-        assert bitext.token_pairs() == [(("house",), ("haus",))]
+        assert bitext.pairs == [(("house",), ("haus",))]
         assert bitext.provenance == ["dictionary"]
 
     def test_collection_sized_fixture(self):

@@ -352,8 +352,8 @@ class TestTune:
         system = self.make_system(uniform_lm)
         initial = system.default_model()
         dev = [(("a", "b"), ("x1", "x1"))] * 2
-        first = tune_weights(dev, system, initial, rounds=2, seed=42)
-        second = tune_weights(dev, system, initial, rounds=2, seed=42)
+        first = tune_weights(dev, system, initial, rounds=2)
+        second = tune_weights(dev, system, initial, rounds=2)
         assert first.weights == second.weights
 
     def test_empty_dev_rejected(self, uniform_lm):
@@ -375,4 +375,11 @@ class TestWeightsIO:
         path = tmp_path / "w.tsv"
         path.write_text("lm\tnot-a-number\n", encoding="utf-8")
         with pytest.raises(DataError):
+            read_weights(str(path), 1)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_names_line(self, tmp_path, bad):
+        path = tmp_path / "w.tsv"
+        path.write_text(f"lm\t0.5\nword_penalty\t{bad}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="w.tsv:2"):
             read_weights(str(path), 1)

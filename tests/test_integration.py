@@ -91,8 +91,8 @@ def workspace(tmp_path_factory):
         "--alignments", art["he.align"], "--out", art["e2h.moses"],
         "--iterations", "8", "--max-phrase-len", "3")
     # compose U->E with E->H into U->H
-    run("triangulate", "--src-pivot", art["e2h.moses"],
-        "--pivot-tgt", art["u2e.moses"], "--out", art["tri.moses"],
+    run("triangulate", "--pivot-to-tgt", art["e2h.moses"],
+        "--src-to-pivot", art["u2e.moses"], "--out", art["tri.moses"],
         "--min-score", "1e-4", "--top-k", "10")
     # mine a character model from the triangulated table's word pairs
     run("mine-translit", "--table", art["tri.moses"],

@@ -6,7 +6,7 @@ import pytest
 
 from pivotsmt.errors import DataError
 from pivotsmt.ngramlm import (
-    context_normalization, interpolate_lms, perplexity, read_arpa, train_kn,
+    MixtureModel, context_normalization, perplexity, read_arpa, train_kn,
     write_arpa,
 )
 
@@ -113,13 +113,13 @@ class TestMixture:
     def test_lambda_one_identical(self):
         a = train_kn(fixture_corpus(1), order=2)
         b = train_kn(fixture_corpus(2), order=2)
-        mix = interpolate_lms(a, b, 1.0)
+        mix = MixtureModel(a, b, 1.0)
         for word in list(a.vocab)[:5]:
             assert mix.logprob((), word) == a.logprob((), word)
 
     def test_identical_models_any_lambda(self):
         a = train_kn(fixture_corpus(1), order=2)
-        mix = interpolate_lms(a, a, 0.5)
+        mix = MixtureModel(a, a, 0.5)
         for word in list(a.vocab)[:5]:
             assert mix.logprob(("w1",), word) == pytest.approx(
                 a.logprob(("w1",), word), abs=1e-12)
@@ -128,7 +128,7 @@ class TestMixture:
         a = train_kn(fixture_corpus(1), order=2)
         b = train_kn(fixture_corpus(2), order=2)
         lam = 0.3
-        mix = interpolate_lms(a, b, lam)
+        mix = MixtureModel(a, b, lam)
         rng = random.Random(4)
         for ctx in random_contexts(a, rng, 20):
             for word in list(a.vocab)[:3]:
@@ -140,7 +140,7 @@ class TestMixture:
     def test_mixture_bounds(self):
         a = train_kn(fixture_corpus(1), order=2)
         b = train_kn(fixture_corpus(2), order=2)
-        mix = interpolate_lms(a, b, 0.7)
+        mix = MixtureModel(a, b, 0.7)
         rng = random.Random(8)
         for ctx in random_contexts(a, rng, 20):
             for word in list(mix.vocab)[:4]:
@@ -153,12 +153,12 @@ class TestMixture:
         a = train_kn(fixture_corpus(1), order=2)
         b = train_kn(fixture_corpus(2), order=3)
         with pytest.raises(ValueError):
-            interpolate_lms(a, b, 0.5)
+            MixtureModel(a, b, 0.5)
 
     def test_bad_lambda_rejected(self):
         a = train_kn(fixture_corpus(1), order=2)
         with pytest.raises(ValueError):
-            interpolate_lms(a, a, 1.5)
+            MixtureModel(a, a, 1.5)
 
 
 class TestArpa:
@@ -236,3 +236,14 @@ class TestArpa:
     def test_malformed_header_rejected(self):
         with pytest.raises(DataError, match=":1"):
             read_arpa(io.StringIO("garbage first line\n"))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", ["{bad}\ta\t-0.3", "-0.5\ta\t{bad}"])
+    def test_non_finite_value_names_line(self, tmp_path, bad, entry):
+        path = tmp_path / "lm.arpa"
+        path.write_text("\n".join([
+            "\\data\\", "ngram 1=2", "", "\\1-grams:", "-1.0\t<unk>",
+            entry.format(bad=bad), "", "\\end\\",
+        ]) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="lm.arpa:6"):
+            read_arpa(str(path))

@@ -293,7 +293,3 @@ class TestTableSet:
     def test_requires_tables(self):
         with pytest.raises(ValueError):
             TableSet([])
-
-    def test_mode_validated(self):
-        with pytest.raises(ValueError):
-            TableSet([PhraseTable()], mode="magic")

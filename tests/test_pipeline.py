@@ -74,7 +74,7 @@ class TestSynthesize:
         bitext = ingest_bitext(["u1 u2", "u3"], ["e1 e2", "e3"])
         out = synthesize_bitext(bitext, self.identity_system())
         assert len(out) == len(bitext)
-        assert out.token_pairs()[0] == (("u1", "u2"), ("e1", "e2"))
+        assert out.pairs[0] == (("u1", "u2"), ("e1", "e2"))
         assert out.provenance == ["synthetic", "synthetic"]
 
     def test_pair_count_preserved(self):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pivotsmt.phrasetab import PhraseEntry, PhraseTable
-from pivotsmt.pivot import TriangulationConfig, combine_tables, triangulate
+from pivotsmt.pivot import TriangulationConfig, triangulate
 
 from oracles import triangulate_reference
 
@@ -158,21 +158,3 @@ class TestTriangulate:
         with pytest.raises(ValueError):
             TriangulationConfig(top_k=0)
 
-
-class TestCombine:
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            combine_tables([], "separate-features")
-
-    def test_separate_features(self):
-        a = table_from({("s1", "t1"): (1.0,) * 4})
-        b = table_from({("s2", "t2"): (1.0,) * 4})
-        ts = combine_tables([a, b], "separate-features")
-        assert len(ts.tables) == 2
-        sources = {src for t in ts.tables for src in t.sources()}
-        assert sources == {("s1",), ("s2",)}
-
-    def test_concat_marker(self):
-        a = table_from({("s1", "t1"): (1.0,) * 4})
-        ts = combine_tables([a], "concat-data")
-        assert ts.mode == "concat-data"

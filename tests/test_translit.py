@@ -1,5 +1,7 @@
 import io
+import math
 import random
+import string
 
 import pytest
 
@@ -85,6 +87,19 @@ class TestMining:
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError):
             WordPairCorpus([("a", "b", 0.0)])
+
+    def test_long_junk_pair_underflows_to_posterior_zero(self):
+        # Both mixture terms of a 160/150-character junk pair underflow to 0.
+        pairs, _ = make_bijection_fixture(seed=5, n_true=10, n_noise=10)
+        rng = random.Random(7)
+        alphabet = string.ascii_lowercase + string.digits
+        junk = ("".join(rng.choice(alphabet) for _ in range(160)),
+                "".join(rng.choice(alphabet.upper()) for _ in range(150)), 1.0)
+        model, mined = mine_transliterations(WordPairCorpus(pairs + [junk]),
+                                             iterations=3, threshold=0.0)
+        assert (mined[-1].source, mined[-1].target) == junk[:2]
+        assert mined[-1].posterior == 0.0
+        assert all(math.isfinite(ll) for ll in model.log_likelihoods)
 
 
 class TestTransliterate:
