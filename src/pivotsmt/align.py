@@ -15,6 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .corpus import number, records
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -278,18 +279,18 @@ def format_alignment(matrix: AlignmentMatrix) -> str:
 
 
 def parse_alignment(line: str, src_len: int, tgt_len: int,
-                    lineno: int = 0) -> AlignmentMatrix:
+                    lineno: int = 0, name: str = "<alignments>") -> AlignmentMatrix:
     links = set()
     for chunk in line.split():
         try:
             i_str, j_str = chunk.split("-")
             links.add((int(i_str), int(j_str)))
         except ValueError as exc:
-            raise DataError(f"line {lineno}: malformed alignment link {chunk!r}") from exc
+            raise DataError(f"{name}:{lineno}: malformed alignment link {chunk!r}") from exc
     try:
         return AlignmentMatrix(src_len, tgt_len, frozenset(links))
     except ValueError as exc:
-        raise DataError(f"line {lineno}: {exc}") from exc
+        raise DataError(f"{name}:{lineno}: {exc}") from exc
 
 
 def write_alignments(path: str, matrices: Iterable[AlignmentMatrix]) -> None:
@@ -299,15 +300,16 @@ def write_alignments(path: str, matrices: Iterable[AlignmentMatrix]) -> None:
             handle.write("\n")
 
 
-def read_alignments(lines: Iterable[str],
-                    sizes: Sequence[tuple[int, int]]) -> list[AlignmentMatrix]:
+def read_alignments(lines: Iterable[str], sizes: Sequence[tuple[int, int]],
+                    name: str = "<alignments>") -> list[AlignmentMatrix]:
+    """One matrix per line; a blank line is a sentence pair with no links."""
     lines = list(lines)
     if len(lines) != len(sizes):
         raise DataError(
-            f"alignment file has {len(lines)} lines but corpus has {len(sizes)} pairs"
+            f"{name}: alignment file has {len(lines)} lines but corpus has {len(sizes)} pairs"
         )
     return [
-        parse_alignment(line, src_len, tgt_len, lineno)
+        parse_alignment(line, src_len, tgt_len, lineno, name)
         for lineno, (line, (src_len, tgt_len)) in enumerate(zip(lines, sizes), start=1)
     ]
 
@@ -324,19 +326,7 @@ def write_table(path: str, table: TranslationTable) -> None:
 
 def read_table(lines: Iterable[str], path: str = "<table>") -> TranslationTable:
     probs: dict[str | None, dict[str, float]] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
-        cond = None if fields[0] == NULL_TOKEN else fields[0]
-        try:
-            prob = float(fields[2])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: bad probability {fields[2]!r}") from exc
-        if not (math.isfinite(prob) and prob >= 0.0):
-            raise DataError(f"{path}:{lineno}: probability {fields[2]!r} is not "
-                            "a finite non-negative number")
-        probs.setdefault(cond, {})[fields[1]] = prob
+    for where, (cond, word, prob) in records(lines, path):
+        cond = None if cond == NULL_TOKEN else cond
+        probs.setdefault(cond, {})[word] = number(prob, where, "probability", nonneg=True)
     return TranslationTable(probs=probs, use_null=None in probs)

@@ -198,7 +198,8 @@ def cmd_extract(args) -> int:
                            max_len=10 ** 9)
     pairs = bitext.pairs
     sizes = [(len(s), len(t)) for s, t in pairs]
-    matrices = align_mod.read_alignments(read_lines(args.alignments), sizes)
+    matrices = align_mod.read_alignments(read_lines(args.alignments), sizes,
+                                           args.alignments)
     cond_tgt = align_mod.train_model1(pairs, args.iterations)
     cond_src = align_mod.train_model1([(t, s) for s, t in pairs], args.iterations)
     table = phrasetab.score_phrase_table(pairs, matrices, cond_src, cond_tgt,

@@ -7,6 +7,7 @@ line, with line i of the source file aligned to line i of the target file.
 from __future__ import annotations
 
 import logging
+import math
 import re
 import unicodedata
 from contextlib import contextmanager
@@ -21,7 +22,6 @@ BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
 
-PROVENANCE_TAGS = ("baseline", "synthetic", "dictionary")
 DICTIONARY_SOURCES = ("wikipedia", "wiktionary", "omegawiki", "mesh")
 TOKENIZE_SCHEMES = ("unicode-punct", "whitespace")
 
@@ -30,20 +30,16 @@ DEFAULT_MAX_SENT_LEN = 80
 
 @dataclass
 class Bitext:
-    """Sentence-aligned parallel corpus of token tuples with per-pair provenance tags."""
+    """Sentence-aligned parallel corpus of token tuples."""
 
     pairs: list[tuple[tuple[str, ...], tuple[str, ...]]] = field(default_factory=list)
-    provenance: list[str] = field(default_factory=list)
     dropped_pairs: int = 0
 
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def add_pair(self, src: Sequence[str], tgt: Sequence[str], provenance: str) -> None:
-        if provenance not in PROVENANCE_TAGS:
-            raise ValueError(f"unknown provenance tag: {provenance!r}")
+    def add_pair(self, src: Sequence[str], tgt: Sequence[str]) -> None:
         self.pairs.append((tuple(src), tuple(tgt)))
-        self.provenance.append(provenance)
 
 
 @dataclass(frozen=True)
@@ -107,24 +103,55 @@ def write_lines(path: str, lines: Iterable[str]) -> None:
 
 
 @contextmanager
-def open_text(src: str | TextIO | Iterable[str], mode: str = "r") -> Iterator:
-    """Open a path as UTF-8 text and close it afterwards; pass anything else through.
-
-    Readers and writers accept a path, an open handle or (for readers) a
-    list of lines; only the path is theirs to close.
-    """
-    if isinstance(src, str):
-        with open(src, mode, encoding="utf-8") as handle:
+def open_text(dest: str | TextIO) -> Iterator[TextIO]:
+    """Open a path for writing UTF-8 text and close it afterwards; pass a handle through."""
+    if isinstance(dest, str):
+        with open(dest, "w", encoding="utf-8") as handle:
             yield handle
     else:
-        yield src
+        yield dest
+
+
+def records(src: str | TextIO | Iterable[str], name: str, sep: str = "\t",
+            widths: Sequence[int] = (3,)) -> Iterator[tuple[str, list[str]]]:
+    """Yield (`name:lineno`, fields) for every non-blank line of a line-record file.
+
+    `src` is a path, read through read_lines so that it names itself and a
+    bad byte is a DataError at its line, or an open handle or list of lines,
+    used as it is. A line whose field count is not in `widths` is a
+    DataError.
+    """
+    if isinstance(src, str):
+        name, src = src, read_lines(src)
+    for lineno, line in enumerate(src, start=1):
+        line = line.rstrip("\r\n")
+        if not line.strip():
+            continue
+        where = f"{name}:{lineno}"
+        fields = line.split(sep)
+        if len(fields) not in widths:
+            expected = " or ".join(map(str, widths))
+            raise DataError(f"{where}: expected {expected} {sep!r}-separated fields, "
+                            f"got {len(fields)}")
+        yield where, fields
+
+
+def number(text: str, where: str, what: str, nonneg: bool = False) -> float:
+    """`text` as a finite float (and non-negative if asked), else a DataError at `where`."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or (nonneg and value < 0.0):
+        kind = "finite non-negative" if nonneg else "finite"
+        raise DataError(f"{where}: {what} {text!r} is not a {kind} number")
+    return value
 
 
 def ingest_bitext(
     source_lines: Iterable[str],
     target_lines: Iterable[str],
     max_len: int = DEFAULT_MAX_SENT_LEN,
-    provenance: str = "baseline",
 ) -> Bitext:
     """Pair up two pre-tokenized line streams into a Bitext.
 
@@ -146,7 +173,7 @@ def ingest_bitext(
         if len(src_toks) > max_len or len(tgt_toks) > max_len:
             bitext.dropped_pairs += 1
             continue
-        bitext.add_pair(src_toks, tgt_toks, provenance)
+        bitext.add_pair(src_toks, tgt_toks)
     if bitext.dropped_pairs:
         logger.info("ingest: dropped %d pairs over %d tokens", bitext.dropped_pairs, max_len)
     return bitext
@@ -157,7 +184,6 @@ def concat_bitexts(parts: Sequence[Bitext]) -> Bitext:
     out = Bitext()
     for part in parts:
         out.pairs.extend(part.pairs)
-        out.provenance.extend(part.provenance)
     return out
 
 
@@ -165,26 +191,20 @@ def dict_to_bitext(entries: Sequence[DictionaryEntry]) -> Bitext:
     """Turn dictionary entries into one-sentence-pair-per-entry training data."""
     bitext = Bitext()
     for entry in entries:
-        bitext.add_pair(entry.source, entry.target, "dictionary")
+        bitext.add_pair(entry.source, entry.target)
     return bitext
 
 
 def read_dictionary_tsv(lines: Iterable[str], path: str = "<dict>") -> list[DictionaryEntry]:
     """Parse `source<TAB>target<TAB>provenance` lines."""
     entries = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-        source, target, provenance = fields
+    for where, (source, target, provenance) in records(lines, path):
         try:
             entries.append(
                 DictionaryEntry(tuple(source.split()), tuple(target.split()), provenance.strip())
             )
         except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
+            raise DataError(f"{where}: {exc}") from exc
     return entries
 
 

@@ -21,11 +21,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .corpus import BOS
+from .corpus import BOS, number, records
 from .errors import DataError
 from .evalkit import corpus_bleu
 from .phrasetab import SCORE_FLOOR, TableSet
-from .translit import CharModel, transliterate
+from .translit import CharModel, kbest_probs, transliterate
 
 logger = logging.getLogger(__name__)
 
@@ -72,14 +72,8 @@ class LogLinearModel:
 
     @classmethod
     def default(cls, n_tables: int, use_translit: bool = False) -> "LogLinearModel":
-        weights = {}
-        for i in range(n_tables):
-            for feat in TM_FEATURES:
-                weights[f"tm{i}.{feat}"] = DEFAULT_WEIGHTS["tm"]
-        for name in CORE_FEATURES:
-            weights[name] = DEFAULT_WEIGHTS[name]
-        if use_translit:
-            weights[TRANSLIT_FEATURE] = DEFAULT_WEIGHTS["translit"]
+        weights = {name: DEFAULT_WEIGHTS["tm" if name.startswith("tm") else name]
+                   for name in feature_names(n_tables, use_translit)}
         return cls(weights=weights, n_tables=n_tables, use_translit=use_translit)
 
     def feature_order(self) -> list[str]:
@@ -171,14 +165,9 @@ def collect_options(
         opts = []
         if translit_model is not None:
             candidates = transliterate(translit_model, word, translit_k)
-            # normalize relative to the best score to avoid underflow
-            best = max(c.score for c in candidates)
-            rel = [10.0 ** (c.score - best) for c in candidates]
-            total = sum(rel)
-            for cand, mass in zip(candidates, rel):
+            for cand, prob in zip(candidates, kbest_probs(candidates)):
                 features = dict(table_floor)
-                features[TRANSLIT_FEATURE] = math.log10(max(mass / total,
-                                                            SCORE_FLOOR))
+                features[TRANSLIT_FEATURE] = math.log10(max(prob, SCORE_FLOOR))
                 opts.append(TranslationOption(
                     start=pos, end=pos + 1, target=(cand.target,),
                     features=features, origin="translit",
@@ -670,19 +659,6 @@ def write_weights(model: LogLinearModel, path: str) -> None:
 
 
 def read_weights(path: str, n_tables: int, use_translit: bool = False) -> LogLinearModel:
-    weights = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 2:
-                raise DataError(f"{path}:{lineno}: expected `name<TAB>weight`")
-            try:
-                weight = float(fields[1])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad weight {fields[1]!r}") from exc
-            if not math.isfinite(weight):
-                raise DataError(f"{path}:{lineno}: weight {fields[1]!r} is not finite")
-            weights[fields[0]] = weight
+    weights = {name: number(weight, where, "weight")
+               for where, (name, weight) in records(path, path, widths=(2,))}
     return LogLinearModel(weights=weights, n_tables=n_tables, use_translit=use_translit)

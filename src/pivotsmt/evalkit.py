@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Sequence
 
+from .corpus import records
 from .errors import DataError
 
 MANUAL_CATEGORIES = ("helpful", "doubtful", "misleading")
@@ -155,15 +156,8 @@ def tally_manual(labels: Iterable[str | tuple[str, str]]) -> ManualTally:
 
 def read_manual_labels(lines: Iterable[str], name: str = "<labels>") -> list[tuple[str, str]]:
     """Parse `sent_id,judge_id,category` CSV lines into (judge, category)."""
-    labels = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise DataError(f"{name}:{lineno}: expected 3 comma-separated fields")
-        labels.append((fields[1].strip(), fields[2].strip()))
-    return labels
+    return [(judge.strip(), category.strip())
+            for _, (_, judge, category) in records(lines, name, sep=",")]
 
 
 @dataclass

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
-from .corpus import BOS, EOS, UNK, open_text
+from .corpus import BOS, EOS, UNK, number, open_text, records
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -205,7 +205,7 @@ def write_arpa(model: NGramModel, dest: str | TextIO) -> None:
     by_order: dict[int, list[NGram]] = {n: [] for n in range(1, model.order + 1)}
     for gram in model.logprobs:
         by_order[len(gram)].append(gram)
-    with open_text(dest, "w") as handle:
+    with open_text(dest) as handle:
         handle.write("\\data\\\n")
         for n in range(1, model.order + 1):
             count = len(by_order[n]) + (1 if n == 1 else 0)  # +1 for <unk>
@@ -223,88 +223,62 @@ def write_arpa(model: NGramModel, dest: str | TextIO) -> None:
         handle.write("\n\\end\\\n")
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not finite")
-    return value
-
-
 def read_arpa(src: str | TextIO | Iterable[str], name: str = "<arpa>") -> NGramModel:
     """Parse an ARPA model; a malformed or non-finite value raises DataError with path:line."""
     name = src if isinstance(src, str) else name
-    with open_text(src) as handle:
-        if hasattr(handle, "read"):
-            lines: list[str] = handle.read().splitlines()
-        else:
-            lines = [str(line).rstrip("\n") for line in handle]
-
     counts: dict[int, int] = {}
     logprobs: dict[NGram, float] = {}
     backoffs: dict[NGram, float] = {}
     unk_logprob = -99.0
     section = None  # None | "data" | int order
     seen: dict[int, int] = {}
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped == "\\data\\":
+    for where, fields in records(src, name, widths=(1, 2, 3)):
+        stripped = fields[0].strip()
+        if len(fields) == 1 and stripped == "\\data\\":
             section = "data"
             continue
-        if stripped == "\\end\\":
+        if len(fields) == 1 and stripped == "\\end\\":
             section = "end"
             continue
-        if stripped.startswith("\\") and stripped.endswith("-grams:"):
+        if len(fields) == 1 and stripped.startswith("\\") and stripped.endswith("-grams:"):
             try:
                 section = int(stripped[1:-7])
             except ValueError as exc:
-                raise DataError(f"{name}:{lineno}: malformed section header {stripped!r}") from exc
+                raise DataError(f"{where}: malformed section header {stripped!r}") from exc
             if section not in counts:
-                raise DataError(f"{name}:{lineno}: section {section} not declared in \\data\\")
+                raise DataError(f"{where}: section {section} not declared in \\data\\")
             seen[section] = 0
             continue
         if section == "data":
-            if not stripped.startswith("ngram "):
-                raise DataError(f"{name}:{lineno}: expected 'ngram N=count', got {stripped!r}")
+            if len(fields) != 1 or not stripped.startswith("ngram "):
+                raise DataError(f"{where}: expected 'ngram N=count', got {stripped!r}")
             try:
                 n_str, count_str = stripped[6:].split("=")
                 counts[int(n_str)] = int(count_str)
             except ValueError as exc:
-                raise DataError(f"{name}:{lineno}: malformed count line {stripped!r}") from exc
+                raise DataError(f"{where}: malformed count line {stripped!r}") from exc
             continue
         if isinstance(section, int):
-            fields = line.split("\t")
             if len(fields) == 1:
                 # whitespace-separated variant: prob, N tokens, optional backoff
                 parts = stripped.split()
-                if len(parts) in (section + 1, section + 2):
-                    fields = [parts[0], " ".join(parts[1:section + 1])]
-                    if len(parts) == section + 2:
-                        fields.append(parts[-1])
-            if len(fields) not in (2, 3):
-                raise DataError(f"{name}:{lineno}: expected 2 or 3 fields, got {len(fields)}")
-            try:
-                prob = _finite(fields[0])
-            except ValueError as exc:
-                raise DataError(f"{name}:{lineno}: bad log probability {fields[0]!r}") from exc
+                if len(parts) not in (section + 1, section + 2):
+                    raise DataError(f"{where}: expected {section + 1} or {section + 2} "
+                                    f"whitespace-separated fields, got {len(parts)}")
+                fields = [parts[0], " ".join(parts[1:section + 1]), *parts[section + 1:]]
+            prob = number(fields[0], where, "log probability")
             gram = tuple(fields[1].split())
             if len(gram) != section:
-                raise DataError(
-                    f"{name}:{lineno}: {len(gram)}-gram in \\{section}-grams\\ section"
-                )
+                raise DataError(f"{where}: {len(gram)}-gram in \\{section}-grams\\ section")
             seen[section] += 1
             if gram == (UNK,):
                 unk_logprob = prob
             else:
                 logprobs[gram] = prob
             if len(fields) == 3:
-                try:
-                    backoffs[gram] = _finite(fields[2])
-                except ValueError as exc:
-                    raise DataError(f"{name}:{lineno}: bad backoff {fields[2]!r}") from exc
+                backoffs[gram] = number(fields[2], where, "backoff")
             continue
-        raise DataError(f"{name}:{lineno}: content outside any section: {stripped!r}")
+        raise DataError(f"{where}: content outside any section: {stripped!r}")
 
     if not counts:
         raise DataError(f"{name}: missing \\data\\ section")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .align import AlignmentMatrix, TranslationTable
-from .corpus import open_text
+from .corpus import number, open_text, records
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -48,11 +48,8 @@ class PhraseEntry:
 class PhraseTable:
     """Map from source phrase to target candidates, no duplicate pairs."""
 
-    def __init__(self, role: str = "", src_lang: str | None = None,
-                 tgt_lang: str | None = None) -> None:
+    def __init__(self, role: str = "") -> None:
         self.role = role
-        self.src_lang = src_lang
-        self.tgt_lang = tgt_lang
         self.max_source_len = 0
         self._entries: dict[Phrase, dict[Phrase, PhraseEntry]] = {}
 
@@ -233,8 +230,7 @@ def prune_table(table: PhraseTable, top_k: int) -> PhraseTable:
     """Keep the top_k targets per source by phi(t|s), ties lexicographic."""
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    pruned = PhraseTable(role=table.role, src_lang=table.src_lang,
-                         tgt_lang=table.tgt_lang)
+    pruned = PhraseTable(role=table.role)
     for source in table.sources():
         entries = sorted(table.get(source),
                          key=lambda e: (-e.phi_tgt_given_src, e.target))
@@ -252,7 +248,7 @@ _DELIM = " ||| "
 
 def write_moses(table: PhraseTable, dest: str | TextIO) -> None:
     """Serialize a table; scores are floored at 1e-12 so logs stay finite."""
-    with open_text(dest, "w") as handle:
+    with open_text(dest) as handle:
         for source in sorted(table.sources()):
             for entry in sorted(table.get(source), key=lambda e: e.target):
                 scores = " ".join(f"{max(s, SCORE_FLOOR):.10g}" for s in entry.scores())
@@ -262,32 +258,19 @@ def write_moses(table: PhraseTable, dest: str | TextIO) -> None:
 
 def read_moses(src: str | TextIO | Iterable[str], role: str = "",
                name: str = "<phrase-table>") -> PhraseTable:
-    name = src if isinstance(src, str) else name
     table = PhraseTable(role=role)
-    with open_text(src) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split(_DELIM)
-            if len(fields) != 3:
-                raise DataError(
-                    f"{name}:{lineno}: expected 3 '|||'-separated fields, got {len(fields)}"
-                )
-            try:
-                scores = [float(x) for x in fields[2].split()]
-            except ValueError as exc:
-                raise DataError(f"{name}:{lineno}: bad score field {fields[2]!r}") from exc
-            if len(scores) != 4:
-                raise DataError(f"{name}:{lineno}: expected 4 scores, got {len(scores)}")
-            if not all(math.isfinite(x) and x >= 0.0 for x in scores):
-                raise DataError(f"{name}:{lineno}: scores {fields[2]!r} are not all "
-                                "finite non-negative numbers")
-            try:
-                table.add(PhraseEntry(tuple(fields[0].split()), tuple(fields[1].split()),
-                                      *scores))
-            except ValueError as exc:
-                raise DataError(f"{name}:{lineno}: {exc}") from exc
+    for where, (source, target, score_field) in records(src, name, sep=_DELIM):
+        scores = score_field.split()
+        if len(scores) != 4:
+            raise DataError(f"{where}: expected 4 scores, got {len(scores)}")
+        source, target = tuple(source.split()), tuple(target.split())
+        if not source or not target:
+            raise DataError(f"{where}: empty source or target phrase")
+        values = [number(x, where, "score", nonneg=True) for x in scores]
+        try:
+            table.add(PhraseEntry(source, target, *values))
+        except ValueError as exc:
+            raise DataError(f"{where}: {exc}") from exc
     return table
 
 

@@ -178,7 +178,7 @@ def synthesize_bitext(
     """Replace the source side of every pair with its decoder output.
 
     Pair count is preserved unless a pair fails to decode, in which case it
-    is dropped with a warning. Output provenance is "synthetic".
+    is dropped with a warning.
     """
     model = model or system.default_model()
     out = Bitext()
@@ -191,7 +191,7 @@ def synthesize_bitext(
             logger.warning("synthesize: dropping undecodable pair %r (%s)",
                            " ".join(src), exc)
             continue
-        out.add_pair(hyp, tgt, "synthetic")
+        out.add_pair(hyp, tgt)
     out.dropped_pairs = dropped
     return out
 
@@ -273,7 +273,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     synth = None
     if config.use_synth != "off":
         synth = ingest_bitext(read_lines(config.synth_src), read_lines(config.synth_tgt),
-                              max_len=config.max_sent_len, provenance="synthetic")
+                              max_len=config.max_sent_len)
     dict_entries = None
     if config.use_dict == "on":
         dict_entries = read_dictionary_tsv(read_lines(config.dict_tsv), config.dict_tsv)

@@ -42,13 +42,6 @@ def triangulate(
     phrase probability falls below config.min_score are dropped, then
     config.top_k pruning applies per source.
     """
-    if (pivot_to_tgt.src_lang is not None and src_to_pivot.tgt_lang is not None
-            and pivot_to_tgt.src_lang != src_to_pivot.tgt_lang):
-        raise ValueError(
-            f"pivot vocabulary spaces differ: {pivot_to_tgt.src_lang!r} vs "
-            f"{src_to_pivot.tgt_lang!r}"
-        )
-
     acc: dict[Phrase, dict[Phrase, list[float]]] = {}
     for src in src_to_pivot.sources():
         for bridge in src_to_pivot.get(src):
@@ -63,8 +56,7 @@ def triangulate(
                 for k in range(4):
                     sums[k] += c_scores[k] * b_scores[k]
 
-    table = PhraseTable(role="triangulated", src_lang=src_to_pivot.src_lang,
-                        tgt_lang=pivot_to_tgt.tgt_lang)
+    table = PhraseTable(role="triangulated")
     for src, row in acc.items():
         for tgt, sums in row.items():
             if sums[0] < config.min_score:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
-from .corpus import open_text
+from .corpus import number, open_text, read_lines, records
 from .errors import DataError
 from .phrasetab import PhraseEntry, PhraseTable
 
@@ -63,23 +63,8 @@ class WordPairCorpus:
     @classmethod
     def from_tsv(cls, lines: Iterable[str], name: str = "<pairs>") -> "WordPairCorpus":
         """Parse `src<TAB>tgt[<TAB>weight]` lines (weight defaults to 1)."""
-        pairs = []
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) not in (2, 3):
-                raise DataError(f"{name}:{lineno}: expected 2 or 3 fields, got {len(fields)}")
-            weight = 1.0
-            if len(fields) == 3:
-                try:
-                    weight = float(fields[2])
-                except ValueError as exc:
-                    raise DataError(f"{name}:{lineno}: bad weight {fields[2]!r}") from exc
-            try:
-                pairs.append((fields[0], fields[1], weight))
-            except ValueError as exc:
-                raise DataError(f"{name}:{lineno}: {exc}") from exc
+        pairs = [(src, tgt, number(weight[0], where, "weight") if weight else 1.0)
+                 for where, (src, tgt, *weight) in records(lines, name, widths=(2, 3))]
         try:
             return cls(pairs)
         except ValueError as exc:
@@ -525,6 +510,18 @@ def transliterate(model: CharModel, word: str, k: int) -> list[TransliterationCa
     return results
 
 
+def kbest_probs(candidates: Sequence[TransliterationCandidate]) -> list[float]:
+    """Candidate scores normalized to probabilities over the k-best list.
+
+    The sum is taken in linear space relative to the best score, so long
+    words cannot underflow it.
+    """
+    best = max(c.score for c in candidates)
+    rel = [10.0 ** (c.score - best) for c in candidates]
+    total = sum(rel)
+    return [mass / total for mass in rel]
+
+
 def build_translit_table(model: CharModel, words: Sequence[str], k: int) -> PhraseTable:
     """k-best transliterations of each word as a one-word-phrase table.
 
@@ -540,15 +537,7 @@ def build_translit_table(model: CharModel, words: Sequence[str], k: int) -> Phra
             continue
         done.add(word)
         candidates = transliterate(model, word, k)
-        if not candidates:
-            continue
-        # normalize in linear space relative to the best candidate so long
-        # words cannot underflow the partition sum
-        best = max(c.score for c in candidates)
-        rel = [10.0 ** (c.score - best) for c in candidates]
-        total = sum(rel)
-        for cand, mass in zip(candidates, rel):
-            prob = mass / total
+        for cand, prob in zip(candidates, kbest_probs(candidates)):
             table.add(PhraseEntry((word,), (cand.target,), prob, prob, prob, prob))
     return table
 
@@ -556,24 +545,14 @@ def build_translit_table(model: CharModel, words: Sequence[str], k: int) -> Phra
 # --- Serialization -----------------------------------------------------------
 
 def write_mined_pairs(pairs: Iterable[MinedPair], dest: str | TextIO) -> None:
-    with open_text(dest, "w") as handle:
+    with open_text(dest) as handle:
         for pair in pairs:
             handle.write(f"{pair.source}\t{pair.target}\t{pair.posterior:.6f}\n")
 
 
 def read_mined_pairs(lines: Iterable[str], name: str = "<mined>") -> list[MinedPair]:
-    pairs = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataError(f"{name}:{lineno}: expected 3 fields, got {len(fields)}")
-        try:
-            pairs.append(MinedPair(fields[0], fields[1], float(fields[2])))
-        except ValueError as exc:
-            raise DataError(f"{name}:{lineno}: {exc}") from exc
-    return pairs
+    return [MinedPair(src, tgt, number(posterior, where, "posterior", nonneg=True))
+            for where, (src, tgt, posterior) in records(lines, name)]
 
 
 def write_char_model(model: CharModel, path: str) -> None:
@@ -588,14 +567,24 @@ def write_char_model(model: CharModel, path: str) -> None:
 
 
 def read_char_model(path: str) -> CharModel:
+    """Load a JSON character model; a malformed or out-of-range value raises DataError."""
+    def finite(text: str) -> float:  # also rejects NaN, Infinity and overflowing literals
+        return number(text, path, "number")
+
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        return CharModel(
+        data = json.loads("\n".join(read_lines(path)),
+                          parse_float=finite, parse_constant=finite)
+        model = CharModel(
             ops={a: dict(row) for a, row in data["ops"].items()},
             lam=float(data["lambda"]),
             src_chars=frozenset(data["src_chars"]),
             tgt_lm=CharTrigramModel.from_dict(data["tgt_lm"]),
         )
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        rows = [*model.ops.values(), *model.tgt_lm.counts.values()]
+        if any(p < 0 for row in rows for p in row.values()):
+            raise DataError(f"{path}: negative operation probability or trigram count")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed character model ({exc})") from exc
+    if not 0.0 <= model.lam <= 1.0:
+        raise DataError(f"{path}: lambda {model.lam} is outside [0, 1]")
+    return model

@@ -5,7 +5,7 @@ import pytest
 
 from pivotsmt.align import (
     AlignmentMatrix, TranslationTable, format_alignment, parse_alignment,
-    read_table, symmetrize_gdfa, train_model1, viterbi_align, write_table,
+    read_alignments, read_table, symmetrize_gdfa, train_model1, viterbi_align, write_table,
 )
 from pivotsmt.errors import DataError
 
@@ -256,6 +256,11 @@ class TestSerialization:
     def test_alignment_out_of_bounds(self):
         with pytest.raises(DataError):
             parse_alignment("5-0", 2, 2, lineno=3)
+
+    @pytest.mark.parametrize("bad", ["5-0", "0:1"])
+    def test_alignment_error_names_file_and_line(self, bad):
+        with pytest.raises(DataError, match="a.txt:2: "):
+            read_alignments(["0-0", bad], [(2, 2), (2, 2)], "a.txt")
 
     def test_table_roundtrip(self, tmp_path):
         table = train_model1(DAS_HAUS, iterations=5, use_null=True)

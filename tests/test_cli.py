@@ -56,6 +56,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("pivotsmt: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("bad", ["table", "lm", "weights"])
+    def test_bad_utf8_input_is_data_error_at_its_line(self, tmp_path, capsys, bad):
+        paths = {"table": write(tmp_path / "t.moses", ["a ||| x ||| 1 1 1 1",
+                                                       "b ||| y ||| 1 1 1 1"]),
+                 "lm": str(tmp_path / "lm.arpa"),
+                 "weights": write(tmp_path / "w.tsv", ["lm\t0.5", "distortion\t0.3"])}
+        corpus = write(tmp_path / "c.txt", ["x y", "y"])
+        assert main(["train-lm", "--corpus", corpus, "--out", paths["lm"], "--order", "2"]) == 0
+        with open(paths[bad], "rb") as handle:
+            lines = handle.read().split(b"\n")
+        lines[1] = b"\xff" + lines[1]
+        with open(paths[bad], "wb") as handle:
+            handle.write(b"\n".join(lines))
+        capsys.readouterr()
+        code = main(["decode", "--input", write(tmp_path / "in.txt", ["a b"]),
+                     "--table", paths["table"], "--lm", paths["lm"],
+                     "--weights", paths["weights"], "--output", str(tmp_path / "o.txt")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"pivotsmt: {paths[bad]}:2: ") and err.count("\n") == 1, err
+
 
 class TestCommands:
     def test_tokenize(self, tmp_path, capsys):

@@ -105,12 +105,6 @@ class TestConcat:
         right = concat_bitexts([parts[0], concat_bitexts(parts[1:])])
         assert left.pairs == right.pairs
 
-    def test_provenance_retained(self):
-        a = ingest_bitext(["a"], ["x"])
-        b = ingest_bitext(["b"], ["y"], provenance="synthetic")
-        merged = concat_bitexts([a, b])
-        assert merged.provenance == ["baseline", "synthetic"]
-
     def test_dictionary_reduces_oov(self):
         train = ingest_bitext(["a b", "b c"], ["A B", "B C"])
         entries = [DictionaryEntry(("d",), ("D",), "wikipedia")]
@@ -134,7 +128,6 @@ class TestDictionary:
         bitext = dict_to_bitext([DictionaryEntry(("house",), ("haus",), "wiktionary")])
         assert len(bitext) == 1
         assert bitext.pairs == [(("house",), ("haus",))]
-        assert bitext.provenance == ["dictionary"]
 
     def test_collection_sized_fixture(self):
         # sizes of the three mined word-pair collections

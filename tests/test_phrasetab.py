@@ -288,6 +288,12 @@ class TestMosesFormat:
         with pytest.raises(DataError, match="pt.moses:2"):
             read_moses(io.StringIO(text), name="pt.moses")
 
+    @pytest.mark.parametrize("line", [" ||| b ||| 1 1 1 1", "a |||  ||| 1 1 1 1"])
+    def test_empty_phrase_rejected(self, line):
+        text = "a ||| b ||| 1 1 1 1\n" + line + "\n"
+        with pytest.raises(DataError, match="pt.moses:2: empty"):
+            read_moses(io.StringIO(text), name="pt.moses")
+
 
 class TestTableSet:
     def test_requires_tables(self):

@@ -75,7 +75,6 @@ class TestSynthesize:
         out = synthesize_bitext(bitext, self.identity_system())
         assert len(out) == len(bitext)
         assert out.pairs[0] == (("u1", "u2"), ("e1", "e2"))
-        assert out.provenance == ["synthetic", "synthetic"]
 
     def test_pair_count_preserved(self):
         lines = [f"u{1 + i % 3}" for i in range(50)]

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import re
 import string
 
 import pytest
@@ -8,9 +9,9 @@ import pytest
 from pivotsmt.errors import DataError
 from pivotsmt.phrasetab import PhraseEntry, PhraseTable
 from pivotsmt.translit import (
-    WordPairCorpus, build_translit_table, mine_transliterations,
-    read_char_model, read_mined_pairs, transliterate, write_char_model,
-    write_mined_pairs,
+    TransliterationCandidate, WordPairCorpus, build_translit_table, kbest_probs,
+    mine_transliterations, read_char_model, read_mined_pairs, transliterate,
+    write_char_model, write_mined_pairs,
 )
 
 from oracles import apply_bijection, make_bijection_fixture, make_heldout_words
@@ -171,6 +172,11 @@ class TestTranslitTable:
         _, _, model, _ = mined_fixture
         assert build_translit_table(model, ["ab"], 3).role == "transliterated"
 
+    def test_kbest_probs_relative_to_best_do_not_underflow(self):
+        candidates = [TransliterationCandidate("a", -400.0, False),
+                      TransliterationCandidate("b", -401.0, False)]
+        assert kbest_probs(candidates) == pytest.approx([1 / 1.1, 0.1 / 1.1], rel=1e-12)
+
 
 class TestSerialization:
     def test_mined_pairs_tsv_roundtrip(self, tmp_path, mined_fixture):
@@ -203,3 +209,35 @@ class TestSerialization:
     def test_corpus_tsv_malformed(self):
         with pytest.raises(DataError, match=":1"):
             WordPairCorpus.from_tsv(["only-one-field"])
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_or_posterior_names_line(self, bad):
+        lines = ["ab\tAB\t0.5", f"cd\tCD\t{bad}"]
+        with pytest.raises(DataError, match="pairs.tsv:2"):
+            WordPairCorpus.from_tsv(lines, "pairs.tsv")
+        with pytest.raises(DataError, match="mined.tsv:2"):
+            read_mined_pairs(lines, "mined.tsv")
+
+    @pytest.mark.parametrize("field, value", [
+        ("lambda", "NaN"), ("lambda", "Infinity"), ("lambda", "-Infinity"),
+        ("lambda", "1e999"), ("lambda", "-0.1"), ("lambda", "1.5"),
+        ("op", "NaN"), ("op", "Infinity"), ("op", "-Infinity"), ("op", "-0.5"),
+        ("count", "NaN"), ("count", "-5.0"),
+    ])
+    def test_char_model_bad_value_rejected(self, tmp_path, mined_fixture, field, value):
+        _, _, model, _ = mined_fixture
+        path = str(tmp_path / "model.json")
+        write_char_model(model, path)
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        if field == "lambda":
+            text, n = re.subn(r'"lambda": [^,]+', f'"lambda": {value}', text)
+        else:
+            block = {"op": "ops", "count": "counts"}[field]
+            text, n = re.subn(rf'("{block}": \{{"[^"]*": \{{"[^"]*": )[^,}}]+',
+                              rf"\g<1>{value}", text)
+        assert n == 1
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        with pytest.raises(DataError, match=re.escape(path)):
+            read_char_model(path)
