@@ -328,5 +328,5 @@ def read_table(lines: Iterable[str], path: str = "<table>") -> TranslationTable:
     probs: dict[str | None, dict[str, float]] = {}
     for where, (cond, word, prob) in records(lines, path):
         cond = None if cond == NULL_TOKEN else cond
-        probs.setdefault(cond, {})[word] = number(prob, where, "probability", nonneg=True)
+        probs.setdefault(cond, {})[word] = number(prob, where, "probability", prob=True)
     return TranslationTable(probs=probs, use_null=None in probs)

@@ -136,12 +136,18 @@ def records(src: str | TextIO | Iterable[str], name: str, sep: str = "\t",
         yield where, fields
 
 
-def number(text: str, where: str, what: str, nonneg: bool = False) -> float:
-    """`text` as a finite float (and non-negative if asked), else a DataError at `where`."""
+def number(text: str, where: str, what: str, nonneg: bool = False,
+           prob: bool = False) -> float:
+    """`text` as a finite float, else a DataError at `where`.
+
+    `nonneg` also rejects a negative value; `prob` rejects one outside [0, 1].
+    """
     try:
         value = float(text)
     except ValueError:
         value = math.nan
+    if prob and math.isfinite(value) and not 0.0 <= value <= 1.0:
+        raise DataError(f"{where}: {what} {text!r} is not a probability in [0, 1]")
     if not math.isfinite(value) or (nonneg and value < 0.0):
         kind = "finite non-negative" if nonneg else "finite"
         raise DataError(f"{where}: {what} {text!r} is not a {kind} number")

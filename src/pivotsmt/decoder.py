@@ -622,9 +622,10 @@ def tune_weights(
                     if new > old:
                         pool[item.tokens] = item.features
         sorted_pools = [sorted(pool.items()) for pool in pools]
-        current = rescore_bleu(weights)
-        if current > best_bleu:
-            best_bleu = current
+        # BLEU of the current weights, carried from coordinate to coordinate
+        best_score = rescore_bleu(weights)
+        if best_score > best_bleu:
+            best_bleu = best_score
             best_weights = dict(weights)
         improved = True
         while improved:
@@ -632,7 +633,6 @@ def tune_weights(
             for name in order:
                 base = weights[name]
                 best_value = base
-                best_score = rescore_bleu(weights)
                 for step in _TUNE_STEPS:
                     trial = dict(weights)
                     trial[name] = base + step

@@ -53,9 +53,9 @@ class PhraseTable:
         self.max_source_len = 0
         self._entries: dict[Phrase, dict[Phrase, PhraseEntry]] = {}
 
-    def add(self, entry: PhraseEntry, replace: bool = False) -> None:
+    def add(self, entry: PhraseEntry) -> None:
         targets = self._entries.setdefault(entry.source, {})
-        if entry.target in targets and not replace:
+        if entry.target in targets:
             raise ValueError(
                 f"duplicate phrase pair {entry.source!r} -> {entry.target!r}"
             )
@@ -266,7 +266,10 @@ def read_moses(src: str | TextIO | Iterable[str], role: str = "",
         source, target = tuple(source.split()), tuple(target.split())
         if not source or not target:
             raise DataError(f"{where}: empty source or target phrase")
-        values = [number(x, where, "score", nonneg=True) for x in scores]
+        # phrase probabilities are at most 1; a lexical weight is not bounded,
+        # since a triangulated one sums over pivot phrases
+        values = [number(x, where, "score", nonneg=True, prob=k % 2 == 0)
+                  for k, x in enumerate(scores)]
         try:
             table.add(PhraseEntry(source, target, *values))
         except ValueError as exc:

@@ -44,6 +44,13 @@ _BOW = "\x02"  # begin-of-word marker for the target character model
 _EOW = "\x03"
 
 
+def _check_pair(src: str, tgt: str, weight: float) -> None:
+    if not src or not tgt:
+        raise ValueError("word pair sides must be non-empty")
+    if weight <= 0:
+        raise ValueError(f"pair ({src!r}, {tgt!r}) has non-positive weight")
+
+
 @dataclass
 class WordPairCorpus:
     """Weighted (source word, target word) pairs feeding the miner."""
@@ -51,11 +58,8 @@ class WordPairCorpus:
     pairs: list[tuple[str, str, float]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        for src, tgt, weight in self.pairs:
-            if not src or not tgt:
-                raise ValueError("word pair sides must be non-empty")
-            if weight <= 0:
-                raise ValueError(f"pair ({src!r}, {tgt!r}) has non-positive weight")
+        for pair in self.pairs:
+            _check_pair(*pair)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -63,12 +67,15 @@ class WordPairCorpus:
     @classmethod
     def from_tsv(cls, lines: Iterable[str], name: str = "<pairs>") -> "WordPairCorpus":
         """Parse `src<TAB>tgt[<TAB>weight]` lines (weight defaults to 1)."""
-        pairs = [(src, tgt, number(weight[0], where, "weight") if weight else 1.0)
-                 for where, (src, tgt, *weight) in records(lines, name, widths=(2, 3))]
-        try:
-            return cls(pairs)
-        except ValueError as exc:
-            raise DataError(f"{name}: {exc}") from exc
+        pairs = []
+        for where, (src, tgt, *weight) in records(lines, name, widths=(2, 3)):
+            pair = (src, tgt, number(weight[0], where, "weight") if weight else 1.0)
+            try:
+                _check_pair(*pair)
+            except ValueError as exc:
+                raise DataError(f"{where}: {exc}") from exc
+            pairs.append(pair)
+        return cls(pairs)
 
     @classmethod
     def from_phrase_table(cls, table: PhraseTable) -> "WordPairCorpus":
@@ -150,23 +157,15 @@ class CharModel:
     tgt_lm: CharTrigramModel = field(default_factory=CharTrigramModel)
     log_likelihoods: list[float] = field(default_factory=list)
 
-    def op_prob(self, a: str, b: str) -> float:
-        row = self.ops.get(a)
-        if row is None:
-            return 0.0
-        return row.get(b, 0.0)
 
-
-def _forward_lattice(s: str, t: str, ops, init_prob=None, allowed_multi=None):
+def _forward_lattice(s: str, t: str, ops):
     """Forward DP over monotone segmentations within the indel budget.
 
-    `ops` maps source segments to target-segment probability rows; when
-    `init_prob` is given the lattice is dense over the admitted inventory
-    and every operation takes init_prob(a, b) instead (first EM pass), with
-    multi-character substitutions restricted to `allowed_multi`. Cells are
-    indexed by source position, target position and unmatched-character
+    `ops` maps source segments to target-segment probability rows. Cells
+    are indexed by source position, target position and unmatched-character
     budget used. Returns (total probability, forward table, move list);
-    moves are (i, j, d, di, dj, src seg, tgt seg, p).
+    moves are (i, j, d, i2, j2, d2, src seg, tgt seg, p), leading from cell
+    (i, j, d) to cell (i2, j2, d2).
     """
     m, n = len(s), len(t)
     budget = INDEL_BUDGET
@@ -184,10 +183,9 @@ def _forward_lattice(s: str, t: str, ops, init_prob=None, allowed_multi=None):
                     if i + di > m:
                         break
                     a = s[i:i + di]
-                    if init_prob is None:
-                        op_row = ops.get(a)
-                        if op_row is None:
-                            continue
+                    op_row = ops.get(a)
+                    if op_row is None:
+                        continue
                     for dj in range(0, MAX_SEG + 1):
                         if di == 0 and dj == 0:
                             continue
@@ -197,16 +195,10 @@ def _forward_lattice(s: str, t: str, ops, init_prob=None, allowed_multi=None):
                         if d + spent > budget:
                             continue
                         b = t[j:j + dj]
-                        if init_prob is None:
-                            p = op_row.get(b, 0.0)
-                        else:
-                            if (di >= 1 and dj >= 1 and di + dj > 2
-                                    and (a, b) not in allowed_multi):
-                                continue
-                            p = init_prob(a, b)
+                        p = op_row.get(b, 0.0)
                         if p:
                             fwd[i + di][j + dj][d + spent] += v * p
-                            moves.append((i, j, d, di, dj, a, b, p))
+                            moves.append((i, j, d, i + di, j + dj, d + spent, a, b, p))
     return sum(fwd[m][n]), fwd, moves
 
 
@@ -218,24 +210,66 @@ def _accumulate_counts(s: str, t: str, fwd, moves, total: float, scale: float,
     bwd = [[[0.0] * (budget + 1) for _ in range(n + 1)] for _ in range(m + 1)]
     for d in range(budget + 1):
         bwd[m][n][d] = 1.0
-    for i, j, d, di, dj, a, b, p in reversed(moves):
-        spent = dj if di == 0 else (di if dj == 0 else 0)
-        bwd[i][j][d] += p * bwd[i + di][j + dj][d + spent]
+    for i, j, d, i2, j2, d2, a, b, p in reversed(moves):
+        bwd[i][j][d] += p * bwd[i2][j2][d2]
     norm = scale / total
-    for i, j, d, di, dj, a, b, p in moves:
-        spent = dj if di == 0 else (di if dj == 0 else 0)
-        gamma = fwd[i][j][d] * p * bwd[i + di][j + dj][d + spent] * norm
+    for i, j, d, i2, j2, d2, a, b, p in moves:
+        gamma = fwd[i][j][d] * p * bwd[i2][j2][d2] * norm
         if gamma:
             row = counts.setdefault(a, {})
             row[b] = row.get(b, 0.0) + gamma
 
 
-def _segments(word: str, include_empty: bool) -> set[str]:
-    segs = {""} if include_empty else set()
-    for length in range(1, MAX_SEG + 1):
-        for k in range(len(word) - length + 1):
-            segs.add(word[k:k + length])
-    return segs
+def _segments(word: str) -> list[str]:
+    """Distinct 1..MAX_SEG-character substrings of `word`, shortest first, in word order."""
+    return list(dict.fromkeys(word[k:k + length] for length in range(1, MAX_SEG + 1)
+                              for k in range(len(word) - length + 1)))
+
+
+def _initial_ops(pairs: Sequence[tuple[str, str, float]]) -> dict[str, dict[str, float]]:
+    """The joint operation table that the first E-step runs on.
+
+    Co-occurrence statistics steer the first E-step into the separating
+    basin: Dice-style scores (co^2 / (occ*occ), squared for contrast)
+    start systematic correspondences far above the character-unigram
+    baseline and chance combinations below it. Insertions and deletions
+    get a small fixed weight, multi-character substitutions a damped one
+    and only with MULTI_OP_MIN_SUPPORT supporting pairs; all weights are
+    divided by one total.
+    """
+    co: dict[tuple[str, str], float] = {}
+    occ_src: dict[str, float] = {}
+    occ_tgt: dict[str, float] = {}
+    support: dict[tuple[str, str], int] = {}
+    for s, t, w in pairs:
+        s_segs, t_segs = _segments(s), _segments(t)
+        for a in s_segs:
+            occ_src[a] = occ_src.get(a, 0.0) + w
+        for b in t_segs:
+            occ_tgt[b] = occ_tgt.get(b, 0.0) + w
+        for a in s_segs:
+            for b in t_segs:
+                co[(a, b)] = co.get((a, b), 0.0) + w
+                if len(a) + len(b) > 2:
+                    support[(a, b)] = support.get((a, b), 0) + 1
+
+    multi_weight = 1e-3  # multi-char ops must be earned from the data
+    eps_weight = 1e-4    # insertions/deletions likewise
+    weights: dict[tuple[str, str], float] = {}
+    init_total = eps_weight * (len(occ_src) + len(occ_tgt))
+    for (a, b), count in co.items():
+        dice = count * count / (occ_src[a] * occ_tgt[b])
+        weights[(a, b)] = dice * dice * (1.0 if len(a) + len(b) == 2 else multi_weight)
+        init_total += weights[(a, b)]
+
+    indel = eps_weight / init_total
+    ops = {"": dict.fromkeys(occ_tgt, indel)}
+    for a in occ_src:
+        ops[a] = {"": indel}
+    for (a, b), weight in weights.items():
+        if len(a) + len(b) == 2 or support[(a, b)] >= MULTI_OP_MIN_SUPPORT:
+            ops[a][b] = weight / init_total
+    return ops
 
 
 def mine_transliterations(
@@ -281,66 +315,7 @@ def mine_transliterations(
     # degenerates; joint normalization makes junk operations compete with
     # every systematic correspondence and starve. The stored model is
     # conditionalized afterwards.
-    #
-    # Co-occurrence statistics steer the first E-step into the separating
-    # basin: Dice-style scores (co^2 / (occ*occ), squared for contrast)
-    # start systematic correspondences far above the character-unigram
-    # baseline and chance combinations below it.
-    co: dict[tuple[str, str], float] = {}
-    occ_src: dict[str, float] = {}
-    occ_tgt: dict[str, float] = {}
-    all_src_segments: set[str] = set()
-    all_tgt_segments: set[str] = set()
-    for s, t, w in pairs:
-        s_segs = _segments(s, include_empty=False)
-        t_segs = _segments(t, include_empty=False)
-        all_src_segments |= s_segs
-        all_tgt_segments |= t_segs
-        for a in s_segs:
-            occ_src[a] = occ_src.get(a, 0.0) + w
-        for b in t_segs:
-            occ_tgt[b] = occ_tgt.get(b, 0.0) + w
-        for a in s_segs:
-            for b in t_segs:
-                co[(a, b)] = co.get((a, b), 0.0) + w
-
-    multi_weight = 1e-3  # multi-char ops must be earned from the data
-    eps_weight = 1e-4    # insertions/deletions likewise
-
-    def init_weight(a: str, b: str) -> float:
-        if not a or not b:
-            return eps_weight
-        count = co.get((a, b), 0.0)
-        if count == 0.0:
-            return 0.0
-        dice = count * count / (occ_src[a] * occ_tgt[b])
-        score = dice * dice
-        if len(a) == 1 and len(b) == 1:
-            return score
-        return score * multi_weight
-
-    init_total = eps_weight * (len(all_src_segments) + len(all_tgt_segments))
-    for key in co:
-        init_total += init_weight(*key)
-
-    def init_prob(a: str, b: str) -> float:
-        return init_weight(a, b) / init_total
-
-    # admit multi-character substitutions only with corpus support
-    support: dict[tuple[str, str], int] = {}
-    for s, t, _ in pairs:
-        s_segs = _segments(s, include_empty=False)
-        t_segs = _segments(t, include_empty=False)
-        for a in s_segs:
-            for b in t_segs:
-                if len(a) + len(b) > 2:
-                    key = (a, b)
-                    support[key] = support.get(key, 0) + 1
-    allowed_multi = {combo for combo, count in support.items()
-                     if count >= MULTI_OP_MIN_SUPPORT}
-
-    joint: dict[str, dict[str, float]] = {}
-    first_pass = True
+    joint = _initial_ops(pairs)
     lam = 0.5
     log_likelihoods: list[float] = []
 
@@ -351,8 +326,7 @@ def mine_transliterations(
         ll = 0.0
         posteriors = []
         for idx, (s, t, w) in enumerate(pairs):
-            p_translit, fwd, moves = _forward_lattice(
-                s, t, joint, init_prob if first_pass else None, allowed_multi)
+            p_translit, fwd, moves = _forward_lattice(s, t, joint)
             p_noise = math.exp(log_noise[idx])
             mix = lam * p_translit + (1.0 - lam) * p_noise
             # a long pair can underflow both terms; its noise term in log space stays finite
@@ -378,7 +352,6 @@ def mine_transliterations(
                 if kept:
                     joint[a] = kept
         lam = min(max(new_lam, 1e-6), 1.0 - 1e-6)
-        first_pass = False
 
     # final posteriors under the converged parameters
     ll, _, _, final_posteriors = e_pass(collect=False)
@@ -435,15 +408,8 @@ def transliterate(model: CharModel, word: str, k: int) -> list[TransliterationCa
         raise ValueError("k must be >= 1")
     unseen = {ch for ch in word if ch not in model.src_chars}
     fallback = bool(unseen)
-
-    def op_prob(a: str, b: str) -> float:
-        p = model.op_prob(a, b)
-        if p:
-            return p
-        if len(a) == 1 and a in unseen and b == a:
-            return 1.0  # identity rescue for unknown characters
-        return 0.0
-
+    # identity rescue for unknown characters, unless the model has a row for them
+    rows = {**{ch: {ch: 1.0} for ch in unseen}, **model.ops}
     lm = model.tgt_lm
     max_out = 2 * len(word) + 4
     m = len(word)
@@ -472,31 +438,20 @@ def transliterate(model: CharModel, word: str, k: int) -> list[TransliterationCa
         for di in range(0, MAX_SEG + 1):
             if i + di > m:
                 break
-            a = word[i:i + di]
-            for dj in range(0, MAX_SEG + 1):
-                if di == 0 and dj == 0:
-                    continue
+            for b, p in rows.get(word[i:i + di], {}).items():
+                dj = len(b)
                 cost = dj if di == 0 else (di if dj == 0 else 0)
-                if spent + cost > INDEL_BUDGET:
+                if (di == 0 and dj == 0) or spent + cost > INDEL_BUDGET:
                     continue
-                if dj == 0:
-                    candidates = [""]
-                else:
-                    row = model.ops.get(a)
-                    candidates = [b for b in (row or ()) if len(b) == dj]
-                    if not candidates and di == 1 and a in unseen and dj == 1:
-                        candidates = [a]
-                for b in candidates:
-                    p = op_prob(a, b)
-                    if not p or len(out) + dj > max_out:
-                        continue
-                    lp = math.log10(p)
-                    new_ctx = ctx
-                    for ch in b:
-                        lp += lm.logprob(new_ctx[0], new_ctx[1], ch)
-                        new_ctx = (new_ctx[1], ch)
-                    heapq.heappush(heap, (neg - lp, out + b, i + di,
-                                          new_ctx, spent + cost))
+                if not p or len(out) + dj > max_out:
+                    continue
+                lp = math.log10(p)
+                new_ctx = ctx
+                for ch in b:
+                    lp += lm.logprob(new_ctx[0], new_ctx[1], ch)
+                    new_ctx = (new_ctx[1], ch)
+                heapq.heappush(heap, (neg - lp, out + b, i + di,
+                                      new_ctx, spent + cost))
     if not results:
         # no usable operations at all: copy the word through, flagged
         score = 0.0
@@ -551,7 +506,7 @@ def write_mined_pairs(pairs: Iterable[MinedPair], dest: str | TextIO) -> None:
 
 
 def read_mined_pairs(lines: Iterable[str], name: str = "<mined>") -> list[MinedPair]:
-    return [MinedPair(src, tgt, number(posterior, where, "posterior", nonneg=True))
+    return [MinedPair(src, tgt, number(posterior, where, "posterior", prob=True))
             for where, (src, tgt, posterior) in records(lines, name)]
 
 

@@ -412,3 +412,48 @@ def make_heldout_words(seed, count=100, min_len=3, max_len=8):
     return ["".join(rng.choice(SRC_ALPHABET)
                     for _ in range(rng.randint(min_len, max_len)))
             for _ in range(count)]
+
+
+# --- first-pass transliteration operations -------------------------------------
+
+def initial_ops_reference(pairs, max_seg=2, min_support=3,
+                          multi_weight=1e-3, eps_weight=1e-4):
+    """The miner's first-pass joint operation table, one formula per (a, b).
+
+    Every (a, b) of source and target segments (1..max_seg characters, or
+    empty on one side) of every weighted word pair is scored on its own:
+    an insertion or deletion weighs eps_weight; a substitution weighs
+    dice^2 with dice = co(a, b)^2 / (occ(a) occ(b)), where co and occ sum
+    the weights of the pairs that contain the segments, times multi_weight
+    when it is not 1:1. Every weight is divided by the sum of all of them.
+    A multi-character substitution found in fewer than min_support pairs
+    stays in that sum but not in the table. Returns {a: {b: probability}}.
+    """
+    def segments(word):
+        return {word[k:k + n] for n in range(1, max_seg + 1)
+                for k in range(len(word) - n + 1)}
+
+    seg_pairs = [(segments(s), segments(t), w) for s, t, w in pairs]
+
+    def weight(a, b):
+        if not a or not b:
+            return eps_weight
+        co = sum(w for src, tgt, w in seg_pairs if a in src and b in tgt)
+        occ_a = sum(w for src, _, w in seg_pairs if a in src)
+        occ_b = sum(w for _, tgt, w in seg_pairs if b in tgt)
+        dice = co * co / (occ_a * occ_b)
+        return dice * dice * (1.0 if len(a) == len(b) == 1 else multi_weight)
+
+    scored = {}
+    for src, tgt, _ in seg_pairs:
+        for a in src | {""}:
+            for b in tgt | {""}:
+                if (a or b) and (a, b) not in scored:
+                    scored[(a, b)] = weight(a, b)
+    total = math.fsum(scored.values())
+    table = {}
+    for (a, b), value in scored.items():
+        support = sum(1 for src, tgt, _ in seg_pairs if a in src and b in tgt)
+        if len(a) == len(b) == 1 or not a or not b or support >= min_support:
+            table.setdefault(a, {})[b] = value / total
+    return table

@@ -272,6 +272,10 @@ class TestSerialization:
             for word, prob in row.items():
                 assert back.prob(word, cond) == pytest.approx(prob, rel=1e-8)
 
+    def test_table_probability_above_one_rejected(self):
+        with pytest.raises(DataError, match="t.tsv:2: probability '1.5' is not a probability"):
+            read_table(["x\ta\t1", "x\tb\t1.5"], path="t.tsv")
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-0.5"])
     def test_table_bad_probability_rejected(self, bad):
         lines = ["x\ta\t0.5", f"x\tb\t{bad}"]

@@ -348,6 +348,22 @@ class TestTune:
 
         assert dev_bleu(tuned) >= dev_bleu(initial)
 
+    def test_each_weight_vector_scored_once(self, uniform_lm, monkeypatch):
+        # A round scores its starting weights once; a coordinate then scores
+        # only its trial steps, since it starts from the BLEU of the weights
+        # that the previous coordinate kept.
+        import pivotsmt.decoder as decoder_module
+        calls = []
+        bleu = decoder_module.corpus_bleu
+        monkeypatch.setattr(decoder_module, "corpus_bleu",
+                            lambda hyps, refs: calls.append(hyps) or bleu(hyps, refs))
+        system = self.make_system(uniform_lm)
+        initial = system.default_model()
+        tune_weights([(("a",), ("x1",))] * 3, system, initial, rounds=1)
+        visits, rest = divmod(len(calls) - 1, len(decoder_module._TUNE_STEPS))
+        assert rest == 0
+        assert visits > 0 and visits % len(initial.feature_order()) == 0
+
     def test_deterministic(self, uniform_lm):
         system = self.make_system(uniform_lm)
         initial = system.default_model()

@@ -288,6 +288,22 @@ class TestMosesFormat:
         with pytest.raises(DataError, match="pt.moses:2"):
             read_moses(io.StringIO(text), name="pt.moses")
 
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_phrase_probability_above_one_rejected(self, column):
+        scores = ["0.5"] * 4
+        scores[column] = "1.5"
+        text = "a ||| b ||| 1 1 1 1\nc ||| d ||| " + " ".join(scores) + "\n"
+        with pytest.raises(DataError, match="pt.moses:2: score '1.5' is not a probability"):
+            read_moses(io.StringIO(text), name="pt.moses")
+
+    @pytest.mark.parametrize("column", [1, 3])
+    def test_lexical_weight_above_one_accepted(self, column):
+        # a triangulated lexical weight sums over pivot phrases
+        scores = ["0.5"] * 4
+        scores[column] = "2.5"
+        entry, = read_moses(io.StringIO("c ||| d ||| " + " ".join(scores) + "\n"))
+        assert entry.scores()[column] == 2.5
+
     @pytest.mark.parametrize("line", [" ||| b ||| 1 1 1 1", "a |||  ||| 1 1 1 1"])
     def test_empty_phrase_rejected(self, line):
         text = "a ||| b ||| 1 1 1 1\n" + line + "\n"

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pivotsmt.phrasetab import PhraseEntry, PhraseTable
+from pivotsmt.phrasetab import PhraseEntry, PhraseTable, moses_dumps, read_moses, write_moses
 from pivotsmt.pivot import TriangulationConfig, triangulate
 
 from oracles import triangulate_reference
@@ -50,6 +50,21 @@ class TestTriangulate:
         entry = out.get(("h1",))[0]
         assert entry.phi_tgt_given_src == pytest.approx(0.5 * 0.4 + 0.5 * 0.6)
         assert entry.phi_tgt_given_src == pytest.approx(0.5)
+
+    def test_moses_round_trip_with_lexical_weights_above_one(self, tmp_path):
+        # two pivots: the phrase probabilities sum to 1, the lexical weights to 1.62
+        pivot_tgt = table_from({("e1", "u1"): (1.0, 0.9, 1.0, 0.9),
+                                ("e2", "u1"): (1.0, 0.9, 1.0, 0.9)})
+        src_pivot = table_from({("h1", "e1"): (0.5, 0.9, 0.5, 0.9),
+                                ("h1", "e2"): (0.5, 0.9, 0.5, 0.9)})
+        out = triangulate(pivot_tgt, src_pivot, LOOSE)
+        assert as_dict(out)[(("h1",), ("u1",))] == pytest.approx((1.0, 1.62, 1.0, 1.62))
+        path = str(tmp_path / "triangulated.moses")
+        write_moses(out, path)
+        back = read_moses(path)
+        assert moses_dumps(back) == moses_dumps(out)
+        entry, = back
+        assert entry.scores() == pytest.approx((1.0, 1.62, 1.0, 1.62))
 
     def test_disjoint_pivots_empty(self):
         src_pivot = table_from({("e1", "u1"): (1.0,) * 4})

@@ -1,20 +1,26 @@
 import io
 import math
+import os
 import random
 import re
 import string
+import subprocess
+import sys
 
 import pytest
 
 from pivotsmt.errors import DataError
+import pivotsmt
 from pivotsmt.phrasetab import PhraseEntry, PhraseTable
 from pivotsmt.translit import (
-    TransliterationCandidate, WordPairCorpus, build_translit_table, kbest_probs,
-    mine_transliterations, read_char_model, read_mined_pairs, transliterate,
-    write_char_model, write_mined_pairs,
+    CharModel, CharTrigramModel, TransliterationCandidate, WordPairCorpus, _initial_ops,
+    build_translit_table, kbest_probs, mine_transliterations, read_char_model,
+    read_mined_pairs, transliterate, write_char_model, write_mined_pairs,
 )
 
-from oracles import apply_bijection, make_bijection_fixture, make_heldout_words
+from oracles import (
+    apply_bijection, initial_ops_reference, make_bijection_fixture, make_heldout_words,
+)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +109,91 @@ class TestMining:
         assert all(math.isfinite(ll) for ll in model.log_likelihoods)
 
 
+class TestInitialOps:
+    def test_equals_per_pair_formula(self):
+        pairs, _ = make_bijection_fixture(seed=12, n_true=20, n_noise=10)
+        rng = random.Random(12)
+        # repeated segments within a word, and weights other than 1
+        pairs = [(s, t, rng.choice([0.5, 1.0, 2.5])) for s, t, _ in pairs]
+        pairs += [("aab", "AAB", 1.0), ("abab", "ABAB", 0.75), ("aaaa", "AAAA", 2.0)]
+        ops = _initial_ops(pairs)
+        reference = initial_ops_reference(pairs)
+        assert {a: set(row) for a, row in ops.items()} == \
+            {a: set(row) for a, row in reference.items()}
+        assert any(len(a) + len(b) > 2 for a, row in ops.items() for b in row)
+        for a, row in ops.items():
+            for b, p in row.items():
+                assert p == pytest.approx(reference[a][b], rel=1e-12)
+
+
+class TestDeterminism:
+    def test_char_model_independent_of_hash_seed(self, tmp_path):
+        # Half transliterations over 20 letters, some written as digraphs, half
+        # noise: enough distinct segments that the order in which the first
+        # E-step's normalizer is summed shows in the last bits.
+        rng = random.Random(1)
+        letters = string.ascii_lowercase[:20]
+        mapping = {c: c.upper() * (1 if k % 3 else 2) for k, c in enumerate(letters)}
+        lines = []
+        for k in range(160):
+            word = "".join(rng.choice(letters) for _ in range(rng.randint(3, 8)))
+            noise = "".join(rng.choice(string.ascii_uppercase)
+                            for _ in range(rng.randint(3, 8)))
+            lines.append(f"{word}\t{''.join(mapping[c] for c in word) if k % 2 else noise}\n")
+        pairs_path = tmp_path / "pairs.tsv"
+        pairs_path.write_text("".join(lines), encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(pivotsmt.__file__))
+        outputs = []
+        for seed in ("0", "1", "2"):
+            model_path = tmp_path / f"char{seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-m", "pivotsmt", "mine-translit",
+                            "--pairs", str(pairs_path), "--model-out", str(model_path),
+                            "--iterations", "2"],
+                           env=env, check=True, capture_output=True)
+            outputs.append(model_path.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
 class TestTransliterate:
+    def test_hand_built_model_exact_candidates(self):
+        lm = CharTrigramModel()
+        for word in ["xy", "hx"]:
+            lm.observe(word)
+        model = CharModel(ops={"": {"h": 0.5}, "a": {"x": 0.7, "xy": 0.2, "": 0.1}},
+                          src_chars=frozenset("a"), tgt_lm=lm)
+        # every output of "a": x, xy or nothing, with at most INDEL_BUDGET = 3
+        # inserted h's and deleted characters together
+        expected = [
+            ("hx", -1.0818764269584493), ("xy", -1.3249144756447437),
+            ("x", -1.687540542555237), ("", -2.3979400086720375),
+            ("xh", -2.687540542555237), ("hxy", -2.802035730364406),
+            ("h", -2.833668578233475), ("hhx", -3.1232691121166742),
+            ("hxh", -3.1232691121166747), ("xyh", -3.366307160802969),
+            ("xhh", -3.687540542555237), ("hh", -3.833668578233475),
+            ("hhhx", -4.123269112116675), ("hxhh", -4.123269112116675),
+            ("xyhh", -4.366307160802969), ("xhhh", -4.6875405425552366),
+            ("hhxy", -4.843428415522631), ("hxyh", -4.843428415522631),
+            ("hhxh", -5.164661797274899), ("xyhhh", -5.366307160802969),
+            ("hhhxy", -5.843428415522631), ("hxyhh", -5.843428415522631),
+            ("hhxyh", -6.884821100680856),
+        ]
+        results = transliterate(model, "a", 100)
+        assert [c.target for c in results] == [t for t, _ in expected]
+        assert [c.score for c in results] == pytest.approx([s for _, s in expected],
+                                                           rel=1e-12)
+        assert not any(c.fallback for c in results)
+        # "#" is unseen: it maps to itself, and every candidate is flagged
+        expected = [("x#", -2.3865105468912557), ("hx#", -2.8222391164526934),
+                    ("xy#", -3.065277165138988), ("#", -3.0969100130080562),
+                    ("x#h", -3.3865105468912557), ("xh#", -3.3865105468912557)]
+        results = transliterate(model, "a#", 6)
+        assert [c.target for c in results] == [t for t, _ in expected]
+        assert [c.score for c in results] == pytest.approx([s for _, s in expected],
+                                                           rel=1e-12)
+        assert all(c.fallback for c in results)
+
     def test_monotone_deterministic_mapping(self):
         model, _ = mine_transliterations(
             WordPairCorpus([("ab", "AB", 1.0)] * 3), iterations=8, threshold=0.5)
@@ -205,6 +295,15 @@ class TestSerialization:
     def test_corpus_tsv_parsing(self):
         corpus = WordPairCorpus.from_tsv(["ab\tAB", "cd\tCD\t2.5"])
         assert corpus.pairs == [("ab", "AB", 1.0), ("cd", "CD", 2.5)]
+
+    @pytest.mark.parametrize("line", ["cd\tCD\t0", "cd\tCD\t-1", "\tCD\t1", "cd\t"])
+    def test_corpus_tsv_bad_pair_names_line(self, line):
+        with pytest.raises(DataError, match="^pairs.tsv:2: "):
+            WordPairCorpus.from_tsv(["ab\tAB", line], "pairs.tsv")
+
+    def test_posterior_above_one_rejected(self):
+        with pytest.raises(DataError, match="mined.tsv:2: posterior '1.5'"):
+            read_mined_pairs(["ab\tAB\t1.0", "cd\tCD\t1.5"], "mined.tsv")
 
     def test_corpus_tsv_malformed(self):
         with pytest.raises(DataError, match=":1"):
