@@ -29,9 +29,8 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pivotsmt", description=__doc__)
-    parser.add_argument("--config", help="experiment config file (key = value lines)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for corpus decoding")
+                        help="worker processes for decode, synthesize, tune and experiment")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("tokenize", help="tokenize raw text, one sentence per line")
@@ -137,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=4)
 
     p = sub.add_parser("experiment", help="run the B0/+Syn/+PT/+Dict mode matrix")
-    p.add_argument("--config", dest="experiment_config")
+    p.add_argument("--config", required=True, help="key = value experiment file")
 
     return parser
 
@@ -258,7 +257,7 @@ def cmd_synthesize(args) -> int:
     system, model = _load_system(args)
     bitext = ingest_bitext(read_lines(args.src), read_lines(args.tgt),
                            max_len=10 ** 9)
-    synth = pipeline.synthesize_bitext(bitext, system, model)
+    synth = pipeline.synthesize_bitext(bitext, system, model, threads=args.threads)
     write_lines(args.out_src, (" ".join(s) for s, _ in synth.pairs))
     write_lines(args.out_tgt, (" ".join(t) for _, t in synth.pairs))
     print(f"synthesized {len(synth)} pairs, dropped {synth.dropped_pairs}")
@@ -273,33 +272,27 @@ def cmd_tune(args) -> int:
         raise PivotSmtError(
             f"dev line count mismatch: {len(dev_src)} vs {len(dev_ref)}")
     tuned = decoder.tune_weights(list(zip(dev_src, dev_ref)), system, model,
-                                 rounds=args.rounds, nbest_size=args.nbest)
+                                 rounds=args.rounds, nbest_size=args.nbest,
+                                 threads=args.threads)
     decoder.write_weights(tuned, args.weights_out)
     print(f"wrote tuned weights to {args.weights_out}")
     return 0
 
 
-def cmd_decode(args, threads: int) -> int:
+def cmd_decode(args) -> int:
+    if (args.nbest > 0) != (args.nbest_out is not None):
+        raise ValueError("--nbest N (N >= 1) and --nbest-out go together")
     system, model = _load_system(args)
     sentences = [line.split() for line in read_lines(args.input)]
-    if args.nbest > 0 and args.nbest_out:
-        # one serial decode per sentence yields both its 1-best and n-best lines
+    decoded = decoder.decode_corpus(system, model, sentences, threads=args.threads,
+                                    nbest_size=args.nbest)
+    write_lines(args.output, (" ".join(best) for best, _ in decoded))
+    if args.nbest_out:
         order = model.feature_order()
-        hyps = []
-        nbest_lines = []
-        for sid, sent in enumerate(sentences):
-            if not sent:
-                hyps.append(())
-                continue
-            result = system.decode(sent, model)
-            hyps.append(result.best_tokens())
-            nbest_lines.extend(decoder.format_nbest_line(sid, item, order)
-                               for item in decoder.nbest(result, args.nbest))
-        write_lines(args.nbest_out, nbest_lines)
-    else:
-        hyps = pipeline.decode_corpus(system, model, sentences, threads=threads)
-    write_lines(args.output, (" ".join(h) for h in hyps))
-    print(f"decoded {len(hyps)} sentences")
+        write_lines(args.nbest_out, (decoder.format_nbest_line(sid, item, order)
+                                     for sid, (_, items) in enumerate(decoded)
+                                     for item in items))
+    print(f"decoded {len(decoded)} sentences")
     return 0
 
 
@@ -315,16 +308,22 @@ def cmd_score(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    path = args.experiment_config or args.config
-    if not path:
-        raise PivotSmtError("experiment requires --config")
-    config = pipeline.ExperimentConfig.from_file(path)
+    config = pipeline.ExperimentConfig.from_file(args.config)
     if args.threads != 1:
         config.threads = args.threads
     result = pipeline.run_experiment(config)
     print(result.report_text, end="")
     print(f"manifest: {result.manifest_path}")
     return 0
+
+
+COMMANDS = {
+    "tokenize": cmd_tokenize, "ingest": cmd_ingest, "align": cmd_align,
+    "extract": cmd_extract, "triangulate": cmd_triangulate,
+    "mine-translit": cmd_mine_translit, "translit-table": cmd_translit_table,
+    "train-lm": cmd_train_lm, "synthesize": cmd_synthesize, "tune": cmd_tune,
+    "decode": cmd_decode, "score": cmd_score, "experiment": cmd_experiment,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -335,34 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "tokenize":
-            return cmd_tokenize(args)
-        if args.command == "ingest":
-            return cmd_ingest(args)
-        if args.command == "align":
-            return cmd_align(args)
-        if args.command == "extract":
-            return cmd_extract(args)
-        if args.command == "triangulate":
-            return cmd_triangulate(args)
-        if args.command == "mine-translit":
-            return cmd_mine_translit(args)
-        if args.command == "translit-table":
-            return cmd_translit_table(args)
-        if args.command == "train-lm":
-            return cmd_train_lm(args)
-        if args.command == "synthesize":
-            return cmd_synthesize(args)
-        if args.command == "tune":
-            return cmd_tune(args)
-        if args.command == "decode":
-            return cmd_decode(args, args.threads)
-        if args.command == "score":
-            return cmd_score(args)
-        if args.command == "experiment":
-            return cmd_experiment(args)
-        parser.error(f"unknown command {args.command!r}")
-        return 1
+        return COMMANDS[args.command](args)
     except PivotSmtError as exc:
         print(f"pivotsmt: {exc}", file=sys.stderr)
         return 2

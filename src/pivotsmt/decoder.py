@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+import multiprocessing
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -79,10 +80,6 @@ class LogLinearModel:
     def feature_order(self) -> list[str]:
         return feature_names(self.n_tables, self.use_translit)
 
-    def static_score(self, option: "TranslationOption") -> float:
-        return sum(self.weights[name] * value
-                   for name, value in option.features.items())
-
 
 @dataclass
 class TranslationOption:
@@ -132,7 +129,7 @@ def collect_options(
 
     def rank_score(option: TranslationOption) -> float:
         if model is not None:
-            return model.static_score(option)
+            return weighted_total(option.features, model)
         return sum(option.features.values())
 
     max_len = min(n, max(t.max_source_len for t in tables.tables) or 1)
@@ -211,7 +208,6 @@ class _Node:
 
 @dataclass
 class DecodeResult:
-    sentence: tuple[str, ...]
     goal: _Node
     model: LogLinearModel
     lm: object
@@ -254,6 +250,7 @@ def derivation_features(
 
 
 def weighted_total(features: dict[str, float], model: LogLinearModel) -> float:
+    """The model score of a feature vector; the one weighted sum in the decoder."""
     return sum(model.weights[name] * value for name, value in features.items())
 
 
@@ -275,7 +272,7 @@ def _future_costs(n: int, lattice: OptionLattice, model: LogLinearModel, lm):
     for span, options in lattice.items():
         best = -math.inf
         for option in options:
-            est = (model.static_score(option)
+            est = (weighted_total(option.features, model)
                    + w_lm * sum(unigram(w) for w in option.target)
                    - w_wp * len(option.target)
                    - w_pp)
@@ -344,7 +341,8 @@ def decode(
     lm_steps: dict[tuple[str, ...], dict[tuple[str, ...], tuple[float, tuple[str, ...]]]] = {}
     by_start: list[list[tuple[int, int, int, list]]] = [[] for _ in range(n)]
     for start, end in sorted(options):
-        scored = [(option, model.static_score(option), w_wp * len(option.target),
+        scored = [(option, weighted_total(option.features, model),
+                   w_wp * len(option.target),
                    lm_steps.setdefault(option.target, {}))
                   for option in options[(start, end)]]
         by_start[start].append((end, ((1 << (end - start)) - 1) << start,
@@ -359,12 +357,13 @@ def decode(
     full = (1 << n) - 1
 
     for cardinality in range(n):
-        stack = stacks[cardinality]
-        if not stack:
-            continue
         # a stack key is its node's sort_key, so no two entries tie
-        ranked = [(-(nd.score + nd.future), key, nd) for key, nd in stack.items()]
-        for _, _, node in heapq.nsmallest(stack_size, ranked):
+        beam = heapq.nsmallest(stack_size, [(-(nd.score + nd.future), key, nd)
+                                            for key, nd in stacks[cardinality].items()])
+        # children point to parents only, so the goal can reach no node of
+        # this stack outside the beam: free the rest, and their arcs, now
+        stacks[cardinality] = {}
+        for _, _, node in beam:
             covered = node.coverage
             node_state = node.lm_state
             node_score = node.score
@@ -416,8 +415,8 @@ def decode(
             goal.best_arc = arc
 
     derivation = _best_derivation(goal)
-    return DecodeResult(sentence=tuple(sentence), goal=goal, model=model, lm=lm,
-                        best_score=goal.score, best_derivation=derivation)
+    return DecodeResult(goal=goal, model=model, lm=lm, best_score=goal.score,
+                        best_derivation=derivation)
 
 
 def _best_derivation(goal: _Node) -> list[TranslationOption]:
@@ -561,6 +560,57 @@ class DecoderSystem:
         return self.decode(sentence, model).best_tokens()
 
 
+# --- Corpus decoding ---------------------------------------------------------
+
+_JOB: tuple = ()  # a worker process's (system, model, n-best size)
+
+
+def _init_worker(*job) -> None:
+    global _JOB
+    _JOB = job
+
+
+def _decode_one(tokens: tuple[str, ...], job: tuple = ()):
+    """(best tokens, n-best items) of one sentence; None if its search dead-ends."""
+    if not tokens:
+        return (), []
+    system, model, nbest_size = job or _JOB
+    try:
+        result = system.decode(tokens, model)
+    except DataError:
+        return None
+    return result.best_tokens(), nbest(result, nbest_size) if nbest_size > 0 else []
+
+
+def decode_corpus(
+    system: DecoderSystem,
+    model: LogLinearModel,
+    sentences: Sequence[Sequence[str]],
+    threads: int = 1,
+    nbest_size: int = 0,
+) -> list[tuple[tuple[str, ...], list[NBestItem]]]:
+    """Decode sentences in order into (best tokens, n-best items) pairs.
+
+    The n-best list is empty unless nbest_size > 0. An empty sentence, or
+    one whose search dead-ends, gives ((), []); a dead-end also logs one
+    warning naming its 1-based line. With threads > 1 and at least four
+    sentences, the sentences are decoded in that many worker processes.
+    """
+    job = (system, model, nbest_size)
+    inputs = [tuple(s) for s in sentences]
+    if threads <= 1 or len(inputs) < 4:
+        results = [_decode_one(tokens, job) for tokens in inputs]
+    else:
+        with multiprocessing.Pool(threads, initializer=_init_worker,
+                                  initargs=job) as pool:
+            results = pool.map(_decode_one, inputs)
+    for line, decoded in enumerate(results, start=1):
+        if decoded is None:
+            logger.warning("line %d: the search dead-ended; its output is empty", line)
+            results[line - 1] = (), []
+    return results
+
+
 # Deterministic step grid explored around each weight during tuning.
 _TUNE_STEPS = (-1.0, -0.5, -0.2, -0.05, 0.05, 0.2, 0.5, 1.0)
 
@@ -571,6 +621,7 @@ def tune_weights(
     initial: LogLinearModel,
     rounds: int = 3,
     nbest_size: int = 50,
+    threads: int = 1,
 ) -> LogLinearModel:
     """Coordinate ascent on corpus BLEU over pooled n-best lists.
 
@@ -583,6 +634,8 @@ def tune_weights(
         raise DataError("cannot tune on an empty dev set")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if nbest_size < 1:
+        raise ValueError("nbest_size must be >= 1")
     weights = dict(initial.weights)
     order = initial.feature_order()
     refs = [tuple(ref) for _, ref in dev]
@@ -592,17 +645,11 @@ def tune_weights(
     sorted_pools: list[list[tuple[tuple[str, ...], dict[str, float]]]] = []
 
     def rescore_bleu(candidate: dict[str, float]) -> float:
-        hyps = []
-        for pool in sorted_pools:
-            best_tokens: tuple[str, ...] = ()
-            best_score = -math.inf
-            for tokens, features in pool:
-                score = sum(candidate[name] * value
-                            for name, value in features.items())
-                if score > best_score:
-                    best_score = score
-                    best_tokens = tokens
-            hyps.append(best_tokens)
+        model = LogLinearModel(weights=dict(candidate), n_tables=initial.n_tables,
+                               use_translit=initial.use_translit)
+        # max keeps the first of equal scores; an empty pool scores as ()
+        hyps = [max(pool, key=lambda entry: weighted_total(entry[1], model),
+                    default=((), None))[0] for pool in sorted_pools]
         return corpus_bleu(hyps, refs)[0]
 
     best_weights = dict(weights)
@@ -610,17 +657,14 @@ def tune_weights(
     for _ in range(rounds):
         model = LogLinearModel(weights=dict(weights), n_tables=initial.n_tables,
                                use_translit=initial.use_translit)
-        for (src, _), pool in zip(dev, pools):
-            result = system.decode(src, model)
-            for item in nbest(result, nbest_size):
+        decoded = decode_corpus(system, model, [src for src, _ in dev],
+                                threads=threads, nbest_size=nbest_size)
+        for (_, items), pool in zip(decoded, pools):
+            for item in items:
                 existing = pool.get(item.tokens)
-                if existing is None:
+                if (existing is None or weighted_total(item.features, model)
+                        > weighted_total(existing, model)):
                     pool[item.tokens] = item.features
-                else:
-                    old = sum(weights[k] * v for k, v in existing.items())
-                    new = sum(weights[k] * v for k, v in item.features.items())
-                    if new > old:
-                        pool[item.tokens] = item.features
         sorted_pools = [sorted(pool.items()) for pool in pools]
         # BLEU of the current weights, carried from coordinate to coordinate
         best_score = rescore_bleu(weights)

@@ -14,8 +14,6 @@ so reruns with the same config are byte-identical.
 from __future__ import annotations
 
 import hashlib
-import logging
-import multiprocessing
 import os
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -24,8 +22,6 @@ from . import align, decoder, evalkit, ngramlm, phrasetab, translit
 from .corpus import Bitext, concat_bitexts, count_oov, dict_to_bitext, \
     ingest_bitext, read_dictionary_tsv, read_lines, write_lines
 from .errors import DataError
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -138,61 +134,26 @@ def build_phrase_table(bitext: Bitext, em_iterations: int, max_phrase_len: int,
     return table
 
 
-_WORKER: dict[str, object] = {}
-
-
-def _init_worker(system: decoder.DecoderSystem, model: decoder.LogLinearModel) -> None:
-    _WORKER["system"] = system
-    _WORKER["model"] = model
-
-
-def _decode_one(tokens: tuple[str, ...]) -> tuple[str, ...]:
-    if not tokens:
-        return ()
-    system: decoder.DecoderSystem = _WORKER["system"]  # type: ignore[assignment]
-    model: decoder.LogLinearModel = _WORKER["model"]  # type: ignore[assignment]
-    return system.translate(tokens, model)
-
-
-def decode_corpus(
-    system: decoder.DecoderSystem,
-    model: decoder.LogLinearModel,
-    sentences: Sequence[Sequence[str]],
-    threads: int = 1,
-) -> list[tuple[str, ...]]:
-    """Decode sentences in order; distinct sentences may run in parallel."""
-    inputs = [tuple(s) for s in sentences]
-    if threads <= 1 or len(inputs) < 4:
-        _init_worker(system, model)
-        return [_decode_one(tokens) for tokens in inputs]
-    with multiprocessing.Pool(threads, initializer=_init_worker,
-                              initargs=(system, model)) as pool:
-        return pool.map(_decode_one, inputs)
-
-
 def synthesize_bitext(
     bitext: Bitext,
     system: decoder.DecoderSystem,
     model: decoder.LogLinearModel | None = None,
+    threads: int = 1,
 ) -> Bitext:
     """Replace the source side of every pair with its decoder output.
 
-    Pair count is preserved unless a pair fails to decode, in which case it
-    is dropped with a warning.
+    Pair count is preserved unless a non-empty source gets no hypothesis
+    (its search dead-ended); such a pair is dropped and counted.
     """
     model = model or system.default_model()
+    decoded = decoder.decode_corpus(system, model, [src for src, _ in bitext.pairs],
+                                    threads=threads)
     out = Bitext()
-    dropped = 0
-    for src, tgt in bitext.pairs:
-        try:
-            hyp = system.translate(src, model) if src else ()
-        except DataError as exc:
-            dropped += 1
-            logger.warning("synthesize: dropping undecodable pair %r (%s)",
-                           " ".join(src), exc)
-            continue
-        out.add_pair(hyp, tgt)
-    out.dropped_pairs = dropped
+    for (src, tgt), (hyp, _) in zip(bitext.pairs, decoded):
+        if src and not hyp:
+            out.dropped_pairs += 1
+        else:
+            out.add_pair(hyp, tgt)
     return out
 
 
@@ -324,8 +285,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if config.tune_rounds > 0 and dev_pairs:
             model = decoder.tune_weights(dev_pairs, system, model,
                                          rounds=config.tune_rounds,
-                                         nbest_size=config.nbest_size)
-        hyps = decode_corpus(system, model, test_src, threads=config.threads)
+                                         nbest_size=config.nbest_size,
+                                         threads=config.threads)
+        hyps = [best for best, _ in decoder.decode_corpus(
+            system, model, test_src, threads=config.threads)]
         bleu, _ = evalkit.corpus_bleu(hyps, test_ref)
         oov = _oov_count(test_src, tables)
 

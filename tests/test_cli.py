@@ -288,3 +288,109 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "manifest:" in out
         assert os.path.exists(str(tmp_path / "run" / "run.manifest"))
+
+
+def decode_setup(tmp_path):
+    """A two-word table and a bigram LM, as (table, lm) paths."""
+    table = write(tmp_path / "t.moses",
+                  ["a ||| x ||| 0.6 0.6 0.6 0.6",
+                   "a ||| y ||| 0.4 0.4 0.4 0.4",
+                   "b ||| y ||| 0.9 0.9 0.9 0.9"])
+    arpa = str(tmp_path / "lm.arpa")
+    corpus = write(tmp_path / "lmc.txt", ["x y", "y x"])
+    assert main(["train-lm", "--corpus", corpus, "--out", arpa, "--order", "2"]) == 0
+    return table, arpa
+
+
+def read(path):
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
+class TestCorpusDecoding:
+    @pytest.fixture
+    def dead_end_on_b(self, monkeypatch):
+        from pivotsmt import decoder
+        from pivotsmt.errors import DataError
+        real_decode = decoder.decode
+
+        def decode(sentence, *args, **kwargs):
+            if list(sentence) == ["b"]:
+                raise DataError("no complete hypothesis found (search dead-ended)")
+            return real_decode(sentence, *args, **kwargs)
+
+        monkeypatch.setattr(decoder, "decode", decode)
+
+    def test_decode_dead_end_is_an_empty_line(self, tmp_path, capsys, caplog,
+                                              dead_end_on_b):
+        table, arpa = decode_setup(tmp_path)
+        out = str(tmp_path / "o.txt")
+        assert main(["decode", "--input", write(tmp_path / "in.txt", ["a", "b", "a b"]),
+                     "--table", table, "--lm", arpa, "--output", out]) == 0
+        assert read(out).split("\n")[:3] == ["x", "", "x y"]
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and "line 2" in warnings[0]
+
+    def test_synthesize_drops_a_dead_end(self, tmp_path, capsys, dead_end_on_b):
+        table, arpa = decode_setup(tmp_path)
+        assert main(["synthesize", "--src", write(tmp_path / "u.txt", ["a", "b", "a"]),
+                     "--tgt", write(tmp_path / "e.txt", ["e1", "e2", "e3"]),
+                     "--out-src", str(tmp_path / "syn.s"),
+                     "--out-tgt", str(tmp_path / "syn.t"),
+                     "--table", table, "--lm", arpa]) == 0
+        assert "dropped 1" in capsys.readouterr().out
+        assert read(tmp_path / "syn.t").splitlines() == ["e1", "e3"]
+
+    def test_tune_survives_a_dead_end(self, tmp_path, capsys, dead_end_on_b):
+        table, arpa = decode_setup(tmp_path)
+        weights = str(tmp_path / "w.tsv")
+        assert main(["tune", "--dev-src", write(tmp_path / "d.s", ["a", "b"]),
+                     "--dev-ref", write(tmp_path / "d.r", ["y", "y"]),
+                     "--weights-out", weights, "--table", table,
+                     "--lm", arpa, "--rounds", "1"]) == 0
+        assert "lm\t" in read(weights)
+
+    def test_tune_accepts_an_empty_dev_line(self, tmp_path, capsys):
+        table, arpa = decode_setup(tmp_path)
+        weights = str(tmp_path / "w.tsv")
+        assert main(["tune", "--dev-src", write(tmp_path / "d.s", ["a", "", "a b"]),
+                     "--dev-ref", write(tmp_path / "d.r", ["y", "x", "y y"]),
+                     "--weights-out", weights, "--table", table,
+                     "--lm", arpa, "--rounds", "1"]) == 0
+        assert "lm\t" in read(weights)
+
+    @pytest.mark.parametrize("flags", [["--nbest", "5"], ["--nbest-out", "{nbest}"],
+                                       ["--nbest", "0", "--nbest-out", "{nbest}"]])
+    def test_nbest_flags_go_together(self, tmp_path, capsys, flags):
+        table, arpa = decode_setup(tmp_path)
+        nbest_path = str(tmp_path / "nbest.txt")
+        capsys.readouterr()
+        assert main(["decode", "--input", write(tmp_path / "in.txt", ["a"]),
+                     "--table", table, "--lm", arpa, "--output", str(tmp_path / "o.txt")]
+                    + [flag.format(nbest=nbest_path) for flag in flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pivotsmt: ") and err.count("\n") == 1, err
+        assert not os.path.exists(nbest_path)
+
+    def test_nbest_with_threads_matches_serial(self, tmp_path, capsys):
+        table, arpa = decode_setup(tmp_path)
+        inp = write(tmp_path / "in.txt", ["a", "a b", "b a", "", "b a b", "a a"])
+        files = {}
+        for threads in ("1", "2"):
+            out = str(tmp_path / f"o{threads}.txt")
+            nbest_path = str(tmp_path / f"nbest{threads}.txt")
+            assert main(["--threads", threads, "decode", "--input", inp,
+                         "--table", table, "--lm", arpa, "--output", out,
+                         "--nbest", "5", "--nbest-out", nbest_path]) == 0
+            files[threads] = (read(out), read(nbest_path))
+        assert files["1"] == files["2"]
+        assert files["1"][0].split("\n")[3] == ""
+        assert len(files["1"][1].splitlines()) > 6
+
+    @pytest.mark.parametrize("args", [
+        ["--config", "{conf}", "score", "--hyp", "{conf}", "--ref", "{conf}"],
+        ["experiment"],
+    ])
+    def test_config_belongs_to_experiment(self, tmp_path, capsys, args):
+        conf = write(tmp_path / "x.conf", ["a"])
+        assert main([arg.format(conf=conf) for arg in args]) == 1

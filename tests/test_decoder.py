@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from pivotsmt import decoder
 from pivotsmt.decoder import (
     DecoderSystem, LogLinearModel, TranslationOption, _coverage_future,
     collect_options, decode, derivation_features, format_nbest_line, nbest,
@@ -253,6 +254,33 @@ class TestDecode:
             "baseline")]}
         with pytest.raises(DataError):
             decode(["a", "b"], model, uniform_lm, lattice)
+
+    def test_stack_freed_once_expanded(self, monkeypatch):
+        # only expanded nodes are reachable from the goal, so the rest of a
+        # stack must not outlive its expansion
+        counts = {"made": 0, "live": 0, "peak": 0}
+
+        class CountedNode(decoder._Node):
+            def __init__(self, *args):
+                super().__init__(*args)
+                counts["made"] += 1
+                counts["live"] += 1
+                counts["peak"] = max(counts["peak"], counts["live"])
+
+            def __del__(self):
+                counts["live"] -= 1
+
+        monkeypatch.setattr(decoder, "_Node", CountedNode)
+        n, k = 10, 3
+        table = table_of([(f"w{i}", f"x{i}_{j}", 1.0 / (j + 2))
+                          for i in range(n) for j in range(k)])
+        lm = train_kn([[f"x{i}_{j}" for i in range(n)] for j in range(k)], order=2)
+        system = DecoderSystem(tables=TableSet([table]), lm=lm,
+                               distortion_limit=3, stack_size=10)
+        result = system.decode([f"w{i}" for i in range(n)])
+        assert result.best_tokens() == tuple(f"x{i}_0" for i in range(n))
+        assert counts["made"] > 500
+        assert counts["peak"] < counts["made"] / 3
 
 
 class TestNBest:

@@ -3,13 +3,13 @@ import os
 import pytest
 
 from pivotsmt.corpus import ingest_bitext
-from pivotsmt.decoder import DecoderSystem
+from pivotsmt.decoder import DecoderSystem, decode_corpus
 from pivotsmt.errors import DataError
 from pivotsmt.ngramlm import train_kn
 from pivotsmt.phrasetab import PhraseEntry, PhraseTable, TableSet
 from pivotsmt.pipeline import (
     ExperimentConfig, align_bitext, build_phrase_table, config_hash,
-    decode_corpus, run_experiment, synthesize_bitext,
+    run_experiment, synthesize_bitext,
 )
 
 from fixtures import make_experiment_fixture, write_config
@@ -39,8 +39,8 @@ class TestTraining:
         lm = train_kn([s.split() for s in ["the house", "the book", "a house"]],
                       order=2)
         system = DecoderSystem(tables=TableSet([table]), lm=lm)
-        hyps = decode_corpus(system, system.default_model(),
-                             [("das", "haus"), ("ein", "buch"), ()])
+        hyps = [best for best, _ in decode_corpus(
+            system, system.default_model(), [("das", "haus"), ("ein", "buch"), ()])]
         assert hyps[0] == ("the", "house")
         assert hyps[2] == ()
 
