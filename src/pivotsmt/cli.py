@@ -13,24 +13,31 @@ import sys
 
 from . import align as align_mod
 from . import decoder, evalkit, ngramlm, phrasetab, pipeline, pivot, translit
-from .corpus import ingest_bitext, read_lines, tokenize, write_lines
+from .corpus import Bitext, ingest_bitext, read_lines, read_parallel, tokenize, write_lines
 from .errors import PivotSmtError
 
 logger = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract here is exit code 1."""
+    """argparse exits 2 on usage errors; the contract here is exit code 1 and one line."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pivotsmt", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for decode, synthesize, tune and experiment")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("tokenize", help="tokenize raw text, one sentence per line")
@@ -63,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-phrase-len", type=int, default=5)
     p.add_argument("--iterations", type=int, default=5,
                    help="EM iterations for the lexical-weight tables")
-    p.add_argument("--top-k", type=int, default=0, help="prune per source (0 = off)")
+    p.add_argument("--top-k", type=_at_least(0), default=0,
+                   help="prune per source (0 = off)")
 
     p = sub.add_parser("triangulate", help="compose two tables over a pivot language")
     p.add_argument("--pivot-to-tgt", required=True,
@@ -107,6 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--translit-k", type=int, default=search.translit_k)
         p.add_argument("--distortion-limit", type=int, default=search.distortion_limit)
         p.add_argument("--stack-size", type=int, default=search.stack_size)
+        p.add_argument("--threads", type=_at_least(1), default=1,
+                       help="worker processes that decode sentences")
 
     p = sub.add_parser("synthesize", help="re-source a bitext through a translation system")
     p.add_argument("--src", required=True)
@@ -137,6 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run the B0/+Syn/+PT/+Dict mode matrix")
     p.add_argument("--config", required=True, help="key = value experiment file")
+    p.add_argument("--threads", type=_at_least(1), default=1,
+                   help="worker processes that decode sentences")
 
     return parser
 
@@ -171,8 +183,7 @@ def cmd_tokenize(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    bitext = ingest_bitext(read_lines(args.src), read_lines(args.tgt),
-                           max_len=args.max_len)
+    bitext = ingest_bitext(args.src, args.tgt, max_len=args.max_len)
     write_lines(args.out_src, (" ".join(s) for s, _ in bitext.pairs))
     write_lines(args.out_tgt, (" ".join(t) for _, t in bitext.pairs))
     print(f"kept {len(bitext)} pairs, dropped {bitext.dropped_pairs}")
@@ -180,10 +191,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_align(args) -> int:
-    bitext = ingest_bitext(read_lines(args.src), read_lines(args.tgt),
-                           max_len=10 ** 9)
     matrices, cond_src, cond_tgt = pipeline.align_bitext(
-        bitext, args.iterations, use_null=not args.no_null)
+        Bitext(read_parallel(args.src, args.tgt)), args.iterations,
+        use_null=not args.no_null)
     align_mod.write_alignments(args.out, matrices)
     if args.dump_tables:
         align_mod.write_table(args.dump_tables + ".fwd", cond_src)
@@ -193,9 +203,7 @@ def cmd_align(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    bitext = ingest_bitext(read_lines(args.src), read_lines(args.tgt),
-                           max_len=10 ** 9)
-    pairs = bitext.pairs
+    pairs = read_parallel(args.src, args.tgt)
     sizes = [(len(s), len(t)) for s, t in pairs]
     matrices = align_mod.read_alignments(read_lines(args.alignments), sizes,
                                            args.alignments)
@@ -255,8 +263,7 @@ def cmd_train_lm(args) -> int:
 
 def cmd_synthesize(args) -> int:
     system, model = _load_system(args)
-    bitext = ingest_bitext(read_lines(args.src), read_lines(args.tgt),
-                           max_len=10 ** 9)
+    bitext = Bitext(read_parallel(args.src, args.tgt))
     synth = pipeline.synthesize_bitext(bitext, system, model, threads=args.threads)
     write_lines(args.out_src, (" ".join(s) for s, _ in synth.pairs))
     write_lines(args.out_tgt, (" ".join(t) for _, t in synth.pairs))
@@ -266,14 +273,9 @@ def cmd_synthesize(args) -> int:
 
 def cmd_tune(args) -> int:
     system, model = _load_system(args)
-    dev_src = [line.split() for line in read_lines(args.dev_src)]
-    dev_ref = [line.split() for line in read_lines(args.dev_ref)]
-    if len(dev_src) != len(dev_ref):
-        raise PivotSmtError(
-            f"dev line count mismatch: {len(dev_src)} vs {len(dev_ref)}")
-    tuned = decoder.tune_weights(list(zip(dev_src, dev_ref)), system, model,
-                                 rounds=args.rounds, nbest_size=args.nbest,
-                                 threads=args.threads)
+    dev = read_parallel(args.dev_src, args.dev_ref)
+    tuned = decoder.tune_weights(dev, system, model, rounds=args.rounds,
+                                 nbest_size=args.nbest, threads=args.threads)
     decoder.write_weights(tuned, args.weights_out)
     print(f"wrote tuned weights to {args.weights_out}")
     return 0
@@ -297,9 +299,9 @@ def cmd_decode(args) -> int:
 
 
 def cmd_score(args) -> int:
-    hyps = [line.split() for line in read_lines(args.hyp)]
-    refs = [line.split() for line in read_lines(args.ref)]
-    score, stats = evalkit.corpus_bleu(hyps, refs, args.max_n)
+    pairs = read_parallel(args.hyp, args.ref)
+    score, stats = evalkit.corpus_bleu([hyp for hyp, _ in pairs], [ref for _, ref in pairs],
+                                       args.max_n)
     precisions = " ".join(
         f"{m}/{t}" for m, t in zip(stats.matches, stats.totals))
     print(f"BLEU = {score:.2f} ({precisions}, hyp_len={stats.hyp_len}, "
@@ -309,9 +311,7 @@ def cmd_score(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = pipeline.ExperimentConfig.from_file(args.config)
-    if args.threads != 1:
-        config.threads = args.threads
-    result = pipeline.run_experiment(config)
+    result = pipeline.run_experiment(config, threads=args.threads)
     print(result.report_text, end="")
     print(f"manifest: {result.manifest_path}")
     return 0

@@ -154,32 +154,42 @@ def number(text: str, where: str, what: str, nonneg: bool = False,
     return value
 
 
+def read_parallel(
+    source: str | Iterable[str],
+    target: str | Iterable[str],
+) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """Token pairs of two line-aligned inputs, line i of one with line i of the other.
+
+    Each input is a path, read through read_lines, or a list of lines.
+    Unequal line counts are a DataError naming both inputs and both counts.
+    """
+    (src_name, src_lines), (tgt_name, tgt_lines) = [
+        (side, read_lines(side)) if isinstance(side, str) else (name, list(side))
+        for name, side in (("source", source), ("target", target))]
+    if len(src_lines) != len(tgt_lines):
+        raise DataError(f"line count mismatch: {src_name} has {len(src_lines)} lines, "
+                        f"{tgt_name} has {len(tgt_lines)} lines")
+    return [(tuple(s.split()), tuple(t.split())) for s, t in zip(src_lines, tgt_lines)]
+
+
 def ingest_bitext(
-    source_lines: Iterable[str],
-    target_lines: Iterable[str],
+    source: str | Iterable[str],
+    target: str | Iterable[str],
     max_len: int = DEFAULT_MAX_SENT_LEN,
 ) -> Bitext:
-    """Pair up two pre-tokenized line streams into a Bitext.
+    """Pair up two pre-tokenized line-aligned inputs (see read_parallel) into a Bitext.
 
     Pairs where either side exceeds max_len tokens are dropped; the drop
-    count is kept on the result and logged. Unequal line counts are a hard
-    error naming both counts.
+    count is kept on the result and logged.
     """
-    src_lines = list(source_lines)
-    tgt_lines = list(target_lines)
-    if len(src_lines) != len(tgt_lines):
-        raise DataError(
-            f"line count mismatch: source has {len(src_lines)} lines, "
-            f"target has {len(tgt_lines)} lines"
-        )
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
     bitext = Bitext()
-    for src_line, tgt_line in zip(src_lines, tgt_lines):
-        src_toks = src_line.split()
-        tgt_toks = tgt_line.split()
-        if len(src_toks) > max_len or len(tgt_toks) > max_len:
+    for src, tgt in read_parallel(source, target):
+        if len(src) > max_len or len(tgt) > max_len:
             bitext.dropped_pairs += 1
-            continue
-        bitext.add_pair(src_toks, tgt_toks)
+        else:
+            bitext.pairs.append((src, tgt))
     if bitext.dropped_pairs:
         logger.info("ingest: dropped %d pairs over %d tokens", bitext.dropped_pairs, max_len)
     return bitext

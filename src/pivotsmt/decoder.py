@@ -321,8 +321,6 @@ def decode(
     n = len(sentence)
     if n == 0:
         raise ValueError("cannot decode an empty sentence")
-    if stack_size < 1:
-        raise ValueError("stack_size must be >= 1")
     uncovered = [pos for pos in range(n)
                  if not any(s <= pos < e for (s, e) in options)]
     if uncovered:
@@ -451,13 +449,11 @@ def nbest(result: DecodeResult, n: int, max_pops: int = 100000) -> list[NBestIte
         raise ValueError("n must be >= 1")
     lists: dict[int, list[tuple[float, int, int]]] = {}
     heaps: dict[int, list[tuple[float, int, int]]] = {}
-    nodes: dict[int, _Node] = {}
 
     def ensure(node: _Node) -> None:
         nid = id(node)
         if nid in lists:
             return
-        nodes[nid] = node
         lists[nid] = []
         heap: list[tuple[float, int, int]] = []
         if not node.arcs:
@@ -537,6 +533,12 @@ class DecoderSystem:
     translit_k: int = 10
     distortion_limit: int = 6
     stack_size: int = 200
+
+    def __post_init__(self) -> None:
+        for name, low in (("option_limit", 1), ("translit_k", 1),
+                          ("distortion_limit", 0), ("stack_size", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     def lattice(self, sentence: Sequence[str],
                 model: LogLinearModel | None = None) -> OptionLattice:

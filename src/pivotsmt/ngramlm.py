@@ -83,86 +83,77 @@ def _discount(counts: Iterable[float]) -> float:
 MAX_ORDER = 5
 
 
+def _count(padded: list[NGram], n: int) -> dict[NGram, int]:
+    """Raw n-gram counts over BOS-padded sentences, without the bare BOS unigram."""
+    grams: dict[NGram, int] = {}
+    for sent in padded:
+        for start in range(len(sent) - n + 1):
+            gram = sent[start:start + n]
+            grams[gram] = grams.get(gram, 0) + 1
+    grams.pop((BOS,), None)
+    return grams
+
+
 def train_kn(corpus: Iterable[Sequence[str]], order: int) -> NGramModel:
-    """Train an interpolated Kneser-Ney model of the given order (1..5)."""
+    """Train an interpolated Kneser-Ney model of the given order (1..5).
+
+    Orders are built one at a time, lowest first: order n's counts come
+    from the raw counts of orders n and n + 1, its probabilities from order
+    n - 1's, and only the next order's raw counts and this order's linear
+    probabilities outlive the step.
+    """
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}")
-    sentences = [tuple(s) for s in corpus]
-    if not any(sentences):
+    padded = [(BOS, *sent) for sent in corpus]
+    if all(len(sent) == 1 for sent in padded):
         raise DataError("cannot train a language model on an empty corpus")
-    for sent in sentences:
-        for tok in sent:
+    for sent in padded:
+        for tok in sent[1:]:
             if tok in _RESERVED:
                 raise DataError(f"reserved marker {tok!r} appears in LM training data")
 
-    # Raw counts over BOS-padded sentences; the bare BOS unigram is never
-    # predicted and is skipped.
-    raw: list[dict[NGram, int]] = [dict() for _ in range(order + 1)]
-    for sent in sentences:
-        padded = (BOS,) + sent
-        for n in range(1, order + 1):
-            grams = raw[n]
-            for start in range(len(padded) - n + 1):
-                gram = padded[start:start + n]
-                if gram == (BOS,):
-                    continue
-                grams[gram] = grams.get(gram, 0) + 1
-
-    vocab = frozenset(w for (w,) in raw[1])
-
-    # Modified counts: continuation counts below the top order, except for
-    # n-grams starting with BOS which cannot be extended to the left.
-    modified: list[dict[NGram, float]] = [dict() for _ in range(order + 1)]
-    modified[order] = dict(raw[order])
-    for n in range(1, order):
-        grams: dict[NGram, float] = {}
-        for gram in raw[n + 1]:
-            suffix = gram[1:]
-            grams[suffix] = grams.get(suffix, 0) + 1
-        for gram, count in raw[n].items():
-            if gram[0] == BOS:
-                grams[gram] = count
-        modified[n] = grams
-
-    discounts = [0.0] * (order + 1)
+    counts = _count(padded, 1)
+    vocab = frozenset(w for (w,) in counts)
+    logprobs: dict[NGram, float] = {(BOS,): -99.0}  # context-only marker, never predicted
+    backoffs: dict[NGram, float] = {}
+    lower: dict[NGram, float] = {}  # order n - 1's linear probabilities
     for n in range(1, order + 1):
-        discounts[n] = _discount(modified[n].values())
-
-    probs: dict[NGram, float] = {}      # linear space while building
-    backoffs: dict[NGram, float] = {}   # linear space while building
-
-    # Unigram level: interpolate with the uniform distribution over the
-    # vocabulary plus one unknown type.
-    d1 = discounts[1]
-    uni = modified[1]
-    total = float(sum(uni.values()))
-    n1plus = len(uni)
-    v_plus_unk = len(vocab) + 1
-    interp_mass = d1 * n1plus / total
-    for (w,) in uni:
-        probs[(w,)] = (max(uni[(w,)] - d1, 0.0) / total
-                       + interp_mass / v_plus_unk)
-    unk_prob = interp_mass / v_plus_unk
-
-    for n in range(2, order + 1):
-        d = discounts[n]
-        grams = modified[n]
-        by_context: dict[NGram, list[NGram]] = {}
-        for gram in grams:
-            by_context.setdefault(gram[:-1], []).append(gram)
-        for context, extensions in by_context.items():
-            denom = float(sum(grams[g] for g in extensions))
-            bow = d * len(extensions) / denom
-            backoffs[context] = bow
-            for gram in extensions:
-                lower = probs[gram[1:]]
-                probs[gram] = max(grams[gram] - d, 0.0) / denom + bow * lower
-
-    logprobs = {g: math.log10(p) for g, p in probs.items()}
-    logprobs[(BOS,)] = -99.0  # context-only marker, never predicted
-    log_backoffs = {c: math.log10(b) for c, b in backoffs.items()}
-    return NGramModel(order=order, logprobs=logprobs, backoffs=log_backoffs,
-                      unk_logprob=math.log10(unk_prob), vocab=vocab)
+        upper: dict[NGram, int] = {}
+        if n < order:
+            # continuation counts, except for n-grams starting with BOS,
+            # which cannot be extended to the left and keep their raw counts
+            upper = _count(padded, n + 1)
+            for gram in counts:
+                if gram[0] != BOS:
+                    counts[gram] = 0
+            for gram in upper:
+                counts[gram[1:]] += 1
+        d = _discount(counts.values())
+        probs: dict[NGram, float] = {}
+        if n == 1:
+            # interpolate with the uniform distribution over the vocabulary
+            # plus one unknown type
+            total = float(sum(counts.values()))
+            interp_mass = d * len(counts) / total
+            for gram, count in counts.items():
+                p = probs[gram] = max(count - d, 0.0) / total + interp_mass / (len(vocab) + 1)
+                logprobs[gram] = math.log10(p)
+            unk_logprob = math.log10(interp_mass / (len(vocab) + 1))
+        else:
+            by_context: dict[NGram, list[NGram]] = {}
+            for gram in counts:
+                by_context.setdefault(gram[:-1], []).append(gram)
+            for context, extensions in by_context.items():
+                denom = float(sum(counts[g] for g in extensions))
+                bow = d * len(extensions) / denom
+                backoffs[context] = math.log10(bow)
+                for gram in extensions:
+                    p = probs[gram] = (max(counts[gram] - d, 0.0) / denom
+                                       + bow * lower[gram[1:]])
+                    logprobs[gram] = math.log10(p)
+        counts, lower = upper, probs
+    return NGramModel(order=order, logprobs=logprobs, backoffs=backoffs,
+                      unk_logprob=unk_logprob, vocab=vocab)
 
 
 @dataclass

@@ -100,6 +100,8 @@ def extract_phrases(alignment: AlignmentMatrix, max_len: int) -> set[tuple[Span,
     are not expanded, so each source span yields at most its tight target
     projection). Spans are inclusive (first, last) index pairs.
     """
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
     links = sorted(alignment.links)
     if not links:
         return set()
@@ -185,11 +187,10 @@ def score_phrase_table(
             f"bitext has {len(pairs)} pairs but {len(alignments)} alignments given"
         )
 
-    counts: dict[tuple[Phrase, Phrase], int] = {}
     src_totals: dict[Phrase, int] = {}
     tgt_totals: dict[Phrase, int] = {}
-    lex_fwd: dict[tuple[Phrase, Phrase], float] = {}
-    lex_bwd: dict[tuple[Phrase, Phrase], float] = {}
+    # per pair: [count, best lex(t|s), best lex(s|t)]; a tie keeps the first
+    stats: dict[tuple[Phrase, Phrase], list] = {}
 
     for (src, tgt), alignment in zip(pairs, alignments):
         tgt_links: list[list[int]] = [[] for _ in tgt]
@@ -200,29 +201,24 @@ def score_phrase_table(
         fwd_avg = _link_averages(tgt, src, tgt_links, w_tgt_given_src)
         bwd_avg = _link_averages(src, tgt, src_links, w_src_given_tgt)
         for (i1, i2), (j1, j2) in sorted(extract_phrases(alignment, max_len)):
-            s_phrase = tuple(src[i1 : i2 + 1])
-            t_phrase = tuple(tgt[j1 : j2 + 1])
-            key = (s_phrase, t_phrase)
-            counts[key] = counts.get(key, 0) + 1
+            s_phrase = src[i1 : i2 + 1]
+            t_phrase = tgt[j1 : j2 + 1]
             src_totals[s_phrase] = src_totals.get(s_phrase, 0) + 1
             tgt_totals[t_phrase] = tgt_totals.get(t_phrase, 0) + 1
             fwd = max(math.prod(fwd_avg[j1 : j2 + 1]), SCORE_FLOOR)
             bwd = max(math.prod(bwd_avg[i1 : i2 + 1]), SCORE_FLOOR)
-            if fwd > lex_fwd.get(key, 0.0):
-                lex_fwd[key] = fwd
-            if bwd > lex_bwd.get(key, 0.0):
-                lex_bwd[key] = bwd
+            record = stats.get((s_phrase, t_phrase))
+            if record is None:
+                stats[(s_phrase, t_phrase)] = [1, fwd, bwd]
+            else:
+                record[0] += 1
+                record[1] = max(record[1], fwd)
+                record[2] = max(record[2], bwd)
 
     table = PhraseTable(role=role)
-    for (s_phrase, t_phrase), count in counts.items():
-        table.add(PhraseEntry(
-            source=s_phrase,
-            target=t_phrase,
-            phi_tgt_given_src=count / src_totals[s_phrase],
-            lex_tgt_given_src=lex_fwd[(s_phrase, t_phrase)],
-            phi_src_given_tgt=count / tgt_totals[t_phrase],
-            lex_src_given_tgt=lex_bwd[(s_phrase, t_phrase)],
-        ))
+    for (s_phrase, t_phrase), (count, fwd, bwd) in stats.items():
+        table.add(PhraseEntry(s_phrase, t_phrase, count / src_totals[s_phrase], fwd,
+                              count / tgt_totals[t_phrase], bwd))
     return table
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import align, decoder, evalkit, ngramlm, phrasetab, translit
 from .corpus import Bitext, concat_bitexts, count_oov, dict_to_bitext, \
-    ingest_bitext, read_dictionary_tsv, read_lines, write_lines
+    ingest_bitext, read_dictionary_tsv, read_lines, read_parallel, write_lines
 from .errors import DataError
 
 
@@ -55,13 +55,15 @@ class ExperimentConfig:
     tune_rounds: int = 0        # 0 freezes the default weights
     nbest_size: int = 50
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.use_synth not in ("off", "concat", "separate"):
             raise DataError(f"use_synth must be off|concat|separate, got {self.use_synth!r}")
         if self.use_dict not in ("off", "on"):
             raise DataError(f"use_dict must be off|on, got {self.use_dict!r}")
+        for name in ("prune_top_k", "tune_rounds"):  # 0 turns the step off
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -164,16 +166,12 @@ class SystemRun:
     mode: str
     bleu: float
     oov: int
-    hyp_path: str
-    table_paths: list[str]
-    weights_path: str
 
 
 @dataclass
 class ExperimentResult:
     scores: dict[str, float]
     report_text: str
-    report_path: str
     manifest_path: str
 
 
@@ -186,8 +184,12 @@ def _oov_count(sentences: Sequence[Sequence[str]], tables: phrasetab.TableSet) -
     return count_oov(sentences, known)
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Execute the configured mode matrix and write a run manifest."""
+def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+    """Execute the configured mode matrix and write a run manifest.
+
+    Dev and test sentences are decoded in `threads` worker processes; the
+    output does not depend on their number.
+    """
     required = {
         "train_src": config.train_src, "train_tgt": config.train_tgt,
         "test_src": config.test_src, "test_tgt": config.test_tgt,
@@ -212,14 +214,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 raise DataError(f"missing experiment inputs: {optional}")
             inputs[optional] = path
 
-    baseline = ingest_bitext(read_lines(config.train_src), read_lines(config.train_tgt),
-                             max_len=config.max_sent_len)
-    test_src = [tuple(line.split()) for line in read_lines(config.test_src)]
-    test_ref = [tuple(line.split()) for line in read_lines(config.test_tgt)]
-    if len(test_src) != len(test_ref):
-        raise DataError(
-            f"test line count mismatch: {len(test_src)} vs {len(test_ref)}"
-        )
+    baseline = ingest_bitext(config.train_src, config.train_tgt, max_len=config.max_sent_len)
+    test = read_parallel(config.test_src, config.test_tgt)
+    test_src = [src for src, _ in test]
 
     if config.lm_corpus:
         lm_sentences = [tuple(line.split()) for line in read_lines(config.lm_corpus)]
@@ -233,19 +230,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     synth = None
     if config.use_synth != "off":
-        synth = ingest_bitext(read_lines(config.synth_src), read_lines(config.synth_tgt),
-                              max_len=config.max_sent_len)
+        synth = ingest_bitext(config.synth_src, config.synth_tgt, max_len=config.max_sent_len)
     dict_entries = None
     if config.use_dict == "on":
         dict_entries = read_dictionary_tsv(read_lines(config.dict_tsv), config.dict_tsv)
 
     dev_pairs = None
     if config.tune_rounds > 0:
-        dev_src = [tuple(line.split()) for line in read_lines(config.dev_src)]
-        dev_tgt = [tuple(line.split()) for line in read_lines(config.dev_tgt)]
-        if len(dev_src) != len(dev_tgt):
-            raise DataError(f"dev line count mismatch: {len(dev_src)} vs {len(dev_tgt)}")
-        dev_pairs = list(zip(dev_src, dev_tgt))
+        dev_pairs = read_parallel(config.dev_src, config.dev_tgt)
 
     def make_table(bitext: Bitext, role: str) -> phrasetab.PhraseTable:
         return build_phrase_table(bitext, config.em_iterations,
@@ -286,17 +278,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             model = decoder.tune_weights(dev_pairs, system, model,
                                          rounds=config.tune_rounds,
                                          nbest_size=config.nbest_size,
-                                         threads=config.threads)
+                                         threads=threads)
         hyps = [best for best, _ in decoder.decode_corpus(
-            system, model, test_src, threads=config.threads)]
-        bleu, _ = evalkit.corpus_bleu(hyps, test_ref)
+            system, model, test_src, threads=threads)]
+        bleu, _ = evalkit.corpus_bleu(hyps, [ref for _, ref in test])
         oov = _oov_count(test_src, tables)
 
-        table_paths = []
         for idx, table in enumerate(tables.tables):
             rel = f"table.{mode}.{idx}.moses"
             phrasetab.write_moses(table, os.path.join(config.work_dir, rel))
-            table_paths.append(rel)
             artifacts[f"table.{mode}.{idx}"] = rel
         weights_rel = f"weights.{mode}.tsv"
         decoder.write_weights(model, os.path.join(config.work_dir, weights_rel))
@@ -305,7 +295,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         write_lines(os.path.join(config.work_dir, hyp_rel),
                     (" ".join(h) for h in hyps))
         artifacts[f"output.{mode}"] = hyp_rel
-        runs.append(SystemRun(mode, bleu, oov, hyp_rel, table_paths, weights_rel))
+        runs.append(SystemRun(mode, bleu, oov))
 
     by_mode = {run.mode: run for run in runs}
     base_run = by_mode["B0"]
@@ -327,8 +317,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     table_rows.append(["oov"] + [f"{run.mode}={run.oov}" for run in runs])
     report_text = "\n".join(
         " | ".join(row) for row in table_rows) + "\n"
-    report_path = os.path.join(config.work_dir, "report.txt")
-    with open(report_path, "w", encoding="utf-8") as handle:
+    with open(os.path.join(config.work_dir, "report.txt"), "w", encoding="utf-8") as handle:
         handle.write(evalkit.render_columns(table_rows) + "\n")
     artifacts["report"] = "report.txt"
     with open(os.path.join(config.work_dir, "report.tsv"), "w",
@@ -351,4 +340,4 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         handle.write("\n".join(manifest_lines) + "\n")
 
     return ExperimentResult(scores=scores, report_text=report_text,
-                            report_path=report_path, manifest_path=manifest_path)
+                            manifest_path=manifest_path)

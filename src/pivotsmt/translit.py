@@ -538,6 +538,9 @@ def read_char_model(path: str) -> CharModel:
         rows = [*model.ops.values(), *model.tgt_lm.counts.values()]
         if any(p < 0 for row in rows for p in row.values()):
             raise DataError(f"{path}: negative operation probability or trigram count")
+        for a, row in model.ops.items():
+            if not row or abs(sum(row.values()) - 1.0) > 1e-6:
+                raise DataError(f"{path}: operation row {a!r} is empty or does not sum to 1")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed character model ({exc})") from exc
     if not 0.0 <= model.lam <= 1.0:

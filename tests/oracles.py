@@ -280,6 +280,87 @@ class KNReference:
         return numer / denom + bow * self._p(ctx[1:], word)
 
 
+def train_kn_reference(corpus, order):
+    """Every-order-at-once Kneser-Ney training, as the package did before it
+    built one order at a time; returns (logprobs, backoffs, unk_logprob, vocab).
+
+    It keeps the package's float expressions, so the package must match it
+    with ==, not within a tolerance.
+    """
+    def discount(counts):
+        n1 = n2 = 0
+        for c in counts:
+            if c == 1:
+                n1 += 1
+            elif c == 2:
+                n2 += 1
+        if n1 == 0 or n2 == 0:
+            return 0.5
+        return n1 / (n1 + 2.0 * n2)
+
+    sentences = [tuple(s) for s in corpus]
+    raw = [dict() for _ in range(order + 1)]
+    for sent in sentences:
+        padded = (BOS,) + sent
+        for n in range(1, order + 1):
+            grams = raw[n]
+            for start in range(len(padded) - n + 1):
+                gram = padded[start:start + n]
+                if gram == (BOS,):
+                    continue
+                grams[gram] = grams.get(gram, 0) + 1
+
+    vocab = frozenset(w for (w,) in raw[1])
+
+    modified = [dict() for _ in range(order + 1)]
+    modified[order] = dict(raw[order])
+    for n in range(1, order):
+        grams = {}
+        for gram in raw[n + 1]:
+            suffix = gram[1:]
+            grams[suffix] = grams.get(suffix, 0) + 1
+        for gram, count in raw[n].items():
+            if gram[0] == BOS:
+                grams[gram] = count
+        modified[n] = grams
+
+    discounts = [0.0] * (order + 1)
+    for n in range(1, order + 1):
+        discounts[n] = discount(modified[n].values())
+
+    probs = {}
+    backoffs = {}
+    d1 = discounts[1]
+    uni = modified[1]
+    total = float(sum(uni.values()))
+    n1plus = len(uni)
+    v_plus_unk = len(vocab) + 1
+    interp_mass = d1 * n1plus / total
+    for (w,) in uni:
+        probs[(w,)] = (max(uni[(w,)] - d1, 0.0) / total
+                       + interp_mass / v_plus_unk)
+    unk_prob = interp_mass / v_plus_unk
+
+    for n in range(2, order + 1):
+        d = discounts[n]
+        grams = modified[n]
+        by_context = {}
+        for gram in grams:
+            by_context.setdefault(gram[:-1], []).append(gram)
+        for context, extensions in by_context.items():
+            denom = float(sum(grams[g] for g in extensions))
+            bow = d * len(extensions) / denom
+            backoffs[context] = bow
+            for gram in extensions:
+                lower = probs[gram[1:]]
+                probs[gram] = max(grams[gram] - d, 0.0) / denom + bow * lower
+
+    logprobs = {g: math.log10(p) for g, p in probs.items()}
+    logprobs[(BOS,)] = -99.0
+    log_backoffs = {c: math.log10(b) for c, b in backoffs.items()}
+    return logprobs, log_backoffs, math.log10(unk_prob), vocab
+
+
 # --- explicit triangulation double loop ----------------------------------------
 
 def triangulate_reference(src_pivot, pivot_tgt):

@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -379,7 +380,7 @@ class TestCorpusDecoding:
         for threads in ("1", "2"):
             out = str(tmp_path / f"o{threads}.txt")
             nbest_path = str(tmp_path / f"nbest{threads}.txt")
-            assert main(["--threads", threads, "decode", "--input", inp,
+            assert main(["decode", "--threads", threads, "--input", inp,
                          "--table", table, "--lm", arpa, "--output", out,
                          "--nbest", "5", "--nbest-out", nbest_path]) == 0
             files[threads] = (read(out), read(nbest_path))
@@ -394,3 +395,110 @@ class TestCorpusDecoding:
     def test_config_belongs_to_experiment(self, tmp_path, capsys, args):
         conf = write(tmp_path / "x.conf", ["a"])
         assert main([arg.format(conf=conf) for arg in args]) == 1
+
+
+def char_model(path, ops):
+    """A hand-written character model file with the given operation rows."""
+    data = {"lambda": 0.5, "ops": ops, "src_chars": ["a"],
+            "tgt_lm": {"alphabet": ["a"], "counts": {}}}
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+    return str(path)
+
+
+def one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("pivotsmt") and err.count("\n") == 1, err
+    return err
+
+
+class TestBoundaries:
+    """An option or config value out of range exits 1 and a malformed character
+    model exits 2, each with one line of stderr and no output file."""
+
+    @pytest.fixture
+    def command(self, tmp_path):
+        table, arpa = decode_setup(tmp_path)
+        src = write(tmp_path / "s.txt", ["a b", "b"])
+        tgt = write(tmp_path / "t.txt", ["x y", "y"])
+        out, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
+        system = ["--table", table, "--lm", arpa]
+        fixture = make_experiment_fixture(str(tmp_path / "fix"), seed=3, vocab=12,
+                                          covered=8, n_train=30, n_synth=10,
+                                          n_test=5, n_dev=3)
+
+        def build(name, extra):
+            if name == "experiment":
+                return ["experiment", "--config", write_config(
+                    str(tmp_path / "exp.conf"), str(tmp_path / "run"), fixture, **extra)]
+            extra = [arg.format(tmp=tmp_path) for arg in extra]
+            return {
+                "decode": ["decode", "--input", src, "--output", out, *system],
+                "synthesize": ["synthesize", "--src", src, "--tgt", tgt,
+                               "--out-src", out, "--out-tgt", out2, *system],
+                "tune": ["tune", "--dev-src", src, "--dev-ref", tgt,
+                         "--weights-out", out, *system],
+                "ingest": ["ingest", "--src", src, "--tgt", tgt,
+                           "--out-src", out, "--out-tgt", out2],
+                "extract": ["extract", "--src", src, "--tgt", tgt, "--alignments",
+                            write(tmp_path / "a.txt", ["0-0 1-1", "0-0"]), "--out", out],
+                "tokenize": ["tokenize", "--input", src, "--output", out],
+            }[name] + extra
+        return build
+
+    @pytest.mark.parametrize("name, extra, code, says", [
+        ("decode", ["--option-limit", "0"], 1, "option_limit must be >= 1"),
+        ("decode", ["--option-limit", "-5"], 1, "option_limit must be >= 1"),
+        ("decode", ["--translit-k", "0"], 1, "translit_k must be >= 1"),
+        ("decode", ["--distortion-limit", "-1"], 1, "distortion_limit must be >= 0"),
+        ("synthesize", ["--stack-size", "0"], 1, "stack_size must be >= 1"),
+        ("tune", ["--option-limit", "0"], 1, "option_limit must be >= 1"),
+        ("experiment", {"distortion_limit": -1}, 1, "distortion_limit must be >= 0"),
+        ("ingest", ["--max-len", "-1"], 1, "max_len must be >= 1"),
+        ("ingest", ["--max-len", "0"], 1, "max_len must be >= 1"),
+        ("extract", ["--max-phrase-len", "0"], 1, "max_len must be >= 1"),
+        ("extract", ["--top-k", "-1"], 1, "--top-k: must be >= 0"),
+        ("experiment", {"prune_top_k": -1}, 1, "prune_top_k must be >= 0"),
+        ("experiment", {"tune_rounds": -1}, 1, "tune_rounds must be >= 0"),
+        ("experiment", {"max_sent_len": 0}, 1, "max_len must be >= 1"),
+        ("decode", ["--threads", "0"], 1, "--threads: must be >= 1"),
+        ("synthesize", ["--threads", "-3"], 1, "--threads: must be >= 1"),
+        ("tokenize", ["--threads", "4"], 1, "unrecognized arguments: --threads"),
+        ("decode", ["--translit-model", "{tmp}/empty-row.json"], 2, "operation row 'a'"),
+        ("decode", ["--translit-model", "{tmp}/half-row.json"], 2, "operation row 'a'"),
+    ])
+    def test_out_of_range_value_is_one_line(self, tmp_path, capsys, command,
+                                            name, extra, code, says):
+        char_model(tmp_path / "empty-row.json", {"a": {}})
+        char_model(tmp_path / "half-row.json", {"a": {"a": 0.25, "": 0.25}})
+        args = command(name, extra)
+        capsys.readouterr()
+        assert main(args) == code
+        assert says in one_line_error(capsys)
+        assert not os.path.exists(str(tmp_path / "o1"))
+
+    def test_threads_before_the_command_is_a_usage_error(self, tmp_path, capsys):
+        inp = write(tmp_path / "in.txt", ["a"])
+        assert main(["--threads", "4", "tokenize", "--input", inp,
+                     "--output", str(tmp_path / "o.txt")]) == 1
+        one_line_error(capsys)
+
+    def test_threads_is_not_a_config_key(self, tmp_path, capsys, command):
+        assert main(command("experiment", {"threads": 2})) == 2
+        assert "unknown config key 'threads'" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("name", ["align", "tune", "score"])
+    def test_mismatched_files_name_both_paths(self, tmp_path, capsys, name):
+        table, arpa = decode_setup(tmp_path)
+        one = write(tmp_path / "one.txt", ["a b", "b", "a"])
+        other = write(tmp_path / "other.txt", ["x"])
+        args = {
+            "align": ["align", "--src", one, "--tgt", other, "--out", str(tmp_path / "o")],
+            "tune": ["tune", "--dev-src", one, "--dev-ref", other, "--weights-out",
+                     str(tmp_path / "o"), "--table", table, "--lm", arpa],
+            "score": ["score", "--hyp", one, "--ref", other],
+        }[name]
+        capsys.readouterr()
+        assert main(args) == 2
+        err = one_line_error(capsys)
+        assert f"{one} has 3 lines" in err and f"{other} has 1 lines" in err, err

@@ -1,8 +1,10 @@
 import io
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pivotsmt.errors import DataError
 from pivotsmt.ngramlm import (
@@ -10,7 +12,7 @@ from pivotsmt.ngramlm import (
     write_arpa,
 )
 
-from oracles import KNReference
+from oracles import KNReference, train_kn_reference
 
 
 def fixture_corpus(seed=101, n_tokens=100, vocab=8):
@@ -91,6 +93,36 @@ class TestTrainKn:
     def test_reserved_marker_rejected(self):
         with pytest.raises(DataError):
             train_kn([["a", "<s>"]], order=2)
+
+    def test_peak_memory_stays_near_the_model(self):
+        # one order at a time keeps as scratch only the next order's raw
+        # counts and this order's linear probabilities; building every
+        # order at once peaked at about twice the finished model
+        rng = random.Random(8)
+        words = [f"w{i}" for i in range(300)]
+        zipf = [1.0 / (rank + 1) for rank in range(300)]
+        corpus = [tuple(rng.choices(words, zipf, k=rng.randint(3, 20)))
+                  for _ in range(400)]
+        tracemalloc.start()
+        try:
+            model = train_kn(corpus, order=5)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(model.logprobs) > 10000
+        assert peak < 1.75 * held, (peak, held)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=6),
+                min_size=1, max_size=8).filter(any),
+       st.integers(1, 5))
+@example([["a"]], 5)
+@example([[], ["b"], [], ["a", "b"]], 4)
+def test_train_kn_equals_every_order_at_once_reference(corpus, order):
+    model = train_kn(corpus, order)
+    assert (model.logprobs, model.backoffs, model.unk_logprob, model.vocab) \
+        == train_kn_reference(corpus, order)
 
 
 class TestLogprob:
