@@ -13,9 +13,9 @@ import math
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
-from .corpus import number, records
+from .corpus import number, read_lines, records, write_lines
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -293,17 +293,16 @@ def parse_alignment(line: str, src_len: int, tgt_len: int,
         raise DataError(f"{name}:{lineno}: {exc}") from exc
 
 
-def write_alignments(path: str, matrices: Iterable[AlignmentMatrix]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for matrix in matrices:
-            handle.write(format_alignment(matrix))
-            handle.write("\n")
+def write_alignments(dest: str | TextIO, matrices: Iterable[AlignmentMatrix]) -> None:
+    write_lines(dest, map(format_alignment, matrices))
 
 
-def read_alignments(lines: Iterable[str], sizes: Sequence[tuple[int, int]],
+def read_alignments(src: str | Iterable[str], sizes: Sequence[tuple[int, int]],
                     name: str = "<alignments>") -> list[AlignmentMatrix]:
-    """One matrix per line; a blank line is a sentence pair with no links."""
-    lines = list(lines)
+    """One matrix per line of a path or of lines; a blank line is a pair with no links."""
+    if isinstance(src, str):
+        name, src = src, read_lines(src)
+    lines = list(src)
     if len(lines) != len(sizes):
         raise DataError(
             f"{name}: alignment file has {len(lines)} lines but corpus has {len(sizes)} pairs"
@@ -314,17 +313,15 @@ def read_alignments(lines: Iterable[str], sizes: Sequence[tuple[int, int]],
     ]
 
 
-def write_table(path: str, table: TranslationTable) -> None:
+def write_table(dest: str | TextIO, table: TranslationTable) -> None:
     """Dump `e<TAB>f<TAB>prob` lines sorted by (e, descending prob)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for cond in sorted(table.probs, key=lambda e: (e is None, e or "")):
-            row = table.probs[cond]
-            name = NULL_TOKEN if cond is None else cond
-            for word, prob in sorted(row.items(), key=lambda kv: (-kv[1], kv[0])):
-                handle.write(f"{name}\t{word}\t{prob:.10g}\n")
+    write_lines(dest, (
+        f"{NULL_TOKEN if cond is None else cond}\t{word}\t{prob:.10g}"
+        for cond in sorted(table.probs, key=lambda e: (e is None, e or ""))
+        for word, prob in sorted(table.probs[cond].items(), key=lambda kv: (-kv[1], kv[0]))))
 
 
-def read_table(lines: Iterable[str], path: str = "<table>") -> TranslationTable:
+def read_table(lines: str | Iterable[str], path: str = "<table>") -> TranslationTable:
     probs: dict[str | None, dict[str, float]] = {}
     for where, (cond, word, prob) in records(lines, path):
         cond = None if cond == NULL_TOKEN else cond

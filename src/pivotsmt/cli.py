@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="translate a tokenized file")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--nbest", type=int, default=0)
+    p.add_argument("--nbest", type=_at_least(0), default=0)
     p.add_argument("--nbest-out")
     decoder_flags(p)
 
@@ -205,8 +205,7 @@ def cmd_align(args) -> int:
 def cmd_extract(args) -> int:
     pairs = read_parallel(args.src, args.tgt)
     sizes = [(len(s), len(t)) for s, t in pairs]
-    matrices = align_mod.read_alignments(read_lines(args.alignments), sizes,
-                                           args.alignments)
+    matrices = align_mod.read_alignments(args.alignments, sizes)
     cond_tgt = align_mod.train_model1(pairs, args.iterations)
     cond_src = align_mod.train_model1([(t, s) for s, t in pairs], args.iterations)
     table = phrasetab.score_phrase_table(pairs, matrices, cond_src, cond_tgt,
@@ -230,7 +229,7 @@ def cmd_triangulate(args) -> int:
 
 def cmd_mine_translit(args) -> int:
     if args.pairs:
-        corpus = translit.WordPairCorpus.from_tsv(read_lines(args.pairs), args.pairs)
+        corpus = translit.WordPairCorpus.from_tsv(args.pairs)
     else:
         corpus = translit.WordPairCorpus.from_phrase_table(
             phrasetab.read_moses(args.table))

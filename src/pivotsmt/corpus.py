@@ -10,7 +10,6 @@ import logging
 import math
 import re
 import unicodedata
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -95,21 +94,16 @@ def read_lines(path: str) -> list[str]:
     return lines
 
 
-def write_lines(path: str, lines: Iterable[str]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for line in lines:
-            handle.write(line)
-            handle.write("\n")
-
-
-@contextmanager
-def open_text(dest: str | TextIO) -> Iterator[TextIO]:
-    """Open a path for writing UTF-8 text and close it afterwards; pass a handle through."""
+def write_lines(dest: str | TextIO, lines: Iterable[str]) -> None:
+    """Write each line and a `\\n` to a path, opened as UTF-8 and closed, or to an
+    open handle, left open; the one writer of every line-format file."""
     if isinstance(dest, str):
-        with open(dest, "w", encoding="utf-8") as handle:
-            yield handle
-    else:
-        yield dest
+        with open(dest, "w", encoding="utf-8", newline="\n") as handle:
+            write_lines(handle, lines)
+        return
+    for line in lines:
+        dest.write(line)
+        dest.write("\n")
 
 
 def records(src: str | TextIO | Iterable[str], name: str, sep: str = "\t",
@@ -211,10 +205,10 @@ def dict_to_bitext(entries: Sequence[DictionaryEntry]) -> Bitext:
     return bitext
 
 
-def read_dictionary_tsv(lines: Iterable[str], path: str = "<dict>") -> list[DictionaryEntry]:
-    """Parse `source<TAB>target<TAB>provenance` lines."""
+def read_dictionary_tsv(src: str | Iterable[str], name: str = "<dict>") -> list[DictionaryEntry]:
+    """Parse `source<TAB>target<TAB>provenance` lines of a path, a handle or lines."""
     entries = []
-    for where, (source, target, provenance) in records(lines, path):
+    for where, (source, target, provenance) in records(src, name):
         try:
             entries.append(
                 DictionaryEntry(tuple(source.split()), tuple(target.split()), provenance.strip())

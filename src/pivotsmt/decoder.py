@@ -20,9 +20,9 @@ import logging
 import math
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
-from .corpus import BOS, number, records
+from .corpus import BOS, number, records, write_lines
 from .errors import DataError
 from .evalkit import corpus_bleu
 from .phrasetab import SCORE_FLOOR, TableSet
@@ -522,6 +522,16 @@ def format_nbest_line(sent_id: int, item: NBestItem, order: Sequence[str]) -> st
 
 # --- System bundle and tuning ------------------------------------------------
 
+SEARCH_LOWS = {"option_limit": 1, "translit_k": 1, "distortion_limit": 0, "stack_size": 1}
+
+
+def check_at_least(settings: object, lows: dict[str, int]) -> None:
+    """A ValueError naming the first attribute of `settings` below its entry in `lows`."""
+    for name, low in lows.items():
+        if getattr(settings, name) < low:
+            raise ValueError(f"{name} must be >= {low}, got {getattr(settings, name)}")
+
+
 @dataclass
 class DecoderSystem:
     """Everything needed to decode: tables, models and search parameters."""
@@ -535,10 +545,7 @@ class DecoderSystem:
     stack_size: int = 200
 
     def __post_init__(self) -> None:
-        for name, low in (("option_limit", 1), ("translit_k", 1),
-                          ("distortion_limit", 0), ("stack_size", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        check_at_least(self, SEARCH_LOWS)
 
     def lattice(self, sentence: Sequence[str],
                 model: LogLinearModel | None = None) -> OptionLattice:
@@ -698,10 +705,8 @@ def tune_weights(
 
 # --- Weights file I/O --------------------------------------------------------
 
-def write_weights(model: LogLinearModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for name in model.feature_order():
-            handle.write(f"{name}\t{model.weights[name]:.6f}\n")
+def write_weights(model: LogLinearModel, dest: str | TextIO) -> None:
+    write_lines(dest, (f"{name}\t{model.weights[name]:.6f}" for name in model.feature_order()))
 
 
 def read_weights(path: str, n_tables: int, use_translit: bool = False) -> LogLinearModel:

@@ -16,9 +16,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
-from .corpus import BOS, EOS, UNK, number, open_text, records
+from .corpus import BOS, EOS, UNK, number, records, write_lines
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -193,25 +193,27 @@ class MixtureModel:
 # --- ARPA I/O ----------------------------------------------------------------
 
 def write_arpa(model: NGramModel, dest: str | TextIO) -> None:
+    write_lines(dest, _arpa_lines(model))
+
+
+def _arpa_lines(model: NGramModel) -> Iterator[str]:
     by_order: dict[int, list[NGram]] = {n: [] for n in range(1, model.order + 1)}
     for gram in model.logprobs:
         by_order[len(gram)].append(gram)
-    with open_text(dest) as handle:
-        handle.write("\\data\\\n")
-        for n in range(1, model.order + 1):
-            count = len(by_order[n]) + (1 if n == 1 else 0)  # +1 for <unk>
-            handle.write(f"ngram {n}={count}\n")
-        for n in range(1, model.order + 1):
-            handle.write(f"\n\\{n}-grams:\n")
-            if n == 1:
-                handle.write(f"{model.unk_logprob:.7f}\t{UNK}\n")
-            for gram in sorted(by_order[n]):
-                line = f"{model.logprobs[gram]:.7f}\t{' '.join(gram)}"
-                bow = model.backoffs.get(gram)
-                if bow is not None:
-                    line += f"\t{bow:.7f}"
-                handle.write(line + "\n")
-        handle.write("\n\\end\\\n")
+    yield "\\data\\"
+    for n in range(1, model.order + 1):
+        yield f"ngram {n}={len(by_order[n]) + (1 if n == 1 else 0)}"  # +1 for <unk>
+    for n in range(1, model.order + 1):
+        yield ""
+        yield f"\\{n}-grams:"
+        if n == 1:
+            yield f"{model.unk_logprob:.7f}\t{UNK}"
+        for gram in sorted(by_order[n]):
+            line = f"{model.logprobs[gram]:.7f}\t{' '.join(gram)}"
+            bow = model.backoffs.get(gram)
+            yield line if bow is None else f"{line}\t{bow:.7f}"
+    yield ""
+    yield "\\end\\"
 
 
 def read_arpa(src: str | TextIO | Iterable[str], name: str = "<arpa>") -> NGramModel:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .align import AlignmentMatrix, TranslationTable
-from .corpus import number, open_text, records
+from .corpus import number, records, write_lines
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -244,12 +244,11 @@ _DELIM = " ||| "
 
 def write_moses(table: PhraseTable, dest: str | TextIO) -> None:
     """Serialize a table; scores are floored at 1e-12 so logs stay finite."""
-    with open_text(dest) as handle:
-        for source in sorted(table.sources()):
-            for entry in sorted(table.get(source), key=lambda e: e.target):
-                scores = " ".join(f"{max(s, SCORE_FLOOR):.10g}" for s in entry.scores())
-                handle.write(f"{' '.join(entry.source)}{_DELIM}"
-                             f"{' '.join(entry.target)}{_DELIM}{scores}\n")
+    write_lines(dest, (
+        f"{' '.join(entry.source)}{_DELIM}{' '.join(entry.target)}{_DELIM}"
+        + " ".join(f"{max(s, SCORE_FLOOR):.10g}" for s in entry.scores())
+        for source in sorted(table.sources())
+        for entry in sorted(table.get(source), key=lambda e: e.target)))
 
 
 def read_moses(src: str | TextIO | Iterable[str], role: str = "",

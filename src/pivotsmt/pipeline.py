@@ -61,9 +61,12 @@ class ExperimentConfig:
             raise DataError(f"use_synth must be off|concat|separate, got {self.use_synth!r}")
         if self.use_dict not in ("off", "on"):
             raise DataError(f"use_dict must be off|on, got {self.use_dict!r}")
-        for name in ("prune_top_k", "tune_rounds"):  # 0 turns the step off
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # checked here so that a bad value fails before any training
+        decoder.check_at_least(self, {"prune_top_k": 0, "tune_rounds": 0,  # 0 turns it off
+                                      "em_iterations": 1, "max_phrase_len": 1,
+                                      "nbest_size": 1, **decoder.SEARCH_LOWS})
+        if not 1 <= self.lm_order <= ngramlm.MAX_ORDER:
+            raise ValueError(f"lm_order must be in 1..{ngramlm.MAX_ORDER}, got {self.lm_order}")
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -222,7 +225,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         lm_sentences = [tuple(line.split()) for line in read_lines(config.lm_corpus)]
     else:
         lm_sentences = [tgt for _, tgt in baseline.pairs]
-    lm = ngramlm.train_kn(lm_sentences, config.lm_order)
 
     translit_model = None
     if config.translit_model:
@@ -233,11 +235,13 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         synth = ingest_bitext(config.synth_src, config.synth_tgt, max_len=config.max_sent_len)
     dict_entries = None
     if config.use_dict == "on":
-        dict_entries = read_dictionary_tsv(read_lines(config.dict_tsv), config.dict_tsv)
+        dict_entries = read_dictionary_tsv(config.dict_tsv)
 
     dev_pairs = None
     if config.tune_rounds > 0:
         dev_pairs = read_parallel(config.dev_src, config.dev_tgt)
+
+    lm = ngramlm.train_kn(lm_sentences, config.lm_order)
 
     def make_table(bitext: Bitext, role: str) -> phrasetab.PhraseTable:
         return build_phrase_table(bitext, config.em_iterations,
@@ -317,12 +321,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     table_rows.append(["oov"] + [f"{run.mode}={run.oov}" for run in runs])
     report_text = "\n".join(
         " | ".join(row) for row in table_rows) + "\n"
-    with open(os.path.join(config.work_dir, "report.txt"), "w", encoding="utf-8") as handle:
-        handle.write(evalkit.render_columns(table_rows) + "\n")
+    write_lines(os.path.join(config.work_dir, "report.txt"), [evalkit.render_columns(table_rows)])
     artifacts["report"] = "report.txt"
-    with open(os.path.join(config.work_dir, "report.tsv"), "w",
-              encoding="utf-8") as handle:
-        handle.write(evalkit.render_tsv(table_rows) + "\n")
+    write_lines(os.path.join(config.work_dir, "report.tsv"), [evalkit.render_tsv(table_rows)])
     artifacts["report_tsv"] = "report.tsv"
 
     manifest_lines = [f"config_hash = {config_hash(config)}"]
@@ -336,8 +337,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     for key in sorted(scores):
         manifest_lines.append(f"score.{key} = {scores[key]:.6f}")
     manifest_path = os.path.join(config.work_dir, "run.manifest")
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(manifest_lines) + "\n")
+    write_lines(manifest_path, manifest_lines)
 
     return ExperimentResult(scores=scores, report_text=report_text,
                             manifest_path=manifest_path)

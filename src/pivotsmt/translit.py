@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
-from .corpus import number, open_text, read_lines, records
+from .corpus import number, read_lines, records, write_lines
 from .errors import DataError
 from .phrasetab import PhraseEntry, PhraseTable
 
@@ -65,11 +65,11 @@ class WordPairCorpus:
         return len(self.pairs)
 
     @classmethod
-    def from_tsv(cls, lines: Iterable[str], name: str = "<pairs>") -> "WordPairCorpus":
+    def from_tsv(cls, src: str | Iterable[str], name: str = "<pairs>") -> "WordPairCorpus":
         """Parse `src<TAB>tgt[<TAB>weight]` lines (weight defaults to 1)."""
         pairs = []
-        for where, (src, tgt, *weight) in records(lines, name, widths=(2, 3)):
-            pair = (src, tgt, number(weight[0], where, "weight") if weight else 1.0)
+        for where, (source, target, *weight) in records(src, name, widths=(2, 3)):
+            pair = (source, target, number(weight[0], where, "weight") if weight else 1.0)
             try:
                 _check_pair(*pair)
             except ValueError as exc:
@@ -288,6 +288,8 @@ def mine_transliterations(
         raise DataError("cannot mine transliterations from an empty corpus")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
 
     pairs = corpus.pairs
     # fixed non-transliteration component: independent char unigram products
@@ -500,14 +502,12 @@ def build_translit_table(model: CharModel, words: Sequence[str], k: int) -> Phra
 # --- Serialization -----------------------------------------------------------
 
 def write_mined_pairs(pairs: Iterable[MinedPair], dest: str | TextIO) -> None:
-    with open_text(dest) as handle:
-        for pair in pairs:
-            handle.write(f"{pair.source}\t{pair.target}\t{pair.posterior:.6f}\n")
+    write_lines(dest, (f"{pair.source}\t{pair.target}\t{pair.posterior:.6f}" for pair in pairs))
 
 
-def read_mined_pairs(lines: Iterable[str], name: str = "<mined>") -> list[MinedPair]:
-    return [MinedPair(src, tgt, number(posterior, where, "posterior", prob=True))
-            for where, (src, tgt, posterior) in records(lines, name)]
+def read_mined_pairs(src: str | Iterable[str], name: str = "<mined>") -> list[MinedPair]:
+    return [MinedPair(source, target, number(posterior, where, "posterior", prob=True))
+            for where, (source, target, posterior) in records(src, name)]
 
 
 def write_char_model(model: CharModel, path: str) -> None:
@@ -528,7 +528,7 @@ def read_char_model(path: str) -> CharModel:
 
     try:
         data = json.loads("\n".join(read_lines(path)),
-                          parse_float=finite, parse_constant=finite)
+                          parse_float=finite, parse_int=finite, parse_constant=finite)
         model = CharModel(
             ops={a: dict(row) for a, row in data["ops"].items()},
             lam=float(data["lambda"]),
@@ -541,7 +541,7 @@ def read_char_model(path: str) -> CharModel:
         for a, row in model.ops.items():
             if not row or abs(sum(row.values()) - 1.0) > 1e-6:
                 raise DataError(f"{path}: operation row {a!r} is empty or does not sum to 1")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed character model ({exc})") from exc
     if not 0.0 <= model.lam <= 1.0:
         raise DataError(f"{path}: lambda {model.lam} is outside [0, 1]")

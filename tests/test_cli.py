@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from pivotsmt import align, ngramlm
 from pivotsmt.cli import main
 
 from fixtures import make_experiment_fixture, write_config
@@ -12,6 +13,47 @@ def write(path, lines):
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
     return str(path)
+
+
+_SYSTEM = " --table {table} --lm {lm} --lm2 {lm2} --weights {weights} --translit-model {char}"
+_SYSTEM_READS = ("table", "lm", "lm2", "weights", "char")
+# Every command line and the inputs it reads.
+_READS = [
+    ("tokenize --input {src} --output {out}", ("src",)),
+    ("ingest --src {src} --tgt {tgt} --out-src {out} --out-tgt {out2}", ("src", "tgt")),
+    ("align --src {src} --tgt {tgt} --out {out}", ("src", "tgt")),
+    ("extract --src {src} --tgt {tgt} --alignments {alignments} --out {out}",
+     ("src", "tgt", "alignments")),
+    ("triangulate --pivot-to-tgt {table} --src-to-pivot {table2} --out {out}",
+     ("table", "table2")),
+    ("mine-translit --pairs {pairs} --model-out {out}", ("pairs",)),
+    ("mine-translit --table {table} --model-out {out}", ("table",)),
+    ("translit-table --model {char} --words {src} --out {out}", ("char", "src")),
+    ("train-lm --corpus {src} --out {out}", ("src",)),
+    ("synthesize --src {src} --tgt {tgt} --out-src {out} --out-tgt {out2}" + _SYSTEM,
+     ("src", "tgt", *_SYSTEM_READS)),
+    ("tune --dev-src {src} --dev-ref {tgt} --weights-out {out}" + _SYSTEM,
+     ("src", "tgt", *_SYSTEM_READS)),
+    ("decode --input {src} --output {out}" + _SYSTEM, ("src", *_SYSTEM_READS)),
+    ("score --hyp {src} --ref {tgt}", ("src", "tgt")),
+    ("experiment --config {config}",
+     ("config", "train_src", "train_tgt", "test_src", "test_tgt", "synth_src", "synth_tgt",
+      "dev_src", "dev_tgt", "dict_tsv", "lm_corpus", "translit_model")),
+]
+_BAD_CHAR_MODEL = (b'{"lambda": "half", "ops": {"a": {"a": 1.0}}, "src_chars": ["a"], '
+                   b'"tgt_lm": {"alphabet": ["a"], "counts": {}}}')
+# The inputs broken by a wrong field count or a value that is not a number;
+# every other input gets a 0xff byte on its line 2.
+_MALFORMED = {
+    "table2": b"x ||| a\n",
+    "lm2": b"\\data\\\nngram 1=1\n\n\\1-grams:\nlow\t<unk>\n\n\\end\\\n",
+    "char": _BAD_CHAR_MODEL,
+    "translit_model": _BAD_CHAR_MODEL,
+    "pairs": b"ab\tAB\theavy\n",
+    "alignments": b"0-0 1-1\n0-x\n",
+    "dict_tsv": b"a00\tb00\n",
+    "config": b"lm_order = three\n",
+}
 
 
 class TestExitCodes:
@@ -57,26 +99,55 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("pivotsmt: ") and err.count("\n") == 1, err
 
-    @pytest.mark.parametrize("bad", ["table", "lm", "weights"])
-    def test_bad_utf8_input_is_data_error_at_its_line(self, tmp_path, capsys, bad):
-        paths = {"table": write(tmp_path / "t.moses", ["a ||| x ||| 1 1 1 1",
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        """A well-formed file for every input of _READS, by name, plus output paths."""
+        paths = {"src": write(tmp_path / "s.txt", ["a b", "b"]),
+                 "tgt": write(tmp_path / "t.txt", ["x y", "y"]),
+                 "table": write(tmp_path / "t.moses", ["a ||| x ||| 1 1 1 1",
                                                        "b ||| y ||| 1 1 1 1"]),
-                 "lm": str(tmp_path / "lm.arpa"),
-                 "weights": write(tmp_path / "w.tsv", ["lm\t0.5", "distortion\t0.3"])}
-        corpus = write(tmp_path / "c.txt", ["x y", "y"])
-        assert main(["train-lm", "--corpus", corpus, "--out", paths["lm"], "--order", "2"]) == 0
-        with open(paths[bad], "rb") as handle:
-            lines = handle.read().split(b"\n")
-        lines[1] = b"\xff" + lines[1]
-        with open(paths[bad], "wb") as handle:
-            handle.write(b"\n".join(lines))
+                 "table2": write(tmp_path / "t2.moses", ["x ||| a ||| 1 1 1 1"]),
+                 "lm": str(tmp_path / "lm.arpa"), "lm2": str(tmp_path / "lm2.arpa"),
+                 "weights": write(tmp_path / "w.tsv", ["lm\t0.5", "distortion\t0.3"]),
+                 "char": char_model(tmp_path / "char.json", {"a": {"a": 1.0}}),
+                 "pairs": write(tmp_path / "pairs.tsv", ["ab\tAB", "ba\tBA\t2"]),
+                 "alignments": write(tmp_path / "a.txt", ["0-0 1-1", "0-0"]),
+                 "out": str(tmp_path / "o1"), "out2": str(tmp_path / "o2")}
+        for lm in ("lm", "lm2"):
+            assert main(["train-lm", "--corpus", paths["tgt"], "--out", paths[lm]]) == 0
+        fixture = make_experiment_fixture(str(tmp_path / "fix"), seed=3, vocab=12, covered=8,
+                                          n_train=30, n_synth=10, n_test=5, n_dev=3)
+        experiment = {"dev_src": fixture["dev"][0], "dev_tgt": fixture["dev"][1],
+                      "lm_corpus": write(tmp_path / "lm.txt", ["b01 b02", "b03"]),
+                      "translit_model": char_model(tmp_path / "translit.json", {"a": {"a": 1.0}})}
+        paths["config"] = write_config(str(tmp_path / "exp.conf"), str(tmp_path / "run"),
+                                       fixture, use_synth="concat", use_dict="on",
+                                       tune_rounds=1, **experiment)
+        paths.update(experiment, train_src=fixture["train"][0], train_tgt=fixture["train"][1],
+                     test_src=fixture["test"][0], test_tgt=fixture["test"][1],
+                     synth_src=fixture["synth"][0], synth_tgt=fixture["synth"][1],
+                     dict_tsv=fixture["dict"])
+        return paths
+
+    @pytest.mark.parametrize("template, name", [
+        pytest.param(template, name, id=f"{template.split()[0]}-{name}")
+        for template, names in _READS for name in names])
+    def test_malformed_input_is_one_line_naming_its_path(self, capsys, inputs, template, name):
+        path = inputs[name]
+        if name in _MALFORMED:
+            data, says = _MALFORMED[name], f"pivotsmt: {path}:"
+        else:
+            with open(path, "rb") as handle:
+                lines = handle.read().split(b"\n")
+            lines[1] = b"\xff" + lines[1]
+            data, says = b"\n".join(lines), f"pivotsmt: {path}:2: invalid UTF-8"
+        with open(path, "wb") as handle:
+            handle.write(data)
         capsys.readouterr()
-        code = main(["decode", "--input", write(tmp_path / "in.txt", ["a b"]),
-                     "--table", paths["table"], "--lm", paths["lm"],
-                     "--weights", paths["weights"], "--output", str(tmp_path / "o.txt")])
+        code = main([arg.format(**inputs) for arg in template.split()])
         err = capsys.readouterr().err
         assert code == 2, err
-        assert err.startswith(f"pivotsmt: {paths[bad]}:2: ") and err.count("\n") == 1, err
+        assert err.startswith(says) and err.count("\n") == 1, err
 
 
 class TestCommands:
@@ -412,6 +483,41 @@ def one_line_error(capsys):
     return err
 
 
+# (command, its bad option or config keys, exit code, what stderr says)
+_OUT_OF_RANGE = [
+    ("decode", ["--option-limit", "0"], 1, "option_limit must be >= 1"),
+    ("decode", ["--option-limit", "-5"], 1, "option_limit must be >= 1"),
+    ("decode", ["--translit-k", "0"], 1, "translit_k must be >= 1"),
+    ("decode", ["--distortion-limit", "-1"], 1, "distortion_limit must be >= 0"),
+    ("synthesize", ["--stack-size", "0"], 1, "stack_size must be >= 1"),
+    ("tune", ["--option-limit", "0"], 1, "option_limit must be >= 1"),
+    ("experiment", {"distortion_limit": -1}, 1, "distortion_limit must be >= 0"),
+    ("ingest", ["--max-len", "-1"], 1, "max_len must be >= 1"),
+    ("ingest", ["--max-len", "0"], 1, "max_len must be >= 1"),
+    ("extract", ["--max-phrase-len", "0"], 1, "max_len must be >= 1"),
+    ("extract", ["--top-k", "-1"], 1, "--top-k: must be >= 0"),
+    ("experiment", {"prune_top_k": -1}, 1, "prune_top_k must be >= 0"),
+    ("experiment", {"tune_rounds": -1}, 1, "tune_rounds must be >= 0"),
+    ("experiment", {"max_sent_len": 0}, 1, "max_len must be >= 1"),
+    ("decode", ["--threads", "0"], 1, "--threads: must be >= 1"),
+    ("synthesize", ["--threads", "-3"], 1, "--threads: must be >= 1"),
+    ("tokenize", ["--threads", "4"], 1, "unrecognized arguments: --threads"),
+    ("decode", ["--translit-model", "{tmp}/empty-row.json"], 2, "operation row 'a'"),
+    ("decode", ["--translit-model", "{tmp}/half-row.json"], 2, "operation row 'a'"),
+    ("experiment", {"em_iterations": 0}, 1, "em_iterations must be >= 1"),
+    ("experiment", {"max_phrase_len": 0}, 1, "max_phrase_len must be >= 1"),
+    ("experiment", {"nbest_size": 0}, 1, "nbest_size must be >= 1"),
+    ("experiment", {"lm_order": 0}, 1, "lm_order must be in 1..5"),
+    ("experiment", {"lm_order": 9}, 1, "lm_order must be in 1..5"),
+    ("experiment", {"stack_size": 0}, 1, "stack_size must be >= 1"),
+    ("experiment", {"option_limit": 0}, 1, "option_limit must be >= 1"),
+    ("experiment", {"translit_k": 0}, 1, "translit_k must be >= 1"),
+    ("decode", ["--nbest", "-1"], 1, "--nbest: must be >= 0"),
+    ("mine-translit", ["--threshold", "7"], 1, "threshold must be in [0, 1]"),
+    ("mine-translit", ["--threshold", "-0.5"], 1, "threshold must be in [0, 1]"),
+]
+
+
 class TestBoundaries:
     """An option or config value out of range exits 1 and a malformed character
     model exits 2, each with one line of stderr and no output file."""
@@ -443,30 +549,12 @@ class TestBoundaries:
                 "extract": ["extract", "--src", src, "--tgt", tgt, "--alignments",
                             write(tmp_path / "a.txt", ["0-0 1-1", "0-0"]), "--out", out],
                 "tokenize": ["tokenize", "--input", src, "--output", out],
+                "mine-translit": ["mine-translit", "--model-out", out, "--pairs",
+                                  write(tmp_path / "pairs.tsv", ["ab\tAB", "ba\tBA"])],
             }[name] + extra
         return build
 
-    @pytest.mark.parametrize("name, extra, code, says", [
-        ("decode", ["--option-limit", "0"], 1, "option_limit must be >= 1"),
-        ("decode", ["--option-limit", "-5"], 1, "option_limit must be >= 1"),
-        ("decode", ["--translit-k", "0"], 1, "translit_k must be >= 1"),
-        ("decode", ["--distortion-limit", "-1"], 1, "distortion_limit must be >= 0"),
-        ("synthesize", ["--stack-size", "0"], 1, "stack_size must be >= 1"),
-        ("tune", ["--option-limit", "0"], 1, "option_limit must be >= 1"),
-        ("experiment", {"distortion_limit": -1}, 1, "distortion_limit must be >= 0"),
-        ("ingest", ["--max-len", "-1"], 1, "max_len must be >= 1"),
-        ("ingest", ["--max-len", "0"], 1, "max_len must be >= 1"),
-        ("extract", ["--max-phrase-len", "0"], 1, "max_len must be >= 1"),
-        ("extract", ["--top-k", "-1"], 1, "--top-k: must be >= 0"),
-        ("experiment", {"prune_top_k": -1}, 1, "prune_top_k must be >= 0"),
-        ("experiment", {"tune_rounds": -1}, 1, "tune_rounds must be >= 0"),
-        ("experiment", {"max_sent_len": 0}, 1, "max_len must be >= 1"),
-        ("decode", ["--threads", "0"], 1, "--threads: must be >= 1"),
-        ("synthesize", ["--threads", "-3"], 1, "--threads: must be >= 1"),
-        ("tokenize", ["--threads", "4"], 1, "unrecognized arguments: --threads"),
-        ("decode", ["--translit-model", "{tmp}/empty-row.json"], 2, "operation row 'a'"),
-        ("decode", ["--translit-model", "{tmp}/half-row.json"], 2, "operation row 'a'"),
-    ])
+    @pytest.mark.parametrize("name, extra, code, says", _OUT_OF_RANGE)
     def test_out_of_range_value_is_one_line(self, tmp_path, capsys, command,
                                             name, extra, code, says):
         char_model(tmp_path / "empty-row.json", {"a": {}})
@@ -476,6 +564,19 @@ class TestBoundaries:
         assert main(args) == code
         assert says in one_line_error(capsys)
         assert not os.path.exists(str(tmp_path / "o1"))
+
+    @pytest.mark.parametrize("extra, says", [(extra, says) for name, extra, code, says
+                                             in _OUT_OF_RANGE if name == "experiment"])
+    def test_bad_experiment_value_fails_before_training(self, capsys, monkeypatch, command,
+                                                         extra, says):
+        def never(*args, **kwargs):
+            raise AssertionError("training started before the config was checked")
+
+        monkeypatch.setattr(ngramlm, "train_kn", never)
+        monkeypatch.setattr(align, "train_model1", never)
+        assert main(command("experiment", {"use_synth": "concat", "use_dict": "on",
+                                           **extra})) == 1
+        assert says in one_line_error(capsys)
 
     def test_threads_before_the_command_is_a_usage_error(self, tmp_path, capsys):
         inp = write(tmp_path / "in.txt", ["a"])
