@@ -1,16 +1,17 @@
 """Phrase-based stack decoding with a log-linear model.
 
 Hypotheses are organized in coverage-cardinality stacks with histogram
-pruning and future-cost estimation. Recombination keeps the full arc
-lattice so n-best lists are exact back-pointer enumerations. One or more
+pruning and future-cost estimation. The recombination lattice of arcs is
+the search's only record: n-best lists are exact back-pointer enumerations
+of it, and the 1-best is the first derivation they enumerate. One or more
 phrase tables score as separate blocks of four features; sources covered
 by no table fall back to transliteration or pass-through options, so
 decoding never fails for lack of coverage.
 
 Within one sentence the search reuses work without changing its result:
-each LM step is computed once per (LM state, target phrase), each future
-cost once per coverage mask, and a hypothesis visits only the spans that
-start inside its distortion window.
+each option's static score is computed once, each LM step once per (LM
+state, target phrase), each future cost once per coverage mask, and a
+hypothesis visits only the spans that start inside its distortion window.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import heapq
 import logging
 import math
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 from .corpus import BOS, number, records, write_lines
@@ -105,18 +106,18 @@ OptionLattice = dict[tuple[int, int], list[TranslationOption]]
 def collect_options(
     sentence: Sequence[str],
     tables: TableSet,
-    translit_model: CharModel | None = None,
-    limit: int = 100,
-    translit_k: int = 10,
-    model: LogLinearModel | None = None,
+    translit_model: CharModel | None,
+    model: LogLinearModel,
+    limit: int,
+    translit_k: int,
 ) -> OptionLattice:
     """Gather per-span translation options from all registered tables.
 
-    At most `limit` options are kept per span, ranked by weighted table
-    score (unit weights unless a model is given). Any single word covered
-    by no table receives k-best transliteration options when a character
-    model is supplied, else one pass-through option copying the surface
-    form, so every source position is coverable.
+    At most `limit` options are kept per span, ranked by the model's
+    weighted table score. Any single word covered by no table receives
+    k-best transliteration options when a character model is supplied,
+    else one pass-through option copying the surface form, so every
+    source position is coverable.
     """
     if not sentence:
         raise ValueError("cannot collect options for an empty sentence")
@@ -126,12 +127,6 @@ def collect_options(
     table_floor = {name: FLOOR_LOG
                    for name in feature_names(n_tables, use_translit)
                    if name.startswith("tm") or name == TRANSLIT_FEATURE}
-
-    def rank_score(option: TranslationOption) -> float:
-        if model is not None:
-            return weighted_total(option.features, model)
-        return sum(option.features.values())
-
     max_len = min(n, max(t.max_source_len for t in tables.tables) or 1)
     lattice: OptionLattice = {}
     for start in range(n):
@@ -148,7 +143,8 @@ def collect_options(
                         features=features, origin=table.role or f"table{t_idx}",
                     ))
             if opts:
-                opts.sort(key=lambda o: (-rank_score(o), o.target, o.origin))
+                opts.sort(key=lambda o: (-weighted_total(o.features, model.weights),
+                                         o.target, o.origin))
                 lattice[(start, end)] = opts[:limit]
 
     covered = [False] * n
@@ -180,30 +176,29 @@ def collect_options(
 
 # --- Stack decoding ----------------------------------------------------------
 
-def _advance_lm_state(state: tuple[str, ...], tokens: Sequence[str], order: int):
-    if order <= 1:
-        return ()
-    return (tuple(state) + tuple(tokens))[-(order - 1):]
+def _lm_walk(lm, state: tuple[str, ...], words: Sequence[str]) -> tuple[float, tuple[str, ...]]:
+    """The summed LM log10 score of `words` after `state`, and the state they leave."""
+    keep = lm.order - 1
+    lm_sum = 0.0
+    for word in words:
+        lm_sum += lm.logprob(state, word)
+        state = (state + (word,))[-keep:] if keep > 0 else ()
+    return lm_sum, state
 
 
 class _Node:
-    """One recombined search state; arcs keep the full derivation lattice."""
+    """One recombined search state; its arcs are the derivation lattice."""
 
-    __slots__ = ("coverage", "lm_state", "prev_end", "score", "future",
-                 "arcs", "best_arc")
+    __slots__ = ("coverage", "lm_state", "prev_end", "score", "future", "arcs")
 
     def __init__(self, coverage: int, lm_state: tuple[str, ...], prev_end: int,
                  future: float) -> None:
         self.coverage = coverage
         self.lm_state = lm_state
         self.prev_end = prev_end
-        self.score = -math.inf
+        self.score = -math.inf  # best over the arcs; final once its stack is expanded
         self.future = future
-        self.arcs: list[tuple["_Node | None", TranslationOption | None, float]] = []
-        self.best_arc: tuple["_Node | None", TranslationOption | None, float] | None = None
-
-    def sort_key(self):
-        return (self.coverage, self.lm_state, self.prev_end)
+        self.arcs: list[tuple[_Node, TranslationOption | None, float]] = []
 
 
 @dataclass
@@ -237,10 +232,7 @@ def derivation_features(
     for option in derivation:
         for name, value in option.features.items():
             feats[name] += value
-        lm_sum = 0.0
-        for word in option.target:
-            lm_sum += lm.logprob(state, word)
-            state = _advance_lm_state(state, (word,), lm.order)
+        lm_sum, state = _lm_walk(lm, state, option.target)
         feats["lm"] += lm_sum
         feats["word_penalty"] -= len(option.target)
         feats["phrase_penalty"] -= 1.0
@@ -249,36 +241,22 @@ def derivation_features(
     return feats
 
 
-def weighted_total(features: dict[str, float], model: LogLinearModel) -> float:
+def weighted_total(features: dict[str, float], weights: dict[str, float]) -> float:
     """The model score of a feature vector; the one weighted sum in the decoder."""
-    return sum(model.weights[name] * value for name, value in features.items())
+    return sum(weights[name] * value for name, value in features.items())
 
 
-def _future_costs(n: int, lattice: OptionLattice, model: LogLinearModel, lm):
-    """Best achievable weighted score per span (distortion ignored)."""
-    w_lm = model.weights["lm"]
-    w_wp = model.weights["word_penalty"]
-    w_pp = model.weights["phrase_penalty"]
+def _future_costs(n: int, by_start: list, lm, w_lm: float,
+                  w_pp: float) -> dict[tuple[int, int], float]:
+    """Best achievable weighted score per span (distortion ignored), from the
+    static scores and word penalties that `decode` holds per start."""
     span_best: dict[tuple[int, int], float] = {}
-    unigram_cache: dict[str, float] = {}
-
-    def unigram(word: str) -> float:
-        lp = unigram_cache.get(word)
-        if lp is None:
-            lp = lm.logprob((), word)
-            unigram_cache[word] = lp
-        return lp
-
-    for span, options in lattice.items():
-        best = -math.inf
-        for option in options:
-            est = (weighted_total(option.features, model)
-                   + w_lm * sum(unigram(w) for w in option.target)
-                   - w_wp * len(option.target)
-                   - w_pp)
-            if est > best:
-                best = est
-        span_best[span] = best
+    for start, spans in enumerate(by_start):
+        for end, _, _, scored in spans:
+            span_best[(start, end)] = max(
+                (static + w_lm * sum(lm.logprob((), w) for w in option.target)
+                 - wp_cost - w_pp for option, static, wp_cost, _ in scored),
+                default=-math.inf)
 
     fc: dict[tuple[int, int], float] = {}
     for length in range(1, n + 1):
@@ -310,8 +288,8 @@ def decode(
     model: LogLinearModel,
     lm,
     options: OptionLattice,
-    distortion_limit: int = 6,
-    stack_size: int = 200,
+    distortion_limit: int,
+    stack_size: int,
 ) -> DecodeResult:
     """Find the best-scoring complete hypothesis by stack search.
 
@@ -326,12 +304,10 @@ def decode(
     if uncovered:
         raise DataError(f"positions {uncovered} have no translation options")
 
-    fc = _future_costs(n, options, model, lm)
     w_lm = model.weights["lm"]
     w_wp = model.weights["word_penalty"]
     w_pp = model.weights["phrase_penalty"]
     w_dist = model.weights["distortion"]
-    order = lm.order
 
     # Per start position: (end, mask, length, [(option, static score, word
     # penalty, LM steps)]) in end order. LM steps are shared by every option
@@ -339,23 +315,23 @@ def decode(
     lm_steps: dict[tuple[str, ...], dict[tuple[str, ...], tuple[float, tuple[str, ...]]]] = {}
     by_start: list[list[tuple[int, int, int, list]]] = [[] for _ in range(n)]
     for start, end in sorted(options):
-        scored = [(option, weighted_total(option.features, model),
+        scored = [(option, weighted_total(option.features, model.weights),
                    w_wp * len(option.target),
                    lm_steps.setdefault(option.target, {}))
                   for option in options[(start, end)]]
         by_start[start].append((end, ((1 << (end - start)) - 1) << start,
                                 end - start, scored))
+    fc = _future_costs(n, by_start, lm, w_lm, w_pp)
     futures: dict[int, float] = {}
 
-    init_state: tuple[str, ...] = (BOS,) if order > 1 else ()
+    init_state: tuple[str, ...] = (BOS,) if lm.order > 1 else ()
     init = _Node(0, init_state, 0, _coverage_future(0, n, fc))
     init.score = 0.0
     stacks: list[dict[tuple, _Node]] = [dict() for _ in range(n + 1)]
     stacks[0][(0, init_state, 0)] = init
-    full = (1 << n) - 1
 
     for cardinality in range(n):
-        # a stack key is its node's sort_key, so no two entries tie
+        # a stack key is (coverage, LM state, previous end), unique per node
         beam = heapq.nsmallest(stack_size, [(-(nd.score + nd.future), key, nd)
                                             for key, nd in stacks[cardinality].items()])
         # children point to parents only, so the goal can reach no node of
@@ -377,12 +353,7 @@ def decode(
                     for option, static, wp_cost, steps in scored:
                         step = steps.get(node_state)
                         if step is None:
-                            state = node_state
-                            lm_sum = 0.0
-                            for word in option.target:
-                                lm_sum += lm.logprob(state, word)
-                                state = _advance_lm_state(state, (word,), order)
-                            step = steps[node_state] = (lm_sum, state)
+                            step = steps[node_state] = _lm_walk(lm, node_state, option.target)
                         lm_sum, state = step
                         inc = static + w_lm * lm_sum - wp_cost - w_pp - dist_cost
                         key = (coverage, state, end)
@@ -394,37 +365,34 @@ def decode(
                                     coverage, n, fc)
                             child = _Node(coverage, state, end, future)
                             child_stack[key] = child
-                        arc = (node, option, inc)
-                        child.arcs.append(arc)
+                        child.arcs.append((node, option, inc))
                         if node_score + inc > child.score:
                             child.score = node_score + inc
-                            child.best_arc = arc
 
-    complete = sorted(stacks[n].values(),
-                      key=lambda nd: (-nd.score, nd.sort_key()))
+    # the goal's arcs: every complete hypothesis, best first, ties by stack key
+    complete = sorted(stacks[n].items(), key=lambda item: (-item[1].score, item[0]))
     if not complete:
         raise DataError("no complete hypothesis found (search dead-ended)")
-    goal = _Node(full, (), n, 0.0)
-    for node in complete:
-        arc = (node, None, 0.0)
-        goal.arcs.append(arc)
-        if node.score > goal.score:
-            goal.score = node.score
-            goal.best_arc = arc
-
-    derivation = _best_derivation(goal)
+    goal = _Node((1 << n) - 1, (), n, 0.0)
+    goal.arcs = [(node, None, 0.0) for _, node in complete]
+    goal.score = complete[0][1].score
     return DecodeResult(goal=goal, model=model, lm=lm, best_score=goal.score,
-                        best_derivation=derivation)
+                        best_derivation=_best_derivation(goal))
 
 
 def _best_derivation(goal: _Node) -> list[TranslationOption]:
+    """The first derivation that `nbest` enumerates.
+
+    From the goal back, each node's first arc of largest pred.score + inc:
+    the same sum, of the same final scores, that the search compared, so
+    ties keep the arc the search kept.
+    """
     derivation: list[TranslationOption] = []
-    node: _Node | None = goal
-    while node is not None and node.best_arc is not None:
-        pred, option, _ = node.best_arc
+    node = goal
+    while node.arcs:
+        node, option, _ = max(node.arcs, key=lambda arc: arc[0].score + arc[2])
         if option is not None:
             derivation.append(option)
-        node = pred
     derivation.reverse()
     return derivation
 
@@ -438,7 +406,10 @@ class NBestItem:
     features: dict[str, float]
 
 
-def nbest(result: DecodeResult, n: int, max_pops: int = 100000) -> list[NBestItem]:
+NBEST_MAX_POPS = 100000  # derivations nbest may enumerate in search of n distinct strings
+
+
+def nbest(result: DecodeResult, n: int) -> list[NBestItem]:
     """Up to n distinct target strings by descending score.
 
     Derivations are enumerated exactly from the recombination lattice
@@ -462,7 +433,6 @@ def nbest(result: DecodeResult, n: int, max_pops: int = 100000) -> list[NBestIte
             heaps[nid] = []
             return
         for arc_idx, (pred, _, inc) in enumerate(node.arcs):
-            assert pred is not None
             first = kth(pred, 0)
             if first is not None:
                 heap.append((-(first[0] + inc), arc_idx, 0))
@@ -478,7 +448,6 @@ def nbest(result: DecodeResult, n: int, max_pops: int = 100000) -> list[NBestIte
             neg, arc_idx, rank = heapq.heappop(heap)
             entries.append((-neg, arc_idx, rank))
             pred, _, inc = node.arcs[arc_idx]
-            assert pred is not None
             succ = kth(pred, rank + 1)
             if succ is not None:
                 heapq.heappush(heap, (-(succ[0] + inc), arc_idx, rank + 1))
@@ -491,7 +460,6 @@ def nbest(result: DecodeResult, n: int, max_pops: int = 100000) -> list[NBestIte
         if arc_idx < 0:
             return []
         pred, option, _ = node.arcs[arc_idx]
-        assert pred is not None
         options = path(pred, rank)
         if option is not None:
             options.append(option)
@@ -500,7 +468,7 @@ def nbest(result: DecodeResult, n: int, max_pops: int = 100000) -> list[NBestIte
     items: list[NBestItem] = []
     seen: set[tuple[str, ...]] = set()
     rank = 0
-    while len(items) < n and rank < max_pops:
+    while len(items) < n and rank < NBEST_MAX_POPS:
         entry = kth(result.goal, rank)
         if entry is None:
             break
@@ -547,11 +515,9 @@ class DecoderSystem:
     def __post_init__(self) -> None:
         check_at_least(self, SEARCH_LOWS)
 
-    def lattice(self, sentence: Sequence[str],
-                model: LogLinearModel | None = None) -> OptionLattice:
-        return collect_options(sentence, self.tables, self.translit_model,
-                               limit=self.option_limit, translit_k=self.translit_k,
-                               model=model)
+    def lattice(self, sentence: Sequence[str], model: LogLinearModel) -> OptionLattice:
+        return collect_options(sentence, self.tables, self.translit_model, model,
+                               self.option_limit, self.translit_k)
 
     def default_model(self) -> LogLinearModel:
         return LogLinearModel.default(len(self.tables.tables),
@@ -654,10 +620,8 @@ def tune_weights(
     sorted_pools: list[list[tuple[tuple[str, ...], dict[str, float]]]] = []
 
     def rescore_bleu(candidate: dict[str, float]) -> float:
-        model = LogLinearModel(weights=dict(candidate), n_tables=initial.n_tables,
-                               use_translit=initial.use_translit)
         # max keeps the first of equal scores; an empty pool scores as ()
-        hyps = [max(pool, key=lambda entry: weighted_total(entry[1], model),
+        hyps = [max(pool, key=lambda entry: weighted_total(entry[1], candidate),
                     default=((), None))[0] for pool in sorted_pools]
         return corpus_bleu(hyps, refs)[0]
 
@@ -671,8 +635,8 @@ def tune_weights(
         for (_, items), pool in zip(decoded, pools):
             for item in items:
                 existing = pool.get(item.tokens)
-                if (existing is None or weighted_total(item.features, model)
-                        > weighted_total(existing, model)):
+                if (existing is None or weighted_total(item.features, weights)
+                        > weighted_total(existing, weights)):
                     pool[item.tokens] = item.features
         sorted_pools = [sorted(pool.items()) for pool in pools]
         # BLEU of the current weights, carried from coordinate to coordinate

@@ -57,6 +57,8 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not self.work_dir:
+            raise ValueError("work_dir must be non-empty")
         if self.use_synth not in ("off", "concat", "separate"):
             raise DataError(f"use_synth must be off|concat|separate, got {self.use_synth!r}")
         if self.use_dict not in ("off", "on"):

@@ -44,6 +44,15 @@ _BOW = "\x02"  # begin-of-word marker for the target character model
 _EOW = "\x03"
 
 
+def _ltr_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum. The builtin `sum` compensates rounding from
+    Python 3.12 on; this one gives the same bits on every interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _check_pair(src: str, tgt: str, weight: float) -> None:
     if not src or not tgt:
         raise ValueError("word pair sides must be non-empty")
@@ -137,7 +146,7 @@ class CharTrigramModel:
         for key, row in data["counts"].items():
             c1, c2 = key.split("\x00")
             model.counts[(c1, c2)] = dict(row)
-            model.totals[(c1, c2)] = sum(row.values())
+            model.totals[(c1, c2)] = _ltr_sum(row.values())
         return model
 
 
@@ -199,7 +208,7 @@ def _forward_lattice(s: str, t: str, ops):
                         if p:
                             fwd[i + di][j + dj][d + spent] += v * p
                             moves.append((i, j, d, i + di, j + dj, d + spent, a, b, p))
-    return sum(fwd[m][n]), fwd, moves
+    return _ltr_sum(fwd[m][n]), fwd, moves
 
 
 def _accumulate_counts(s: str, t: str, fwd, moves, total: float, scale: float,
@@ -305,8 +314,8 @@ def mine_transliterations(
             tgt_freq[ch] = tgt_freq.get(ch, 0.0) + w
             tgt_total += w
     log_noise = [
-        sum(math.log(src_freq[ch] / src_total) for ch in s)
-        + sum(math.log(tgt_freq[ch] / tgt_total) for ch in t)
+        _ltr_sum(math.log(src_freq[ch] / src_total) for ch in s)
+        + _ltr_sum(math.log(tgt_freq[ch] / tgt_total) for ch in t)
         for s, t, _ in pairs
     ]
 
@@ -345,8 +354,8 @@ def mine_transliterations(
         ll, counts, new_lam, _ = e_pass(collect=True)
         log_likelihoods.append(ll)
         # counts below 1e-12 carry no information and only slow the DP
-        total = sum(c for row in counts.values() for c in row.values()
-                    if c > 1e-12)
+        total = _ltr_sum(c for row in counts.values() for c in row.values()
+                         if c > 1e-12)
         joint = {}
         if total > 0:
             for a, row in counts.items():
@@ -362,7 +371,7 @@ def mine_transliterations(
     # expose row-conditional operation probabilities
     ops: dict[str, dict[str, float]] = {}
     for a, row in joint.items():
-        row_total = sum(row.values())
+        row_total = _ltr_sum(row.values())
         ops[a] = {b: p / row_total for b, p in row.items()}
 
     mined = [
@@ -475,7 +484,7 @@ def kbest_probs(candidates: Sequence[TransliterationCandidate]) -> list[float]:
     """
     best = max(c.score for c in candidates)
     rel = [10.0 ** (c.score - best) for c in candidates]
-    total = sum(rel)
+    total = _ltr_sum(rel)
     return [mass / total for mass in rel]
 
 
@@ -522,25 +531,36 @@ def write_char_model(model: CharModel, path: str) -> None:
 
 
 def read_char_model(path: str) -> CharModel:
-    """Load a JSON character model; a malformed or out-of-range value raises DataError."""
+    """Load a JSON character model; a malformed, mistyped or out-of-range
+    value raises DataError."""
     def finite(text: str) -> float:  # also rejects NaN, Infinity and overflowing literals
         return number(text, path, "number")
 
     try:
+        # every JSON number parses to a float, so any other type is an error
         data = json.loads("\n".join(read_lines(path)),
                           parse_float=finite, parse_int=finite, parse_constant=finite)
-        model = CharModel(
-            ops={a: dict(row) for a, row in data["ops"].items()},
-            lam=float(data["lambda"]),
-            src_chars=frozenset(data["src_chars"]),
-            tgt_lm=CharTrigramModel.from_dict(data["tgt_lm"]),
-        )
-        rows = [*model.ops.values(), *model.tgt_lm.counts.values()]
-        if any(p < 0 for row in rows for p in row.values()):
+        ops, tgt_lm = data["ops"], data["tgt_lm"]
+        values = [p for row in [*ops.values(), *tgt_lm["counts"].values()]
+                  for p in row.values()]
+        if not all(isinstance(p, float) for p in [data["lambda"], *values]):
+            raise DataError(f"{path}: lambda, an operation probability or a trigram "
+                            "count is not a number")
+        if any(p < 0 for p in values):
             raise DataError(f"{path}: negative operation probability or trigram count")
-        for a, row in model.ops.items():
-            if not row or abs(sum(row.values()) - 1.0) > 1e-6:
+        for what, chars in (("src_chars", data["src_chars"]),
+                            ("tgt_lm.alphabet", tgt_lm["alphabet"])):
+            if not (isinstance(chars, list) and all(isinstance(c, str) for c in chars)):
+                raise DataError(f"{path}: {what} is not a list of strings")
+        for a, row in ops.items():
+            if not row or abs(_ltr_sum(row.values()) - 1.0) > 1e-6:
                 raise DataError(f"{path}: operation row {a!r} is empty or does not sum to 1")
+        model = CharModel(
+            ops={a: dict(row) for a, row in ops.items()},
+            lam=data["lambda"],
+            src_chars=frozenset(data["src_chars"]),
+            tgt_lm=CharTrigramModel.from_dict(tgt_lm),
+        )
     except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed character model ({exc})") from exc
     if not 0.0 <= model.lam <= 1.0:

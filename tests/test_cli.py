@@ -515,6 +515,8 @@ _OUT_OF_RANGE = [
     ("decode", ["--nbest", "-1"], 1, "--nbest: must be >= 0"),
     ("mine-translit", ["--threshold", "7"], 1, "threshold must be in [0, 1]"),
     ("mine-translit", ["--threshold", "-0.5"], 1, "threshold must be in [0, 1]"),
+    ("decode", ["--translit-model", "{tmp}/wrong-types.json"], 2, "is not a number"),
+    ("experiment", {"work_dir": " "}, 1, "work_dir must be non-empty"),  # read as ""
 ]
 
 
@@ -535,8 +537,9 @@ class TestBoundaries:
 
         def build(name, extra):
             if name == "experiment":
+                values = {"work_dir": str(tmp_path / "run"), **extra}
                 return ["experiment", "--config", write_config(
-                    str(tmp_path / "exp.conf"), str(tmp_path / "run"), fixture, **extra)]
+                    str(tmp_path / "exp.conf"), values.pop("work_dir"), fixture, **values)]
             extra = [arg.format(tmp=tmp_path) for arg in extra]
             return {
                 "decode": ["decode", "--input", src, "--output", out, *system],
@@ -559,6 +562,9 @@ class TestBoundaries:
                                             name, extra, code, says):
         char_model(tmp_path / "empty-row.json", {"a": {}})
         char_model(tmp_path / "half-row.json", {"a": {"a": 0.25, "": 0.25}})
+        (tmp_path / "wrong-types.json").write_text(json.dumps(
+            {"lambda": 0.5, "ops": {"a": {"a": True}}, "src_chars": "abc",
+             "tgt_lm": {"alphabet": "xyz", "counts": {}}}), encoding="utf-8")
         args = command(name, extra)
         capsys.readouterr()
         assert main(args) == code

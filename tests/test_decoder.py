@@ -6,8 +6,8 @@ import pytest
 from pivotsmt import decoder
 from pivotsmt.decoder import (
     DecoderSystem, LogLinearModel, TranslationOption, _coverage_future,
-    collect_options, decode, derivation_features, format_nbest_line, nbest,
-    read_weights, tune_weights, weighted_total, write_weights,
+    decode, derivation_features, format_nbest_line, nbest, read_weights,
+    tune_weights, weighted_total, write_weights,
 )
 from pivotsmt.errors import DataError
 from pivotsmt.ngramlm import train_kn
@@ -32,17 +32,23 @@ def uniform_lm():
     return train_kn(corpus, order=2)
 
 
+def options_of(sentence, tables, **search):
+    """The options a DecoderSystem collects for `sentence` under its default model."""
+    system = DecoderSystem(tables=tables, lm=None, **search)
+    return system.lattice(sentence, system.default_model())
+
+
 class TestCollect:
     def test_single_word_single_entry(self, uniform_lm):
         tables = TableSet([table_of([("a", "x0", 1.0)])])
-        lattice = collect_options(["a"], tables)
+        lattice = options_of(["a"], tables)
         assert set(lattice) == {(0, 1)}
         assert len(lattice[(0, 1)]) == 1
         assert lattice[(0, 1)][0].origin == "baseline"
 
     def test_pass_through_for_unknown(self, uniform_lm):
         tables = TableSet([table_of([("a", "x0", 1.0)])])
-        lattice = collect_options(["a", "zzz"], tables)
+        lattice = options_of(["a", "zzz"], tables)
         opts = lattice[(1, 2)]
         assert len(opts) == 1
         assert opts[0].origin == "pass-through"
@@ -54,8 +60,8 @@ class TestCollect:
                             ("aa", "AA", 1.0), ("bb", "BB", 1.0)] * 3),
             iterations=6, threshold=0.5)
         tables = TableSet([table_of([("known", "x0", 1.0)])])
-        lattice = collect_options(["known", "ab"], tables,
-                                  translit_model=model, translit_k=3)
+        lattice = options_of(["known", "ab"], tables,
+                             translit_model=model, translit_k=3)
         opts = lattice[(1, 2)]
         assert 1 <= len(opts) <= 3
         assert all(o.origin == "translit" for o in opts)
@@ -66,7 +72,7 @@ class TestCollect:
     def test_limit_keeps_best(self, uniform_lm):
         entries = [("a", f"x{i}", (i + 1) / 10.0) for i in range(8)]
         tables = TableSet([table_of(entries)])
-        lattice = collect_options(["a"], tables, limit=3)
+        lattice = options_of(["a"], tables, option_limit=3)
         assert len(lattice[(0, 1)]) == 3
         kept = {o.target[0] for o in lattice[(0, 1)]}
         assert kept == {"x7", "x6", "x5"}
@@ -74,7 +80,7 @@ class TestCollect:
     def test_multiple_tables_are_blocks(self, uniform_lm):
         t0 = table_of([("a", "x0", 0.9)], role="baseline")
         t1 = table_of([("a", "x1", 0.8)], role="triangulated")
-        lattice = collect_options(["a"], TableSet([t0, t1]))
+        lattice = options_of(["a"], TableSet([t0, t1]))
         opts = lattice[(0, 1)]
         assert len(opts) == 2
         by_origin = {o.origin: o for o in opts}
@@ -232,7 +238,7 @@ class TestDecode:
                             distortion_limit=6, stack_size=500)
             feats = derivation_features(result.best_derivation, model,
                                         uniform_lm)
-            assert weighted_total(feats, model) == pytest.approx(
+            assert weighted_total(feats, model.weights) == pytest.approx(
                 result.best_score, abs=1e-9)
 
     def test_pass_through_totality(self, uniform_lm):
@@ -253,7 +259,8 @@ class TestDecode:
                             ("phi_fwd", "lex_fwd", "phi_bwd", "lex_bwd")},
             "baseline")]}
         with pytest.raises(DataError):
-            decode(["a", "b"], model, uniform_lm, lattice)
+            decode(["a", "b"], model, uniform_lm, lattice,
+                   distortion_limit=6, stack_size=200)
 
     def test_stack_freed_once_expanded(self, monkeypatch):
         # only expanded nodes are reachable from the goal, so the rest of a
@@ -283,17 +290,48 @@ class TestDecode:
         assert counts["peak"] < counts["made"] / 3
 
 
+def tied_instance(rng, n):
+    """A sentence whose options repeat a few targets and table scores, so that
+    many derivations tie: equal copies of one option, and segmentations of
+    the same target string."""
+    feats = {f"tm0.{f}": -0.5 for f in ("phi_fwd", "lex_fwd", "phi_bwd", "lex_bwd")}
+    lattice = {}
+    for i in range(n):
+        lattice[(i, i + 1)] = [TranslationOption(i, i + 1, (rng.choice(["x0", "x1"]),),
+                                                 dict(feats), "baseline")
+                               for _ in range(rng.randint(1, 3))]
+    for i in range(n - 1):
+        if rng.random() < 0.5:
+            target = tuple(rng.choice(["x0", "x1"]) for _ in range(2))
+            lattice[(i, i + 2)] = [TranslationOption(i, i + 2, target, dict(feats),
+                                                     "baseline")] * rng.randint(1, 2)
+    return [f"w{i}" for i in range(n)], lattice
+
+
 class TestNBest:
-    def test_n1_equals_best(self, uniform_lm):
+    def test_n1_equals_best(self, uniform_lm, monkeypatch):
+        # the 1-best is the first derivation nbest enumerates, option for
+        # option and to the last bit, also where many derivations tie
+        enumerated = []
+        features = decoder.derivation_features
+        monkeypatch.setattr(decoder, "derivation_features", lambda derivation, *rest: (
+            enumerated.append(list(derivation)) or features(derivation, *rest)))
         rng = random.Random(11)
         lm_words = [f"x{i}" for i in range(8)]
         model = LogLinearModel.default(1)
-        sentence, lattice = random_instance(rng, lm_words)
-        result = decode(sentence, model, uniform_lm, lattice,
-                        distortion_limit=6, stack_size=1000)
-        items = nbest(result, 1)
-        assert items[0].tokens == result.best_tokens()
-        assert items[0].score == pytest.approx(result.best_score, abs=1e-12)
+        for trial in range(60):
+            if trial % 2:
+                sentence, lattice = tied_instance(rng, rng.randint(2, 6))
+            else:
+                sentence, lattice = random_instance(rng, lm_words)
+            result = decode(sentence, model, uniform_lm, lattice,
+                            distortion_limit=rng.randint(1, 6), stack_size=1000)
+            enumerated.clear()
+            items = nbest(result, 1)
+            assert items[0].tokens == result.best_tokens()
+            assert items[0].score == result.best_score
+            assert len(enumerated[0]) == len(result.best_derivation)
+            assert all(a is b for a, b in zip(enumerated[0], result.best_derivation))
 
     def test_matches_enumerator_order(self, uniform_lm):
         rng = random.Random(23)
@@ -331,7 +369,7 @@ class TestNBest:
         result = system.decode(["a"])
         model = system.default_model()
         for item in nbest(result, 5):
-            assert weighted_total(item.features, model) == pytest.approx(
+            assert weighted_total(item.features, model.weights) == pytest.approx(
                 item.score, abs=1e-9)
 
     def test_nbest_line_format(self, uniform_lm):
