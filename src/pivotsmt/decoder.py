@@ -294,7 +294,9 @@ def decode(
     """Find the best-scoring complete hypothesis by stack search.
 
     A new phrase must start within distortion_limit of the previous
-    phrase's end; the distortion feature is the negated jump distance.
+    phrase's end, and end within distortion_limit of the first uncovered
+    position, so that every gap stays reachable; the distortion feature is
+    the negated jump distance.
     """
     n = len(sentence)
     if n == 0:
@@ -322,6 +324,7 @@ def decode(
         by_start[start].append((end, ((1 << (end - start)) - 1) << start,
                                 end - start, scored))
     fc = _future_costs(n, by_start, lm, w_lm, w_pp)
+    full = (1 << n) - 1
     futures: dict[int, float] = {}
 
     init_state: tuple[str, ...] = (BOS,) if lm.order > 1 else ()
@@ -349,6 +352,9 @@ def decode(
                     if covered & mask:
                         break  # every longer span from this start overlaps too
                     coverage = covered | mask
+                    gaps = ~coverage & full
+                    if gaps and end - ((gaps & -gaps).bit_length() - 1) > distortion_limit:
+                        break  # the first gap, left of start, could never be reached
                     child_stack = stacks[cardinality + length]
                     for option, static, wp_cost, steps in scored:
                         step = steps.get(node_state)
@@ -373,7 +379,7 @@ def decode(
     complete = sorted(stacks[n].items(), key=lambda item: (-item[1].score, item[0]))
     if not complete:
         raise DataError("no complete hypothesis found (search dead-ended)")
-    goal = _Node((1 << n) - 1, (), n, 0.0)
+    goal = _Node(full, (), n, 0.0)
     goal.arcs = [(node, None, 0.0) for _, node in complete]
     goal.score = complete[0][1].score
     return DecodeResult(goal=goal, model=model, lm=lm, best_score=goal.score,

@@ -278,7 +278,7 @@ class TestDecode:
                 counts["live"] -= 1
 
         monkeypatch.setattr(decoder, "_Node", CountedNode)
-        n, k = 10, 3
+        n, k = 20, 4  # sized so that over 500 nodes are made under the gap constraint
         table = table_of([(f"w{i}", f"x{i}_{j}", 1.0 / (j + 2))
                           for i in range(n) for j in range(k)])
         lm = train_kn([[f"x{i}_{j}" for i in range(n)] for j in range(k)], order=2)
@@ -288,6 +288,19 @@ class TestDecode:
         assert result.best_tokens() == tuple(f"x{i}_0" for i in range(n))
         assert counts["made"] > 500
         assert counts["peak"] < counts["made"] / 3
+
+    def test_no_dead_end_under_a_narrow_beam(self, uniform_lm):
+        # without the gap constraint, 9 of these 40 searches keep only
+        # hypotheses that jumped too far past a gap, and find no complete one
+        model = LogLinearModel.default(1)
+        lm_words = [f"x{i}" for i in range(8)]
+        for seed in range(40):
+            sentence, lattice = random_instance(random.Random(seed), lm_words, 8, 10)
+            result = decode(sentence, model, uniform_lm, lattice,
+                            distortion_limit=2, stack_size=2)
+            spans = sorted((opt.start, opt.end) for opt in result.best_derivation)
+            assert [pos for s, e in spans for pos in range(s, e)] == \
+                list(range(len(sentence)))
 
 
 def tied_instance(rng, n):
