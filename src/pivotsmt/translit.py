@@ -408,12 +408,13 @@ class TransliterationCandidate:
 
 
 def transliterate(model: CharModel, word: str, k: int) -> list[TransliterationCandidate]:
-    """k-best monotone transliterations by exact best-first search.
+    """The k best distinct target strings, by exact best-first search.
 
-    Candidates are scored by the character operations plus the target
-    character trigram model; results come sorted by descending score with
-    lexicographic tie-breaking. Characters never seen by the model fall
-    back to identity mapping and flag the result.
+    A derivation is scored by its character operations plus the target
+    character trigram model, and each string by its best derivation;
+    results come sorted by descending score with lexicographic
+    tie-breaking. Characters never seen by the model fall back to identity
+    mapping and flag the result.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -425,26 +426,28 @@ def transliterate(model: CharModel, word: str, k: int) -> list[TransliterationCa
     max_out = 2 * len(word) + 4
     m = len(word)
     # state: (neg score, output, source position, last two output chars,
-    # indel budget spent); the LM context is determined by the output, so
-    # (output, position, spent) keys the visited set and best-first pops
-    # are optimal per state.
+    # indel budget spent); the LM context is determined by the output. A
+    # state popped earlier scores at least as high, so a later pop of the
+    # same (output, position) with no less budget spent can reach nothing
+    # better and is skipped. A finalized state spends 0, so each string is
+    # finalized once, by its best derivation.
     start = (0.0, "", 0, (_BOW, _BOW), 0)
     heap: list[tuple[float, str, int, tuple[str, str], int]] = [start]
     results: list[TransliterationCandidate] = []
-    visited: set[tuple[str, int, int]] = set()
+    least_spent: dict[tuple[str, int], int] = {}
     pops = 0
     while heap and len(results) < k and pops < 200000:
         pops += 1
         neg, out, i, ctx, spent = heapq.heappop(heap)
+        if least_spent.get((out, i), spent + 1) <= spent:
+            continue
+        least_spent[(out, i)] = spent
         if i == m + 1:  # finalized
             results.append(TransliterationCandidate(out, -neg, fallback))
             continue
-        if (out, i, spent) in visited:
-            continue
-        visited.add((out, i, spent))
         if i == m:
             end_lp = lm.logprob(ctx[0], ctx[1], _EOW)
-            heapq.heappush(heap, (neg - end_lp, out, m + 1, ctx, spent))
+            heapq.heappush(heap, (neg - end_lp, out, m + 1, ctx, 0))
             # insertions may still apply before finalizing (fall through)
         for di in range(0, MAX_SEG + 1):
             if i + di > m:

@@ -538,3 +538,58 @@ def initial_ops_reference(pairs, max_seg=2, min_support=3,
         if len(a) == len(b) == 1 or not a or not b or support >= min_support:
             table.setdefault(a, {})[b] = value / total
     return table
+
+
+# --- brute-force k-best transliteration ------------------------------------------
+
+def transliterate_reference(model, word, k, max_seg=2, indel_budget=3):
+    """The k best target strings of `word`, each scored by its best derivation.
+
+    Walks every monotone derivation: a step maps 0..max_seg source
+    characters to one target segment of ops[source segment], an insertion
+    (empty source) or deletion (empty target) costs its length out of
+    indel_budget, the output is at most 2 * len(word) + 4 characters, and
+    a character the model has never seen maps to itself unless ops has a
+    row for it. A derivation's score subtracts each step's log10 operation
+    probability plus its target-character LM terms from 0.0, then the
+    end-of-word term, and is negated; that is the order the search adds
+    in, so the maximum per target is the same float. Returns
+    [(target, score)] sorted by (-score, target).
+    """
+    bow, eow = "\x02", "\x03"
+    rows = dict(model.ops)
+    for ch in word:
+        if ch not in model.src_chars and ch not in rows:
+            rows[ch] = {ch: 1.0}
+    lm = model.tgt_lm
+    max_out = 2 * len(word) + 4
+    best = {}
+
+    def walk(i, out, c1, c2, spent, neg):
+        if i == len(word):
+            score = -(neg - lm.logprob(c1, c2, eow))
+            if out not in best or score > best[out]:
+                best[out] = score
+        for di in range(max_seg + 1):
+            if i + di > len(word):
+                break
+            for target, p in rows.get(word[i:i + di], {}).items():
+                if di == 0:
+                    cost = len(target)
+                elif target == "":
+                    cost = di
+                else:
+                    cost = 0
+                if di == 0 and target == "":
+                    continue
+                if spent + cost > indel_budget or p == 0 or len(out) + len(target) > max_out:
+                    continue
+                step = math.log10(p)
+                a1, a2 = c1, c2
+                for ch in target:
+                    step += lm.logprob(a1, a2, ch)
+                    a1, a2 = a2, ch
+                walk(i + di, out + target, a1, a2, spent + cost, neg - step)
+
+    walk(0, "", bow, bow, 0, 0.0)
+    return sorted(best.items(), key=lambda item: (-item[1], item[0]))[:k]

@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pivotsmt.errors import DataError
 import pivotsmt
@@ -21,6 +22,7 @@ from pivotsmt.translit import (
 
 from oracles import (
     apply_bijection, initial_ops_reference, make_bijection_fixture, make_heldout_words,
+    transliterate_reference,
 )
 
 
@@ -30,6 +32,23 @@ def mined_fixture():
     model, mined = mine_transliterations(WordPairCorpus(pairs), iterations=10,
                                          threshold=0.5)
     return pairs, labels, model, mined
+
+
+def small_char_model(seed):
+    """A seeded model from source "abc" to target "xyz", with insertions,
+    deletions and two 2-character source segments."""
+    rng = random.Random(seed)
+    ops = {}
+    for segment in ["", "a", "b", "c", "ab", "ca"]:
+        row = {target: rng.uniform(0.05, 1.0)
+               for target in rng.sample(["", "x", "y", "z", "xy", "zx"], 3)
+               if segment or target}
+        total = sum(row.values())
+        ops[segment] = {target: value / total for target, value in row.items()}
+    lm = CharTrigramModel()
+    for _ in range(12):
+        lm.observe("".join(rng.choice("xyz") for _ in range(rng.randint(1, 4))))
+    return CharModel(ops=ops, src_chars=frozenset("abc"), tgt_lm=lm)
 
 
 class TestMining:
@@ -238,6 +257,17 @@ class TestTransliterate:
         with pytest.raises(ValueError):
             transliterate(model, "ab", 0)
 
+    def test_equals_brute_force_best_derivation(self):
+        # "d" is unseen, so it also exercises the identity rescue
+        for seed in range(6):
+            model = small_char_model(seed)
+            rng = random.Random(seed)
+            for _ in range(8):
+                word = "".join(rng.choice("abcd") for _ in range(rng.randint(1, 4)))
+                for k in (1, 7, 100000):
+                    assert [(c.target, c.score) for c in transliterate(model, word, k)] \
+                        == transliterate_reference(model, word, k)
+
 
 class TestTranslitTable:
     def test_empty_word_list(self, mined_fixture):
@@ -271,6 +301,21 @@ class TestTranslitTable:
         candidates = [TransliterationCandidate("a", -400.0, False),
                       TransliterationCandidate("b", -401.0, False)]
         assert kbest_probs(candidates) == pytest.approx([1 / 1.1, 0.1 / 1.1], rel=1e-12)
+
+
+_WORD = st.text(alphabet="abcd", min_size=1, max_size=5)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.tuples(_WORD, _WORD), min_size=1, max_size=12),
+       st.lists(_WORD, min_size=1, max_size=4), st.integers(1, 60))
+def test_mined_model_gives_k_distinct_targets_and_a_table(pairs, words, k):
+    model, _ = mine_transliterations(WordPairCorpus([(s, t, 1.0) for s, t in pairs]),
+                                     iterations=3)
+    for word in words:
+        targets = [c.target for c in transliterate(model, word, k)]
+        assert len(set(targets)) == len(targets) <= k
+    build_translit_table(model, words, k)
 
 
 class TestSerialization:
