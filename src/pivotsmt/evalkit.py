@@ -109,11 +109,11 @@ def corpus_bleu(
     return stats.score(), stats
 
 
-def delta_report(baseline: float, system: float, label: str) -> str:
-    """One `label | baseline | system | delta` row, two decimals, half-up."""
+def delta_report(baseline: float, system: float, label: str) -> list[str]:
+    """The cells of one `label | baseline | system | delta` row, two decimals, half-up."""
     delta = round_half_up(system - baseline, 2)
-    return (f"{label} | {round_half_up(baseline, 2):.2f} | "
-            f"{round_half_up(system, 2):.2f} | {delta:+.2f}")
+    return [label, f"{round_half_up(baseline, 2):.2f}",
+            f"{round_half_up(system, 2):.2f}", f"{delta:+.2f}"]
 
 
 @dataclass

@@ -167,13 +167,6 @@ def synthesize_bitext(
 # --- The experiment matrix ----------------------------------------------------
 
 @dataclass
-class SystemRun:
-    mode: str
-    bleu: float
-    oov: int
-
-
-@dataclass
 class ExperimentResult:
     scores: dict[str, float]
     report_text: str
@@ -189,150 +182,132 @@ def _oov_count(sentences: Sequence[Sequence[str]], tables: phrasetab.TableSet) -
     return count_oov(sentences, known)
 
 
+def _inputs(config: ExperimentConfig) -> dict[str, str]:
+    """Every file the config's modes read, by config key.
+
+    Any that is unset or missing is named in one DataError.
+    """
+    keys = ["train_src", "train_tgt", "test_src", "test_tgt"]
+    if config.use_synth != "off":
+        keys += ["synth_src", "synth_tgt"]
+    if config.use_dict == "on":
+        keys.append("dict_tsv")
+    if config.tune_rounds > 0:
+        keys += ["dev_src", "dev_tgt"]
+    keys += [key for key in ("lm_corpus", "translit_model") if getattr(config, key)]
+    inputs = {key: getattr(config, key) for key in keys}
+    missing = [key for key, path in inputs.items() if not path or not os.path.isfile(path)]
+    if missing:
+        raise DataError(f"missing experiment inputs: {', '.join(sorted(missing))}")
+    return inputs
+
+
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Execute the configured mode matrix and write a run manifest.
 
-    Dev and test sentences are decoded in `threads` worker processes; the
-    output does not depend on their number.
+    Every input is checked and read before work_dir is created or anything
+    is trained. Dev and test sentences are decoded in `threads` worker
+    processes; the output does not depend on their number.
     """
-    required = {
-        "train_src": config.train_src, "train_tgt": config.train_tgt,
-        "test_src": config.test_src, "test_tgt": config.test_tgt,
-    }
-    if config.use_synth != "off":
-        required.update(synth_src=config.synth_src, synth_tgt=config.synth_tgt)
-    if config.use_dict == "on":
-        required.update(dict_tsv=config.dict_tsv)
-    if config.tune_rounds > 0:
-        required.update(dev_src=config.dev_src, dev_tgt=config.dev_tgt)
-    missing = [name for name, path in required.items()
-               if not path or not os.path.isfile(path)]
-    if missing:
-        raise DataError(f"missing experiment inputs: {', '.join(sorted(missing))}")
-
-    os.makedirs(config.work_dir, exist_ok=True)
-    inputs = {name: path for name, path in required.items()}
-    for optional in ("lm_corpus", "translit_model"):
-        path = getattr(config, optional)
-        if path:
-            if not os.path.isfile(path):
-                raise DataError(f"missing experiment inputs: {optional}")
-            inputs[optional] = path
-
+    inputs = _inputs(config)
     baseline = ingest_bitext(config.train_src, config.train_tgt, max_len=config.max_sent_len)
     test = read_parallel(config.test_src, config.test_tgt)
     test_src = [src for src, _ in test]
-
-    if config.lm_corpus:
+    if "lm_corpus" in inputs:
         lm_sentences = [tuple(line.split()) for line in read_lines(config.lm_corpus)]
     else:
         lm_sentences = [tgt for _, tgt in baseline.pairs]
-
     translit_model = None
-    if config.translit_model:
+    if "translit_model" in inputs:
         translit_model = translit.read_char_model(config.translit_model)
-
     synth = None
-    if config.use_synth != "off":
+    if "synth_src" in inputs:
         synth = ingest_bitext(config.synth_src, config.synth_tgt, max_len=config.max_sent_len)
     dict_entries = None
-    if config.use_dict == "on":
+    if "dict_tsv" in inputs:
         dict_entries = read_dictionary_tsv(config.dict_tsv)
-
     dev_pairs = None
-    if config.tune_rounds > 0:
+    if "dev_src" in inputs:
         dev_pairs = read_parallel(config.dev_src, config.dev_tgt)
+        if not dev_pairs:
+            raise DataError(f"{config.dev_src}: dev_src is empty, but tune_rounds "
+                            f"= {config.tune_rounds} needs dev sentences")
 
+    os.makedirs(config.work_dir, exist_ok=True)
     lm = ngramlm.train_kn(lm_sentences, config.lm_order)
 
-    def make_table(bitext: Bitext, role: str) -> phrasetab.PhraseTable:
-        return build_phrase_table(bitext, config.em_iterations,
+    def make_table(parts: list[Bitext], role: str) -> phrasetab.PhraseTable:
+        return build_phrase_table(concat_bitexts(parts), config.em_iterations,
                                   config.max_phrase_len, config.prune_top_k, role)
 
-    mode_tables: dict[str, phrasetab.TableSet] = {}
-    baseline_table = make_table(baseline, "baseline")
-    mode_tables["B0"] = phrasetab.TableSet([baseline_table])
-    if synth is not None and config.use_synth == "concat":
-        mode_tables["Syn"] = phrasetab.TableSet(
-            [make_table(concat_bitexts([baseline, synth]), "baseline")])
-    if synth is not None and config.use_synth == "separate":
-        synth_table = make_table(synth, "synthetic")
-        mode_tables["PT"] = phrasetab.TableSet([baseline_table, synth_table])
+    # each mode's tables; the data list grows as the modes stack
+    parts = [baseline]
+    baseline_table = make_table(parts, "baseline")
+    mode_tables = {"B0": [baseline_table]}
+    if config.use_synth == "concat":
+        parts.append(synth)
+        mode_tables["Syn"] = [make_table(parts, "baseline")]
+    elif config.use_synth == "separate":
+        mode_tables["PT"] = [baseline_table, make_table([synth], "synthetic")]
     if dict_entries is not None:
         # dictionaries stack on top of the best previous data configuration
-        parts = [baseline]
-        if synth is not None and config.use_synth == "concat":
-            parts.append(synth)
-        parts.append(dict_to_bitext(dict_entries))
-        mode_tables["Dict"] = phrasetab.TableSet(
-            [make_table(concat_bitexts(parts), "baseline")])
+        mode_tables["Dict"] = [make_table(parts + [dict_to_bitext(dict_entries)], "baseline")]
 
-    artifacts: dict[str, str] = {}
-    lm_path = os.path.join(config.work_dir, "lm.arpa")
-    ngramlm.write_arpa(lm, lm_path)
-    artifacts["lm"] = "lm.arpa"
+    artifacts: dict[str, str] = {}  # manifest name: path under work_dir
 
-    runs: list[SystemRun] = []
-    for mode, tables in mode_tables.items():
+    def artifact(name: str, rel: str) -> str:
+        artifacts[name] = rel
+        return os.path.join(config.work_dir, rel)
+
+    ngramlm.write_arpa(lm, artifact("lm", "lm.arpa"))
+
+    bleu: dict[str, float] = {}
+    oov: dict[str, int] = {}
+    for mode, table_list in mode_tables.items():
+        tables = phrasetab.TableSet(table_list)
         system = decoder.DecoderSystem(
             tables=tables, lm=lm, translit_model=translit_model,
             option_limit=config.option_limit, translit_k=config.translit_k,
             distortion_limit=config.distortion_limit, stack_size=config.stack_size,
         )
         model = system.default_model()
-        if config.tune_rounds > 0 and dev_pairs:
+        if dev_pairs is not None:
             model = decoder.tune_weights(dev_pairs, system, model,
                                          rounds=config.tune_rounds,
                                          nbest_size=config.nbest_size,
                                          threads=threads)
         hyps = [best for best, _ in decoder.decode_corpus(
             system, model, test_src, threads=threads)]
-        bleu, _ = evalkit.corpus_bleu(hyps, [ref for _, ref in test])
-        oov = _oov_count(test_src, tables)
+        bleu[mode], _ = evalkit.corpus_bleu(hyps, [ref for _, ref in test])
+        oov[mode] = _oov_count(test_src, tables)
 
         for idx, table in enumerate(tables.tables):
-            rel = f"table.{mode}.{idx}.moses"
-            phrasetab.write_moses(table, os.path.join(config.work_dir, rel))
-            artifacts[f"table.{mode}.{idx}"] = rel
-        weights_rel = f"weights.{mode}.tsv"
-        decoder.write_weights(model, os.path.join(config.work_dir, weights_rel))
-        artifacts[f"weights.{mode}"] = weights_rel
-        hyp_rel = f"output.{mode}.txt"
-        write_lines(os.path.join(config.work_dir, hyp_rel),
+            phrasetab.write_moses(table, artifact(f"table.{mode}.{idx}",
+                                                  f"table.{mode}.{idx}.moses"))
+        decoder.write_weights(model, artifact(f"weights.{mode}", f"weights.{mode}.tsv"))
+        write_lines(artifact(f"output.{mode}", f"output.{mode}.txt"),
                     (" ".join(h) for h in hyps))
-        artifacts[f"output.{mode}"] = hyp_rel
-        runs.append(SystemRun(mode, bleu, oov))
 
-    by_mode = {run.mode: run for run in runs}
-    base_run = by_mode["B0"]
     table_rows = [[config.label, "B_0", "system", "delta"]]
-    scores: dict[str, float] = {"bleu.B0": base_run.bleu, "oov.B0": float(base_run.oov)}
-    for mode in ("Syn", "PT", "Dict"):
-        run = by_mode.get(mode)
-        if run is None:
-            continue
-        if mode == "Dict" and "Syn" in by_mode:
-            base = by_mode["Syn"]
-        else:
-            base = base_run
-        row = evalkit.delta_report(base.bleu, run.bleu, f"{config.label} +{mode}")
-        table_rows.append([cell.strip() for cell in row.split("|")])
-        scores[f"bleu.{mode}"] = run.bleu
-        scores[f"oov.{mode}"] = float(run.oov)
-        scores[f"delta.{mode}"] = run.bleu - base.bleu
-    table_rows.append(["oov"] + [f"{run.mode}={run.oov}" for run in runs])
+    scores: dict[str, float] = {}
+    for mode in mode_tables:
+        scores[f"bleu.{mode}"] = bleu[mode]
+        scores[f"oov.{mode}"] = float(oov[mode])
+        if mode != "B0":
+            base = "Syn" if mode == "Dict" and "Syn" in bleu else "B0"
+            table_rows.append(evalkit.delta_report(bleu[base], bleu[mode],
+                                                   f"{config.label} +{mode}"))
+            scores[f"delta.{mode}"] = bleu[mode] - bleu[base]
+    table_rows.append(["oov"] + [f"{mode}={count}" for mode, count in oov.items()])
     report_text = "\n".join(
         " | ".join(row) for row in table_rows) + "\n"
-    write_lines(os.path.join(config.work_dir, "report.txt"), [evalkit.render_columns(table_rows)])
-    artifacts["report"] = "report.txt"
-    write_lines(os.path.join(config.work_dir, "report.tsv"), [evalkit.render_tsv(table_rows)])
-    artifacts["report_tsv"] = "report.tsv"
+    write_lines(artifact("report", "report.txt"), [evalkit.render_columns(table_rows)])
+    write_lines(artifact("report_tsv", "report.tsv"), [evalkit.render_tsv(table_rows)])
 
     manifest_lines = [f"config_hash = {config_hash(config)}"]
     for name in sorted(inputs):
         manifest_lines.append(f"input.{name}.sha256 = {file_hash(inputs[name])}")
-    for name in sorted(artifacts):
-        rel = artifacts[name]
+    for name, rel in sorted(artifacts.items()):
         digest = file_hash(os.path.join(config.work_dir, rel))
         manifest_lines.append(f"artifact.{name} = {rel}")
         manifest_lines.append(f"artifact.{name}.sha256 = {digest}")

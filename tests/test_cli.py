@@ -517,6 +517,8 @@ _OUT_OF_RANGE = [
     ("mine-translit", ["--threshold", "-0.5"], 1, "threshold must be in [0, 1]"),
     ("decode", ["--translit-model", "{tmp}/wrong-types.json"], 2, "is not a number"),
     ("experiment", {"work_dir": " "}, 1, "work_dir must be non-empty"),  # read as ""
+    ("experiment", {"tune_rounds": 1, "dev_src": "{tmp}/empty.txt",
+                    "dev_tgt": "{tmp}/empty.txt"}, 2, "dev_src is empty"),
 ]
 
 
@@ -534,10 +536,12 @@ class TestBoundaries:
         fixture = make_experiment_fixture(str(tmp_path / "fix"), seed=3, vocab=12,
                                           covered=8, n_train=30, n_synth=10,
                                           n_test=5, n_dev=3)
+        (tmp_path / "empty.txt").write_text("", encoding="utf-8")
 
         def build(name, extra):
             if name == "experiment":
-                values = {"work_dir": str(tmp_path / "run"), **extra}
+                values = {"work_dir": str(tmp_path / "run"),
+                          **{key: str(value).format(tmp=tmp_path) for key, value in extra.items()}}
                 return ["experiment", "--config", write_config(
                     str(tmp_path / "exp.conf"), values.pop("work_dir"), fixture, **values)]
             extra = [arg.format(tmp=tmp_path) for arg in extra]
@@ -572,7 +576,8 @@ class TestBoundaries:
         assert not os.path.exists(str(tmp_path / "o1"))
 
     @pytest.mark.parametrize("extra, says", [(extra, says) for name, extra, code, says
-                                             in _OUT_OF_RANGE if name == "experiment"])
+                                             in _OUT_OF_RANGE
+                                             if name == "experiment" and code == 1])
     def test_bad_experiment_value_fails_before_training(self, capsys, monkeypatch, command,
                                                          extra, says):
         def never(*args, **kwargs):

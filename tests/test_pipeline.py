@@ -6,6 +6,7 @@ from pivotsmt.corpus import ingest_bitext
 from pivotsmt.decoder import DecoderSystem, decode_corpus
 from pivotsmt.errors import DataError
 from pivotsmt.ngramlm import train_kn
+from pivotsmt import pipeline
 from pivotsmt.phrasetab import PhraseEntry, PhraseTable, TableSet
 from pivotsmt.pipeline import (
     ExperimentConfig, align_bitext, build_phrase_table, config_hash,
@@ -129,6 +130,38 @@ class TestExperiment:
         with pytest.raises(DataError, match="missing experiment inputs"):
             run_experiment(config)
         assert not os.path.exists(str(tmp_path / "w" / "run.manifest"))
+
+    def test_missing_lm_corpus_leaves_no_work_dir(self, small_fixture, tmp_path):
+        config_path = write_config(str(tmp_path / "c.conf"), str(tmp_path / "run"),
+                                   small_fixture, lm_corpus=str(tmp_path / "nope.txt"))
+        with pytest.raises(DataError, match="missing experiment inputs: lm_corpus$"):
+            run_experiment(ExperimentConfig.from_file(config_path))
+        assert not os.path.exists(str(tmp_path / "run"))
+
+    def test_empty_dev_fails_before_training(self, small_fixture, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("training started before the inputs were read")
+
+        monkeypatch.setattr(pipeline.ngramlm, "train_kn", never)
+        monkeypatch.setattr(pipeline.align, "train_model1", never)
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
+        config_path = write_config(str(tmp_path / "c.conf"), str(tmp_path / "run"),
+                                   small_fixture, tune_rounds=1,
+                                   dev_src=str(empty), dev_tgt=str(empty))
+        with pytest.raises(DataError, match="dev_src is empty"):
+            run_experiment(ExperimentConfig.from_file(config_path))
+        assert not os.path.exists(str(tmp_path / "run"))
+
+    def test_bar_in_label_keeps_four_cells_a_row(self, small_fixture, tmp_path):
+        work = str(tmp_path / "run")
+        config_path = write_config(str(tmp_path / "c.conf"), work, small_fixture,
+                                   label="hi|en", use_synth="concat", use_dict="on")
+        run_experiment(ExperimentConfig.from_file(config_path))
+        with open(os.path.join(work, "report.tsv"), encoding="utf-8") as handle:
+            rows = [line.split("\t") for line in handle.read().splitlines()]
+        assert [len(row) for row in rows] == [4] * 4  # header, +Syn, +Dict, oov
+        assert rows[1][0] == "hi|en +Syn"
 
     def test_synth_improves_bleu(self, small_fixture, tmp_path):
         config_path = write_config(str(tmp_path / "c.conf"),
