@@ -354,7 +354,7 @@ def decode(
                     coverage = covered | mask
                     gaps = ~coverage & full
                     if gaps and end - ((gaps & -gaps).bit_length() - 1) > distortion_limit:
-                        break  # the first gap, left of start, could never be reached
+                        break  # the first gap lies left of start, out of reach for longer spans too
                     child_stack = stacks[cardinality + length]
                     for option, static, wp_cost, steps in scored:
                         step = steps.get(node_state)
