@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Subcommands: tokenize, ingest, align, extract, triangulate, mine-translit,
-translit-table, train-lm, synthesize, tune, decode, score, experiment.
+Subcommands: tokenize, ingest, dict-links, align, extract, triangulate,
+mine-translit, translit-table, train-lm, synthesize, tune, decode, score,
+tally, experiment.
 Every subcommand exits 0 on success, 1 on usage error, 2 on data error.
 """
 
@@ -13,7 +14,8 @@ import sys
 
 from . import align as align_mod
 from . import decoder, evalkit, ngramlm, phrasetab, pipeline, pivot, translit
-from .corpus import Bitext, ingest_bitext, read_lines, read_parallel, tokenize, write_lines
+from .corpus import (Bitext, ingest_bitext, mine_language_links, read_lines, read_parallel,
+                     records, tokenize, write_lines)
 from .errors import PivotSmtError
 
 logger = logging.getLogger(__name__)
@@ -53,6 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-src", required=True)
     p.add_argument("--out-tgt", required=True)
     p.add_argument("--max-len", type=int, default=80)
+
+    p = sub.add_parser("dict-links", help="mine a dictionary from wiki language links")
+    p.add_argument("--pages", required=True, help="pages, each under a `== <title>` line")
+    p.add_argument("--lang", required=True, help="language code of the links to keep")
+    p.add_argument("--out", required=True, help="source<TAB>target<TAB>provenance file")
 
     p = sub.add_parser("align", help="train word alignments and symmetrize")
     p.add_argument("--src", required=True)
@@ -145,6 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True)
     p.add_argument("--max-n", type=int, default=4)
 
+    p = sub.add_parser("tally", help="count and percent of each manual judgment")
+    p.add_argument("--labels", required=True, help="sent_id,judge_id,category lines")
+
     p = sub.add_parser("experiment", help="run the B0/+Syn/+PT/+Dict mode matrix")
     p.add_argument("--config", required=True, help="key = value experiment file")
     p.add_argument("--threads", type=_at_least(1), default=1,
@@ -187,6 +197,14 @@ def cmd_ingest(args) -> int:
     write_lines(args.out_src, (" ".join(s) for s, _ in bitext.pairs))
     write_lines(args.out_tgt, (" ".join(t) for _, t in bitext.pairs))
     print(f"kept {len(bitext)} pairs, dropped {bitext.dropped_pairs}")
+    return 0
+
+
+def cmd_dict_links(args) -> int:
+    entries, malformed = mine_language_links(read_lines(args.pages), args.lang, args.pages)
+    write_lines(args.out, (f"{' '.join(e.source)}\t{' '.join(e.target)}\t{e.provenance}"
+                           for e in entries))
+    print(f"mined {len(entries)} entries, skipped {malformed} malformed links")
     return 0
 
 
@@ -245,7 +263,7 @@ def cmd_mine_translit(args) -> int:
 
 def cmd_translit_table(args) -> int:
     model = translit.read_char_model(args.model)
-    words = [line.strip() for line in read_lines(args.words) if line.strip()]
+    words = [word for _, (word,) in records(args.words, args.words, sep=None, widths=(1,))]
     table = translit.build_translit_table(model, words, args.k)
     phrasetab.write_moses(table, args.out)
     print(f"built {len(table)} transliteration entries for {len(words)} words")
@@ -308,6 +326,16 @@ def cmd_score(args) -> int:
     return 0
 
 
+def cmd_tally(args) -> int:
+    tally = evalkit.tally_manual(evalkit.read_manual_labels(args.labels))
+    percent = tally.percentages(1)
+    rows = [["category", "count", "percent"]]
+    rows += [[c, str(tally.counts[c]), f"{percent[c]:.1f}"] for c in evalkit.MANUAL_CATEGORIES]
+    rows.append(["total", str(tally.total)])
+    print(evalkit.render_columns(rows))
+    return 0
+
+
 def cmd_experiment(args) -> int:
     config = pipeline.ExperimentConfig.from_file(args.config)
     result = pipeline.run_experiment(config, threads=args.threads)
@@ -317,11 +345,12 @@ def cmd_experiment(args) -> int:
 
 
 COMMANDS = {
-    "tokenize": cmd_tokenize, "ingest": cmd_ingest, "align": cmd_align,
-    "extract": cmd_extract, "triangulate": cmd_triangulate,
+    "tokenize": cmd_tokenize, "ingest": cmd_ingest, "dict-links": cmd_dict_links,
+    "align": cmd_align, "extract": cmd_extract, "triangulate": cmd_triangulate,
     "mine-translit": cmd_mine_translit, "translit-table": cmd_translit_table,
     "train-lm": cmd_train_lm, "synthesize": cmd_synthesize, "tune": cmd_tune,
-    "decode": cmd_decode, "score": cmd_score, "experiment": cmd_experiment,
+    "decode": cmd_decode, "score": cmd_score, "tally": cmd_tally,
+    "experiment": cmd_experiment,
 }
 
 

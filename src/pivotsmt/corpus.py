@@ -106,14 +106,14 @@ def write_lines(dest: str | TextIO, lines: Iterable[str]) -> None:
         dest.write("\n")
 
 
-def records(src: str | TextIO | Iterable[str], name: str, sep: str = "\t",
+def records(src: str | TextIO | Iterable[str], name: str, sep: str | None = "\t",
             widths: Sequence[int] = (3,)) -> Iterator[tuple[str, list[str]]]:
     """Yield (`name:lineno`, fields) for every non-blank line of a line-record file.
 
     `src` is a path, read through read_lines so that it names itself and a
     bad byte is a DataError at its line, or an open handle or list of lines,
-    used as it is. A line whose field count is not in `widths` is a
-    DataError.
+    used as it is. A `sep` of None splits on runs of whitespace. A line
+    whose field count is not in `widths` is a DataError.
     """
     if isinstance(src, str):
         name, src = src, read_lines(src)
@@ -125,7 +125,8 @@ def records(src: str | TextIO | Iterable[str], name: str, sep: str = "\t",
         fields = line.split(sep)
         if len(fields) not in widths:
             expected = " or ".join(map(str, widths))
-            raise DataError(f"{where}: expected {expected} {sep!r}-separated fields, "
+            raise DataError(f"{where}: expected {expected} "
+                            f"{repr(sep) if sep else 'whitespace'}-separated fields, "
                             f"got {len(fields)}")
         yield where, fields
 
@@ -226,23 +227,29 @@ def count_oov(sentences: Iterable[Sequence[str]], known: Iterable[str]) -> int:
 
 # --- Simplified wiki language-link extraction -------------------------------
 #
-# Fixture format: pages are concatenated in one file, each introduced by a
-# header line `== <title>`; everything until the next header is page text.
-# Only inter-language links of the form [[code:title]] are interpreted.
+# Page file format (`pivotsmt dict-links --pages`): pages are concatenated in
+# one file, each introduced by a header line `== <title>`; everything until
+# the next header is page text. Only inter-language links of the form
+# [[code:title]] are interpreted, and each becomes a `wikipedia` entry.
 
-_LINK_BODY = re.compile(r"^([A-Za-z][A-Za-z-]*):(.+)$", re.S)
+# a link opening, its text up to the next `[[` or `]]`, and its closing if that is `]]`
+_LINK = re.compile(r"\[\[((?:(?!\[\[|\]\]).)*)(\]\])?", re.S)
+_LANG_CODE = re.compile(r"[A-Za-z][A-Za-z-]*")
 
 
-def parse_wiki_pages(lines: Iterable[str]) -> list[tuple[str, str]]:
-    """Split a concatenated page file into (title, body) chunks."""
+def parse_wiki_pages(lines: Iterable[str], name: str = "<pages>") -> list[tuple[str, str]]:
+    """Split a concatenated page file into (title, body) chunks; an untitled header
+    is a DataError at its line."""
     pages: list[tuple[str, str]] = []
     title = None
     body: list[str] = []
-    for line in lines:
+    for lineno, line in enumerate(lines, start=1):
         if line.startswith("== "):
             if title is not None:
                 pages.append((title, "\n".join(body)))
             title = line[3:].strip()
+            if not title:
+                raise DataError(f"{name}:{lineno}: page header has no title")
             body = []
         elif title is not None:
             body.append(line)
@@ -257,35 +264,19 @@ def extract_language_links(
     """Scan one page for [[target_lang:title]] links.
 
     Returns the deduplicated entries plus the count of malformed link
-    candidates (unclosed markup or empty titles); malformed links are
-    skipped, never fatal.
+    candidates (unclosed markup, a bad language code or an empty title);
+    malformed links are skipped, never fatal.
     """
     entries: list[DictionaryEntry] = []
     seen: set[str] = set()
     malformed = 0
-    pos = 0
-    while True:
-        start = page_text.find("[[", pos)
-        if start < 0:
-            break
-        end = page_text.find("]]", start + 2)
-        nxt = page_text.find("[[", start + 2)
-        if end < 0 or (0 <= nxt < end):
+    for link in _LINK.finditer(page_text):
+        inner, closed = link.groups()
+        code, colon, linked = inner.partition(":")  # no colon: a plain page link
+        linked = linked.strip()
+        if not closed or (colon and not (_LANG_CODE.fullmatch(code) and linked)):
             malformed += 1
-            pos = start + 2
-            continue
-        inner = page_text[start + 2 : end]
-        pos = end + 2
-        match = _LINK_BODY.match(inner)
-        if match is None:
-            if ":" in inner:
-                malformed += 1
-            continue  # plain page link; not a language link
-        code, linked = match.group(1), match.group(2).strip()
-        if not linked:
-            malformed += 1
-            continue
-        if code == target_lang and linked not in seen:
+        elif colon and code == target_lang and linked not in seen:
             seen.add(linked)
             entries.append(
                 DictionaryEntry(tuple(title.split()), tuple(linked.split()), "wikipedia")
@@ -294,15 +285,13 @@ def extract_language_links(
 
 
 def mine_language_links(
-    lines: Iterable[str], target_lang: str
+    lines: Iterable[str], target_lang: str, name: str = "<pages>"
 ) -> tuple[list[DictionaryEntry], int]:
-    """Extract language links from every page of a concatenated fixture file."""
+    """Extract language links from every page of a concatenated page file."""
     all_entries: list[DictionaryEntry] = []
     malformed = 0
-    for title, body in parse_wiki_pages(lines):
+    for title, body in parse_wiki_pages(lines, name):
         entries, bad = extract_language_links(title, body, target_lang)
         all_entries.extend(entries)
         malformed += bad
-    if malformed:
-        logger.warning("skipped %d malformed language links", malformed)
     return all_entries, malformed

@@ -611,7 +611,7 @@ def tune_weights(
     rounds. Fully deterministic: the step grid is fixed and ties keep the
     incumbent weight.
     """
-    if not dev:
+    if not any(src for src, _ in dev):  # no sentence, or only blank ones
         raise DataError("cannot tune on an empty dev set")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -680,6 +680,12 @@ def write_weights(model: LogLinearModel, dest: str | TextIO) -> None:
 
 
 def read_weights(path: str, n_tables: int, use_translit: bool = False) -> LogLinearModel:
-    weights = {name: number(weight, where, "weight")
-               for where, (name, weight) in records(path, path, widths=(2,))}
+    """A `feature<TAB>weight` file; a feature the system lacks is a DataError at its
+    line, and one the file lacks weighs 0."""
+    known = feature_names(n_tables, use_translit)
+    weights = {}
+    for where, (name, weight) in records(path, path, widths=(2,)):
+        if name not in known:
+            raise DataError(f"{where}: unknown feature {name!r} (known: {', '.join(known)})")
+        weights[name] = number(weight, where, "weight")
     return LogLinearModel(weights=weights, n_tables=n_tables, use_translit=use_translit)

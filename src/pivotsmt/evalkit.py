@@ -118,10 +118,9 @@ def delta_report(baseline: float, system: float, label: str) -> list[str]:
 
 @dataclass
 class ManualTally:
-    """Counts of manual judgments per category, optionally per judge."""
+    """Counts of manual judgments per category."""
 
     counts: dict[str, int]
-    per_judge: dict[str, dict[str, int]] = field(default_factory=dict)
 
     @property
     def total(self) -> int:
@@ -137,27 +136,24 @@ class ManualTally:
         }
 
 
-def tally_manual(labels: Iterable[str | tuple[str, str]]) -> ManualTally:
-    """Tally category labels, given either bare or as (judge, category)."""
-    counts = {c: 0 for c in MANUAL_CATEGORIES}
-    per_judge: dict[str, dict[str, int]] = {}
-    for item in labels:
-        if isinstance(item, tuple):
-            judge, category = item
-        else:
-            judge, category = None, item
+def read_manual_labels(src: str | Iterable[str], name: str = "<labels>") -> list[str]:
+    """The category of each `sent_id,judge_id,category` CSV line of a path, a handle
+    or lines; a category outside MANUAL_CATEGORIES is a DataError at its line."""
+    labels = []
+    for where, (_, _, category) in records(src, name, sep=","):
+        category = category.strip()
         if category not in MANUAL_CATEGORIES:
-            raise DataError(f"unknown manual category: {category!r}")
+            raise DataError(f"{where}: unknown manual category {category!r}")
+        labels.append(category)
+    return labels
+
+
+def tally_manual(labels: Iterable[str]) -> ManualTally:
+    """Count categories already checked by read_manual_labels."""
+    counts = {c: 0 for c in MANUAL_CATEGORIES}
+    for category in labels:
         counts[category] += 1
-        if judge is not None:
-            per_judge.setdefault(judge, {c: 0 for c in MANUAL_CATEGORIES})[category] += 1
-    return ManualTally(counts=counts, per_judge=per_judge)
-
-
-def read_manual_labels(lines: Iterable[str], name: str = "<labels>") -> list[tuple[str, str]]:
-    """Parse `sent_id,judge_id,category` CSV lines into (judge, category)."""
-    return [(judge.strip(), category.strip())
-            for _, (_, judge, category) in records(lines, name, sep=",")]
+    return ManualTally(counts=counts)
 
 
 @dataclass
@@ -177,19 +173,6 @@ class ErrorProfile:
             c: round_half_up(100.0 * self.counts[c] / self.sample_size, decimals)
             for c in ERROR_CATEGORIES
         }
-
-
-def error_profile(flags: Sequence[Iterable[str]], sample_size: int) -> ErrorProfile:
-    """Aggregate per-sentence error category flag sets."""
-    if len(flags) != sample_size:
-        raise DataError(f"{len(flags)} flag sets given for sample size {sample_size}")
-    counts = {c: 0 for c in ERROR_CATEGORIES}
-    for flag_set in flags:
-        for category in set(flag_set):
-            if category not in ERROR_CATEGORIES:
-                raise DataError(f"unknown error category: {category!r}")
-            counts[category] += 1
-    return ErrorProfile(sample_size=sample_size, counts=counts)
 
 
 def render_columns(rows: Sequence[Sequence[str]]) -> str:

@@ -53,21 +53,6 @@ class NGramModel:
             ctx = ctx[1:]
 
 
-def perplexity(model, sentences: Iterable[Sequence[str]]) -> float:
-    """Per-token perplexity (base 10) including start-of-sentence context."""
-    total = 0.0
-    count = 0
-    for sent in sentences:
-        context: list[str] = [BOS]
-        for word in sent:
-            total += model.logprob(context, word)
-            context.append(word)
-            count += 1
-    if count == 0:
-        return float("inf")
-    return 10.0 ** (-total / count)
-
-
 def _discount(counts: Iterable[float]) -> float:
     n1 = n2 = 0
     for c in counts:

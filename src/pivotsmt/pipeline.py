@@ -229,7 +229,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     dev_pairs = None
     if "dev_src" in inputs:
         dev_pairs = read_parallel(config.dev_src, config.dev_tgt)
-        if not dev_pairs:
+        if not any(src for src, _ in dev_pairs):  # no sentence, or only blank ones
             raise DataError(f"{config.dev_src}: dev_src is empty, but tune_rounds "
                             f"= {config.tune_rounds} needs dev sentences")
 

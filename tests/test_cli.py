@@ -21,6 +21,7 @@ _SYSTEM_READS = ("table", "lm", "lm2", "weights", "char")
 _READS = [
     ("tokenize --input {src} --output {out}", ("src",)),
     ("ingest --src {src} --tgt {tgt} --out-src {out} --out-tgt {out2}", ("src", "tgt")),
+    ("dict-links --pages {pages} --lang hi --out {out}", ("pages",)),
     ("align --src {src} --tgt {tgt} --out {out}", ("src", "tgt")),
     ("extract --src {src} --tgt {tgt} --alignments {alignments} --out {out}",
      ("src", "tgt", "alignments")),
@@ -36,6 +37,7 @@ _READS = [
      ("src", "tgt", *_SYSTEM_READS)),
     ("decode --input {src} --output {out}" + _SYSTEM, ("src", *_SYSTEM_READS)),
     ("score --hyp {src} --ref {tgt}", ("src", "tgt")),
+    ("tally --labels {labels}", ("labels",)),
     ("experiment --config {config}",
      ("config", "train_src", "train_tgt", "test_src", "test_tgt", "synth_src", "synth_tgt",
       "dev_src", "dev_tgt", "dict_tsv", "lm_corpus", "translit_model")),
@@ -112,6 +114,8 @@ class TestExitCodes:
                  "char": char_model(tmp_path / "char.json", {"a": {"a": 1.0}}),
                  "pairs": write(tmp_path / "pairs.tsv", ["ab\tAB", "ba\tBA\t2"]),
                  "alignments": write(tmp_path / "a.txt", ["0-0 1-1", "0-0"]),
+                 "pages": write(tmp_path / "pages.txt", ["== a00", "[[hi:b00]]"]),
+                 "labels": write(tmp_path / "labels.csv", ["1,j1,helpful", "2,j2,doubtful"]),
                  "out": str(tmp_path / "o1"), "out2": str(tmp_path / "o2")}
         for lm in ("lm", "lm2"):
             assert main(["train-lm", "--corpus", paths["tgt"], "--out", paths[lm]]) == 0
@@ -302,6 +306,48 @@ class TestCommands:
         with open(table_out, encoding="utf-8") as handle:
             text = handle.read()
         assert "abba ||| ABBA |||" in text
+
+    def test_translit_table_rejects_a_phrase_line(self, tmp_path, capsys):
+        model_path = char_model(tmp_path / "char.json", {"a": {"a": 1.0}})
+        words = write(tmp_path / "words.txt", ["a", "ab ba"])
+        out = str(tmp_path / "translit.moses")
+        assert main(["translit-table", "--model", model_path,
+                     "--words", words, "--out", out]) == 2
+        err = one_line_error(capsys)
+        assert f"{words}:2: expected 1 whitespace-separated fields, got 2" in err
+        assert not os.path.exists(out)
+
+    def test_dict_links_writes_the_experiment_dictionary(self, tmp_path, capsys):
+        fixture = make_experiment_fixture(str(tmp_path / "fix"), seed=3, vocab=12, covered=8,
+                                          n_train=30, n_synth=10, n_test=5, n_dev=3)
+        pages = ["intro text before any page"]
+        for i in range(8, 12):
+            pages += [f"== a{i:02d}", f"see [[a{i:02d}]], [[fr:c{i:02d}]] and",
+                      f"[[hi:b{i:02d}]] [[hi:b{i:02d}]] [[hi:]]"]
+        out = str(tmp_path / "dict.tsv")
+        assert main(["dict-links", "--pages", write(tmp_path / "pages.txt", pages),
+                     "--lang", "hi", "--out", out]) == 0
+        assert capsys.readouterr().out == "mined 4 entries, skipped 4 malformed links\n"
+        with open(out, "rb") as mined, open(fixture["dict"], "rb") as expected:
+            assert mined.read() == expected.read()
+
+    def test_dict_links_rejects_an_untitled_page(self, tmp_path, capsys):
+        pages = write(tmp_path / "pages.txt", ["== a00", "[[hi:b00]]", "== ", "[[hi:b01]]"])
+        assert main(["dict-links", "--pages", pages, "--lang", "hi",
+                     "--out", str(tmp_path / "dict.tsv")]) == 2
+        assert f"{pages}:3: page header has no title" in one_line_error(capsys)
+
+    def test_tally_prints_counts_and_percentages(self, tmp_path, capsys):
+        labels = write(tmp_path / "labels.csv",
+                       [f"{i},j{i % 2},{c}" for i, c in
+                        enumerate(["helpful"] * 5 + ["doubtful"] * 2 + ["misleading"])])
+        assert main(["tally", "--labels", labels]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "category    count  percent",
+            "helpful     5      62.5",
+            "doubtful    2      25.0",
+            "misleading  1      12.5",
+            "total       8"]
 
     def test_synthesize_command(self, tmp_path, capsys):
         table = write(tmp_path / "id.moses",
@@ -519,6 +565,10 @@ _OUT_OF_RANGE = [
     ("experiment", {"work_dir": " "}, 1, "work_dir must be non-empty"),  # read as ""
     ("experiment", {"tune_rounds": 1, "dev_src": "{tmp}/empty.txt",
                     "dev_tgt": "{tmp}/empty.txt"}, 2, "dev_src is empty"),
+    ("experiment", {"tune_rounds": 1, "dev_src": "{tmp}/blank.txt",
+                    "dev_tgt": "{tmp}/blank.txt"}, 2, "dev_src is empty"),
+    ("tune", ["--dev-src", "{tmp}/blank.txt", "--dev-ref", "{tmp}/blank.txt"], 2,
+     "cannot tune on an empty dev set"),
 ]
 
 
@@ -537,6 +587,7 @@ class TestBoundaries:
                                           covered=8, n_train=30, n_synth=10,
                                           n_test=5, n_dev=3)
         (tmp_path / "empty.txt").write_text("", encoding="utf-8")
+        (tmp_path / "blank.txt").write_text("\n\n\n", encoding="utf-8")
 
         def build(name, extra):
             if name == "experiment":

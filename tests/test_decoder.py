@@ -453,8 +453,9 @@ class TestTune:
 
     def test_empty_dev_rejected(self, uniform_lm):
         system = self.make_system(uniform_lm)
-        with pytest.raises(DataError):
-            tune_weights([], system, system.default_model())
+        for dev in ([], [((), ())] * 3, [((), ("x1",))]):
+            with pytest.raises(DataError, match="empty dev set"):
+                tune_weights(dev, system, system.default_model())
 
 
 class TestWeightsIO:
@@ -471,6 +472,25 @@ class TestWeightsIO:
         path.write_text("lm\tnot-a-number\n", encoding="utf-8")
         with pytest.raises(DataError):
             read_weights(str(path), 1)
+
+    def test_unknown_feature_names_line(self, tmp_path):
+        path = tmp_path / "w.tsv"
+        path.write_text("lm\t0.5\nlmm\t0.5\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"w.tsv:2: unknown feature 'lmm'"):
+            read_weights(str(path), 1)
+        path.write_text("tm1.phi_fwd\t0.5\n", encoding="utf-8")
+        with pytest.raises(DataError, match="w.tsv:1: unknown feature"):
+            read_weights(str(path), 1)
+        path.write_text("translit\t0.5\n", encoding="utf-8")
+        with pytest.raises(DataError, match="w.tsv:1: unknown feature"):
+            read_weights(str(path), 1, use_translit=False)
+
+    def test_missing_feature_weighs_zero(self, tmp_path):
+        path = tmp_path / "w.tsv"
+        path.write_text("lm\t0.5\n", encoding="utf-8")
+        weights = read_weights(str(path), 2, use_translit=True).weights
+        assert weights["lm"] == 0.5
+        assert weights["tm1.phi_fwd"] == weights["translit"] == 0.0
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_weight_names_line(self, tmp_path, bad):

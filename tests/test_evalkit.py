@@ -4,7 +4,7 @@ import pytest
 
 from pivotsmt.errors import DataError
 from pivotsmt.evalkit import (
-    BleuStats, ManualTally, corpus_bleu, delta_report, error_profile,
+    ERROR_CATEGORIES, BleuStats, ErrorProfile, ManualTally, corpus_bleu, delta_report,
     read_manual_labels, render_columns, render_tsv, tally_manual,
 )
 
@@ -106,16 +106,9 @@ class TestManualTally:
             "helpful": 0.0, "doubtful": 100.0, "misleading": 0.0,
         }
 
-    def test_per_judge_breakdown(self):
-        labels = [("j1", "helpful"), ("j1", "helpful"), ("j2", "misleading")]
-        tally = tally_manual(labels)
-        assert tally.counts["helpful"] == 2
-        assert tally.per_judge["j1"]["helpful"] == 2
-        assert tally.per_judge["j2"]["misleading"] == 1
-
     def test_unknown_category_named(self):
-        with pytest.raises(DataError, match="excellent"):
-            tally_manual(["helpful", "excellent"])
+        with pytest.raises(DataError, match="^labels.csv:2: .*'excellent'"):
+            read_manual_labels(["1,j1,helpful", "2,j1,excellent"], "labels.csv")
 
     def test_percentages_sum_to_100(self):
         tally = tally_manual(["helpful"] * 7 + ["doubtful"] * 11 +
@@ -124,31 +117,16 @@ class TestManualTally:
         assert abs(total - 100.0) < 0.2
 
     def test_csv_reader(self):
-        labels = read_manual_labels(["1,j1,helpful", "2,j2,doubtful"])
-        assert labels == [("j1", "helpful"), ("j2", "doubtful")]
+        labels = read_manual_labels(["1,j1,helpful", "2,j2, doubtful"])
+        assert labels == ["helpful", "doubtful"]
         with pytest.raises(DataError):
             read_manual_labels(["missing fields"])
 
 
 class TestErrorProfile:
-    def test_analysis_sample(self):
-        flags = ([{"missing_untranslated", "wrong_translation", "word_order"}] * 13
-                 + [{"missing_untranslated", "wrong_translation"}] * 10
-                 + [{"missing_untranslated", "word_order"}] * 22
-                 + [{"wrong_translation", "word_order"}] * 49
-                 + [{"wrong_translation"}] * 2
-                 + [set()] * 4)
-        profile = error_profile(flags, 100)
-        pct = profile.percentages(0)
-        assert pct["missing_untranslated"] == 45.0
-        assert pct["wrong_translation"] == 74.0
-        assert pct["word_order"] == 84.0
-        assert pct["other"] == 0.0
-
     def test_paper_profile_percentages(self):
         counts = {"missing_untranslated": 45, "wrong_translation": 74,
                   "word_order": 84, "other": 13}
-        from pivotsmt.evalkit import ErrorProfile
         profile = ErrorProfile(sample_size=100, counts=counts)
         assert profile.percentages(0) == {
             "missing_untranslated": 45.0, "wrong_translation": 74.0,
@@ -156,22 +134,13 @@ class TestErrorProfile:
         }
 
     def test_all_empty(self):
-        profile = error_profile([set()] * 5, 5)
-        assert all(v == 0.0 for v in profile.percentages().values())
+        for size in (0, 5):
+            profile = ErrorProfile(sample_size=size, counts=dict.fromkeys(ERROR_CATEGORIES, 0))
+            assert all(v == 0.0 for v in profile.percentages().values())
 
     def test_all_flagged(self):
-        flags = [set(("missing_untranslated", "wrong_translation",
-                      "word_order", "other"))] * 4
-        profile = error_profile(flags, 4)
+        profile = ErrorProfile(sample_size=4, counts=dict.fromkeys(ERROR_CATEGORIES, 4))
         assert all(v == 100.0 for v in profile.percentages().values())
-
-    def test_size_mismatch(self):
-        with pytest.raises(DataError):
-            error_profile([set()], 2)
-
-    def test_unknown_category(self):
-        with pytest.raises(DataError, match="typo"):
-            error_profile([{"typo"}], 1)
 
 
 class TestRendering:

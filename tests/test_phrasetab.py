@@ -250,6 +250,9 @@ class TestMosesFormat:
         assert text == "ein haus ||| a house ||| 0.25 0.25 0.25 0.25\n"
         back = read_moses(io.StringIO(text))
         assert back.get(("ein", "haus"))[0].target == ("a", "house")
+        # membership is by source phrase; the benchmark picks OOV words with it
+        assert ("ein", "haus") in back and ["ein", "haus"] in back
+        assert ("a", "house") not in back and ("ein",) not in back
 
     def test_thousand_random_entries_roundtrip(self):
         rng = random.Random(23)

@@ -145,13 +145,14 @@ class TestExperiment:
         monkeypatch.setattr(pipeline.ngramlm, "train_kn", never)
         monkeypatch.setattr(pipeline.align, "train_model1", never)
         empty = tmp_path / "empty.txt"
-        empty.write_text("", encoding="utf-8")
-        config_path = write_config(str(tmp_path / "c.conf"), str(tmp_path / "run"),
-                                   small_fixture, tune_rounds=1,
-                                   dev_src=str(empty), dev_tgt=str(empty))
-        with pytest.raises(DataError, match="dev_src is empty"):
-            run_experiment(ExperimentConfig.from_file(config_path))
-        assert not os.path.exists(str(tmp_path / "run"))
+        for text in ("", "\n\n\n"):  # no line, or blank lines only
+            empty.write_text(text, encoding="utf-8")
+            config_path = write_config(str(tmp_path / "c.conf"), str(tmp_path / "run"),
+                                       small_fixture, tune_rounds=1,
+                                       dev_src=str(empty), dev_tgt=str(empty))
+            with pytest.raises(DataError, match="dev_src is empty"):
+                run_experiment(ExperimentConfig.from_file(config_path))
+            assert not os.path.exists(str(tmp_path / "run"))
 
     def test_bar_in_label_keeps_four_cells_a_row(self, small_fixture, tmp_path):
         work = str(tmp_path / "run")
