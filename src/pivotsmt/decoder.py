@@ -20,6 +20,7 @@ import heapq
 import logging
 import math
 import multiprocessing
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -621,13 +622,15 @@ def tune_weights(
     order = initial.feature_order()
     refs = [tuple(ref) for _, ref in dev]
     pools: list[dict[tuple[str, ...], dict[str, float]]] = [dict() for _ in dev]
-    # each pool's (tokens, features) in token order; pools change only while
-    # decoding, so this is rebuilt once per round
-    sorted_pools: list[list[tuple[tuple[str, ...], dict[str, float]]]] = []
+    # each pool's (tokens, feature values in `order`) in token order; pools
+    # change only while decoding, so this is rebuilt once per round
+    sorted_pools: list[list[tuple[tuple[str, ...], list[float]]]] = []
 
-    def rescore_bleu(candidate: dict[str, float]) -> float:
+    def rescore_bleu(trial: list[float]) -> float:
+        # `trial` holds the weights in `order`, the order of every pooled
+        # feature dict, so each score is weighted_total's products in its order.
         # max keeps the first of equal scores; an empty pool scores as ()
-        hyps = [max(pool, key=lambda entry: weighted_total(entry[1], candidate),
+        hyps = [max(pool, key=lambda entry: sum(map(operator.mul, trial, entry[1])),
                     default=((), None))[0] for pool in sorted_pools]
         return corpus_bleu(hyps, refs)[0]
 
@@ -644,21 +647,22 @@ def tune_weights(
                 if (existing is None or weighted_total(item.features, weights)
                         > weighted_total(existing, weights)):
                     pool[item.tokens] = item.features
-        sorted_pools = [sorted(pool.items()) for pool in pools]
+        sorted_pools = [[(tokens, [features[name] for name in order])
+                         for tokens, features in sorted(pool.items())] for pool in pools]
         # BLEU of the current weights, carried from coordinate to coordinate
-        best_score = rescore_bleu(weights)
+        best_score = rescore_bleu([weights[name] for name in order])
         if best_score > best_bleu:
             best_bleu = best_score
             best_weights = dict(weights)
         improved = True
         while improved:
             improved = False
-            for name in order:
+            for k, name in enumerate(order):
                 base = weights[name]
                 best_value = base
+                trial = [weights[feature] for feature in order]
                 for step in _TUNE_STEPS:
-                    trial = dict(weights)
-                    trial[name] = base + step
+                    trial[k] = base + step
                     bleu = rescore_bleu(trial)
                     if bleu > best_score + 1e-12:
                         best_score = bleu

@@ -14,6 +14,7 @@ import heapq
 import json
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
@@ -167,66 +168,126 @@ class CharModel:
     log_likelihoods: list[float] = field(default_factory=list)
 
 
-def _forward_lattice(s: str, t: str, ops):
-    """Forward DP over monotone segmentations within the indel budget.
+class _Lattice:
+    """One word pair's forward lattice, compiled once for every E-pass.
 
-    `ops` maps source segments to target-segment probability rows. Cells
-    are indexed by source position, target position and unmatched-character
-    budget used. Returns (total probability, forward table, move list);
-    moves are (i, j, d, i2, j2, d2, src seg, tgt seg, p), leading from cell
-    (i, j, d) to cell (i2, j2, d2).
+    Cell (i, j, d) is numbered (i * (n + 1) + j) * (INDEL_BUDGET + 1) + d
+    for a target of n characters, so the final cells (m, n, *) come last.
+    `moves` holds flat (source cell, destination cell, operation id)
+    triples in (i, j, d, di, dj) order, the order the forward sum adds in.
     """
-    m, n = len(s), len(t)
-    budget = INDEL_BUDGET
-    fwd = [[[0.0] * (budget + 1) for _ in range(n + 1)] for _ in range(m + 1)]
-    fwd[0][0][0] = 1.0
-    moves = []
-    for i in range(m + 1):
-        for j in range(n + 1):
-            cell = fwd[i][j]
-            for d in range(budget + 1):
-                v = cell[d]
-                if v == 0.0:
+
+    __slots__ = ("size", "moves")
+
+    def __init__(self, s: str, t: str, op_ids: dict[str, dict[str, int]]) -> None:
+        """Every move of the cells reachable from (0, 0, 0) through `op_ids`,
+        which maps source segments to target segments to operation ids."""
+        m, n = len(s), len(t)
+        width = INDEL_BUDGET + 1
+        self.size = (m + 1) * (n + 1) * width
+        reached = bytearray(self.size)
+        reached[0] = 1
+        moves: list[int] = []
+        for i in range(m + 1):
+            for j in range(n + 1):
+                cell = (i * (n + 1) + j) * width
+                if not any(reached[cell:cell + width]):
                     continue
+                # (cell offset, budget spent, op id) of each step in (di, dj) order
+                steps = []
                 for di in range(0, MAX_SEG + 1):
                     if i + di > m:
                         break
-                    a = s[i:i + di]
-                    op_row = ops.get(a)
-                    if op_row is None:
+                    row = op_ids.get(s[i:i + di])
+                    if row is None:
                         continue
                     for dj in range(0, MAX_SEG + 1):
                         if di == 0 and dj == 0:
                             continue
                         if j + dj > n:
                             break
-                        spent = dj if di == 0 else (di if dj == 0 else 0)
-                        if d + spent > budget:
-                            continue
-                        b = t[j:j + dj]
-                        p = op_row.get(b, 0.0)
-                        if p:
-                            fwd[i + di][j + dj][d + spent] += v * p
-                            moves.append((i, j, d, i + di, j + dj, d + spent, a, b, p))
-    return _ltr_sum(fwd[m][n]), fwd, moves
+                        op = row.get(t[j:j + dj])
+                        if op is not None:
+                            spent = dj if di == 0 else (di if dj == 0 else 0)
+                            steps.append(((di * (n + 1) + dj) * width + spent, spent, op))
+                for d in range(width):
+                    if reached[cell + d]:
+                        for offset, spent, op in steps:
+                            if d + spent < width:
+                                reached[cell + d + offset] = 1
+                                moves += (cell + d, cell + d + offset, op)
+        self.moves = array("i", moves)
+
+    def drop_dead(self, probs: Sequence[float]) -> None:
+        """Drop the moves of zero-probability operations, and every move out
+        of a cell that no remaining move reaches. EM never revives an
+        operation once its probability is 0, so these moves stay dead."""
+        live = bytearray(self.size)
+        live[0] = 1
+        kept = array("i")
+        moves = iter(self.moves)
+        for src, dst, op in zip(moves, moves, moves):
+            if live[src] and probs[op]:
+                live[dst] = 1
+                kept.extend((src, dst, op))
+        self.moves = kept
 
 
-def _accumulate_counts(s: str, t: str, fwd, moves, total: float, scale: float,
-                       counts: dict[str, dict[str, float]]) -> None:
-    """Add forward-backward expectations of one pair into the count table."""
-    m, n = len(s), len(t)
-    budget = INDEL_BUDGET
-    bwd = [[[0.0] * (budget + 1) for _ in range(n + 1)] for _ in range(m + 1)]
-    for d in range(budget + 1):
-        bwd[m][n][d] = 1.0
-    for i, j, d, i2, j2, d2, a, b, p in reversed(moves):
-        bwd[i][j][d] += p * bwd[i2][j2][d2]
+def _forward_lattice(lattice: _Lattice, probs: Sequence[float]) -> tuple[float, list[float]]:
+    """Forward sum over a pair's monotone segmentations within the indel budget.
+
+    `probs` holds each operation id's probability. Returns (total
+    probability, forward table by cell number). A move adds v * p into its
+    destination unless its source value v or its probability p is 0, so a
+    cell that underflows to 0 passes nothing on. Once half the lattice's
+    moves have probability 0, the dead moves are dropped: each drop costs
+    one scan and halves the scans after it.
+    """
+    fwd = [0.0] * lattice.size
+    fwd[0] = 1.0
+    dead = 0
+    moves = iter(lattice.moves)
+    for src, dst, op in zip(moves, moves, moves):
+        p = probs[op]
+        if not p:
+            dead += 1
+            continue
+        v = fwd[src]
+        if v:
+            fwd[dst] += v * p
+    if dead and 2 * dead >= len(lattice.moves) // 3:
+        lattice.drop_dead(probs)
+    return _ltr_sum(fwd[-(INDEL_BUDGET + 1):]), fwd
+
+
+def _accumulate_counts(lattice: _Lattice, fwd: list[float], probs: Sequence[float],
+                       total: float, scale: float, counts: list[float],
+                       touched: list[int]) -> None:
+    """Add one pair's forward-backward expectations into `counts` by operation id.
+
+    Only the moves the forward sum took count: those out of cells whose
+    forward value is not 0. A move whose probability is 0 adds 0.0 to a
+    backward value and yields no expectation, so it changes nothing. Each
+    operation id gets appended to `touched` when its count first becomes
+    non-zero.
+    """
+    bwd = [0.0] * lattice.size
+    bwd[-(INDEL_BUDGET + 1):] = [1.0] * (INDEL_BUDGET + 1)
+    moves = reversed(lattice.moves)
+    for op, dst, src in zip(moves, moves, moves):
+        if fwd[src]:
+            bwd[src] += probs[op] * bwd[dst]
     norm = scale / total
-    for i, j, d, i2, j2, d2, a, b, p in moves:
-        gamma = fwd[i][j][d] * p * bwd[i2][j2][d2] * norm
-        if gamma:
-            row = counts.setdefault(a, {})
-            row[b] = row.get(b, 0.0) + gamma
+    moves = iter(lattice.moves)
+    for src, dst, op in zip(moves, moves, moves):
+        v = fwd[src]
+        if v:
+            gamma = v * probs[op] * bwd[dst] * norm
+            if gamma:
+                count = counts[op]
+                if not count:
+                    touched.append(op)
+                counts[op] = count + gamma
 
 
 def _segments(word: str) -> list[str]:
@@ -327,17 +388,26 @@ def mine_transliterations(
     # every systematic correspondence and starve. The stored model is
     # conditionalized afterwards.
     joint = _initial_ops(pairs)
+    # Each pair's lattice is compiled once over the first table's operations,
+    # which hold every operation EM can give a non-zero probability later.
+    ops_by_id = [(a, b) for a, row in joint.items() for b in row]
+    op_ids: dict[str, dict[str, int]] = {}
+    for op, (a, b) in enumerate(ops_by_id):
+        op_ids.setdefault(a, {})[b] = op
+    probs = [joint[a][b] for a, b in ops_by_id]
+    lattices = [_Lattice(s, t, op_ids) for s, t, _ in pairs]
     lam = 0.5
     log_likelihoods: list[float] = []
 
     def e_pass(collect: bool):
-        counts: dict[str, dict[str, float]] = {}
+        counts = [0.0] * len(ops_by_id)
+        touched: list[int] = []
         lam_num = 0.0
         weight_total = 0.0
         ll = 0.0
         posteriors = []
-        for idx, (s, t, w) in enumerate(pairs):
-            p_translit, fwd, moves = _forward_lattice(s, t, joint)
+        for idx, ((_, _, w), lattice) in enumerate(zip(pairs, lattices)):
+            p_translit, fwd = _forward_lattice(lattice, probs)
             p_noise = math.exp(log_noise[idx])
             mix = lam * p_translit + (1.0 - lam) * p_noise
             # a long pair can underflow both terms; its noise term in log space stays finite
@@ -347,25 +417,35 @@ def mine_transliterations(
             lam_num += w * post
             weight_total += w
             if collect and post > 0 and p_translit > 0:
-                _accumulate_counts(s, t, fwd, moves, p_translit, w * post, counts)
-        return ll, counts, lam_num / weight_total, posteriors
+                _accumulate_counts(lattice, fwd, probs, p_translit, w * post,
+                                   counts, touched)
+        return ll, counts, touched, lam_num / weight_total, posteriors
 
     for _ in range(iterations):
-        ll, counts, new_lam, _ = e_pass(collect=True)
+        ll, counts, touched, new_lam, _ = e_pass(collect=True)
         log_likelihoods.append(ll)
+        # count rows by source segment, each in the order its counts first
+        # became non-zero: the order the total is summed and `joint` is built in
+        rows: dict[str, list[int]] = {}
+        for op in touched:
+            rows.setdefault(ops_by_id[op][0], []).append(op)
         # counts below 1e-12 carry no information and only slow the DP
-        total = _ltr_sum(c for row in counts.values() for c in row.values()
-                         if c > 1e-12)
+        total = _ltr_sum(counts[op] for row in rows.values() for op in row
+                         if counts[op] > 1e-12)
         joint = {}
+        probs = [0.0] * len(ops_by_id)
         if total > 0:
-            for a, row in counts.items():
-                kept = {b: c / total for b, c in row.items() if c > 1e-12}
+            for a, row in rows.items():
+                kept = {}
+                for op in row:
+                    if counts[op] > 1e-12:
+                        probs[op] = kept[ops_by_id[op][1]] = counts[op] / total
                 if kept:
                     joint[a] = kept
         lam = min(max(new_lam, 1e-6), 1.0 - 1e-6)
 
     # final posteriors under the converged parameters
-    ll, _, _, final_posteriors = e_pass(collect=False)
+    ll, _, _, _, final_posteriors = e_pass(collect=False)
     log_likelihoods.append(ll)
 
     # expose row-conditional operation probabilities
@@ -425,6 +505,13 @@ def transliterate(model: CharModel, word: str, k: int) -> list[TransliterationCa
     lm = model.tgt_lm
     max_out = 2 * len(word) + 4
     m = len(word)
+    # the usable operations at each source position, as (di, target segment,
+    # its length, log10 probability, indel budget spent)
+    steps = [[(di, b, len(b), math.log10(p), len(b) if di == 0 else (di if not b else 0))
+              for di in range(0, min(MAX_SEG, m - i) + 1)
+              for b, p in rows.get(word[i:i + di], {}).items()
+              if (di or b) and p]
+             for i in range(m + 1)]
     # state: (neg score, output, source position, last two output chars,
     # indel budget spent); the LM context is determined by the output. A
     # state popped earlier scores at least as high, so a later pop of the
@@ -449,23 +536,15 @@ def transliterate(model: CharModel, word: str, k: int) -> list[TransliterationCa
             end_lp = lm.logprob(ctx[0], ctx[1], _EOW)
             heapq.heappush(heap, (neg - end_lp, out, m + 1, ctx, 0))
             # insertions may still apply before finalizing (fall through)
-        for di in range(0, MAX_SEG + 1):
-            if i + di > m:
-                break
-            for b, p in rows.get(word[i:i + di], {}).items():
-                dj = len(b)
-                cost = dj if di == 0 else (di if dj == 0 else 0)
-                if (di == 0 and dj == 0) or spent + cost > INDEL_BUDGET:
-                    continue
-                if not p or len(out) + dj > max_out:
-                    continue
-                lp = math.log10(p)
-                new_ctx = ctx
-                for ch in b:
-                    lp += lm.logprob(new_ctx[0], new_ctx[1], ch)
-                    new_ctx = (new_ctx[1], ch)
-                heapq.heappush(heap, (neg - lp, out + b, i + di,
-                                      new_ctx, spent + cost))
+        for di, b, dj, lp, cost in steps[i]:
+            if spent + cost > INDEL_BUDGET or len(out) + dj > max_out:
+                continue
+            new_ctx = ctx
+            for ch in b:
+                lp += lm.logprob(new_ctx[0], new_ctx[1], ch)
+                new_ctx = (new_ctx[1], ch)
+            heapq.heappush(heap, (neg - lp, out + b, i + di,
+                                  new_ctx, spent + cost))
     if not results:
         # no usable operations at all: copy the word through, flagged
         score = 0.0

@@ -540,6 +540,151 @@ def initial_ops_reference(pairs, max_seg=2, min_support=3,
     return table
 
 
+# --- dict-based transliteration miner ---------------------------------------------
+#
+# The miner as it was before its lattices were compiled: every E-pass
+# re-runs the forward DP over all (i, j, d) cells with string slices and
+# dict probes. It adds and multiplies in the same order as the package,
+# so mine_transliterations must match it with ==, dict order included.
+
+MAX_SEG = 2
+INDEL_BUDGET = 3
+
+
+def _ltr_sum(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _forward_lattice(s, t, ops):
+    """Forward DP over monotone segmentations within the indel budget.
+
+    `ops` maps source segments to target-segment probability rows. Cells
+    are indexed by source position, target position and unmatched-character
+    budget used. Returns (total probability, forward table, move list);
+    moves are (i, j, d, i2, j2, d2, src seg, tgt seg, p), leading from cell
+    (i, j, d) to cell (i2, j2, d2).
+    """
+    m, n = len(s), len(t)
+    budget = INDEL_BUDGET
+    fwd = [[[0.0] * (budget + 1) for _ in range(n + 1)] for _ in range(m + 1)]
+    fwd[0][0][0] = 1.0
+    moves = []
+    for i in range(m + 1):
+        for j in range(n + 1):
+            cell = fwd[i][j]
+            for d in range(budget + 1):
+                v = cell[d]
+                if v == 0.0:
+                    continue
+                for di in range(0, MAX_SEG + 1):
+                    if i + di > m:
+                        break
+                    a = s[i:i + di]
+                    op_row = ops.get(a)
+                    if op_row is None:
+                        continue
+                    for dj in range(0, MAX_SEG + 1):
+                        if di == 0 and dj == 0:
+                            continue
+                        if j + dj > n:
+                            break
+                        spent = dj if di == 0 else (di if dj == 0 else 0)
+                        if d + spent > budget:
+                            continue
+                        b = t[j:j + dj]
+                        p = op_row.get(b, 0.0)
+                        if p:
+                            fwd[i + di][j + dj][d + spent] += v * p
+                            moves.append((i, j, d, i + di, j + dj, d + spent, a, b, p))
+    return _ltr_sum(fwd[m][n]), fwd, moves
+
+
+def _accumulate_counts(s, t, fwd, moves, total, scale, counts):
+    """Add forward-backward expectations of one pair into the count table."""
+    m, n = len(s), len(t)
+    budget = INDEL_BUDGET
+    bwd = [[[0.0] * (budget + 1) for _ in range(n + 1)] for _ in range(m + 1)]
+    for d in range(budget + 1):
+        bwd[m][n][d] = 1.0
+    for i, j, d, i2, j2, d2, a, b, p in reversed(moves):
+        bwd[i][j][d] += p * bwd[i2][j2][d2]
+    norm = scale / total
+    for i, j, d, i2, j2, d2, a, b, p in moves:
+        gamma = fwd[i][j][d] * p * bwd[i2][j2][d2] * norm
+        if gamma:
+            row = counts.setdefault(a, {})
+            row[b] = row.get(b, 0.0) + gamma
+
+
+def mine_reference(pairs, iterations, joint):
+    """EM over weighted (s, t, w) pairs from the joint operation table `joint`.
+
+    Returns (row-conditional ops, lambda, log-likelihoods, final posteriors)
+    as mine_transliterations computes them.
+    """
+    src_freq = {}
+    tgt_freq = {}
+    src_total = tgt_total = 0.0
+    for s, t, w in pairs:
+        for ch in s:
+            src_freq[ch] = src_freq.get(ch, 0.0) + w
+            src_total += w
+        for ch in t:
+            tgt_freq[ch] = tgt_freq.get(ch, 0.0) + w
+            tgt_total += w
+    log_noise = [
+        _ltr_sum(math.log(src_freq[ch] / src_total) for ch in s)
+        + _ltr_sum(math.log(tgt_freq[ch] / tgt_total) for ch in t)
+        for s, t, _ in pairs
+    ]
+    lam = 0.5
+    log_likelihoods = []
+
+    def e_pass(collect):
+        counts = {}
+        lam_num = 0.0
+        weight_total = 0.0
+        ll = 0.0
+        posteriors = []
+        for idx, (s, t, w) in enumerate(pairs):
+            p_translit, fwd, moves = _forward_lattice(s, t, joint)
+            p_noise = math.exp(log_noise[idx])
+            mix = lam * p_translit + (1.0 - lam) * p_noise
+            ll += w * (math.log(mix) if mix > 0 else math.log1p(-lam) + log_noise[idx])
+            post = (lam * p_translit / mix) if mix > 0 else 0.0
+            posteriors.append(post)
+            lam_num += w * post
+            weight_total += w
+            if collect and post > 0 and p_translit > 0:
+                _accumulate_counts(s, t, fwd, moves, p_translit, w * post, counts)
+        return ll, counts, lam_num / weight_total, posteriors
+
+    for _ in range(iterations):
+        ll, counts, new_lam, _ = e_pass(collect=True)
+        log_likelihoods.append(ll)
+        total = _ltr_sum(c for row in counts.values() for c in row.values()
+                         if c > 1e-12)
+        joint = {}
+        if total > 0:
+            for a, row in counts.items():
+                kept = {b: c / total for b, c in row.items() if c > 1e-12}
+                if kept:
+                    joint[a] = kept
+        lam = min(max(new_lam, 1e-6), 1.0 - 1e-6)
+
+    ll, _, _, final_posteriors = e_pass(collect=False)
+    log_likelihoods.append(ll)
+
+    ops = {}
+    for a, row in joint.items():
+        row_total = _ltr_sum(row.values())
+        ops[a] = {b: p / row_total for b, p in row.items()}
+    return ops, lam, log_likelihoods, final_posteriors
+
+
 # --- brute-force k-best transliteration ------------------------------------------
 
 def transliterate_reference(model, word, k, max_seg=2, indel_budget=3):

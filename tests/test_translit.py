@@ -21,8 +21,8 @@ from pivotsmt.translit import (
 )
 
 from oracles import (
-    apply_bijection, initial_ops_reference, make_bijection_fixture, make_heldout_words,
-    transliterate_reference,
+    SRC_ALPHABET, apply_bijection, initial_ops_reference, make_bijection_fixture,
+    make_heldout_words, mine_reference, transliterate_reference,
 )
 
 
@@ -144,6 +144,66 @@ class TestInitialOps:
         for a, row in ops.items():
             for b, p in row.items():
                 assert p == pytest.approx(reference[a][b], rel=1e-12)
+
+
+def assert_mining_equals_reference(pairs, iterations):
+    model, mined = mine_transliterations(WordPairCorpus(pairs), iterations, threshold=0.0)
+    ops, lam, log_likelihoods, posteriors = mine_reference(pairs, iterations,
+                                                           _initial_ops(pairs))
+    assert [(a, list(row.items())) for a, row in model.ops.items()] == \
+        [(a, list(row.items())) for a, row in ops.items()]
+    assert model.lam == lam
+    assert model.log_likelihoods == log_likelihoods
+    assert [pair.posterior for pair in mined] == posteriors
+    return model, mined
+
+
+class TestMiningEqualsDictReference:
+    """The compiled-lattice miner gives the dict-based miner's bits."""
+
+    def test_weighted_bijection_pairs(self):
+        pairs, _ = make_bijection_fixture(seed=424, n_true=40, n_noise=40)
+        rng = random.Random(424)
+        pairs = [(s, t, rng.choice([0.5, 1.0, 2.5])) for s, t, _ in pairs]
+        assert_mining_equals_reference(pairs, 6)
+
+    def test_digraph_operations(self):
+        rng = random.Random(3)
+        letters = string.ascii_lowercase[:8]
+        mapping = {c: c.upper() * (1 if k % 3 else 2) for k, c in enumerate(letters)}
+        pairs = []
+        for k in range(60):
+            word = "".join(rng.choice(letters) for _ in range(rng.randint(3, 7)))
+            noise = "".join(rng.choice("QRSTUVWXYZ") for _ in range(rng.randint(3, 7)))
+            target = "".join(mapping[c] for c in word) if k % 3 else noise
+            pairs.append((word, target, rng.choice([0.75, 1.0, 3.0])))
+        model, _ = assert_mining_equals_reference(pairs, 5)
+        assert any(len(a) + len(b) > 2 for a, row in model.ops.items() for b in row)
+
+    def test_underflowing_pairs(self):
+        # The 160/150-character junk pair underflows to 0 everywhere. In the
+        # second E-pass the 200-character transliteration keeps a forward
+        # sum above 0 while some of its moves underflow: the cells they lead
+        # to pass nothing on, yet the pair's expectations are counted.
+        pairs, _ = make_bijection_fixture(seed=5, n_true=10, n_noise=10)
+        rng = random.Random(7)
+        alphabet = string.ascii_lowercase + string.digits
+        junk = ("".join(rng.choice(alphabet) for _ in range(160)),
+                "".join(rng.choice(alphabet.upper()) for _ in range(150)), 1.0)
+        word = "".join(rng.choice(SRC_ALPHABET) for _ in range(200))
+        _, mined = assert_mining_equals_reference(
+            pairs + [junk, (word, apply_bijection(word), 1.0)], 3)
+        assert mined[-2].posterior == 0.0
+        assert mined[-1].posterior == 1.0
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.tuples(st.text(alphabet="abcd", min_size=1, max_size=6),
+                          st.text(alphabet="ABCD", min_size=1, max_size=6),
+                          st.sampled_from([0.25, 1.0, 4.0])), min_size=1, max_size=10),
+       st.integers(1, 4))
+def test_mining_equals_dict_reference_on_random_pairs(pairs, iterations):
+    assert_mining_equals_reference(pairs, iterations)
 
 
 class TestDeterminism:
