@@ -542,10 +542,10 @@ def initial_ops_reference(pairs, max_seg=2, min_support=3,
 
 # --- dict-based transliteration miner ---------------------------------------------
 #
-# The miner as it was before its lattices were compiled: every E-pass
-# re-runs the forward DP over all (i, j, d) cells with string slices and
-# dict probes. It adds and multiplies in the same order as the package,
-# so mine_transliterations must match it with ==, dict order included.
+# The miner without compiled lattices: every E-pass re-runs the forward DP
+# over all (i, j, d) cells with string slices and dict probes. It adds and
+# multiplies in the same order as the package, so mine_transliterations
+# must match it with ==, dict order included.
 
 MAX_SEG = 2
 INDEL_BUDGET = 3
