@@ -8,10 +8,15 @@ phrase tables score as separate blocks of four features; sources covered
 by no table fall back to transliteration or pass-through options, so
 decoding never fails for lack of coverage.
 
-Within one sentence the search reuses work without changing its result:
-each option's static score is computed once, each LM step once per (LM
-state, target phrase), each future cost once per coverage mask, and a
-hypothesis visits only the spans that start inside its distortion window.
+Within one sentence the search skips work that cannot change its result:
+each option's static score is computed once, each weighted LM step once per
+(LM state, target phrase) and each future cost once per coverage mask. A
+hypothesis visits only the uncovered starts of its distortion window, and
+only the spans there that the reordering constraint admits. A span keeps
+an option only if it scores higher than every earlier option with the same
+target; the options dropped give the same strings with no higher score, so
+the nodes, the 1-best and the n-best lists equal those of a search that
+keeps them all (`decode_reference` in the tests).
 """
 
 from __future__ import annotations
@@ -298,6 +303,19 @@ def decode(
     phrase's end, and end within distortion_limit of the first uncovered
     position, so that every gap stays reachable; the distortion feature is
     the negated jump distance.
+
+    Each hypothesis walks the uncovered starts of its window by bitmask, low
+    to high. A phrase at the first uncovered position may end anywhere
+    before the next covered one; a phrase right of it must end by that
+    position plus distortion_limit, so no later start is tried. These are
+    exactly the spans the constraints admit, in (start, end) order.
+
+    Within a span, an option is dropped when an earlier option with the
+    same target scores at least as high. Both lead to the same child, and
+    the dropped one's increment is no higher (rounding is monotone) and its
+    arc would come later. It could not raise the child's score, and the
+    1-best and `nbest` reach the kept arc first, so the result is the one
+    that keeping every option gives, to the last bit.
     """
     n = len(sentence)
     if n == 0:
@@ -314,18 +332,26 @@ def decode(
 
     # Per start position: (end, mask, length, [(option, static score, word
     # penalty, LM steps)]) in end order. LM steps are shared by every option
-    # with the same target and map an LM state to (lm_sum, next state).
+    # with the same target and map an LM state to (w_lm * lm_sum, next state).
+    # A span keeps an option only if it scores higher than every earlier
+    # option with its target (see the docstring).
     lm_steps: dict[tuple[str, ...], dict[tuple[str, ...], tuple[float, tuple[str, ...]]]] = {}
     by_start: list[list[tuple[int, int, int, list]]] = [[] for _ in range(n)]
     for start, end in sorted(options):
-        scored = [(option, weighted_total(option.features, model.weights),
-                   w_wp * len(option.target),
-                   lm_steps.setdefault(option.target, {}))
-                  for option in options[(start, end)]]
+        scored = []
+        kept: dict[tuple[str, ...], float] = {}
+        for option in options[(start, end)]:
+            static = weighted_total(option.features, model.weights)
+            if option.target in kept and static <= kept[option.target]:
+                continue
+            kept[option.target] = static
+            scored.append((option, static, w_wp * len(option.target),
+                           lm_steps.setdefault(option.target, {})))
         by_start[start].append((end, ((1 << (end - start)) - 1) << start,
                                 end - start, scored))
     fc = _future_costs(n, by_start, lm, w_lm, w_pp)
     full = (1 << n) - 1
+    reach = max(distortion_limit, 1)
     futures: dict[int, float] = {}
 
     init_state: tuple[str, ...] = (BOS,) if lm.order > 1 else ()
@@ -346,23 +372,35 @@ def decode(
             node_state = node.lm_state
             node_score = node.score
             prev_end = node.prev_end
-            for start in range(max(0, prev_end - distortion_limit),
-                               min(n, prev_end + distortion_limit + 1)):
+            gaps = ~covered & full
+            first_gap = (gaps & -gaps).bit_length() - 1
+            # Uncovered starts in the distortion window, low to high. None
+            # lies left of prev_end - distortion_limit: the last phrase either
+            # started at the old first gap, which now lies past its end, or
+            # ended within distortion_limit of that gap, which is still open.
+            # A span right of the first gap leaves that gap open, so it must
+            # end by first_gap + distortion_limit; no start from first_gap +
+            # reach on has such a span (at distortion_limit 0 only the first
+            # gap itself can start one).
+            starts = gaps & ((1 << min(prev_end + distortion_limit + 1, first_gap + reach)) - 1)
+            while starts:
+                low = starts & -starts
+                starts ^= low
+                start = low.bit_length() - 1
                 dist_cost = w_dist * abs(start - prev_end)
+                last_end = n if start == first_gap else first_gap + distortion_limit
                 for end, mask, length, scored in by_start[start]:
-                    if covered & mask:
-                        break  # every longer span from this start overlaps too
+                    if end > last_end or covered & mask:
+                        break  # every longer span from this start fails too
                     coverage = covered | mask
-                    gaps = ~coverage & full
-                    if gaps and end - ((gaps & -gaps).bit_length() - 1) > distortion_limit:
-                        break  # the first gap lies left of start, out of reach for longer spans too
                     child_stack = stacks[cardinality + length]
                     for option, static, wp_cost, steps in scored:
                         step = steps.get(node_state)
                         if step is None:
-                            step = steps[node_state] = _lm_walk(lm, node_state, option.target)
-                        lm_sum, state = step
-                        inc = static + w_lm * lm_sum - wp_cost - w_pp - dist_cost
+                            lm_sum, state = _lm_walk(lm, node_state, option.target)
+                            step = steps[node_state] = (w_lm * lm_sum, state)
+                        lm_score, state = step
+                        inc = static + lm_score - wp_cost - w_pp - dist_cost
                         key = (coverage, state, end)
                         child = child_stack.get(key)
                         if child is None:
@@ -373,8 +411,9 @@ def decode(
                             child = _Node(coverage, state, end, future)
                             child_stack[key] = child
                         child.arcs.append((node, option, inc))
-                        if node_score + inc > child.score:
-                            child.score = node_score + inc
+                        total = node_score + inc
+                        if total > child.score:
+                            child.score = total
 
     # the goal's arcs: every complete hypothesis, best first, ties by stack key
     complete = sorted(stacks[n].items(), key=lambda item: (-item[1].score, item[0]))
@@ -421,7 +460,10 @@ def nbest(result: DecodeResult, n: int) -> list[NBestItem]:
 
     Derivations are enumerated exactly from the recombination lattice
     (lazy k-best over back-pointer arcs); duplicate strings keep their
-    highest-scoring derivation.
+    highest-scoring derivation. The options `decode` drops only ever gave
+    a string again after a derivation of it at least as good, so a list
+    that NBEST_MAX_POPS cuts short holds every item the lattice with all
+    options gives within that many pops, and possibly more.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

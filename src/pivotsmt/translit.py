@@ -512,6 +512,8 @@ def transliterate(model: CharModel, word: str, k: int) -> list[TransliterationCa
               for b, p in rows.get(word[i:i + di], {}).items()
               if (di or b) and p]
              for i in range(m + 1)]
+    # each character-LM term once per call, keyed on (context, character)
+    char_lps: dict[tuple[tuple[str, str], str], float] = {}
     # state: (neg score, output, source position, last two output chars,
     # indel budget spent); the LM context is determined by the output. A
     # state popped earlier scores at least as high, so a later pop of the
@@ -533,7 +535,9 @@ def transliterate(model: CharModel, word: str, k: int) -> list[TransliterationCa
             results.append(TransliterationCandidate(out, -neg, fallback))
             continue
         if i == m:
-            end_lp = lm.logprob(ctx[0], ctx[1], _EOW)
+            end_lp = char_lps.get((ctx, _EOW))
+            if end_lp is None:
+                end_lp = char_lps[ctx, _EOW] = lm.logprob(ctx[0], ctx[1], _EOW)
             heapq.heappush(heap, (neg - end_lp, out, m + 1, ctx, 0))
             # insertions may still apply before finalizing (fall through)
         for di, b, dj, lp, cost in steps[i]:
@@ -541,7 +545,10 @@ def transliterate(model: CharModel, word: str, k: int) -> list[TransliterationCa
                 continue
             new_ctx = ctx
             for ch in b:
-                lp += lm.logprob(new_ctx[0], new_ctx[1], ch)
+                term = char_lps.get((new_ctx, ch))
+                if term is None:
+                    term = char_lps[new_ctx, ch] = lm.logprob(new_ctx[0], new_ctx[1], ch)
+                lp += term
                 new_ctx = (new_ctx[1], ch)
             heapq.heappush(heap, (neg - lp, out + b, i + di,
                                   new_ctx, spent + cost))

@@ -2,14 +2,22 @@
 
 Everything here is deliberately written as straight-line reference code,
 sharing no implementation paths with the package: flat dictionaries,
-explicit loops, per-query recomputation. Slow is fine; wrong is not.
+explicit loops, per-query recomputation. Slow is fine; wrong is not. The
+one exception is `decode_reference`, an earlier version of the search kept
+to compare the current one against bit for bit: it builds the decoder's own
+nodes and result, so that `decoder.nbest` reads its lattice.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import unicodedata
+
+from pivotsmt.decoder import (DecodeResult, _best_derivation, _coverage_future,
+                              _future_costs, _lm_walk, _Node, weighted_total)
+from pivotsmt.errors import DataError
 
 BOS = "<s>"
 
@@ -438,6 +446,114 @@ def enumerate_decodings(n, lattice, weights, lm, distortion_limit):
     recurse([False] * n, 0, init_state, 0.0, [])
     results.sort(key=lambda item: (-item[1], item[0]))
     return results
+
+
+def decode_reference(
+    sentence: Sequence[str],
+    model: LogLinearModel,
+    lm,
+    options: OptionLattice,
+    distortion_limit: int,
+    stack_size: int,
+) -> DecodeResult:
+    """`decoder.decode` as it was before it skipped covered starts and
+    options that repeat a target: every (start, span) of the distortion
+    window is visited, and every option is kept. The current search must
+    return the same nodes, scores, 1-best options and n-best items.
+
+    Find the best-scoring complete hypothesis by stack search.
+
+    A new phrase must start within distortion_limit of the previous
+    phrase's end, and end within distortion_limit of the first uncovered
+    position, so that every gap stays reachable; the distortion feature is
+    the negated jump distance.
+    """
+    n = len(sentence)
+    if n == 0:
+        raise ValueError("cannot decode an empty sentence")
+    uncovered = [pos for pos in range(n)
+                 if not any(s <= pos < e for (s, e) in options)]
+    if uncovered:
+        raise DataError(f"positions {uncovered} have no translation options")
+
+    w_lm = model.weights["lm"]
+    w_wp = model.weights["word_penalty"]
+    w_pp = model.weights["phrase_penalty"]
+    w_dist = model.weights["distortion"]
+
+    # Per start position: (end, mask, length, [(option, static score, word
+    # penalty, LM steps)]) in end order. LM steps are shared by every option
+    # with the same target and map an LM state to (lm_sum, next state).
+    lm_steps: dict[tuple[str, ...], dict[tuple[str, ...], tuple[float, tuple[str, ...]]]] = {}
+    by_start: list[list[tuple[int, int, int, list]]] = [[] for _ in range(n)]
+    for start, end in sorted(options):
+        scored = [(option, weighted_total(option.features, model.weights),
+                   w_wp * len(option.target),
+                   lm_steps.setdefault(option.target, {}))
+                  for option in options[(start, end)]]
+        by_start[start].append((end, ((1 << (end - start)) - 1) << start,
+                                end - start, scored))
+    fc = _future_costs(n, by_start, lm, w_lm, w_pp)
+    full = (1 << n) - 1
+    futures: dict[int, float] = {}
+
+    init_state: tuple[str, ...] = (BOS,) if lm.order > 1 else ()
+    init = _Node(0, init_state, 0, _coverage_future(0, n, fc))
+    init.score = 0.0
+    stacks: list[dict[tuple, _Node]] = [dict() for _ in range(n + 1)]
+    stacks[0][(0, init_state, 0)] = init
+
+    for cardinality in range(n):
+        # a stack key is (coverage, LM state, previous end), unique per node
+        beam = heapq.nsmallest(stack_size, [(-(nd.score + nd.future), key, nd)
+                                            for key, nd in stacks[cardinality].items()])
+        # children point to parents only, so the goal can reach no node of
+        # this stack outside the beam: free the rest, and their arcs, now
+        stacks[cardinality] = {}
+        for _, _, node in beam:
+            covered = node.coverage
+            node_state = node.lm_state
+            node_score = node.score
+            prev_end = node.prev_end
+            for start in range(max(0, prev_end - distortion_limit),
+                               min(n, prev_end + distortion_limit + 1)):
+                dist_cost = w_dist * abs(start - prev_end)
+                for end, mask, length, scored in by_start[start]:
+                    if covered & mask:
+                        break  # every longer span from this start overlaps too
+                    coverage = covered | mask
+                    gaps = ~coverage & full
+                    if gaps and end - ((gaps & -gaps).bit_length() - 1) > distortion_limit:
+                        break  # the first gap lies left of start, out of reach for longer spans too
+                    child_stack = stacks[cardinality + length]
+                    for option, static, wp_cost, steps in scored:
+                        step = steps.get(node_state)
+                        if step is None:
+                            step = steps[node_state] = _lm_walk(lm, node_state, option.target)
+                        lm_sum, state = step
+                        inc = static + w_lm * lm_sum - wp_cost - w_pp - dist_cost
+                        key = (coverage, state, end)
+                        child = child_stack.get(key)
+                        if child is None:
+                            future = futures.get(coverage)
+                            if future is None:
+                                future = futures[coverage] = _coverage_future(
+                                    coverage, n, fc)
+                            child = _Node(coverage, state, end, future)
+                            child_stack[key] = child
+                        child.arcs.append((node, option, inc))
+                        if node_score + inc > child.score:
+                            child.score = node_score + inc
+
+    # the goal's arcs: every complete hypothesis, best first, ties by stack key
+    complete = sorted(stacks[n].items(), key=lambda item: (-item[1].score, item[0]))
+    if not complete:
+        raise DataError("no complete hypothesis found (search dead-ended)")
+    goal = _Node(full, (), n, 0.0)
+    goal.arcs = [(node, None, 0.0) for _, node in complete]
+    goal.score = complete[0][1].score
+    return DecodeResult(goal=goal, model=model, lm=lm, best_score=goal.score,
+                        best_derivation=_best_derivation(goal))
 
 
 def coverage_future_reference(coverage, n, fc):

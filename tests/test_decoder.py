@@ -14,7 +14,7 @@ from pivotsmt.ngramlm import train_kn
 from pivotsmt.phrasetab import PhraseEntry, PhraseTable, TableSet
 from pivotsmt.translit import WordPairCorpus, mine_transliterations
 
-from oracles import coverage_future_reference, enumerate_decodings
+from oracles import coverage_future_reference, decode_reference, enumerate_decodings
 
 
 def table_of(entries, role="baseline"):
@@ -397,6 +397,110 @@ class TestNBest:
         assert parts[1] == "x0"
         assert "tm0.phi_fwd=" in parts[2]
         assert parts[3] == f"{item.score:.6f}"
+
+
+TM = ("phi_fwd", "lex_fwd", "phi_bwd", "lex_bwd")
+
+
+def repeated_target_instance(rng, n):
+    """Two tables' options over a sentence, in random order and with few
+    distinct targets. Half the draws are one entry that both tables hold:
+    two options with equal dyadic scores in opposite blocks, whose static
+    scores tie exactly under dyadic weights. The rest repeat targets with
+    other scores, higher or lower than earlier options of the same target."""
+    lattice = {}
+    for i in range(n):
+        for j in range(i + 1, min(n, i + 3) + 1):
+            if j > i + 1 and rng.random() < 0.5:
+                continue
+            opts = []
+            for _ in range(rng.randint(1, 4)):
+                target = tuple(rng.choice(["x0", "x1", "x2"])
+                               for _ in range(rng.randint(1, 2)))
+                if rng.random() < 0.5:
+                    values = [-rng.randint(1, 24) / 8 for _ in TM]
+                    for table in (0, 1):
+                        feats = {f"tm{t}.{f}": value if t == table else -12.0
+                                 for t in (0, 1) for f, value in zip(TM, values)}
+                        opts.append(TranslationOption(i, j, target, feats, f"table{table}"))
+                else:
+                    feats = {f"tm{t}.{f}": math.log10(rng.uniform(0.05, 1.0))
+                             for t in (0, 1) for f in TM}
+                    opts.append(TranslationOption(i, j, target, feats, "table0"))
+            rng.shuffle(opts)
+            lattice[(i, j)] = opts
+    return [f"w{i}" for i in range(n)], lattice
+
+
+def lattice_of(result):
+    """Every node the goal reaches, keyed and scored, with its arcs grouped by
+    (predecessor, target) in first-arc order and each group's highest
+    increment: what dropping options that repeat a target leaves unchanged."""
+    seen, todo, nodes = set(), [result.goal], []
+    while todo:
+        node = todo.pop()
+        groups = {}
+        for pred, option, inc in node.arcs:
+            group = ((pred.coverage, pred.lm_state, pred.prev_end), option and option.target)
+            groups[group] = max(groups.get(group, -math.inf), inc)
+            if id(pred) not in seen:
+                seen.add(id(pred))
+                todo.append(pred)
+        nodes.append(((node.coverage, node.lm_state, node.prev_end, node.score),
+                      list(groups.items())))
+    return sorted(nodes)
+
+
+def assert_same_search(result, expected):
+    """Same lattice, score, 1-best options and 10-best items."""
+    assert lattice_of(result) == lattice_of(expected)
+    assert result.best_score == expected.best_score
+    assert len(result.best_derivation) == len(expected.best_derivation)
+    assert all(a is b for a, b in zip(result.best_derivation, expected.best_derivation))
+    assert [(item.tokens, item.score, item.features) for item in nbest(result, 10)] == \
+        [(item.tokens, item.score, item.features) for item in nbest(expected, 10)]
+
+
+class TestSearchEqualsReference:
+    """`decode` skips covered starts, spans past the reach of the first gap
+    and options that repeat a target with no higher score; the reference
+    visits and keeps them all, and both must agree to the last bit."""
+
+    def test_random_lattices_with_repeated_targets(self, uniform_lm):
+        rng = random.Random(1414)
+        weights = {name: 0.25 for name in decoder.feature_names(2, False)}
+        weights.update(lm=0.5, word_penalty=0.125, phrase_penalty=-0.0625)
+        model = LogLinearModel(weights=weights, n_tables=2)
+        exact_ties = 0
+        for _ in range(300):
+            sentence, lattice = repeated_target_instance(rng, rng.randint(1, 7))
+            for opts in lattice.values():
+                statics = [(o.target, weighted_total(o.features, weights)) for o in opts]
+                exact_ties += len(statics) - len(set(statics))
+            search = dict(distortion_limit=rng.randint(0, 6), stack_size=rng.randint(1, 50))
+            try:
+                expected = decode_reference(sentence, model, uniform_lm, lattice, **search)
+            except DataError:
+                with pytest.raises(DataError):
+                    decode(sentence, model, uniform_lm, lattice, **search)
+                continue
+            assert_same_search(decode(sentence, model, uniform_lm, lattice, **search), expected)
+        assert exact_ties > 100
+
+    def test_option_one_ulp_below_a_later_one_is_kept(self, uniform_lm):
+        # the two static scores differ, but their sums with the LM score
+        # round to one value, so the earlier option's arc is the first best
+        weights = {name: 0.0 for name in decoder.feature_names(1, False)}
+        weights.update({"tm0.phi_fwd": 1.0, "lm": 4.0})
+        model = LogLinearModel(weights=weights, n_tables=1)
+        lower = TranslationOption(0, 1, ("x0",), {"tm0.phi_fwd": -1.0}, "table0")
+        higher = TranslationOption(0, 1, ("x0",), {"tm0.phi_fwd": math.nextafter(-1.0, 0.0)},
+                                   "table0")
+        lattice = {(0, 1): [lower, higher]}
+        result = decode(["w0"], model, uniform_lm, lattice, distortion_limit=6, stack_size=10)
+        assert result.best_derivation == [lower]
+        assert_same_search(result, decode_reference(["w0"], model, uniform_lm, lattice,
+                                                    distortion_limit=6, stack_size=10))
 
 
 class TestTune:
