@@ -14,9 +14,11 @@ import heapq
 import math
 import random
 import unicodedata
+from typing import Sequence
 
-from pivotsmt.decoder import (DecodeResult, _best_derivation, _coverage_future,
-                              _future_costs, _lm_walk, _Node, weighted_total)
+from pivotsmt.decoder import (DecodeResult, LogLinearModel, OptionLattice, _best_derivation,
+                              _coverage_future, _future_costs, _lm_walk, _Node,
+                              weighted_total)
 from pivotsmt.errors import DataError
 
 BOS = "<s>"
@@ -456,10 +458,10 @@ def decode_reference(
     distortion_limit: int,
     stack_size: int,
 ) -> DecodeResult:
-    """`decoder.decode` as it was before it skipped covered starts and
-    options that repeat a target: every (start, span) of the distortion
-    window is visited, and every option is kept. The current search must
-    return the same nodes, scores, 1-best options and n-best items.
+    """`decoder.decode` before it skipped covered starts and options that
+    repeat a target: it visits every start of the distortion window and
+    keeps every option. The current search must build the same nodes and
+    return the same score, 1-best options and n-best items.
 
     Find the best-scoring complete hypothesis by stack search.
 

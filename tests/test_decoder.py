@@ -5,7 +5,7 @@ import pytest
 
 from pivotsmt import decoder
 from pivotsmt.decoder import (
-    DecoderSystem, LogLinearModel, TranslationOption, _coverage_future,
+    TM_FEATURES, DecoderSystem, LogLinearModel, TranslationOption, _coverage_future,
     decode, derivation_features, format_nbest_line, nbest, read_weights,
     tune_weights, weighted_total, write_weights,
 )
@@ -399,9 +399,6 @@ class TestNBest:
         assert parts[3] == f"{item.score:.6f}"
 
 
-TM = ("phi_fwd", "lex_fwd", "phi_bwd", "lex_bwd")
-
-
 def repeated_target_instance(rng, n):
     """Two tables' options over a sentence, in random order and with few
     distinct targets. Half the draws are one entry that both tables hold:
@@ -418,14 +415,14 @@ def repeated_target_instance(rng, n):
                 target = tuple(rng.choice(["x0", "x1", "x2"])
                                for _ in range(rng.randint(1, 2)))
                 if rng.random() < 0.5:
-                    values = [-rng.randint(1, 24) / 8 for _ in TM]
+                    values = [-rng.randint(1, 24) / 8 for _ in TM_FEATURES]
                     for table in (0, 1):
                         feats = {f"tm{t}.{f}": value if t == table else -12.0
-                                 for t in (0, 1) for f, value in zip(TM, values)}
+                                 for t in (0, 1) for f, value in zip(TM_FEATURES, values)}
                         opts.append(TranslationOption(i, j, target, feats, f"table{table}"))
                 else:
                     feats = {f"tm{t}.{f}": math.log10(rng.uniform(0.05, 1.0))
-                             for t in (0, 1) for f in TM}
+                             for t in (0, 1) for f in TM_FEATURES}
                     opts.append(TranslationOption(i, j, target, feats, "table0"))
             rng.shuffle(opts)
             lattice[(i, j)] = opts
