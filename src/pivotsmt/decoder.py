@@ -17,6 +17,11 @@ an option only if it scores higher than every earlier option with the same
 target; the options dropped give the same strings with no higher score, so
 the nodes, the 1-best and the n-best lists equal those of a search that
 keeps them all (`decode_reference` in the tests).
+
+Hypotheses recombine on the minimal LM state (`_lm_walk`), the shortest
+one the LM can still tell apart: all the transliterations of a word the LM
+has never seen leave one state, so they lead to one node. Every later word
+scores the same bits from it as from the full state, so no score changes.
 """
 
 from __future__ import annotations
@@ -183,13 +188,15 @@ def collect_options(
 # --- Stack decoding ----------------------------------------------------------
 
 def _lm_walk(lm, state: tuple[str, ...], words: Sequence[str]) -> tuple[float, tuple[str, ...]]:
-    """The summed LM log10 score of `words` after `state`, and the state they leave."""
+    """The summed LM log10 score of `words` after `state`, and the minimal
+    state they leave (`lm.minimal_state`): the shortest one that gives every
+    later word the same score, so that nodes recombine on it."""
     keep = lm.order - 1
     lm_sum = 0.0
     for word in words:
         lm_sum += lm.logprob(state, word)
         state = (state + (word,))[-keep:] if keep > 0 else ()
-    return lm_sum, state
+    return lm_sum, lm.minimal_state(state)
 
 
 class _Node:
@@ -459,11 +466,15 @@ def nbest(result: DecodeResult, n: int) -> list[NBestItem]:
     """Up to n distinct target strings by descending score.
 
     Derivations are enumerated exactly from the recombination lattice
-    (lazy k-best over back-pointer arcs); duplicate strings keep their
-    highest-scoring derivation. The options `decode` drops only ever gave
-    a string again after a derivation of it at least as good, so a list
-    that NBEST_MAX_POPS cuts short holds every item the lattice with all
-    options gives within that many pops, and possibly more.
+    (lazy k-best over back-pointer arcs, Huang & Chiang 2005); duplicate
+    strings keep their highest-scoring derivation. A node's heap starts
+    from its predecessors' final scores, the scores of their first
+    derivations, so only the nodes on popped derivations get lists.
+
+    The options `decode` drops only ever gave a string again after a
+    derivation of it at least as good, so a list that NBEST_MAX_POPS cuts
+    short holds every item the lattice with all options gives within that
+    many pops, and possibly more.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -474,17 +485,16 @@ def nbest(result: DecodeResult, n: int) -> list[NBestItem]:
         nid = id(node)
         if nid in lists:
             return
-        lists[nid] = []
-        heap: list[tuple[float, int, int]] = []
         if not node.arcs:
             # initial node: the single empty derivation
-            lists[nid].append((0.0, -1, -1))
+            lists[nid] = [(0.0, -1, -1)]
             heaps[nid] = []
             return
-        for arc_idx, (pred, _, inc) in enumerate(node.arcs):
-            first = kth(pred, 0)
-            if first is not None:
-                heap.append((-(first[0] + inc), arc_idx, 0))
+        lists[nid] = []
+        # a predecessor's first derivation scores pred.score, final since its
+        # stack was expanded, so a predecessor gets a list only once popped
+        heap = [(-(pred.score + inc), arc_idx, 0)
+                for arc_idx, (pred, _, inc) in enumerate(node.arcs)]
         heapq.heapify(heap)
         heaps[nid] = heap
 

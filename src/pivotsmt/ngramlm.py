@@ -52,6 +52,19 @@ class NGramModel:
             penalty += self.backoffs.get(ctx, 0.0)
             ctx = ctx[1:]
 
+    def minimal_state(self, context: NGram) -> NGram:
+        """The longest suffix of `context` that is a key of `backoffs`.
+
+        Every context with extensions is a key (`train_kn` gives each one a
+        backoff, `read_arpa` a 0.0 where the file has none), and so is the
+        prefix of every key. A longer suffix therefore stores no n-gram and
+        backs off by exactly 0.0: `logprob` gives the same bits from either
+        state, and the states that further words leave minimize alike.
+        """
+        while context and context not in self.backoffs:
+            context = context[1:]
+        return context
+
 
 def _discount(counts: Iterable[float]) -> float:
     n1 = n2 = 0
@@ -174,6 +187,10 @@ class MixtureModel:
         pb = 10.0 ** self.b.logprob(context, word)
         return math.log10(self.lam * pa + (1.0 - self.lam) * pb)
 
+    def minimal_state(self, context: NGram) -> NGram:
+        """The longer of the two models' minimal states, exact for both."""
+        return max(self.a.minimal_state(context), self.b.minimal_state(context), key=len)
+
 
 # --- ARPA I/O ----------------------------------------------------------------
 
@@ -202,7 +219,13 @@ def _arpa_lines(model: NGramModel) -> Iterator[str]:
 
 
 def read_arpa(src: str | TextIO | Iterable[str], name: str = "<arpa>") -> NGramModel:
-    """Parse an ARPA model; a malformed or non-finite value raises DataError with path:line."""
+    """Parse an ARPA model; a malformed or non-finite value raises DataError with path:line.
+
+    Every proper prefix of a stored n-gram gets a backoff, 0.0 where the
+    file omits it, which is what `logprob` backs off by without one; this
+    keeps `NGramModel.minimal_state` exact even for a file that leaves out
+    zero backoffs or the prefixes of an n-gram.
+    """
     name = src if isinstance(src, str) else name
     counts: dict[int, int] = {}
     logprobs: dict[NGram, float] = {}
@@ -266,6 +289,9 @@ def read_arpa(src: str | TextIO | Iterable[str], name: str = "<arpa>") -> NGramM
                 f"{name}: \\{n}-grams\\ section has {seen.get(n, 0)} entries, "
                 f"header declares {declared}"
             )
+    for gram in logprobs:
+        for k in range(1, len(gram)):
+            backoffs.setdefault(gram[:k], 0.0)
     order = max(n for n, c in counts.items())
     vocab = frozenset(w for (w,) in [g for g in logprobs if len(g) == 1]
                       if w not in (BOS, UNK))

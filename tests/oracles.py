@@ -3,9 +3,10 @@
 Everything here is deliberately written as straight-line reference code,
 sharing no implementation paths with the package: flat dictionaries,
 explicit loops, per-query recomputation. Slow is fine; wrong is not. The
-one exception is `decode_reference`, an earlier version of the search kept
-to compare the current one against bit for bit: it builds the decoder's own
-nodes and result, so that `decoder.nbest` reads its lattice.
+exceptions are `decode_reference` and `nbest_reference`, earlier versions of
+the search and of its n-best enumeration kept to compare the current ones
+against bit for bit: they build and read the decoder's own nodes and
+results, so that either enumeration can read either search's lattice.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import random
 import unicodedata
 from typing import Sequence
 
-from pivotsmt.decoder import (DecodeResult, LogLinearModel, OptionLattice, _best_derivation,
+from pivotsmt.decoder import (NBEST_MAX_POPS, DecodeResult, LogLinearModel, NBestItem,
+                              OptionLattice, TranslationOption, _best_derivation,
                               _coverage_future, _future_costs, _lm_walk, _Node,
-                              weighted_total)
+                              derivation_features, derivation_tokens, weighted_total)
 from pivotsmt.errors import DataError
 
 BOS = "<s>"
@@ -556,6 +558,88 @@ def decode_reference(
     goal.score = complete[0][1].score
     return DecodeResult(goal=goal, model=model, lm=lm, best_score=goal.score,
                         best_derivation=_best_derivation(goal))
+
+
+def nbest_reference(result: DecodeResult, n: int) -> list[NBestItem]:
+    """`decoder.nbest` before it seeded each heap from the predecessors'
+    scores: building a node's heap takes the first derivation of every
+    predecessor, so every node the goal reaches gets a list. The current
+    enumeration must return the same items.
+
+    Up to n distinct target strings by descending score.
+
+    Derivations are enumerated exactly from the recombination lattice
+    (lazy k-best over back-pointer arcs); duplicate strings keep their
+    highest-scoring derivation. The options `decode` drops only ever gave
+    a string again after a derivation of it at least as good, so a list
+    that NBEST_MAX_POPS cuts short holds every item the lattice with all
+    options gives within that many pops, and possibly more.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    lists: dict[int, list[tuple[float, int, int]]] = {}
+    heaps: dict[int, list[tuple[float, int, int]]] = {}
+
+    def ensure(node: _Node) -> None:
+        nid = id(node)
+        if nid in lists:
+            return
+        lists[nid] = []
+        heap: list[tuple[float, int, int]] = []
+        if not node.arcs:
+            # initial node: the single empty derivation
+            lists[nid].append((0.0, -1, -1))
+            heaps[nid] = []
+            return
+        for arc_idx, (pred, _, inc) in enumerate(node.arcs):
+            first = kth(pred, 0)
+            if first is not None:
+                heap.append((-(first[0] + inc), arc_idx, 0))
+        heapq.heapify(heap)
+        heaps[nid] = heap
+
+    def kth(node: _Node, k: int):
+        ensure(node)
+        nid = id(node)
+        entries = lists[nid]
+        heap = heaps[nid]
+        while len(entries) <= k and heap:
+            neg, arc_idx, rank = heapq.heappop(heap)
+            entries.append((-neg, arc_idx, rank))
+            pred, _, inc = node.arcs[arc_idx]
+            succ = kth(pred, rank + 1)
+            if succ is not None:
+                heapq.heappush(heap, (-(succ[0] + inc), arc_idx, rank + 1))
+        return entries[k] if k < len(entries) else None
+
+    def path(node: _Node, k: int) -> list[TranslationOption]:
+        entry = kth(node, k)
+        assert entry is not None
+        _, arc_idx, rank = entry
+        if arc_idx < 0:
+            return []
+        pred, option, _ = node.arcs[arc_idx]
+        options = path(pred, rank)
+        if option is not None:
+            options.append(option)
+        return options
+
+    items: list[NBestItem] = []
+    seen: set[tuple[str, ...]] = set()
+    rank = 0
+    while len(items) < n and rank < NBEST_MAX_POPS:
+        entry = kth(result.goal, rank)
+        if entry is None:
+            break
+        derivation = path(result.goal, rank)
+        tokens = derivation_tokens(derivation)
+        rank += 1
+        if tokens in seen:
+            continue
+        seen.add(tokens)
+        features = derivation_features(derivation, result.model, result.lm)
+        items.append(NBestItem(tokens=tokens, score=entry[0], features=features))
+    return items
 
 
 def coverage_future_reference(coverage, n, fc):

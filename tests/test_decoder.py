@@ -10,11 +10,12 @@ from pivotsmt.decoder import (
     tune_weights, weighted_total, write_weights,
 )
 from pivotsmt.errors import DataError
-from pivotsmt.ngramlm import train_kn
+from pivotsmt.ngramlm import read_arpa, train_kn
 from pivotsmt.phrasetab import PhraseEntry, PhraseTable, TableSet
 from pivotsmt.translit import WordPairCorpus, mine_transliterations
 
-from oracles import coverage_future_reference, decode_reference, enumerate_decodings
+from oracles import (coverage_future_reference, decode_reference, enumerate_decodings,
+                     nbest_reference)
 
 
 def table_of(entries, role="baseline"):
@@ -448,14 +449,20 @@ def lattice_of(result):
     return sorted(nodes)
 
 
+def items_of(items):
+    return [(item.tokens, item.score, item.features) for item in items]
+
+
 def assert_same_search(result, expected):
-    """Same lattice, score, 1-best options and 10-best items."""
+    """Same lattice, score, 1-best options and 10-best items, the latter also
+    from the enumeration that gives every reachable node a list."""
     assert lattice_of(result) == lattice_of(expected)
     assert result.best_score == expected.best_score
     assert len(result.best_derivation) == len(expected.best_derivation)
     assert all(a is b for a, b in zip(result.best_derivation, expected.best_derivation))
-    assert [(item.tokens, item.score, item.features) for item in nbest(result, 10)] == \
-        [(item.tokens, item.score, item.features) for item in nbest(expected, 10)]
+    items = items_of(nbest(result, 10))
+    assert items == items_of(nbest(expected, 10))
+    assert items == items_of(nbest_reference(result, 10))
 
 
 class TestSearchEqualsReference:
@@ -498,6 +505,103 @@ class TestSearchEqualsReference:
         assert result.best_derivation == [lower]
         assert_same_search(result, decode_reference(["w0"], model, uniform_lm, lattice,
                                                     distortion_limit=6, stack_size=10))
+
+
+class FullStateLM:
+    """An LM whose states are never shortened: recombination on every word
+    the order keeps, as before minimal states."""
+
+    def __init__(self, lm) -> None:
+        self.lm = lm
+        self.order = lm.order
+
+    def logprob(self, context, word):
+        return self.lm.logprob(context, word)
+
+    def minimal_state(self, context):
+        return context
+
+
+def oov_target_instance(rng, n):
+    """Options over a sentence where most words get several targets the LM
+    has never seen, as transliterations do, and the rest known targets."""
+    lattice = {}
+    for i in range(n):
+        for j in range(i + 1, min(n, i + 2) + 1):
+            if j > i + 1 and rng.random() < 0.6:
+                continue
+            unseen = j == i + 1 and rng.random() < 0.7
+            pool = [f"o{k}" for k in range(8)] if unseen else [f"x{k}" for k in range(8)]
+            opts = []
+            for target in rng.sample(pool, rng.randint(1, 4)):
+                feats = {f"tm0.{f}": math.log10(rng.uniform(0.05, 1.0)) for f in TM_FEATURES}
+                opts.append(TranslationOption(i, j, (target,) * (j - i), feats, "table0"))
+            lattice[(i, j)] = opts
+    return [f"w{i}" for i in range(n)], lattice
+
+
+# Two order-3 models in which the trigram "a b c" has a context that the file
+# gives no backoff: "a b" is stored without a backoff column, or is missing
+# together with the backoff of "a".
+ARPA_TRIGRAM_CONTEXTS = {
+    "zero_backoff_left_out": ["ngram 1=5", "ngram 2=4", "ngram 3=2", "",
+                              "\\1-grams:", "-1.5\t<unk>", "-99\t<s>\t-0.5",
+                              "-0.6\ta\t-0.4", "-0.6\tb\t-0.3", "-0.6\tc\t-0.2", "",
+                              "\\2-grams:", "-0.3\t<s> a\t-0.1", "-0.4\ta b",
+                              "-0.5\tb c", "-0.7\tb a", "",
+                              "\\3-grams:", "-0.05\ta b c", "-0.2\t<s> a b"],
+    "prefix_left_out": ["ngram 1=5", "ngram 2=2", "ngram 3=1", "",
+                        "\\1-grams:", "-1.5\t<unk>", "-99\t<s>\t-0.5", "-0.6\ta",
+                        "-0.6\tb\t-0.3", "-0.6\tc\t-0.2", "",
+                        "\\2-grams:", "-0.5\tb c", "-0.7\tb a", "",
+                        "\\3-grams:", "-0.05\ta b c"],
+}
+
+
+class TestMinimalLMStates:
+    """Nodes recombine on the shortest LM state that gives every later word
+    the same score; with the beam unbounded, the search must find the same
+    best score, 1-best options and n-best items as one that keeps every
+    state the LM order allows."""
+
+    def test_unbounded_beam_equals_full_states(self):
+        lm = train_kn([[f"x{k}" for k in range(8)], [f"x{k}" for k in range(7, -1, -1)],
+                       ["x0", "x2", "x4", "x6"], ["x1", "x3", "x1", "x3"]], order=3)
+        full_lm = FullStateLM(lm)
+        rng = random.Random(1515)
+        model = LogLinearModel.default(1)
+        nodes = full_nodes = 0
+        for _ in range(150):
+            sentence, lattice = oov_target_instance(rng, rng.randint(1, 6))
+            limit = rng.randint(0, 6)
+            result = decode(sentence, model, lm, lattice,
+                            distortion_limit=limit, stack_size=10 ** 6)
+            expected = decode(sentence, model, full_lm, lattice,
+                              distortion_limit=limit, stack_size=10 ** 6)
+            assert result.best_score == expected.best_score
+            assert len(result.best_derivation) == len(expected.best_derivation)
+            assert all(a is b for a, b in zip(result.best_derivation,
+                                              expected.best_derivation))
+            assert items_of(nbest(result, 10)) == items_of(nbest(expected, 10))
+            nodes += len(lattice_of(result))
+            full_nodes += len(lattice_of(expected))
+        assert nodes < full_nodes / 2, (nodes, full_nodes)
+
+    @pytest.mark.parametrize("name", sorted(ARPA_TRIGRAM_CONTEXTS))
+    def test_arpa_context_without_backoff_equals_enumeration(self, name):
+        lm = read_arpa(["\\data\\", *ARPA_TRIGRAM_CONTEXTS[name], "", "\\end\\"])
+        assert lm.minimal_state(("c", "a")) == ("a",)
+        assert lm.minimal_state(("a", "b")) == ("a", "b")
+        feats = {f"tm0.{f}": -0.5 for f in TM_FEATURES}
+        lattice = {(i, i + 1): [TranslationOption(i, i + 1, (word,), dict(feats), "table0")
+                                for word in ("a", "b", "c")] for i in range(3)}
+        model = LogLinearModel.default(1)
+        result = decode(["s0", "s1", "s2"], model, lm, lattice,
+                        distortion_limit=6, stack_size=5000)
+        ranked = enumerate_decodings(3, lattice, model.weights, lm, 6)
+        assert ranked[0][0] == ("a", "b", "c")  # through the trigram a b c
+        assert result.best_tokens() == ranked[0][0]
+        assert result.best_score == pytest.approx(ranked[0][1], abs=1e-9)
 
 
 class TestTune:

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pivotsmt.decoder import _lm_walk
 from pivotsmt.errors import DataError
 from pivotsmt.ngramlm import (
     MixtureModel, context_normalization, read_arpa, train_kn,
@@ -128,6 +129,48 @@ def test_train_kn_equals_every_order_at_once_reference(corpus, order):
     model = train_kn(corpus, order)
     assert (model.logprobs, model.backoffs, model.unk_logprob, model.vocab) \
         == train_kn_reference(corpus, order)
+
+
+def drop_backoffs(model, rng):
+    """`model` as an ARPA file that leaves out about half its backoffs, each
+    of which then reads as 0.0, as a file may write a zero backoff."""
+    buf = io.StringIO()
+    write_arpa(model, buf)
+    lines = [line.rsplit("\t", 1)[0] if line.count("\t") == 2 and rng.random() < 0.5
+             else line for line in buf.getvalue().splitlines()]
+    return read_arpa(lines)
+
+
+_WORDS = st.sampled_from(["a", "b", "c", "d"])
+_CORPORA = st.lists(st.lists(_WORDS, max_size=6), min_size=1, max_size=8).filter(any)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_CORPORA, _CORPORA, st.integers(1, 5),
+       st.sampled_from(["train_kn", "arpa", "mixture"]), st.integers(0, 2 ** 16),
+       st.lists(st.sampled_from(["a", "b", "c", "d", "<s>", "zz"]), max_size=4),
+       st.lists(st.sampled_from(["a", "b", "c", "d", "zz", "yy"]), max_size=6))
+def test_minimal_state_scores_like_the_full_state(corpus, other, order, kind, seed,
+                                                  state, words):
+    # the words after a state score the same bits from its minimal state,
+    # also when each word's walk starts from the state the last one left
+    lm = train_kn(corpus, order)
+    if kind == "arpa":
+        lm = drop_backoffs(lm, random.Random(seed))
+    elif kind == "mixture":
+        lm = MixtureModel(lm, train_kn(other, order), random.Random(seed).choice([0.0, 0.3, 1.0]))
+    state = tuple(state[:order - 1])
+    minimal = lm.minimal_state(state)
+    assert state[len(state) - len(minimal):] == minimal
+    assert _lm_walk(lm, state, words) == _lm_walk(lm, minimal, words)
+    full_sum, full_state, walked_sum, walked_state = 0.0, state, 0.0, minimal
+    for word in words:
+        full_sum += lm.logprob(full_state, word)
+        full_state = (full_state + (word,))[-(order - 1):] if order > 1 else ()
+        lm_sum, walked_state = _lm_walk(lm, walked_state, [word])
+        walked_sum += lm_sum
+    assert walked_sum == full_sum
+    assert walked_state == lm.minimal_state(full_state)
 
 
 class TestLogprob:
