@@ -26,6 +26,8 @@ TOKENIZE_SCHEMES = ("unicode-punct", "whitespace")
 
 DEFAULT_MAX_SENT_LEN = 80
 
+FIELD_SEP = "|||"  # separates the fields of a phrase-table line, so never a token
+
 
 @dataclass
 class Bitext:
@@ -149,6 +151,16 @@ def number(text: str, where: str, what: str, nonneg: bool = False,
     return value
 
 
+def _tokens_of(text: str, where: str) -> tuple[str, ...]:
+    """The whitespace tokens of `text`; the token `|||` is a DataError at
+    `where`, because no phrase table could hold a phrase with it."""
+    tokens = tuple(text.split())
+    if FIELD_SEP in tokens:
+        raise DataError(f"{where}: the token {FIELD_SEP!r} is the phrase-table "
+                        f"field separator")
+    return tokens
+
+
 def read_parallel(
     source: str | Iterable[str],
     target: str | Iterable[str],
@@ -156,7 +168,8 @@ def read_parallel(
     """Token pairs of two line-aligned inputs, line i of one with line i of the other.
 
     Each input is a path, read through read_lines, or a list of lines.
-    Unequal line counts are a DataError naming both inputs and both counts.
+    Unequal line counts are a DataError naming both inputs and both counts,
+    and a `|||` token one naming its input and line.
     """
     (src_name, src_lines), (tgt_name, tgt_lines) = [
         (side, read_lines(side)) if isinstance(side, str) else (name, list(side))
@@ -164,7 +177,8 @@ def read_parallel(
     if len(src_lines) != len(tgt_lines):
         raise DataError(f"line count mismatch: {src_name} has {len(src_lines)} lines, "
                         f"{tgt_name} has {len(tgt_lines)} lines")
-    return [(tuple(s.split()), tuple(t.split())) for s, t in zip(src_lines, tgt_lines)]
+    return [(_tokens_of(s, f"{src_name}:{lineno}"), _tokens_of(t, f"{tgt_name}:{lineno}"))
+            for lineno, (s, t) in enumerate(zip(src_lines, tgt_lines), start=1)]
 
 
 def ingest_bitext(
@@ -207,13 +221,13 @@ def dict_to_bitext(entries: Sequence[DictionaryEntry]) -> Bitext:
 
 
 def read_dictionary_tsv(src: str | Iterable[str], name: str = "<dict>") -> list[DictionaryEntry]:
-    """Parse `source<TAB>target<TAB>provenance` lines of a path, a handle or lines."""
+    """Parse `source<TAB>target<TAB>provenance` lines of a path, a handle or lines;
+    a `|||` token is a DataError at its line, as in read_parallel."""
     entries = []
     for where, (source, target, provenance) in records(src, name):
         try:
-            entries.append(
-                DictionaryEntry(tuple(source.split()), tuple(target.split()), provenance.strip())
-            )
+            entries.append(DictionaryEntry(_tokens_of(source, where), _tokens_of(target, where),
+                                           provenance.strip()))
         except ValueError as exc:
             raise DataError(f"{where}: {exc}") from exc
     return entries

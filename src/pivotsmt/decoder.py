@@ -1,12 +1,14 @@
 """Phrase-based stack decoding with a log-linear model.
 
 Hypotheses are organized in coverage-cardinality stacks with histogram
-pruning and future-cost estimation. The recombination lattice of arcs is
-the search's only record: n-best lists are exact back-pointer enumerations
-of it, and the 1-best is the first derivation they enumerate. One or more
-phrase tables score as separate blocks of four features; sources covered
-by no table fall back to transliteration or pass-through options, so
-decoding never fails for lack of coverage.
+pruning and future-cost estimation. Each recombined node keeps a
+back-pointer to the first arc that gave it its best score, and the 1-best
+is read back along them from the goal. Only a search for n-best lists
+also keeps every arc, the recombination lattice: n-best lists are exact
+back-pointer enumerations of it, and their first derivation is the 1-best.
+One or more phrase tables score as separate blocks of four features;
+sources covered by no table fall back to transliteration or pass-through
+options, so decoding never fails for lack of coverage.
 
 Within one sentence the search skips work that cannot change its result:
 each option's static score is computed once, each weighted LM step once per
@@ -200,22 +202,32 @@ def _lm_walk(lm, state: tuple[str, ...], words: Sequence[str]) -> tuple[float, t
 
 
 class _Node:
-    """One recombined search state; its arcs are the derivation lattice."""
+    """One recombined search state.
 
-    __slots__ = ("coverage", "lm_state", "prev_end", "score", "future", "arcs")
+    `back` is the (pred, option) of the first arc of largest pred.score +
+    inc, None at the initial node. `arcs` lists every (pred, option, inc)
+    arc, the derivation lattice, when the search keeps it, else it is ().
+    """
+
+    __slots__ = ("coverage", "lm_state", "prev_end", "score", "future", "back", "arcs")
 
     def __init__(self, coverage: int, lm_state: tuple[str, ...], prev_end: int,
-                 future: float) -> None:
+                 future: float, keep_arcs: bool) -> None:
         self.coverage = coverage
         self.lm_state = lm_state
         self.prev_end = prev_end
         self.score = -math.inf  # best over the arcs; final once its stack is expanded
         self.future = future
-        self.arcs: list[tuple[_Node, TranslationOption | None, float]] = []
+        self.back: tuple[_Node, TranslationOption | None] | None = None
+        self.arcs: list[tuple[_Node, TranslationOption | None, float]] | tuple[()] = \
+            [] if keep_arcs else ()
 
 
 @dataclass
 class DecodeResult:
+    """A search's best score and options, and its goal node: the start of
+    the back-pointer walk and, if the search kept arcs, of `nbest`."""
+
     goal: _Node
     model: LogLinearModel
     lm: object
@@ -303,8 +315,14 @@ def decode(
     options: OptionLattice,
     distortion_limit: int,
     stack_size: int,
+    *,
+    keep_arcs: bool,
 ) -> DecodeResult:
     """Find the best-scoring complete hypothesis by stack search.
+
+    With keep_arcs the result holds the recombination lattice that `nbest`
+    enumerates; without it, only each node's back-pointer, which is all
+    the 1-best needs.
 
     A new phrase must start within distortion_limit of the previous
     phrase's end, and end within distortion_limit of the first uncovered
@@ -362,7 +380,7 @@ def decode(
     futures: dict[int, float] = {}
 
     init_state: tuple[str, ...] = (BOS,) if lm.order > 1 else ()
-    init = _Node(0, init_state, 0, _coverage_future(0, n, fc))
+    init = _Node(0, init_state, 0, _coverage_future(0, n, fc), keep_arcs)
     init.score = 0.0
     stacks: list[dict[tuple, _Node]] = [dict() for _ in range(n + 1)]
     stacks[0][(0, init_state, 0)] = init
@@ -415,37 +433,44 @@ def decode(
                             if future is None:
                                 future = futures[coverage] = _coverage_future(
                                     coverage, n, fc)
-                            child = _Node(coverage, state, end, future)
+                            child = _Node(coverage, state, end, future, keep_arcs)
                             child_stack[key] = child
-                        child.arcs.append((node, option, inc))
+                        if keep_arcs:
+                            child.arcs.append((node, option, inc))
                         total = node_score + inc
                         if total > child.score:
                             child.score = total
+                            child.back = (node, option)
 
-    # the goal's arcs: every complete hypothesis, best first, ties by stack key
+    # every complete hypothesis, best first, ties by stack key
     complete = sorted(stacks[n].items(), key=lambda item: (-item[1].score, item[0]))
     if not complete:
         raise DataError("no complete hypothesis found (search dead-ended)")
-    goal = _Node(full, (), n, 0.0)
-    goal.arcs = [(node, None, 0.0) for _, node in complete]
-    goal.score = complete[0][1].score
+    best = complete[0][1]
+    goal = _Node(full, (), n, 0.0, keep_arcs)
+    goal.back = (best, None)
+    if keep_arcs:
+        goal.arcs = [(node, None, 0.0) for _, node in complete]
+    goal.score = best.score
     return DecodeResult(goal=goal, model=model, lm=lm, best_score=goal.score,
                         best_derivation=_best_derivation(goal))
 
 
 def _best_derivation(goal: _Node) -> list[TranslationOption]:
-    """The first derivation that `nbest` enumerates.
+    """The options on the back-pointers from the goal, in sentence order.
 
-    From the goal back, each node's first arc of largest pred.score + inc:
-    the same sum, of the same final scores, that the search compared, so
-    ties keep the arc the search kept.
+    The search sets a back-pointer only on a strictly higher pred.score +
+    inc, with pred.score already final, so each one is its node's first arc
+    of largest pred.score + inc: the arc `nbest` ranks first. The result is
+    the first derivation that `nbest` enumerates.
     """
     derivation: list[TranslationOption] = []
-    node = goal
-    while node.arcs:
-        node, option, _ = max(node.arcs, key=lambda arc: arc[0].score + arc[2])
+    back = goal.back
+    while back is not None:
+        node, option = back
         if option is not None:
             derivation.append(option)
+        back = node.back
     derivation.reverse()
     return derivation
 
@@ -466,10 +491,11 @@ def nbest(result: DecodeResult, n: int) -> list[NBestItem]:
     """Up to n distinct target strings by descending score.
 
     Derivations are enumerated exactly from the recombination lattice
-    (lazy k-best over back-pointer arcs, Huang & Chiang 2005); duplicate
-    strings keep their highest-scoring derivation. A node's heap starts
-    from its predecessors' final scores, the scores of their first
-    derivations, so only the nodes on popped derivations get lists.
+    (lazy k-best over back-pointer arcs, Huang & Chiang 2005), so the result
+    must come from a search that kept arcs; duplicate strings keep their
+    highest-scoring derivation. A node's heap starts from its predecessors'
+    final scores, the scores of their first derivations, so only the nodes
+    on popped derivations get lists.
 
     The options `decode` drops only ever gave a string again after a
     derivation of it at least as good, so a list that NBEST_MAX_POPS cuts
@@ -478,6 +504,9 @@ def nbest(result: DecodeResult, n: int) -> list[NBestItem]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not result.goal.arcs:
+        raise ValueError("nbest needs the recombination lattice, and this result "
+                         "was decoded without arcs (keep_arcs=False)")
     lists: dict[int, list[tuple[float, int, int]]] = {}
     heaps: dict[int, list[tuple[float, int, int]]] = {}
 
@@ -582,16 +611,18 @@ class DecoderSystem:
         return LogLinearModel.default(len(self.tables.tables),
                                       self.translit_model is not None)
 
-    def decode(self, sentence: Sequence[str],
-               model: LogLinearModel | None = None) -> DecodeResult:
+    def decode(self, sentence: Sequence[str], model: LogLinearModel | None = None,
+               keep_arcs: bool = True) -> DecodeResult:
+        """Search `sentence`; with keep_arcs=False the result serves the
+        1-best only, and `nbest` rejects it."""
         model = model or self.default_model()
         return decode(sentence, model, self.lm, self.lattice(sentence, model),
                       distortion_limit=self.distortion_limit,
-                      stack_size=self.stack_size)
+                      stack_size=self.stack_size, keep_arcs=keep_arcs)
 
     def translate(self, sentence: Sequence[str],
                   model: LogLinearModel | None = None) -> tuple[str, ...]:
-        return self.decode(sentence, model).best_tokens()
+        return self.decode(sentence, model, keep_arcs=False).best_tokens()
 
 
 # --- Corpus decoding ---------------------------------------------------------
@@ -610,7 +641,7 @@ def _decode_one(tokens: tuple[str, ...], job: tuple = ()):
         return (), []
     system, model, nbest_size = job or _JOB
     try:
-        result = system.decode(tokens, model)
+        result = system.decode(tokens, model, keep_arcs=nbest_size > 0)
     except DataError:
         return None
     return result.best_tokens(), nbest(result, nbest_size) if nbest_size > 0 else []
@@ -625,7 +656,8 @@ def decode_corpus(
 ) -> list[tuple[tuple[str, ...], list[NBestItem]]]:
     """Decode sentences in order into (best tokens, n-best items) pairs.
 
-    The n-best list is empty unless nbest_size > 0. An empty sentence, or
+    The n-best list is empty unless nbest_size > 0, and only then does the
+    search keep the arcs of its lattice. An empty sentence, or
     one whose search dead-ends, gives ((), []); a dead-end also logs one
     warning naming its 1-based line. With threads > 1 and at least four
     sentences, the sentences are decoded in that many worker processes.

@@ -6,7 +6,9 @@ explicit loops, per-query recomputation. Slow is fine; wrong is not. The
 exceptions are `decode_reference` and `nbest_reference`, earlier versions of
 the search and of its n-best enumeration kept to compare the current ones
 against bit for bit: they build and read the decoder's own nodes and
-results, so that either enumeration can read either search's lattice.
+results, so that either enumeration can read either search's lattice. The
+reference search reads its 1-best from the arcs
+(`best_derivation_reference`), never from the back-pointers.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import unicodedata
 from typing import Sequence
 
 from pivotsmt.decoder import (NBEST_MAX_POPS, DecodeResult, LogLinearModel, NBestItem,
-                              OptionLattice, TranslationOption, _best_derivation,
+                              OptionLattice, TranslationOption,
                               _coverage_future, _future_costs, _lm_walk, _Node,
                               derivation_features, derivation_tokens, weighted_total)
 from pivotsmt.errors import DataError
@@ -502,7 +504,7 @@ def decode_reference(
     futures: dict[int, float] = {}
 
     init_state: tuple[str, ...] = (BOS,) if lm.order > 1 else ()
-    init = _Node(0, init_state, 0, _coverage_future(0, n, fc))
+    init = _Node(0, init_state, 0, _coverage_future(0, n, fc), True)
     init.score = 0.0
     stacks: list[dict[tuple, _Node]] = [dict() for _ in range(n + 1)]
     stacks[0][(0, init_state, 0)] = init
@@ -543,7 +545,7 @@ def decode_reference(
                             if future is None:
                                 future = futures[coverage] = _coverage_future(
                                     coverage, n, fc)
-                            child = _Node(coverage, state, end, future)
+                            child = _Node(coverage, state, end, future, True)
                             child_stack[key] = child
                         child.arcs.append((node, option, inc))
                         if node_score + inc > child.score:
@@ -553,11 +555,29 @@ def decode_reference(
     complete = sorted(stacks[n].items(), key=lambda item: (-item[1].score, item[0]))
     if not complete:
         raise DataError("no complete hypothesis found (search dead-ended)")
-    goal = _Node(full, (), n, 0.0)
+    goal = _Node(full, (), n, 0.0, True)
     goal.arcs = [(node, None, 0.0) for _, node in complete]
     goal.score = complete[0][1].score
     return DecodeResult(goal=goal, model=model, lm=lm, best_score=goal.score,
-                        best_derivation=_best_derivation(goal))
+                        best_derivation=best_derivation_reference(goal))
+
+
+def best_derivation_reference(goal: _Node) -> list[TranslationOption]:
+    """The 1-best read from the arcs alone, as `decoder._best_derivation` did
+    before the search kept back-pointers.
+
+    From the goal back, each node's first arc of largest pred.score + inc:
+    the same sum, of the same final scores, that the search compared, so
+    ties keep the arc the search kept.
+    """
+    derivation: list[TranslationOption] = []
+    node = goal
+    while node.arcs:
+        node, option, _ = max(node.arcs, key=lambda arc: arc[0].score + arc[2])
+        if option is not None:
+            derivation.append(option)
+    derivation.reverse()
+    return derivation
 
 
 def nbest_reference(result: DecodeResult, n: int) -> list[NBestItem]:

@@ -221,7 +221,8 @@ def test_criterion_06_decoder_optimality():
                 n_options += 1
             dlimit = rng.randint(2, 6)
             result = decoder.decode(sentence, model, lm, lattice,
-                                    distortion_limit=dlimit, stack_size=5000)
+                                    distortion_limit=dlimit, stack_size=5000,
+                                    keep_arcs=False)
             ranked = oracles.enumerate_decodings(n, lattice, model.weights,
                                                  lm, dlimit)
             assert abs(result.best_score - ranked[0][1]) <= 1e-9

@@ -41,11 +41,14 @@ _READS = [
     ("experiment --config {config}",
      ("config", "train_src", "train_tgt", "test_src", "test_tgt", "synth_src", "synth_tgt",
       "dev_src", "dev_tgt", "dict_tsv", "lm_corpus", "translit_model")),
+    ("extract --src {separator_src} --tgt {tgt} --alignments {alignments} --out {out}",
+     ("separator_src",)),
 ]
 _BAD_CHAR_MODEL = (b'{"lambda": "half", "ops": {"a": {"a": 1.0}}, "src_chars": ["a"], '
                    b'"tgt_lm": {"alphabet": ["a"], "counts": {}}}')
-# The inputs broken by a wrong field count or a value that is not a number;
-# every other input gets a 0xff byte on its line 2.
+# The inputs broken by a wrong field count, a value that is not a number or
+# a token that no phrase table can hold; every other input gets a 0xff byte
+# on its line 2.
 _MALFORMED = {
     "table2": b"x ||| a\n",
     "lm2": b"\\data\\\nngram 1=1\n\n\\1-grams:\nlow\t<unk>\n\n\\end\\\n",
@@ -55,6 +58,7 @@ _MALFORMED = {
     "alignments": b"0-0 1-1\n0-x\n",
     "dict_tsv": b"a00\tb00\n",
     "config": b"lm_order = three\n",
+    "separator_src": b"a b\n||| b\n",
 }
 
 
@@ -105,6 +109,7 @@ class TestExitCodes:
     def inputs(self, tmp_path):
         """A well-formed file for every input of _READS, by name, plus output paths."""
         paths = {"src": write(tmp_path / "s.txt", ["a b", "b"]),
+                 "separator_src": write(tmp_path / "sep.txt", ["a b", "b"]),
                  "tgt": write(tmp_path / "t.txt", ["x y", "y"]),
                  "table": write(tmp_path / "t.moses", ["a ||| x ||| 1 1 1 1",
                                                        "b ||| y ||| 1 1 1 1"]),
@@ -504,6 +509,30 @@ class TestCorpusDecoding:
         assert files["1"] == files["2"]
         assert files["1"][0].split("\n")[3] == ""
         assert len(files["1"][1].splitlines()) > 6
+
+    def test_one_best_file_is_the_top_of_each_nbest_list(self, tmp_path, capsys):
+        # without --nbest the search keeps back-pointers only, with it the
+        # whole lattice; both must give each sentence the same best line
+        fixture = make_experiment_fixture(str(tmp_path / "fix"), seed=5, vocab=12, covered=8,
+                                          n_train=60, n_synth=0, n_test=20, n_dev=0)
+        src, tgt = fixture["train"]
+        aligned, table, arpa = (str(tmp_path / name) for name in ("a.txt", "t.moses", "lm.arpa"))
+        assert main(["align", "--src", src, "--tgt", tgt, "--out", aligned]) == 0
+        assert main(["extract", "--src", src, "--tgt", tgt, "--alignments", aligned,
+                     "--out", table]) == 0
+        assert main(["train-lm", "--corpus", tgt, "--out", arpa, "--order", "3"]) == 0
+        system = ["--input", fixture["test"][0], "--table", table, "--lm", arpa]
+        one_best, nbest_path = str(tmp_path / "1best.txt"), str(tmp_path / "nbest.txt")
+        assert main(["decode", *system, "--output", one_best]) == 0
+        assert main(["decode", *system, "--output", str(tmp_path / "o.txt"),
+                     "--nbest", "5", "--nbest-out", nbest_path]) == 0
+        firsts = {}
+        for line in read(nbest_path).splitlines():
+            sid, tokens = line.split(" ||| ")[:2]
+            firsts.setdefault(int(sid), tokens)
+        hyps = read(one_best).splitlines()
+        assert len(hyps) == 20
+        assert [firsts[sid] for sid in range(len(hyps))] == hyps
 
     @pytest.mark.parametrize("args", [
         ["--config", "{conf}", "score", "--hyp", "{conf}", "--ref", "{conf}"],

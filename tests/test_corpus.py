@@ -80,6 +80,17 @@ class TestIngest:
         with pytest.raises(DataError, match="2"):
             read_lines(str(path))
 
+    def test_field_separator_token_names_its_line(self, tmp_path):
+        # a phrase with the token ||| could not be written as a table line;
+        # inside a longer token the three bars are harmless
+        with pytest.raises(DataError, match=r"^target:2: the token '\|\|\|'"):
+            ingest_bitext(["a", "b c"], ["x", "y ||| z"])
+        src = tmp_path / "s.txt"
+        src.write_text("a\n|||\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{src}:2: "):
+            ingest_bitext(str(src), ["x", "y"])
+        assert ingest_bitext(["a|||b"], ["x||| |||y"]).pairs == [(("a|||b",), ("x|||", "|||y"))]
+
 
 class TestConcat:
     def test_empty(self):
@@ -157,6 +168,11 @@ class TestDictionary:
     def test_tsv_malformed(self):
         with pytest.raises(DataError, match=":1"):
             read_dictionary_tsv(["just-one-field"])
+
+    @pytest.mark.parametrize("line", ["a ||| b\tx\tmesh", "a\t||| x\tmesh"])
+    def test_tsv_field_separator_token_rejected(self, line):
+        with pytest.raises(DataError, match=r"^d.tsv:2: the token '\|\|\|'"):
+            read_dictionary_tsv(["house\thaus\twikipedia", line], "d.tsv")
 
 
 class TestLanguageLinks:

@@ -6,7 +6,7 @@ import pytest
 from pivotsmt import decoder
 from pivotsmt.decoder import (
     TM_FEATURES, DecoderSystem, LogLinearModel, TranslationOption, _coverage_future,
-    decode, derivation_features, format_nbest_line, nbest, read_weights,
+    decode, decode_corpus, derivation_features, format_nbest_line, nbest, read_weights,
     tune_weights, weighted_total, write_weights,
 )
 from pivotsmt.errors import DataError
@@ -166,7 +166,7 @@ class TestDecode:
         for trial in range(120):
             sentence, lattice = random_instance(rng, lm_words)
             result = decode(sentence, model, uniform_lm, lattice,
-                            distortion_limit=6, stack_size=5000)
+                            distortion_limit=6, stack_size=5000, keep_arcs=False)
             ranked = enumerate_decodings(len(sentence), lattice, model.weights,
                                          uniform_lm, 6)
             assert ranked, "enumerator found no complete decoding"
@@ -184,7 +184,7 @@ class TestDecode:
                                          uniform_lm, limit)
             try:
                 result = decode(sentence, model, uniform_lm, lattice,
-                                distortion_limit=limit, stack_size=5000)
+                                distortion_limit=limit, stack_size=5000, keep_arcs=False)
             except DataError:
                 assert not ranked, "decoder dead-ended where a decoding exists"
                 continue
@@ -208,7 +208,7 @@ class TestDecode:
             limit = rng.randint(1, 4)
             try:
                 result = decode(sentence, model, uniform_lm, lattice,
-                                distortion_limit=limit, stack_size=200)
+                                distortion_limit=limit, stack_size=200, keep_arcs=False)
             except DataError:
                 continue  # tight limits may make completion impossible
             prev_end = 0
@@ -225,7 +225,7 @@ class TestDecode:
             best = -math.inf
             for stack_size in (1, 2, 5, 20, 1000):
                 result = decode(sentence, model, uniform_lm, lattice,
-                                distortion_limit=6, stack_size=stack_size)
+                                distortion_limit=6, stack_size=stack_size, keep_arcs=False)
                 assert result.best_score >= best - 1e-12
                 best = max(best, result.best_score)
 
@@ -236,7 +236,7 @@ class TestDecode:
         for _ in range(30):
             sentence, lattice = random_instance(rng, lm_words)
             result = decode(sentence, model, uniform_lm, lattice,
-                            distortion_limit=6, stack_size=500)
+                            distortion_limit=6, stack_size=500, keep_arcs=False)
             feats = derivation_features(result.best_derivation, model,
                                         uniform_lm)
             assert weighted_total(feats, model.weights) == pytest.approx(
@@ -261,7 +261,7 @@ class TestDecode:
             "baseline")]}
         with pytest.raises(DataError):
             decode(["a", "b"], model, uniform_lm, lattice,
-                   distortion_limit=6, stack_size=200)
+                   distortion_limit=6, stack_size=200, keep_arcs=False)
 
     def test_stack_freed_once_expanded(self, monkeypatch):
         # only expanded nodes are reachable from the goal, so the rest of a
@@ -290,6 +290,42 @@ class TestDecode:
         assert counts["made"] > 500
         assert counts["peak"] < counts["made"] / 3
 
+    def test_one_best_paths_append_no_arc(self, uniform_lm, monkeypatch):
+        # translate and decode_corpus without n-best lists read back-pointers
+        # only, so their searches append no arc; DecoderSystem.decode and
+        # n-best decoding still build the lattice
+        appended = []
+
+        class CountedArcs(list):
+            def append(self, arc):
+                appended.append(arc)
+                super().append(arc)
+
+        class CountedNode(decoder._Node):
+            def __init__(self, *args):
+                super().__init__(*args)
+                if isinstance(self.arcs, list):
+                    self.arcs = CountedArcs()
+
+        results = []
+        real_decode = decoder.decode
+        monkeypatch.setattr(decoder, "_Node", CountedNode)
+        monkeypatch.setattr(decoder, "decode", lambda *args, **kwargs: (
+            results.append(real_decode(*args, **kwargs)) or results[-1]))
+        table = table_of([("a", "x0", 0.6), ("a", "x1", 0.4), ("b", "x1", 0.9),
+                          ("a b", "x0 x1", 0.5)])
+        system = DecoderSystem(tables=TableSet([table]), lm=uniform_lm)
+        model = system.default_model()
+        sentences = [("a", "b"), ("b", "a", "b"), ("a",)]
+        translated = [system.translate(sentence) for sentence in sentences]
+        assert [best for best, _ in decode_corpus(system, model, sentences)] == translated
+        assert len(results) == 6 and not appended
+        assert all(result.goal.arcs == () for result in results)
+        decode_corpus(system, model, sentences, nbest_size=3)
+        system.decode(sentences[0])
+        assert len(results) == 10 and appended
+        assert all(result.goal.arcs for result in results[6:])
+
     def test_no_dead_end_under_a_narrow_beam(self, uniform_lm):
         # without the gap constraint, 9 of these 40 searches keep only
         # hypotheses that jumped too far past a gap, and find no complete one
@@ -298,7 +334,7 @@ class TestDecode:
         for seed in range(40):
             sentence, lattice = random_instance(random.Random(seed), lm_words, 8, 10)
             result = decode(sentence, model, uniform_lm, lattice,
-                            distortion_limit=2, stack_size=2)
+                            distortion_limit=2, stack_size=2, keep_arcs=False)
             spans = sorted((opt.start, opt.end) for opt in result.best_derivation)
             assert [pos for s, e in spans for pos in range(s, e)] == \
                 list(range(len(sentence)))
@@ -339,7 +375,8 @@ class TestNBest:
             else:
                 sentence, lattice = random_instance(rng, lm_words)
             result = decode(sentence, model, uniform_lm, lattice,
-                            distortion_limit=rng.randint(1, 6), stack_size=1000)
+                            distortion_limit=rng.randint(1, 6), stack_size=1000,
+                            keep_arcs=True)
             enumerated.clear()
             items = nbest(result, 1)
             assert items[0].tokens == result.best_tokens()
@@ -354,7 +391,7 @@ class TestNBest:
         for _ in range(40):
             sentence, lattice = random_instance(rng, lm_words)
             result = decode(sentence, model, uniform_lm, lattice,
-                            distortion_limit=6, stack_size=5000)
+                            distortion_limit=6, stack_size=5000, keep_arcs=True)
             items = nbest(result, 10)
             ranked = enumerate_decodings(len(sentence), lattice,
                                          model.weights, uniform_lm, 6)
@@ -366,6 +403,16 @@ class TestNBest:
             expected = sorted(seen.items(), key=lambda kv: (-kv[1], kv[0]))
             for item, (tokens, score) in zip(items, expected[:len(items)]):
                 assert item.score == pytest.approx(score, abs=1e-9)
+
+    def test_result_without_arcs_rejected(self, uniform_lm):
+        # its goal has no arcs, like the initial node, whose one derivation
+        # is empty: nbest must not return that as an item
+        table = table_of([("a", "x0", 0.7), ("a", "x1", 0.3)])
+        system = DecoderSystem(tables=TableSet([table]), lm=uniform_lm)
+        result = system.decode(["a"], keep_arcs=False)
+        assert result.best_tokens() == ("x0",)
+        with pytest.raises(ValueError, match="decoded without arcs"):
+            nbest(result, 5)
 
     def test_duplicates_keep_higher_score(self, uniform_lm):
         # two derivations of the same string: segmented vs single phrase
@@ -453,13 +500,27 @@ def items_of(items):
     return [(item.tokens, item.score, item.features) for item in items]
 
 
+def assert_same_best(result, expected):
+    """Same best score, to the bit, and the same 1-best options (`is`)."""
+    assert result.best_score == expected.best_score
+    assert len(result.best_derivation) == len(expected.best_derivation)
+    assert all(a is b for a, b in zip(result.best_derivation, expected.best_derivation))
+
+
+def assert_arc_free_search_agrees(args, search, *expected):
+    """The search without arcs keeps none and finds the best of each of
+    `expected` from its back-pointers alone."""
+    result = decode(*args, **search, keep_arcs=False)
+    assert result.goal.arcs == ()
+    for other in expected:
+        assert_same_best(result, other)
+
+
 def assert_same_search(result, expected):
     """Same lattice, score, 1-best options and 10-best items, the latter also
     from the enumeration that gives every reachable node a list."""
     assert lattice_of(result) == lattice_of(expected)
-    assert result.best_score == expected.best_score
-    assert len(result.best_derivation) == len(expected.best_derivation)
-    assert all(a is b for a, b in zip(result.best_derivation, expected.best_derivation))
+    assert_same_best(result, expected)
     items = items_of(nbest(result, 10))
     assert items == items_of(nbest(expected, 10))
     assert items == items_of(nbest_reference(result, 10))
@@ -468,7 +529,9 @@ def assert_same_search(result, expected):
 class TestSearchEqualsReference:
     """`decode` skips covered starts, spans past the reach of the first gap
     and options that repeat a target with no higher score; the reference
-    visits and keeps them all, and both must agree to the last bit."""
+    visits and keeps them all, and both must agree to the last bit. The
+    reference reads its 1-best from the arcs, and the search without arcs
+    from its back-pointers."""
 
     def test_random_lattices_with_repeated_targets(self, uniform_lm):
         rng = random.Random(1414)
@@ -482,14 +545,48 @@ class TestSearchEqualsReference:
                 statics = [(o.target, weighted_total(o.features, weights)) for o in opts]
                 exact_ties += len(statics) - len(set(statics))
             search = dict(distortion_limit=rng.randint(0, 6), stack_size=rng.randint(1, 50))
+            args = (sentence, model, uniform_lm, lattice)
             try:
-                expected = decode_reference(sentence, model, uniform_lm, lattice, **search)
+                expected = decode_reference(*args, **search)
             except DataError:
-                with pytest.raises(DataError):
-                    decode(sentence, model, uniform_lm, lattice, **search)
+                for keep_arcs in (True, False):
+                    with pytest.raises(DataError):
+                        decode(*args, **search, keep_arcs=keep_arcs)
                 continue
-            assert_same_search(decode(sentence, model, uniform_lm, lattice, **search), expected)
+            result = decode(*args, **search, keep_arcs=True)
+            assert_same_search(result, expected)
+            assert_arc_free_search_agrees(args, search, result, expected)
         assert exact_ties > 100
+
+    def test_exactly_tied_arcs_into_one_node(self):
+        # Under a unigram LM of weight 0 and dyadic weights, every score is
+        # exact and nodes differ only in coverage and end, so the arcs of x0
+        # and x1 options with equal features tie into one node: the
+        # back-pointer must be the first of them, as in the reference.
+        lm = train_kn([["x0", "x1"]], order=1)
+        rng = random.Random(1616)
+        weights = {name: 0.25 for name in decoder.feature_names(1, False)}
+        weights.update(lm=0.0, word_penalty=0.125, phrase_penalty=0.0, distortion=0.5)
+        model = LogLinearModel(weights=weights, n_tables=1)
+        tied_nodes = 0
+        for _ in range(150):
+            sentence, lattice = tied_instance(rng, rng.randint(2, 6))
+            args, search = (sentence, model, lm, lattice), dict(distortion_limit=6,
+                                                                stack_size=1000)
+            result = decode(*args, **search, keep_arcs=True)
+            expected = decode_reference(*args, **search)
+            assert_same_search(result, expected)
+            assert_arc_free_search_agrees(args, search, result, expected)
+            seen, todo = set(), [result.goal]
+            while todo:
+                node = todo.pop()
+                best = [pred for pred, _, inc in node.arcs if pred.score + inc == node.score]
+                tied_nodes += len(best) > 1
+                for pred, _, _ in node.arcs:
+                    if id(pred) not in seen:
+                        seen.add(id(pred))
+                        todo.append(pred)
+        assert tied_nodes > 100, tied_nodes
 
     def test_option_one_ulp_below_a_later_one_is_kept(self, uniform_lm):
         # the two static scores differ, but their sums with the LM score
@@ -501,10 +598,13 @@ class TestSearchEqualsReference:
         higher = TranslationOption(0, 1, ("x0",), {"tm0.phi_fwd": math.nextafter(-1.0, 0.0)},
                                    "table0")
         lattice = {(0, 1): [lower, higher]}
-        result = decode(["w0"], model, uniform_lm, lattice, distortion_limit=6, stack_size=10)
+        args, search = (["w0"], model, uniform_lm, lattice), dict(distortion_limit=6,
+                                                                  stack_size=10)
+        result = decode(*args, **search, keep_arcs=True)
         assert result.best_derivation == [lower]
-        assert_same_search(result, decode_reference(["w0"], model, uniform_lm, lattice,
-                                                    distortion_limit=6, stack_size=10))
+        expected = decode_reference(*args, **search)
+        assert_same_search(result, expected)
+        assert_arc_free_search_agrees(args, search, result, expected)
 
 
 class FullStateLM:
@@ -562,7 +662,8 @@ class TestMinimalLMStates:
     """Nodes recombine on the shortest LM state that gives every later word
     the same score; with the beam unbounded, the search must find the same
     best score, 1-best options and n-best items as one that keeps every
-    state the LM order allows."""
+    state the LM order allows. The search without arcs must find the
+    same best as the one with them and as `decode_reference`."""
 
     def test_unbounded_beam_equals_full_states(self):
         lm = train_kn([[f"x{k}" for k in range(8)], [f"x{k}" for k in range(7, -1, -1)],
@@ -573,16 +674,14 @@ class TestMinimalLMStates:
         nodes = full_nodes = 0
         for _ in range(150):
             sentence, lattice = oov_target_instance(rng, rng.randint(1, 6))
-            limit = rng.randint(0, 6)
-            result = decode(sentence, model, lm, lattice,
-                            distortion_limit=limit, stack_size=10 ** 6)
-            expected = decode(sentence, model, full_lm, lattice,
-                              distortion_limit=limit, stack_size=10 ** 6)
-            assert result.best_score == expected.best_score
-            assert len(result.best_derivation) == len(expected.best_derivation)
-            assert all(a is b for a, b in zip(result.best_derivation,
-                                              expected.best_derivation))
+            search = dict(distortion_limit=rng.randint(0, 6), stack_size=10 ** 6)
+            result = decode(sentence, model, lm, lattice, **search, keep_arcs=True)
+            expected = decode(sentence, model, full_lm, lattice, **search, keep_arcs=True)
+            assert_same_best(result, expected)
             assert items_of(nbest(result, 10)) == items_of(nbest(expected, 10))
+            args = (sentence, model, lm, lattice)
+            assert_arc_free_search_agrees(args, search, result,
+                                          decode_reference(*args, **search))
             nodes += len(lattice_of(result))
             full_nodes += len(lattice_of(expected))
         assert nodes < full_nodes / 2, (nodes, full_nodes)
@@ -597,7 +696,7 @@ class TestMinimalLMStates:
                                 for word in ("a", "b", "c")] for i in range(3)}
         model = LogLinearModel.default(1)
         result = decode(["s0", "s1", "s2"], model, lm, lattice,
-                        distortion_limit=6, stack_size=5000)
+                        distortion_limit=6, stack_size=5000, keep_arcs=False)
         ranked = enumerate_decodings(3, lattice, model.weights, lm, 6)
         assert ranked[0][0] == ("a", "b", "c")  # through the trigram a b c
         assert result.best_tokens() == ranked[0][0]
