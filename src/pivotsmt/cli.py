@@ -14,8 +14,8 @@ import sys
 
 from . import align as align_mod
 from . import decoder, evalkit, ngramlm, phrasetab, pipeline, pivot, translit
-from .corpus import (Bitext, ingest_bitext, mine_language_links, read_lines, read_parallel,
-                     records, tokenize, write_lines)
+from .corpus import (Bitext, _tokens_of, ingest_bitext, mine_language_links, read_lines,
+                     read_parallel, records, tokenize, write_lines)
 from .errors import PivotSmtError
 
 logger = logging.getLogger(__name__)
@@ -224,8 +224,7 @@ def cmd_extract(args) -> int:
     pairs = read_parallel(args.src, args.tgt)
     sizes = [(len(s), len(t)) for s, t in pairs]
     matrices = align_mod.read_alignments(args.alignments, sizes)
-    cond_tgt = align_mod.train_model1(pairs, args.iterations)
-    cond_src = align_mod.train_model1([(t, s) for s, t in pairs], args.iterations)
+    cond_tgt, cond_src = align_mod.train_both_directions(pairs, args.iterations)
     table = phrasetab.score_phrase_table(pairs, matrices, cond_src, cond_tgt,
                                          max_len=args.max_phrase_len)
     if args.top_k > 0:
@@ -302,7 +301,8 @@ def cmd_decode(args) -> int:
     if (args.nbest > 0) != (args.nbest_out is not None):
         raise ValueError("--nbest N (N >= 1) and --nbest-out go together")
     system, model = _load_system(args)
-    sentences = [line.split() for line in read_lines(args.input)]
+    sentences = [_tokens_of(line, f"{args.input}:{lineno}")
+                 for lineno, line in enumerate(read_lines(args.input), start=1)]
     decoded = decoder.decode_corpus(system, model, sentences, threads=args.threads,
                                     nbest_size=args.nbest)
     write_lines(args.output, (" ".join(best) for best, _ in decoded))

@@ -6,9 +6,12 @@ line, with line i of the source file aligned to line i of the target file.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import operator
 import re
+import sys
 import unicodedata
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -27,6 +30,8 @@ TOKENIZE_SCHEMES = ("unicode-punct", "whitespace")
 DEFAULT_MAX_SENT_LEN = 80
 
 FIELD_SEP = "|||"  # separates the fields of a phrase-table line, so never a token
+
+_SUM_COMPENSATES = sys.version_info >= (3, 12)
 
 
 @dataclass
@@ -149,6 +154,18 @@ def number(text: str, where: str, what: str, nonneg: bool = False,
         kind = "finite non-negative" if nonneg else "finite"
         raise DataError(f"{where}: {what} {text!r} is not a {kind} number")
     return value
+
+
+def ltr_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum, the same bits on every interpreter.
+
+    From Python 3.12 on the builtin `sum` compensates rounding, so there
+    the additions go one by one through functools.reduce. Before 3.12 the
+    builtin adds left to right itself, about four times as fast.
+    """
+    if _SUM_COMPENSATES:
+        return functools.reduce(operator.add, values, 0.0)
+    return sum(values, 0.0)
 
 
 def _tokens_of(text: str, where: str) -> tuple[str, ...]:

@@ -118,9 +118,7 @@ def align_bitext(bitext: Bitext, iterations: int, use_null: bool = True):
     Returns (alignments, w(tgt|src) table, w(src|tgt) table).
     """
     pairs = bitext.pairs
-    cond_tgt = align.train_model1(pairs, iterations, use_null=use_null)
-    swapped = [(t, s) for s, t in pairs]
-    cond_src = align.train_model1(swapped, iterations, use_null=use_null)
+    cond_tgt, cond_src = align.train_both_directions(pairs, iterations, use_null)
     matrices = []
     for pair in pairs:
         fwd = align.viterbi_align(cond_tgt, pair, direction="forward")

@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
-from .corpus import number, read_lines, records, write_lines
+from .corpus import ltr_sum, number, read_lines, records, write_lines
 from .errors import DataError
 from .phrasetab import PhraseEntry, PhraseTable
 
@@ -43,15 +43,6 @@ MULTI_OP_MIN_SUPPORT = 3
 
 _BOW = "\x02"  # begin-of-word marker for the target character model
 _EOW = "\x03"
-
-
-def _ltr_sum(values: Iterable[float]) -> float:
-    """Left-to-right float sum. The builtin `sum` compensates rounding from
-    Python 3.12 on; this one gives the same bits on every interpreter."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 def _check_pair(src: str, tgt: str, weight: float) -> None:
@@ -147,7 +138,7 @@ class CharTrigramModel:
         for key, row in data["counts"].items():
             c1, c2 = key.split("\x00")
             model.counts[(c1, c2)] = dict(row)
-            model.totals[(c1, c2)] = _ltr_sum(row.values())
+            model.totals[(c1, c2)] = ltr_sum(row.values())
         return model
 
 
@@ -257,7 +248,7 @@ def _forward_lattice(lattice: _Lattice, probs: Sequence[float]) -> tuple[float, 
             fwd[dst] += v * p
     if dead and 2 * dead >= len(lattice.moves) // 3:
         lattice.drop_dead(probs)
-    return _ltr_sum(fwd[-(INDEL_BUDGET + 1):]), fwd
+    return ltr_sum(fwd[-(INDEL_BUDGET + 1):]), fwd
 
 
 def _accumulate_counts(lattice: _Lattice, fwd: list[float], probs: Sequence[float],
@@ -375,8 +366,8 @@ def mine_transliterations(
             tgt_freq[ch] = tgt_freq.get(ch, 0.0) + w
             tgt_total += w
     log_noise = [
-        _ltr_sum(math.log(src_freq[ch] / src_total) for ch in s)
-        + _ltr_sum(math.log(tgt_freq[ch] / tgt_total) for ch in t)
+        ltr_sum(math.log(src_freq[ch] / src_total) for ch in s)
+        + ltr_sum(math.log(tgt_freq[ch] / tgt_total) for ch in t)
         for s, t, _ in pairs
     ]
 
@@ -430,8 +421,8 @@ def mine_transliterations(
         for op in touched:
             rows.setdefault(ops_by_id[op][0], []).append(op)
         # counts below 1e-12 carry no information and only slow the DP
-        total = _ltr_sum(counts[op] for row in rows.values() for op in row
-                         if counts[op] > 1e-12)
+        total = ltr_sum(counts[op] for row in rows.values() for op in row
+                        if counts[op] > 1e-12)
         joint = {}
         probs = [0.0] * len(ops_by_id)
         if total > 0:
@@ -451,7 +442,7 @@ def mine_transliterations(
     # expose row-conditional operation probabilities
     ops: dict[str, dict[str, float]] = {}
     for a, row in joint.items():
-        row_total = _ltr_sum(row.values())
+        row_total = ltr_sum(row.values())
         ops[a] = {b: p / row_total for b, p in row.items()}
 
     mined = [
@@ -573,7 +564,7 @@ def kbest_probs(candidates: Sequence[TransliterationCandidate]) -> list[float]:
     """
     best = max(c.score for c in candidates)
     rel = [10.0 ** (c.score - best) for c in candidates]
-    total = _ltr_sum(rel)
+    total = ltr_sum(rel)
     return [mass / total for mass in rel]
 
 
@@ -642,7 +633,7 @@ def read_char_model(path: str) -> CharModel:
             if not (isinstance(chars, list) and all(isinstance(c, str) for c in chars)):
                 raise DataError(f"{path}: {what} is not a list of strings")
         for a, row in ops.items():
-            if not row or abs(_ltr_sum(row.values()) - 1.0) > 1e-6:
+            if not row or abs(ltr_sum(row.values()) - 1.0) > 1e-6:
                 raise DataError(f"{path}: operation row {a!r} is empty or does not sum to 1")
         model = CharModel(
             ops={a: dict(row) for a, row in ops.items()},

@@ -83,6 +83,14 @@ def em_model1_reference(pairs, iterations, use_null=False, initial=None):
 # replaces. They add and multiply in the same order, so the package must
 # match them with ==, dict order included.
 
+def _ltr_sum(values):
+    """Left to right: the builtin `sum` compensates rounding from Python 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def model1_dict_reference(pairs, iterations, use_null=False, initial=None):
     """Nested-dict Model 1 EM; returns (probs, lls) like TranslationTable.
 
@@ -104,7 +112,7 @@ def model1_dict_reference(pairs, iterations, use_null=False, initial=None):
             for f in src:
                 scores = [(row.get(f, uniform) if row is not None else uniform)
                           for row in rows]
-                denom = sum(scores)
+                denom = _ltr_sum(scores)
                 ll += math.log(denom) - norm
                 for e, score in zip(cond, scores):
                     if score == 0.0:
@@ -771,13 +779,6 @@ def initial_ops_reference(pairs, max_seg=2, min_support=3,
 
 MAX_SEG = 2
 INDEL_BUDGET = 3
-
-
-def _ltr_sum(values):
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 def _forward_lattice(s, t, ops):

@@ -1,11 +1,16 @@
 import logging
+import os
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pivotsmt import align
 from pivotsmt.align import (
     AlignmentMatrix, TranslationTable, format_alignment, parse_alignment,
-    read_alignments, read_table, symmetrize_gdfa, train_model1, viterbi_align, write_table,
+    read_alignments, read_table, symmetrize_gdfa, train_both_directions, train_model1,
+    viterbi_align, write_table,
 )
 from pivotsmt.errors import DataError
 
@@ -165,6 +170,132 @@ class TestBitExact:
                         got = viterbi_align(table, pair, direction=direction)
                         assert got.links == viterbi_reference(
                             table.probs, use_null, pair, direction)
+
+
+PATHS = pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "forked"])
+
+
+def both_directions(pairs, cpus, iterations=4, use_null=True):
+    """train_both_directions with the CPU probe reading `cpus`; also the
+    number of forks it made."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    with mock.patch.object(align, "_usable_cpus", return_value=cpus), \
+            mock.patch.object(os, "fork", counted_fork):
+        try:
+            return train_both_directions(pairs, iterations, use_null), len(forks)
+        finally:
+            assert len(forks) == (cpus > 1)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def reverse_fails(bitext, iterations, use_null=True):
+    """train_model1 that fails on the swapped DAS_HAUS bitext."""
+    if bitext[0][0][0] == "the":
+        raise ZeroDivisionError("no reverse table")
+    return train_model1(bitext, iterations, use_null)
+
+
+class TestBothDirections:
+    """train_both_directions trains the swapped direction in a forked child
+    with two usable CPUs and in-process with one; the probe is patched."""
+
+    def assert_serial_tables(self, pairs, tables, use_null=True):
+        expected = (train_model1(pairs, 4, use_null),
+                    train_model1([(t, s) for s, t in pairs], 4, use_null))
+        assert tables == expected
+        for got, want in zip(tables, expected):
+            assert nested_items(got.probs) == nested_items(want.probs)
+
+    @PATHS
+    def test_das_haus_tables_equal_serial_training(self, cpus):
+        fds = open_fds()
+        tables, _ = both_directions(DAS_HAUS, cpus)
+        self.assert_serial_tables(DAS_HAUS, tables)
+        assert_no_child_left()
+        assert open_fds() == fds
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(st.tuples(*[st.lists(st.sampled_from(["a", "b", "c", "d"]),
+                                         max_size=4).map(tuple)] * 2),
+                    min_size=1, max_size=6),
+           st.booleans())
+    def test_drawn_bitexts_give_the_same_tables_or_error(self, pairs, use_null):
+        outcomes = []
+        for cpus in (1, 2):
+            try:
+                outcomes.append(both_directions(pairs, cpus, use_null=use_null)[0])
+            except DataError as exc:  # no pair with two non-empty sides
+                outcomes.append(str(exc))
+            assert_no_child_left()
+        assert outcomes[0] == outcomes[1]
+        if not isinstance(outcomes[0], str):
+            for serial, forked in zip(*outcomes):
+                assert nested_items(serial.probs) == nested_items(forked.probs)
+            self.assert_serial_tables(pairs, outcomes[1], use_null)
+
+    @PATHS
+    def test_log_records_come_in_serial_order(self, cpus, caplog):
+        pairs = DAS_HAUS + [(("ein",), ())]
+        with caplog.at_level(logging.INFO, logger="pivotsmt.align"):
+            forward, reverse = both_directions(pairs, cpus)[0]
+        got = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+        lines = [(logging.WARNING, "skipping sentence pair with an empty side")]
+        for table in (forward, reverse):
+            expected = lines + [(logging.INFO, f"model 1 iteration {k}/4: "
+                                               f"log-likelihood {ll:.6f}")
+                                for k, ll in enumerate(table.log_likelihoods, start=1)]
+            assert [(level, text) for _, level, text in got[:5]] == expected
+            assert {name for name, _, _ in got[:5]} == {"pivotsmt.align"}
+            got = got[5:]
+        assert got == []
+
+    @PATHS
+    def test_reverse_exception_comes_back(self, cpus, monkeypatch):
+        monkeypatch.setattr(align, "train_model1", reverse_fails)
+        fds = open_fds()
+        with pytest.raises(ZeroDivisionError, match="^no reverse table$"):
+            both_directions(DAS_HAUS, cpus)
+        assert_no_child_left()
+        assert open_fds() == fds
+
+    @PATHS
+    def test_forward_exception_reaps_the_child(self, cpus, monkeypatch):
+        def never(bitext, iterations, use_null=True):
+            raise DataError(f"never ({len(bitext)} pairs)")
+
+        monkeypatch.setattr(align, "train_model1", never)
+        fds = open_fds()
+        with pytest.raises(DataError, match=r"^never \(2 pairs\)$"):
+            both_directions(DAS_HAUS, cpus)
+        assert_no_child_left()
+        assert open_fds() == fds
+
+    def test_child_without_a_result_is_an_error(self, monkeypatch):
+        parent = os.getpid()
+
+        def dies_in_child(bitext, iterations, use_null=True):
+            if os.getpid() != parent:
+                os._exit(3)
+            return train_model1(bitext, iterations, use_null)
+
+        monkeypatch.setattr(align, "train_model1", dies_in_child)
+        with pytest.raises(ChildProcessError, match="ended without a result"):
+            both_directions(DAS_HAUS, 2)
+        assert_no_child_left()
 
 
 class TestViterbi:

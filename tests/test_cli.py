@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -43,6 +45,7 @@ _READS = [
       "dev_src", "dev_tgt", "dict_tsv", "lm_corpus", "translit_model")),
     ("extract --src {separator_src} --tgt {tgt} --alignments {alignments} --out {out}",
      ("separator_src",)),
+    ("decode --input {separator_src} --output {out}" + _SYSTEM, ("separator_src",)),
 ]
 _BAD_CHAR_MODEL = (b'{"lambda": "half", "ops": {"a": {"a": 1.0}}, "src_chars": ["a"], '
                    b'"tgt_lm": {"alphabet": ["a"], "counts": {}}}')
@@ -215,6 +218,39 @@ class TestCommands:
         with open(out, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
         assert lines == ["the book", "a house"]
+
+    # `align` with the CPU probe patched to `cpus`, printing its fork count last
+    _ALIGN_WITH_CPUS = """
+import os, sys
+from pivotsmt import align, cli
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+align._usable_cpus = lambda: {cpus}
+code = cli.main(sys.argv[1:])
+print("forks", len(forks))
+sys.exit(code)
+"""
+
+    def test_align_prints_the_same_on_both_paths(self, tmp_path):
+        src = write(tmp_path / "s.txt", ["das haus", "ein", "das buch", "ein buch"])
+        tgt = write(tmp_path / "t.txt", ["the house", "", "the book", "a book"])
+        package = os.path.dirname(os.path.dirname(align.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [package, os.environ.get("PYTHONPATH", "")]))
+        runs = []
+        for cpus in (1, 2):
+            out = str(tmp_path / f"cpus{cpus}")
+            done = subprocess.run(
+                [sys.executable, "-c", self._ALIGN_WITH_CPUS.format(cpus=cpus), "align",
+                 "--src", src, "--tgt", tgt, "--out", out, "--dump-tables", out],
+                env=env, capture_output=True, text=True, check=True)
+            *printed, forks = done.stdout.splitlines()
+            assert forks == f"forks {int(cpus > 1)}"
+            runs.append((printed, done.stderr, [read(out + ext) for ext in ("", ".fwd", ".bwd")]))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == ["aligned 4 pairs"]
+        # one warning from each direction, the forward one first
+        assert runs[0][1] == "WARNING skipping sentence pair with an empty side\n" * 2
 
     def test_decode_nbest_output(self, tmp_path, capsys):
         table = write(tmp_path / "t.moses",

@@ -1,8 +1,13 @@
-import pytest
+import struct
+from unittest import mock
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from pivotsmt import corpus
 from pivotsmt.corpus import (
     DictionaryEntry, concat_bitexts, count_oov, dict_to_bitext,
-    extract_language_links, ingest_bitext, mine_language_links,
+    extract_language_links, ingest_bitext, ltr_sum, mine_language_links,
     parse_wiki_pages, read_dictionary_tsv, read_lines, tokenize,
 )
 from pivotsmt.errors import DataError
@@ -226,3 +231,17 @@ class TestLanguageLinks:
         entries, _ = extract_language_links("T", body, "hi")
         wellformed = {"good"}
         assert {e.target[0] for e in entries} <= wellformed
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+@example([1e16, 1.0, -1e16])  # 0.0 left to right; a compensated sum gives 1.0
+@example([-0.0])
+def test_ltr_sum_adds_left_to_right(values):
+    total = 0.0
+    for value in values:
+        total += value
+    bits = struct.pack("<d", total)
+    assert struct.pack("<d", ltr_sum(values)) == bits
+    with mock.patch.object(corpus, "_SUM_COMPENSATES", True):  # the path from 3.12 on
+        assert struct.pack("<d", ltr_sum(iter(values))) == bits
