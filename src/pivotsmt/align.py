@@ -10,15 +10,12 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import os
-import pickle
-import threading
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, NoReturn, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
-from .corpus import ltr_sum, number, read_lines, records, write_lines
+from .corpus import forked_map, ltr_sum, number, read_lines, records, write_lines
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -171,15 +168,6 @@ def train_model1(
                             log_likelihoods=log_likelihoods)
 
 
-def _usable_cpus() -> int:
-    """CPUs a forked child could train on: 1 where forking is unsafe or
-    unknown (no os.fork or os.sched_getaffinity, or another thread running)."""
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def train_both_directions(
     pairs: Sequence[TokenPair],
     iterations: int,
@@ -187,69 +175,14 @@ def train_both_directions(
 ) -> tuple[TranslationTable, TranslationTable]:
     """`train_model1` on `pairs` and on the swapped pairs: (t(src|tgt), t(tgt|src)).
 
-    Neither direction reads the other. With two usable CPUs the swapped
-    direction trains in a child started with os.fork while this process
-    trains the other, and the child sends its table back pickled through a
-    pipe; otherwise both train here, one after the other. The tables are
-    the same bits either way, and so is the log: the child's records reach
-    this process's handlers after the forward direction's. The child's
-    exception is raised here, and the child is reaped whatever happens.
+    Neither direction reads the other, so they train through
+    corpus.forked_map: with two usable CPUs the swapped direction trains in a
+    forked child while this process trains the other. The tables and the
+    log are the same bits either way.
     """
-    swapped = [(t, s) for s, t in pairs]
-    if _usable_cpus() < 2:
-        return (train_model1(pairs, iterations, use_null),
-                train_model1(swapped, iterations, use_null))
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        _train_in_child(read_end, write_end, swapped, iterations, use_null)
-    os.close(write_end)
-    try:
-        with open(read_end, "rb") as pipe:
-            forward = train_model1(pairs, iterations, use_null)
-            payload = pipe.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if not payload:
-        raise ChildProcessError("the reverse Model 1 direction ended without a result "
-                                f"(wait status {status})")
-    reverse, log_records = pickle.loads(payload)
-    for record in log_records:
-        logging.getLogger(record.name).callHandlers(record)
-    if isinstance(reverse, BaseException):
-        raise reverse
+    forward, reverse = forked_map(lambda bitext: train_model1(bitext, iterations, use_null),
+                                  [pairs, [(t, s) for s, t in pairs]])
     return forward, reverse
-
-
-def _train_in_child(read_end: int, write_end: int, bitext: list[TokenPair],
-                    iterations: int, use_null: bool) -> NoReturn:
-    """The forked child of train_both_directions: it trains, writes its table
-    or exception and its log records to `write_end`, and exits without
-    running any cleanup of the process it was copied from."""
-    status = 1
-    try:
-        os.close(read_end)  # else a parent that stopped reading leaves the write blocked
-        log_records: list[logging.LogRecord] = []
-        # the records that pass their logger's level and filters, kept for
-        # the parent's handlers instead of written here
-        logging.Logger.callHandlers = lambda _logger, record: log_records.append(record)
-        try:
-            result: object = train_model1(bitext, iterations, use_null)
-        except BaseException as exc:  # raised again in the parent
-            result = exc
-        for record in log_records:
-            record.msg, record.args = record.getMessage(), None
-        payload = pickle.dumps((result, log_records))
-        with open(write_end, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
 
 
 def viterbi_align(

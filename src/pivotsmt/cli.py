@@ -122,8 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--translit-k", type=int, default=search.translit_k)
         p.add_argument("--distortion-limit", type=int, default=search.distortion_limit)
         p.add_argument("--stack-size", type=int, default=search.stack_size)
-        p.add_argument("--threads", type=_at_least(1), default=1,
-                       help="worker processes that decode sentences")
 
     p = sub.add_parser("synthesize", help="re-source a bitext through a translation system")
     p.add_argument("--src", required=True)
@@ -157,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run the B0/+Syn/+PT/+Dict mode matrix")
     p.add_argument("--config", required=True, help="key = value experiment file")
-    p.add_argument("--threads", type=_at_least(1), default=1,
-                   help="worker processes that decode sentences")
 
     return parser
 
@@ -186,9 +182,11 @@ def _load_system(args) -> tuple[decoder.DecoderSystem, decoder.LogLinearModel]:
 
 
 def cmd_tokenize(args) -> int:
-    write_lines(args.output,
-                (" ".join(tokenize(line, args.scheme, lowercase=args.lowercase))
-                 for line in read_lines(args.input)))
+    lines = [" ".join(tokenize(line, args.scheme, lowercase=args.lowercase))
+             for line in read_lines(args.input)]
+    for lineno, line in enumerate(lines, start=1):
+        _tokens_of(line, f"{args.input}:{lineno}")  # a `|||` token is a DataError
+    write_lines(args.output, lines)
     return 0
 
 
@@ -280,7 +278,7 @@ def cmd_train_lm(args) -> int:
 def cmd_synthesize(args) -> int:
     system, model = _load_system(args)
     bitext = Bitext(read_parallel(args.src, args.tgt))
-    synth = pipeline.synthesize_bitext(bitext, system, model, threads=args.threads)
+    synth = pipeline.synthesize_bitext(bitext, system, model)
     write_lines(args.out_src, (" ".join(s) for s, _ in synth.pairs))
     write_lines(args.out_tgt, (" ".join(t) for _, t in synth.pairs))
     print(f"synthesized {len(synth)} pairs, dropped {synth.dropped_pairs}")
@@ -291,7 +289,7 @@ def cmd_tune(args) -> int:
     system, model = _load_system(args)
     dev = read_parallel(args.dev_src, args.dev_ref)
     tuned = decoder.tune_weights(dev, system, model, rounds=args.rounds,
-                                 nbest_size=args.nbest, threads=args.threads)
+                                 nbest_size=args.nbest)
     decoder.write_weights(tuned, args.weights_out)
     print(f"wrote tuned weights to {args.weights_out}")
     return 0
@@ -303,8 +301,7 @@ def cmd_decode(args) -> int:
     system, model = _load_system(args)
     sentences = [_tokens_of(line, f"{args.input}:{lineno}")
                  for lineno, line in enumerate(read_lines(args.input), start=1)]
-    decoded = decoder.decode_corpus(system, model, sentences, threads=args.threads,
-                                    nbest_size=args.nbest)
+    decoded = decoder.decode_corpus(system, model, sentences, nbest_size=args.nbest)
     write_lines(args.output, (" ".join(best) for best, _ in decoded))
     if args.nbest_out:
         order = model.feature_order()
@@ -338,7 +335,7 @@ def cmd_tally(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = pipeline.ExperimentConfig.from_file(args.config)
-    result = pipeline.run_experiment(config, threads=args.threads)
+    result = pipeline.run_experiment(config)
     print(result.report_text, end="")
     print(f"manifest: {result.manifest_path}")
     return 0

@@ -10,11 +10,14 @@ import functools
 import logging
 import math
 import operator
+import os
+import pickle
 import re
 import sys
+import threading
 import unicodedata
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Sequence, TextIO, TypeVar
 
 from .errors import DataError
 
@@ -32,6 +35,9 @@ DEFAULT_MAX_SENT_LEN = 80
 FIELD_SEP = "|||"  # separates the fields of a phrase-table line, so never a token
 
 _SUM_COMPENSATES = sys.version_info >= (3, 12)
+
+_Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
 
 
 @dataclass
@@ -326,3 +332,89 @@ def mine_language_links(
         all_entries.extend(entries)
         malformed += bad
     return all_entries, malformed
+
+
+# --- Forked map --------------------------------------------------------------
+
+def _usable_cpus() -> int:
+    """CPUs that forked_map may use: 1 where forking is unsafe or unknown
+    (no os.fork or os.sched_getaffinity, or another thread running)."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def forked_map(fn: Callable[[_Item], _Result], items: Sequence[_Item]) -> list[_Result]:
+    """`[fn(item) for item in items]`, spread over the usable CPUs.
+
+    The items are split into one contiguous share per usable CPU, at most
+    one per item. This process maps the first share; each later one is
+    mapped in a child started with os.fork, which sends its results, or the
+    exception that stopped them, and its log records back pickled through a
+    pipe. The results come back in input order and the children's log
+    records reach this process's handlers in share order, so both are the
+    same as a serial map's. The first exception in share order is raised
+    here, and every child is reaped whatever happens.
+    """
+    shares = max(1, min(_usable_cpus(), len(items)))
+    bounds = [len(items) * k // shares for k in range(shares + 1)]
+    children: list[tuple[int, BinaryIO]] = []  # (pid, read end) of each later share
+    try:
+        for k in range(1, shares):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _map_in_child(fn, items[bounds[k]:bounds[k + 1]], write_end,
+                              [read_end] + [pipe.fileno() for _, pipe in children])
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        results = [fn(item) for item in items[:bounds[1]]]
+        payloads = [pipe.read() for _, pipe in children]
+    finally:
+        for _, pipe in children:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for payload, status in zip(payloads, statuses):
+        if not payload:
+            raise ChildProcessError(f"a forked share ended without a result "
+                                    f"(wait status {status})")
+        share, log_records = pickle.loads(payload)
+        for record in log_records:
+            logging.getLogger(record.name).callHandlers(record)
+        if isinstance(share, BaseException):
+            raise share
+        results.extend(share)
+    return results
+
+
+def _map_in_child(fn: Callable[[_Item], _Result], share: Sequence[_Item], write_end: int,
+                  read_ends: list[int]) -> NoReturn:
+    """A forked child of forked_map: it maps its share, writes the results or
+    the exception that stopped them and its log records to `write_end`, and
+    exits without running any cleanup of the process it was copied from."""
+    status = 1
+    try:
+        for fd in read_ends:  # else a parent that stopped reading leaves the write blocked
+            os.close(fd)
+        log_records: list[logging.LogRecord] = []
+        # the records that pass their logger's level and filters, kept for
+        # the parent's handlers instead of written here
+        logging.Logger.callHandlers = lambda _logger, record: log_records.append(record)
+        try:
+            result: object = [fn(item) for item in share]
+        except BaseException as exc:  # raised again in the parent
+            result = exc
+        for record in log_records:
+            record.msg, record.args = record.getMessage(), None
+        payload = pickle.dumps((result, log_records))
+        with open(write_end, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)

@@ -31,12 +31,11 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-import multiprocessing
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
-from .corpus import BOS, number, records, write_lines
+from .corpus import BOS, forked_map, number, records, write_lines
 from .errors import DataError
 from .evalkit import corpus_bleu
 from .phrasetab import SCORE_FLOOR, TableSet
@@ -627,31 +626,10 @@ class DecoderSystem:
 
 # --- Corpus decoding ---------------------------------------------------------
 
-_JOB: tuple = ()  # a worker process's (system, model, n-best size)
-
-
-def _init_worker(*job) -> None:
-    global _JOB
-    _JOB = job
-
-
-def _decode_one(tokens: tuple[str, ...], job: tuple = ()):
-    """(best tokens, n-best items) of one sentence; None if its search dead-ends."""
-    if not tokens:
-        return (), []
-    system, model, nbest_size = job or _JOB
-    try:
-        result = system.decode(tokens, model, keep_arcs=nbest_size > 0)
-    except DataError:
-        return None
-    return result.best_tokens(), nbest(result, nbest_size) if nbest_size > 0 else []
-
-
 def decode_corpus(
     system: DecoderSystem,
     model: LogLinearModel,
     sentences: Sequence[Sequence[str]],
-    threads: int = 1,
     nbest_size: int = 0,
 ) -> list[tuple[tuple[str, ...], list[NBestItem]]]:
     """Decode sentences in order into (best tokens, n-best items) pairs.
@@ -659,17 +637,20 @@ def decode_corpus(
     The n-best list is empty unless nbest_size > 0, and only then does the
     search keep the arcs of its lattice. An empty sentence, or
     one whose search dead-ends, gives ((), []); a dead-end also logs one
-    warning naming its 1-based line. With threads > 1 and at least four
-    sentences, the sentences are decoded in that many worker processes.
+    warning naming its 1-based line. From four sentences on, they are
+    decoded through corpus.forked_map, on every usable CPU.
     """
-    job = (system, model, nbest_size)
-    inputs = [tuple(s) for s in sentences]
-    if threads <= 1 or len(inputs) < 4:
-        results = [_decode_one(tokens, job) for tokens in inputs]
-    else:
-        with multiprocessing.Pool(threads, initializer=_init_worker,
-                                  initargs=job) as pool:
-            results = pool.map(_decode_one, inputs)
+    def decode_one(tokens: Sequence[str]):  # None if its search dead-ends
+        if not tokens:
+            return (), []
+        try:
+            result = system.decode(tokens, model, keep_arcs=nbest_size > 0)
+        except DataError:
+            return None
+        return result.best_tokens(), nbest(result, nbest_size) if nbest_size > 0 else []
+
+    results = (forked_map(decode_one, sentences) if len(sentences) >= 4
+               else list(map(decode_one, sentences)))
     for line, decoded in enumerate(results, start=1):
         if decoded is None:
             logger.warning("line %d: the search dead-ended; its output is empty", line)
@@ -687,7 +668,6 @@ def tune_weights(
     initial: LogLinearModel,
     rounds: int = 3,
     nbest_size: int = 50,
-    threads: int = 1,
 ) -> LogLinearModel:
     """Coordinate ascent on corpus BLEU over pooled n-best lists.
 
@@ -723,8 +703,7 @@ def tune_weights(
     for _ in range(rounds):
         model = LogLinearModel(weights=dict(weights), n_tables=initial.n_tables,
                                use_translit=initial.use_translit)
-        decoded = decode_corpus(system, model, [src for src, _ in dev],
-                                threads=threads, nbest_size=nbest_size)
+        decoded = decode_corpus(system, model, [src for src, _ in dev], nbest_size=nbest_size)
         for (_, items), pool in zip(decoded, pools):
             for item in items:
                 existing = pool.get(item.tokens)

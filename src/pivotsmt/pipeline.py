@@ -143,7 +143,6 @@ def synthesize_bitext(
     bitext: Bitext,
     system: decoder.DecoderSystem,
     model: decoder.LogLinearModel | None = None,
-    threads: int = 1,
 ) -> Bitext:
     """Replace the source side of every pair with its decoder output.
 
@@ -151,8 +150,7 @@ def synthesize_bitext(
     (its search dead-ended); such a pair is dropped and counted.
     """
     model = model or system.default_model()
-    decoded = decoder.decode_corpus(system, model, [src for src, _ in bitext.pairs],
-                                    threads=threads)
+    decoded = decoder.decode_corpus(system, model, [src for src, _ in bitext.pairs])
     out = Bitext()
     for (src, tgt), (hyp, _) in zip(bitext.pairs, decoded):
         if src and not hyp:
@@ -200,12 +198,11 @@ def _inputs(config: ExperimentConfig) -> dict[str, str]:
     return inputs
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the configured mode matrix and write a run manifest.
 
     Every input is checked and read before work_dir is created or anything
-    is trained. Dev and test sentences are decoded in `threads` worker
-    processes; the output does not depend on their number.
+    is trained.
     """
     inputs = _inputs(config)
     baseline = ingest_bitext(config.train_src, config.train_tgt, max_len=config.max_sent_len)
@@ -272,10 +269,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         if dev_pairs is not None:
             model = decoder.tune_weights(dev_pairs, system, model,
                                          rounds=config.tune_rounds,
-                                         nbest_size=config.nbest_size,
-                                         threads=threads)
-        hyps = [best for best, _ in decoder.decode_corpus(
-            system, model, test_src, threads=threads)]
+                                         nbest_size=config.nbest_size)
+        hyps = [best for best, _ in decoder.decode_corpus(system, model, test_src)]
         bleu[mode], _ = evalkit.corpus_bleu(hyps, [ref for _, ref in test])
         oov[mode] = _oov_count(test_src, tables)
 

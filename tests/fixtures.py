@@ -4,12 +4,70 @@ Language A and language B are word-bijective (a<i> <-> b<i>); baseline
 training data covers only the low part of the vocabulary, test data mixes
 in held-out words, and synthetic/dictionary data covers what the baseline
 misses.
+
+Also the helpers that pick and check corpus.forked_map's path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
+import signal
+from unittest import mock
+
+import pytest
+
+from pivotsmt import corpus
+
+# forked_map maps in this process alone with one usable CPU, and forks with more
+PATHS = pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "forked"])
+
+
+@contextlib.contextmanager
+def usable_cpus(cpus: int):
+    """Patch forked_map's CPU probe to read `cpus`; yields a list that
+    gains one entry per os.fork."""
+    forks: list[int] = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    with mock.patch.object(corpus, "_usable_cpus", return_value=cpus), \
+            mock.patch.object(os, "fork", counted_fork):
+        yield forks
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the body, instead of hanging, after `seconds`;
+    a forked child does not inherit the alarm."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def log_lines(caplog):
+    """(logger, level, message) of every record caplog holds, in order."""
+    return [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
 def _sentence(rng, indices, min_len=3, max_len=8):

@@ -1,7 +1,5 @@
 import logging
-import os
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +12,7 @@ from pivotsmt.align import (
 )
 from pivotsmt.errors import DataError
 
+from fixtures import PATHS, assert_no_child_left, open_fds, usable_cpus
 from oracles import (em_model1_reference, model1_dict_reference,
                      viterbi_reference)
 
@@ -172,34 +171,14 @@ class TestBitExact:
                             table.probs, use_null, pair, direction)
 
 
-PATHS = pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "forked"])
-
-
 def both_directions(pairs, cpus, iterations=4, use_null=True):
     """train_both_directions with the CPU probe reading `cpus`; also the
     number of forks it made."""
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(1)
-        return fork()
-
-    with mock.patch.object(align, "_usable_cpus", return_value=cpus), \
-            mock.patch.object(os, "fork", counted_fork):
+    with usable_cpus(cpus) as forks:
         try:
             return train_both_directions(pairs, iterations, use_null), len(forks)
         finally:
             assert len(forks) == (cpus > 1)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def open_fds():
-    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
 def reverse_fails(bitext, iterations, use_null=True):
@@ -283,19 +262,6 @@ class TestBothDirections:
             both_directions(DAS_HAUS, cpus)
         assert_no_child_left()
         assert open_fds() == fds
-
-    def test_child_without_a_result_is_an_error(self, monkeypatch):
-        parent = os.getpid()
-
-        def dies_in_child(bitext, iterations, use_null=True):
-            if os.getpid() != parent:
-                os._exit(3)
-            return train_model1(bitext, iterations, use_null)
-
-        monkeypatch.setattr(align, "train_model1", dies_in_child)
-        with pytest.raises(ChildProcessError, match="ended without a result"):
-            both_directions(DAS_HAUS, 2)
-        assert_no_child_left()
 
 
 class TestViterbi:

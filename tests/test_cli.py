@@ -8,7 +8,7 @@ import pytest
 from pivotsmt import align, ngramlm
 from pivotsmt.cli import main
 
-from fixtures import make_experiment_fixture, write_config
+from fixtures import PATHS, log_lines, make_experiment_fixture, usable_cpus, write_config
 
 
 def write(path, lines):
@@ -46,6 +46,7 @@ _READS = [
     ("extract --src {separator_src} --tgt {tgt} --alignments {alignments} --out {out}",
      ("separator_src",)),
     ("decode --input {separator_src} --output {out}" + _SYSTEM, ("separator_src",)),
+    ("tokenize --input {separator_src} --output {out}", ("separator_src",)),
 ]
 _BAD_CHAR_MODEL = (b'{"lambda": "half", "ops": {"a": {"a": 1.0}}, "src_chars": ["a"], '
                    b'"tgt_lm": {"alphabet": ["a"], "counts": {}}}')
@@ -222,10 +223,10 @@ class TestCommands:
     # `align` with the CPU probe patched to `cpus`, printing its fork count last
     _ALIGN_WITH_CPUS = """
 import os, sys
-from pivotsmt import align, cli
+from pivotsmt import cli, corpus
 forks, fork = [], os.fork
 os.fork = lambda: forks.append(1) or fork()
-align._usable_cpus = lambda: {cpus}
+corpus._usable_cpus = lambda: {cpus}
 code = cli.main(sys.argv[1:])
 print("forks", len(forks))
 sys.exit(code)
@@ -531,20 +532,23 @@ class TestCorpusDecoding:
         assert err.startswith("pivotsmt: ") and err.count("\n") == 1, err
         assert not os.path.exists(nbest_path)
 
-    def test_nbest_with_threads_matches_serial(self, tmp_path, capsys):
+    @PATHS
+    def test_nbest_is_the_same_on_both_paths(self, tmp_path, capsys, caplog, cpus):
         table, arpa = decode_setup(tmp_path)
         inp = write(tmp_path / "in.txt", ["a", "a b", "b a", "", "b a b", "a a"])
-        files = {}
-        for threads in ("1", "2"):
-            out = str(tmp_path / f"o{threads}.txt")
-            nbest_path = str(tmp_path / f"nbest{threads}.txt")
-            assert main(["decode", "--threads", threads, "--input", inp,
-                         "--table", table, "--lm", arpa, "--output", out,
-                         "--nbest", "5", "--nbest-out", nbest_path]) == 0
-            files[threads] = (read(out), read(nbest_path))
-        assert files["1"] == files["2"]
-        assert files["1"][0].split("\n")[3] == ""
-        assert len(files["1"][1].splitlines()) > 6
+        runs = []
+        for run_cpus in (1, cpus):
+            out = str(tmp_path / f"o{run_cpus}.txt")
+            nbest_path = str(tmp_path / f"nbest{run_cpus}.txt")
+            caplog.clear()
+            with usable_cpus(run_cpus) as forks:
+                assert main(["decode", "--input", inp, "--table", table, "--lm", arpa,
+                             "--output", out, "--nbest", "5", "--nbest-out", nbest_path]) == 0
+            assert len(forks) == run_cpus - 1
+            runs.append((read(out), read(nbest_path), log_lines(caplog)))
+        assert runs[0] == runs[1]
+        assert runs[0][0].split("\n")[3] == ""
+        assert len(runs[0][1].splitlines()) > 6
 
     def test_one_best_file_is_the_top_of_each_nbest_list(self, tmp_path, capsys):
         # without --nbest the search keeps back-pointers only, with it the
@@ -610,8 +614,8 @@ _OUT_OF_RANGE = [
     ("experiment", {"prune_top_k": -1}, 1, "prune_top_k must be >= 0"),
     ("experiment", {"tune_rounds": -1}, 1, "tune_rounds must be >= 0"),
     ("experiment", {"max_sent_len": 0}, 1, "max_len must be >= 1"),
-    ("decode", ["--threads", "0"], 1, "--threads: must be >= 1"),
-    ("synthesize", ["--threads", "-3"], 1, "--threads: must be >= 1"),
+    ("decode", ["--threads", "0"], 1, "unrecognized arguments: --threads"),
+    ("synthesize", ["--threads", "-3"], 1, "unrecognized arguments: --threads"),
     ("tokenize", ["--threads", "4"], 1, "unrecognized arguments: --threads"),
     ("decode", ["--translit-model", "{tmp}/empty-row.json"], 2, "operation row 'a'"),
     ("decode", ["--translit-model", "{tmp}/half-row.json"], 2, "operation row 'a'"),

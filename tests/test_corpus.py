@@ -1,4 +1,7 @@
+import logging
+import os
 import struct
+import time
 from unittest import mock
 
 import pytest
@@ -7,11 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 from pivotsmt import corpus
 from pivotsmt.corpus import (
     DictionaryEntry, concat_bitexts, count_oov, dict_to_bitext,
-    extract_language_links, ingest_bitext, ltr_sum, mine_language_links,
+    extract_language_links, forked_map, ingest_bitext, ltr_sum, mine_language_links,
     parse_wiki_pages, read_dictionary_tsv, read_lines, tokenize,
 )
 from pivotsmt.errors import DataError
 
+from fixtures import assert_no_child_left, deadline, log_lines, open_fds, usable_cpus
 from oracles import reference_tokenize
 
 
@@ -245,3 +249,78 @@ def test_ltr_sum_adds_left_to_right(values):
     assert struct.pack("<d", ltr_sum(values)) == bits
     with mock.patch.object(corpus, "_SUM_COMPENSATES", True):  # the path from 3.12 on
         assert struct.pack("<d", ltr_sum(iter(values))) == bits
+
+
+def logged_square(x):
+    logging.getLogger("pivotsmt.corpus").info("item %d", x)
+    return x * x
+
+
+def logged_items(items):
+    return [("pivotsmt.corpus", logging.INFO, f"item {x}") for x in items]
+
+
+class TestForkedMap:
+    """forked_map with its CPU probe patched: the first share maps in this
+    process and each later one in a forked child."""
+
+    @pytest.fixture(autouse=True)
+    def bounded(self):
+        with deadline(30):  # a child left blocked on its pipe would hang the wait
+            yield
+
+    @pytest.mark.parametrize("cpus, n", [(1, 7), (2, 7), (3, 7), (3, 2), (4, 1), (3, 0)])
+    def test_results_and_log_come_in_serial_order(self, caplog, cpus, n):
+        fds = open_fds()
+        with caplog.at_level(logging.INFO, logger="pivotsmt.corpus"), \
+                usable_cpus(cpus) as forks:
+            assert forked_map(logged_square, list(range(n))) == [x * x for x in range(n)]
+        assert log_lines(caplog) == logged_items(range(n))
+        assert len(forks) == max(min(cpus, n) - 1, 0)
+        assert_no_child_left()
+        assert open_fds() == fds
+
+    def test_first_child_exception_in_share_order_is_raised_here(self, caplog):
+        def fails_at_3_and_5(x):
+            if x in (3, 5):
+                raise ZeroDivisionError(f"item {x}")
+            return logged_square(x)
+
+        fds = open_fds()
+        # shares [0, 1], [2, 3] and [4, 5]
+        with caplog.at_level(logging.INFO, logger="pivotsmt.corpus"), \
+                usable_cpus(3) as forks, pytest.raises(ZeroDivisionError, match="^item 3$"):
+            forked_map(fails_at_3_and_5, list(range(6)))
+        # as in a serial map, no item after the failing one has logged
+        assert log_lines(caplog) == logged_items(range(3))
+        assert len(forks) == 2
+        assert_no_child_left()
+        assert open_fds() == fds
+
+    def test_parent_share_exception_reaps_every_child(self):
+        parent = os.getpid()
+
+        def fails_here(x):
+            if os.getpid() == parent:
+                raise DataError(f"item {x}")
+            time.sleep(0.05)
+            return "x" * 100_000  # more than a pipe holds, so a child's write waits
+
+        fds = open_fds()
+        with usable_cpus(3) as forks, pytest.raises(DataError, match="^item 0$"):
+            forked_map(fails_here, list(range(6)))
+        assert len(forks) == 2
+        assert_no_child_left()
+        assert open_fds() == fds
+
+    def test_child_without_a_result_is_an_error(self):
+        parent = os.getpid()
+
+        def dies_in_child(x):
+            if os.getpid() != parent:
+                os._exit(3)
+            return x
+
+        with usable_cpus(3), pytest.raises(ChildProcessError, match="ended without a result"):
+            forked_map(dies_in_child, list(range(6)))
+        assert_no_child_left()

@@ -1,19 +1,21 @@
+import logging
 import os
 
 import pytest
 
 from pivotsmt.corpus import ingest_bitext
-from pivotsmt.decoder import DecoderSystem, decode_corpus
+from pivotsmt.decoder import DecoderSystem, decode_corpus, nbest
 from pivotsmt.errors import DataError
 from pivotsmt.ngramlm import train_kn
 from pivotsmt import pipeline
 from pivotsmt.phrasetab import PhraseEntry, PhraseTable, TableSet
+from pivotsmt.translit import CharModel, CharTrigramModel
 from pivotsmt.pipeline import (
     ExperimentConfig, align_bitext, build_phrase_table, config_hash,
     run_experiment, synthesize_bitext,
 )
 
-from fixtures import make_experiment_fixture, write_config
+from fixtures import PATHS, log_lines, make_experiment_fixture, usable_cpus, write_config
 
 
 def toy_bitext():
@@ -45,17 +47,46 @@ class TestTraining:
         assert hyps[0] == ("the", "house")
         assert hyps[2] == ()
 
-    def test_decode_corpus_parallel_matches_serial(self):
+    # "#" is a character the character model knows but has no operation
+    # for, so an OOV word with it takes the identity fallback and logs a
+    # warning: "a#" in this process's share, and "b#" in the forked child's
+    # share when two CPUs are usable
+    SENTENCES = [("das", "haus"), ("a#", "buch"), ("ein", "haus", "ab"), (),
+                 ("das", "buch"), ("haus", "b#"), ("ein", "ba")]
+
+    @PATHS
+    @pytest.mark.parametrize("n", [3, 7], ids=["3-sentences", "7-sentences"])
+    @pytest.mark.parametrize("nbest_size", [0, 5], ids=["1-best", "5-best"])
+    def test_decode_corpus_matches_serial(self, caplog, cpus, n, nbest_size):
         table = build_phrase_table(toy_bitext(), em_iterations=10,
                                    max_phrase_len=2)
         lm = train_kn([s.split() for s in ["the house", "the book", "a house"]],
                       order=2)
-        system = DecoderSystem(tables=TableSet([table]), lm=lm)
+        char_lm = CharTrigramModel()
+        for word in ("AB", "BA"):
+            char_lm.observe(word)
+        char_model = CharModel(ops={"a": {"A": 1.0}, "b": {"B": 1.0}},
+                               src_chars=frozenset("ab#"), tgt_lm=char_lm)
+        system = DecoderSystem(tables=TableSet([table]), lm=lm, translit_model=char_model)
         model = system.default_model()
-        sentences = [("das", "haus"), ("ein", "buch"), ("das",), ("haus", "das")]
-        serial = decode_corpus(system, model, sentences, threads=1)
-        parallel = decode_corpus(system, model, sentences, threads=2)
-        assert serial == parallel
+        sentences = self.SENTENCES[:n]
+        with caplog.at_level(logging.INFO, logger="pivotsmt"):
+            serial = [((), [])] * n
+            for k, tokens in enumerate(sentences):
+                if tokens:
+                    result = system.decode(tokens, model, keep_arcs=nbest_size > 0)
+                    serial[k] = (result.best_tokens(),
+                                 nbest(result, nbest_size) if nbest_size else [])
+            serial_records = log_lines(caplog)
+            caplog.clear()
+            with usable_cpus(cpus) as forks:
+                decoded = decode_corpus(system, model, sentences, nbest_size=nbest_size)
+        assert decoded == serial
+        assert len(forks) == (min(cpus, n) - 1 if n >= 4 else 0)
+        assert log_lines(caplog) == serial_records
+        fallbacks = [text for _, _, text in serial_records if "identity fallback" in text]
+        assert fallbacks == [f"transliterate: no path for {word!r}; identity fallback"
+                             for tokens in sentences for word in tokens if "#" in word]
 
 
 class TestSynthesize:
