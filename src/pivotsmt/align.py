@@ -15,14 +15,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
-from .corpus import forked_map, ltr_sum, number, read_lines, records, write_lines
+from .corpus import TokenPair, forked_map, ltr_sum, number, read_lines, records, write_lines
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
 NULL_TOKEN = "<null>"  # serialization form of the NULL conditioning row
-
-TokenPair = tuple[Sequence[str], Sequence[str]]
 
 
 @dataclass
@@ -168,11 +166,8 @@ def train_model1(
                             log_likelihoods=log_likelihoods)
 
 
-def train_both_directions(
-    pairs: Sequence[TokenPair],
-    iterations: int,
-    use_null: bool = True,
-) -> tuple[TranslationTable, TranslationTable]:
+def train_both_directions(pairs: Sequence[TokenPair], iterations: int,
+                          use_null: bool = True) -> tuple[TranslationTable, TranslationTable]:
     """`train_model1` on `pairs` and on the swapped pairs: (t(src|tgt), t(tgt|src)).
 
     Neither direction reads the other, so they train through
@@ -180,61 +175,43 @@ def train_both_directions(
     forked child while this process trains the other. The tables and the
     log are the same bits either way.
     """
-    forward, reverse = forked_map(lambda bitext: train_model1(bitext, iterations, use_null),
-                                  [pairs, [(t, s) for s, t in pairs]])
-    return forward, reverse
+    return tuple(forked_map(lambda bitext: train_model1(bitext, iterations, use_null),
+                            [pairs, [(t, s) for s, t in pairs]]))
 
 
-def viterbi_align(
-    table: TranslationTable,
-    pair: TokenPair,
-    direction: str = "forward",
-) -> AlignmentMatrix:
+def viterbi_align(table: TranslationTable, pair: TokenPair) -> AlignmentMatrix:
     """Argmax word alignment of one sentence pair, links as (src, tgt) indices.
 
-    direction "forward" expects a table conditioned on the pair's target
-    side (the orientation train_model1 produces on this bitext) and aligns
-    each source word to its best target word. direction "backward" expects
-    a table conditioned on the pair's source side (trained on the swapped
-    bitext) and aligns each target word to its best source word. Both
-    directions emit links in the same (source, target) coordinate frame.
+    `table` is conditioned on the pair's target side (the orientation
+    train_model1 produces on these pairs), and each source word links to its
+    best target word. The other orientation is this one on the swapped pair,
+    with the table trained on the swapped pairs, and its links transposed.
 
-    Ties break toward the smaller conditioning-word index; NULL alignments
-    produce no link. A word unknown to the table aligns to NULL when the
-    NULL row is enabled, else to the uniform-fallback argmax (smallest
-    index) with a warning.
+    Ties break toward the smaller target index; NULL alignments produce no
+    link. A word unknown to the table aligns to NULL when the NULL row is
+    enabled, else to the uniform-fallback argmax (index 0) with a warning.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown direction: {direction!r}")
     src, tgt = pair
     links: set[tuple[int, int]] = set()
-    if direction == "forward":
-        predicted, conditioning = src, tgt
-    else:
-        predicted, conditioning = tgt, src
-    if not conditioning:
-        return AlignmentMatrix(len(src), len(tgt), frozenset())
-    rows = [table.probs.get(cond_word) or {} for cond_word in conditioning]
+    if not tgt:
+        return AlignmentMatrix(len(src), 0, frozenset())
+    rows = [table.probs.get(tgt_word) or {} for tgt_word in tgt]
     null_row = (table.probs.get(None) or {}) if table.use_null else {}
-    for p_idx, word in enumerate(predicted):
-        best_idx = -1
+    for i, word in enumerate(src):
+        best_j = 0  # the uniform fallback when no row knows the word
         best = 0.0
-        for c_idx, row in enumerate(rows):
+        for j, row in enumerate(rows):
             score = row.get(word, 0.0)
             if score > best:
                 best = score
-                best_idx = c_idx
+                best_j = j
         if best == 0.0:
             if table.use_null:
                 continue  # unknown word absorbed by NULL
             logger.warning("word %r unknown to table; uniform fallback alignment", word)
-            best_idx = 0
         elif null_row.get(word, 0.0) > best:
             continue  # NULL alignment: no link
-        if direction == "forward":
-            links.add((p_idx, best_idx))
-        else:
-            links.add((best_idx, p_idx))
+        links.add((i, best_j))
     return AlignmentMatrix(len(src), len(tgt), frozenset(links))
 
 

@@ -14,8 +14,9 @@ import sys
 
 from . import align as align_mod
 from . import decoder, evalkit, ngramlm, phrasetab, pipeline, pivot, translit
-from .corpus import (Bitext, _tokens_of, ingest_bitext, mine_language_links, read_lines,
-                     read_parallel, records, tokenize, write_lines)
+from .corpus import (DEFAULT_MAX_SENT_LEN, LM_RESERVED, _tokens_of, mine_language_links,
+                     read_lines, read_parallel, read_sentences, records, tokenize,
+                     within_length, write_lines)
 from .errors import PivotSmtError
 
 logger = logging.getLogger(__name__)
@@ -54,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgt", required=True)
     p.add_argument("--out-src", required=True)
     p.add_argument("--out-tgt", required=True)
-    p.add_argument("--max-len", type=int, default=80)
+    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_SENT_LEN)
 
     p = sub.add_parser("dict-links", help="mine a dictionary from wiki language links")
     p.add_argument("--pages", required=True, help="pages, each under a `== <title>` line")
@@ -67,14 +68,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="alignment file (i-j links per line)")
     p.add_argument("--iterations", type=int, default=5)
     p.add_argument("--no-null", action="store_true")
-    p.add_argument("--dump-tables", help="prefix for t-table dumps (.fwd/.bwd)")
+    p.add_argument("--dump-tables",
+                   help="prefix for t-table dumps: PREFIX.fwd holds t(tgt|src), "
+                        "PREFIX.bwd t(src|tgt)")
 
     p = sub.add_parser("extract", help="extract and score a Moses phrase table")
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
     p.add_argument("--alignments", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-phrase-len", type=int, default=5)
+    p.add_argument("--max-phrase-len", type=int, default=phrasetab.DEFAULT_MAX_PHRASE_LEN)
     p.add_argument("--iterations", type=int, default=5,
                    help="EM iterations for the lexical-weight tables")
     p.add_argument("--top-k", type=_at_least(0), default=0,
@@ -86,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src-to-pivot", required=True,
                    help="table mapping source phrases to pivot phrases")
     p.add_argument("--out", required=True)
-    p.add_argument("--min-score", type=float, default=1e-7)
-    p.add_argument("--top-k", type=int, default=20)
+    p.add_argument("--min-score", type=float, default=pivot.TriangulationConfig.min_score)
+    p.add_argument("--top-k", type=int, default=pivot.TriangulationConfig.top_k)
 
     p = sub.add_parser("mine-translit", help="mine transliteration pairs unsupervised")
     group = p.add_mutually_exclusive_group(required=True)
@@ -96,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-out", required=True)
     p.add_argument("--pairs-out")
     p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=translit.DEFAULT_MINE_THRESHOLD)
 
     p = sub.add_parser("translit-table", help="k-best transliterations as a phrase table")
     p.add_argument("--model", required=True)
@@ -134,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev-src", required=True)
     p.add_argument("--dev-ref", required=True)
     p.add_argument("--weights-out", required=True)
-    p.add_argument("--rounds", type=int, default=3)
-    p.add_argument("--nbest", type=int, default=50)
+    p.add_argument("--rounds", type=int, default=decoder.DEFAULT_TUNE_ROUNDS)
+    p.add_argument("--nbest", type=int, default=decoder.DEFAULT_NBEST_SIZE)
     decoder_flags(p)
 
     p = sub.add_parser("decode", help="translate a tokenized file")
@@ -148,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="corpus BLEU of a hypothesis file")
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--max-n", type=int, default=evalkit.DEFAULT_MAX_N)
 
     p = sub.add_parser("tally", help="count and percent of each manual judgment")
     p.add_argument("--labels", required=True, help="sent_id,judge_id,category lines")
@@ -190,11 +193,16 @@ def cmd_tokenize(args) -> int:
     return 0
 
 
+def _write_pairs(args, pairs) -> None:
+    write_lines(args.out_src, (" ".join(s) for s, _ in pairs))
+    write_lines(args.out_tgt, (" ".join(t) for _, t in pairs))
+
+
 def cmd_ingest(args) -> int:
-    bitext = ingest_bitext(args.src, args.tgt, max_len=args.max_len)
-    write_lines(args.out_src, (" ".join(s) for s, _ in bitext.pairs))
-    write_lines(args.out_tgt, (" ".join(t) for _, t in bitext.pairs))
-    print(f"kept {len(bitext)} pairs, dropped {bitext.dropped_pairs}")
+    pairs = read_parallel(args.src, args.tgt)
+    kept = within_length(pairs, args.max_len)
+    _write_pairs(args, kept)
+    print(f"kept {len(kept)} pairs, dropped {len(pairs) - len(kept)}")
     return 0
 
 
@@ -207,13 +215,12 @@ def cmd_dict_links(args) -> int:
 
 
 def cmd_align(args) -> int:
-    matrices, cond_src, cond_tgt = pipeline.align_bitext(
-        Bitext(read_parallel(args.src, args.tgt)), args.iterations,
-        use_null=not args.no_null)
+    matrices, tgt_given_src, src_given_tgt = pipeline.align_bitext(
+        read_parallel(args.src, args.tgt), args.iterations, use_null=not args.no_null)
     align_mod.write_alignments(args.out, matrices)
     if args.dump_tables:
-        align_mod.write_table(args.dump_tables + ".fwd", cond_src)
-        align_mod.write_table(args.dump_tables + ".bwd", cond_tgt)
+        align_mod.write_table(args.dump_tables + ".fwd", tgt_given_src)
+        align_mod.write_table(args.dump_tables + ".bwd", src_given_tgt)
     print(f"aligned {len(matrices)} pairs")
     return 0
 
@@ -222,8 +229,8 @@ def cmd_extract(args) -> int:
     pairs = read_parallel(args.src, args.tgt)
     sizes = [(len(s), len(t)) for s, t in pairs]
     matrices = align_mod.read_alignments(args.alignments, sizes)
-    cond_tgt, cond_src = align_mod.train_both_directions(pairs, args.iterations)
-    table = phrasetab.score_phrase_table(pairs, matrices, cond_src, cond_tgt,
+    src_given_tgt, tgt_given_src = align_mod.train_both_directions(pairs, args.iterations)
+    table = phrasetab.score_phrase_table(pairs, matrices, tgt_given_src, src_given_tgt,
                                          max_len=args.max_phrase_len)
     if args.top_k > 0:
         table = phrasetab.prune_table(table, args.top_k)
@@ -268,8 +275,7 @@ def cmd_translit_table(args) -> int:
 
 
 def cmd_train_lm(args) -> int:
-    corpus = [line.split() for line in read_lines(args.corpus)]
-    model = ngramlm.train_kn(corpus, args.order)
+    model = ngramlm.train_kn(read_sentences(args.corpus, LM_RESERVED), args.order)
     ngramlm.write_arpa(model, args.out)
     print(f"trained order-{args.order} model over {len(model.vocab)} word types")
     return 0
@@ -277,11 +283,10 @@ def cmd_train_lm(args) -> int:
 
 def cmd_synthesize(args) -> int:
     system, model = _load_system(args)
-    bitext = Bitext(read_parallel(args.src, args.tgt))
-    synth = pipeline.synthesize_bitext(bitext, system, model)
-    write_lines(args.out_src, (" ".join(s) for s, _ in synth.pairs))
-    write_lines(args.out_tgt, (" ".join(t) for _, t in synth.pairs))
-    print(f"synthesized {len(synth)} pairs, dropped {synth.dropped_pairs}")
+    pairs = read_parallel(args.src, args.tgt)
+    synth = pipeline.synthesize_bitext(pairs, system, model)
+    _write_pairs(args, synth)
+    print(f"synthesized {len(synth)} pairs, dropped {len(pairs) - len(synth)}")
     return 0
 
 
@@ -299,9 +304,8 @@ def cmd_decode(args) -> int:
     if (args.nbest > 0) != (args.nbest_out is not None):
         raise ValueError("--nbest N (N >= 1) and --nbest-out go together")
     system, model = _load_system(args)
-    sentences = [_tokens_of(line, f"{args.input}:{lineno}")
-                 for lineno, line in enumerate(read_lines(args.input), start=1)]
-    decoded = decoder.decode_corpus(system, model, sentences, nbest_size=args.nbest)
+    decoded = decoder.decode_corpus(system, model, read_sentences(args.input),
+                                    nbest_size=args.nbest)
     write_lines(args.output, (" ".join(best) for best, _ in decoded))
     if args.nbest_out:
         order = model.feature_order()

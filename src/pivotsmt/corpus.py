@@ -1,7 +1,8 @@
-"""Text ingestion, tokenization, bitexts and dictionaries.
+"""Text ingestion, tokenization, parallel corpora and dictionaries.
 
 All text is Unicode; corpora on disk are UTF-8, one tokenized sentence per
 line, with line i of the source file aligned to line i of the target file.
+A parallel corpus in memory is a list of TokenPair.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import re
 import sys
 import threading
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Sequence, TextIO, TypeVar
 
 from .errors import DataError
@@ -33,25 +34,14 @@ TOKENIZE_SCHEMES = ("unicode-punct", "whitespace")
 DEFAULT_MAX_SENT_LEN = 80
 
 FIELD_SEP = "|||"  # separates the fields of a phrase-table line, so never a token
+LM_RESERVED = (FIELD_SEP, BOS, EOS, UNK)  # tokens no language-model corpus line may hold
+
+TokenPair = tuple[Sequence[str], Sequence[str]]  # (source tokens, target tokens)
 
 _SUM_COMPENSATES = sys.version_info >= (3, 12)
 
 _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
-
-
-@dataclass
-class Bitext:
-    """Sentence-aligned parallel corpus of token tuples."""
-
-    pairs: list[tuple[tuple[str, ...], tuple[str, ...]]] = field(default_factory=list)
-    dropped_pairs: int = 0
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def add_pair(self, src: Sequence[str], tgt: Sequence[str]) -> None:
-        self.pairs.append((tuple(src), tuple(tgt)))
 
 
 @dataclass(frozen=True)
@@ -174,20 +164,27 @@ def ltr_sum(values: Iterable[float]) -> float:
     return sum(values, 0.0)
 
 
-def _tokens_of(text: str, where: str) -> tuple[str, ...]:
-    """The whitespace tokens of `text`; the token `|||` is a DataError at
-    `where`, because no phrase table could hold a phrase with it."""
+def _tokens_of(text: str, where: str, reserved: Sequence[str] = (FIELD_SEP,)) -> tuple[str, ...]:
+    """The whitespace tokens of `text`; a `reserved` token is a DataError at
+    `where`: `|||` because no phrase table could hold a phrase with it, a
+    language-model marker because the model adds its own."""
     tokens = tuple(text.split())
-    if FIELD_SEP in tokens:
-        raise DataError(f"{where}: the token {FIELD_SEP!r} is the phrase-table "
-                        f"field separator")
+    for token in reserved:
+        if token in tokens:
+            what = ("the phrase-table field separator" if token == FIELD_SEP
+                    else "a reserved language-model marker")
+            raise DataError(f"{where}: the token {token!r} is {what}")
     return tokens
 
 
-def read_parallel(
-    source: str | Iterable[str],
-    target: str | Iterable[str],
-) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+def read_sentences(path: str, reserved: Sequence[str] = (FIELD_SEP,)) -> list[tuple[str, ...]]:
+    """The tokens of every line of a path; a `reserved` token is a DataError
+    at its line (LM_RESERVED for a language-model corpus)."""
+    return [_tokens_of(line, f"{path}:{lineno}", reserved)
+            for lineno, line in enumerate(read_lines(path), start=1)]
+
+
+def read_parallel(source: str | Iterable[str], target: str | Iterable[str]) -> list[TokenPair]:
     """Token pairs of two line-aligned inputs, line i of one with line i of the other.
 
     Each input is a path, read through read_lines, or a list of lines.
@@ -204,43 +201,22 @@ def read_parallel(
             for lineno, (s, t) in enumerate(zip(src_lines, tgt_lines), start=1)]
 
 
-def ingest_bitext(
-    source: str | Iterable[str],
-    target: str | Iterable[str],
-    max_len: int = DEFAULT_MAX_SENT_LEN,
-) -> Bitext:
-    """Pair up two pre-tokenized line-aligned inputs (see read_parallel) into a Bitext.
-
-    Pairs where either side exceeds max_len tokens are dropped; the drop
-    count is kept on the result and logged.
-    """
+def within_length(pairs: Sequence[TokenPair], max_len: int) -> list[TokenPair]:
+    """The pairs whose two sides have at most max_len tokens; the number
+    dropped is logged."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    bitext = Bitext()
-    for src, tgt in read_parallel(source, target):
-        if len(src) > max_len or len(tgt) > max_len:
-            bitext.dropped_pairs += 1
-        else:
-            bitext.pairs.append((src, tgt))
-    if bitext.dropped_pairs:
-        logger.info("ingest: dropped %d pairs over %d tokens", bitext.dropped_pairs, max_len)
-    return bitext
+    kept = [(src, tgt) for src, tgt in pairs if len(src) <= max_len and len(tgt) <= max_len]
+    if len(kept) < len(pairs):
+        logger.info("ingest: dropped %d pairs over %d tokens", len(pairs) - len(kept), max_len)
+    return kept
 
 
-def concat_bitexts(parts: Sequence[Bitext]) -> Bitext:
-    """Order-preserving concatenation."""
-    out = Bitext()
-    for part in parts:
-        out.pairs.extend(part.pairs)
-    return out
-
-
-def dict_to_bitext(entries: Sequence[DictionaryEntry]) -> Bitext:
-    """Turn dictionary entries into one-sentence-pair-per-entry training data."""
-    bitext = Bitext()
-    for entry in entries:
-        bitext.add_pair(entry.source, entry.target)
-    return bitext
+def ingest_bitext(source: str | Iterable[str], target: str | Iterable[str],
+                  max_len: int = DEFAULT_MAX_SENT_LEN) -> list[TokenPair]:
+    """The pairs of two pre-tokenized line-aligned inputs (see read_parallel)
+    that are within_length of max_len."""
+    return within_length(read_parallel(source, target), max_len)
 
 
 def read_dictionary_tsv(src: str | Iterable[str], name: str = "<dict>") -> list[DictionaryEntry]:

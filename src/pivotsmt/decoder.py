@@ -35,7 +35,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
-from .corpus import BOS, forked_map, number, records, write_lines
+from .corpus import BOS, forked_map, ltr_sum, number, records, write_lines
 from .errors import DataError
 from .evalkit import corpus_bleu
 from .phrasetab import SCORE_FLOOR, TableSet
@@ -267,7 +267,7 @@ def derivation_features(
 
 def weighted_total(features: dict[str, float], weights: dict[str, float]) -> float:
     """The model score of a feature vector; the one weighted sum in the decoder."""
-    return sum(weights[name] * value for name, value in features.items())
+    return ltr_sum(weights[name] * value for name, value in features.items())
 
 
 def _future_costs(n: int, by_start: list, lm, w_lm: float,
@@ -278,7 +278,7 @@ def _future_costs(n: int, by_start: list, lm, w_lm: float,
     for start, spans in enumerate(by_start):
         for end, _, _, scored in spans:
             span_best[(start, end)] = max(
-                (static + w_lm * sum(lm.logprob((), w) for w in option.target)
+                (static + w_lm * ltr_sum(lm.logprob((), w) for w in option.target)
                  - wp_cost - w_pp for option, static, wp_cost, _ in scored),
                 default=-math.inf)
 
@@ -660,14 +660,16 @@ def decode_corpus(
 
 # Deterministic step grid explored around each weight during tuning.
 _TUNE_STEPS = (-1.0, -0.5, -0.2, -0.05, 0.05, 0.2, 0.5, 1.0)
+DEFAULT_TUNE_ROUNDS = 3
+DEFAULT_NBEST_SIZE = 50  # n-best list size of each tuning decode
 
 
 def tune_weights(
     dev: Sequence[tuple[Sequence[str], Sequence[str]]],
     system: DecoderSystem,
     initial: LogLinearModel,
-    rounds: int = 3,
-    nbest_size: int = 50,
+    rounds: int = DEFAULT_TUNE_ROUNDS,
+    nbest_size: int = DEFAULT_NBEST_SIZE,
 ) -> LogLinearModel:
     """Coordinate ascent on corpus BLEU over pooled n-best lists.
 
@@ -694,7 +696,7 @@ def tune_weights(
         # `trial` holds the weights in `order`, the order of every pooled
         # feature dict, so each score is weighted_total's products in its order.
         # max keeps the first of equal scores; an empty pool scores as ()
-        hyps = [max(pool, key=lambda entry: sum(map(operator.mul, trial, entry[1])),
+        hyps = [max(pool, key=lambda entry: ltr_sum(map(operator.mul, trial, entry[1])),
                     default=((), None))[0] for pool in sorted_pools]
         return corpus_bleu(hyps, refs)[0]
 

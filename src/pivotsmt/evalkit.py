@@ -12,6 +12,7 @@ from .errors import DataError
 
 MANUAL_CATEGORIES = ("helpful", "doubtful", "misleading")
 ERROR_CATEGORIES = ("missing_untranslated", "wrong_translation", "word_order", "other")
+DEFAULT_MAX_N = 4  # BLEU's longest n-gram
 
 
 def round_half_up(value: float, decimals: int = 2) -> float:
@@ -94,7 +95,7 @@ def sentence_stats(hyp: Sequence[str], ref: Sequence[str], max_n: int) -> BleuSt
 def corpus_bleu(
     hyps: Sequence[Sequence[str]],
     refs: Sequence[Sequence[str]],
-    max_n: int = 4,
+    max_n: int = DEFAULT_MAX_N,
 ) -> tuple[float, BleuStats]:
     """Single-reference corpus BLEU over tokenized sentences."""
     if max_n < 1:

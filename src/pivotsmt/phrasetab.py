@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .align import AlignmentMatrix, TranslationTable
-from .corpus import number, records, write_lines
+from .corpus import TokenPair, ltr_sum, number, records, write_lines
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
 SCORE_FLOOR = 1e-12  # keeps log-linear scores finite on serialization
+DEFAULT_MAX_PHRASE_LEN = 5
 
 Phrase = tuple[str, ...]
 Span = tuple[int, int]  # inclusive bounds
@@ -156,7 +157,7 @@ def _link_averages(
     averages = []
     for word, linked in zip(words, links_for):
         if linked:
-            averages.append(sum(table.prob(word, other_words[k]) for k in linked)
+            averages.append(ltr_sum(table.prob(word, other_words[k]) for k in linked)
                             / len(linked))
         elif table.use_null:
             averages.append(table.prob(word, None))
@@ -166,11 +167,11 @@ def _link_averages(
 
 
 def score_phrase_table(
-    bitext: Iterable[tuple[Sequence[str], Sequence[str]]],
+    bitext: Iterable[TokenPair],
     alignments: Sequence[AlignmentMatrix],
-    w_tgt_given_src: TranslationTable,
-    w_src_given_tgt: TranslationTable,
-    max_len: int = 5,
+    tgt_given_src: TranslationTable,
+    src_given_tgt: TranslationTable,
+    max_len: int = DEFAULT_MAX_PHRASE_LEN,
     role: str = "baseline",
 ) -> PhraseTable:
     """Extract and score a phrase table from a word-aligned bitext.
@@ -198,8 +199,8 @@ def score_phrase_table(
         for i, j in sorted(alignment.links):
             tgt_links[j].append(i)
             src_links[i].append(j)
-        fwd_avg = _link_averages(tgt, src, tgt_links, w_tgt_given_src)
-        bwd_avg = _link_averages(src, tgt, src_links, w_src_given_tgt)
+        fwd_avg = _link_averages(tgt, src, tgt_links, tgt_given_src)
+        bwd_avg = _link_averages(src, tgt, src_links, src_given_tgt)
         for (i1, i2), (j1, j2) in sorted(extract_phrases(alignment, max_len)):
             s_phrase = src[i1 : i2 + 1]
             t_phrase = tgt[j1 : j2 + 1]

@@ -19,8 +19,8 @@ from dataclasses import dataclass, fields
 from typing import Sequence
 
 from . import align, decoder, evalkit, ngramlm, phrasetab, translit
-from .corpus import Bitext, concat_bitexts, count_oov, dict_to_bitext, \
-    ingest_bitext, read_dictionary_tsv, read_lines, read_parallel, write_lines
+from .corpus import DEFAULT_MAX_SENT_LEN, LM_RESERVED, TokenPair, count_oov, ingest_bitext, \
+    read_dictionary_tsv, read_lines, read_parallel, read_sentences, write_lines
 from .errors import DataError
 
 
@@ -43,17 +43,17 @@ class ExperimentConfig:
     label: str = "src-tgt"
     use_synth: str = "off"      # off | concat | separate
     use_dict: str = "off"       # off | on
-    max_sent_len: int = 80
+    max_sent_len: int = DEFAULT_MAX_SENT_LEN
     lm_order: int = 3
     em_iterations: int = 5
-    max_phrase_len: int = 5
+    max_phrase_len: int = phrasetab.DEFAULT_MAX_PHRASE_LEN
     prune_top_k: int = 0        # 0 disables pruning
     option_limit: int = decoder.DecoderSystem.option_limit
     translit_k: int = decoder.DecoderSystem.translit_k
     distortion_limit: int = decoder.DecoderSystem.distortion_limit
     stack_size: int = decoder.DecoderSystem.stack_size
     tune_rounds: int = 0        # 0 freezes the default weights
-    nbest_size: int = 50
+    nbest_size: int = decoder.DEFAULT_NBEST_SIZE
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -112,52 +112,43 @@ def file_hash(path: str) -> str:
 
 # --- Training building blocks -------------------------------------------------
 
-def align_bitext(bitext: Bitext, iterations: int, use_null: bool = True):
+def align_bitext(pairs: Sequence[TokenPair], iterations: int, use_null: bool = True):
     """Train both directional models and GDFA-symmetrize every pair.
 
-    Returns (alignments, w(tgt|src) table, w(src|tgt) table).
+    The backward alignment of a pair is the Viterbi alignment of the swapped
+    pair under t(tgt|src), transposed. Returns (alignments, t(tgt|src),
+    t(src|tgt)).
     """
-    pairs = bitext.pairs
-    cond_tgt, cond_src = align.train_both_directions(pairs, iterations, use_null)
+    src_given_tgt, tgt_given_src = align.train_both_directions(pairs, iterations, use_null)
     matrices = []
-    for pair in pairs:
-        fwd = align.viterbi_align(cond_tgt, pair, direction="forward")
-        bwd = align.viterbi_align(cond_src, pair, direction="backward")
-        matrices.append(align.symmetrize_gdfa(fwd, bwd))
-    return matrices, cond_src, cond_tgt
+    for src, tgt in pairs:
+        forward = align.viterbi_align(src_given_tgt, (src, tgt))
+        backward = align.viterbi_align(tgt_given_src, (tgt, src))
+        matrices.append(align.symmetrize_gdfa(forward, align.AlignmentMatrix(
+            len(src), len(tgt), frozenset((i, j) for j, i in backward.links))))
+    return matrices, tgt_given_src, src_given_tgt
 
 
-def build_phrase_table(bitext: Bitext, em_iterations: int, max_phrase_len: int,
+def build_phrase_table(pairs: Sequence[TokenPair], em_iterations: int, max_phrase_len: int,
                        prune_top_k: int = 0, role: str = "baseline") -> phrasetab.PhraseTable:
-    alignments, w_tgt_given_src, w_src_given_tgt = align_bitext(bitext, em_iterations)
-    table = phrasetab.score_phrase_table(
-        bitext.pairs, alignments, w_tgt_given_src, w_src_given_tgt,
-        max_len=max_phrase_len, role=role,
-    )
+    alignments, tgt_given_src, src_given_tgt = align_bitext(pairs, em_iterations)
+    table = phrasetab.score_phrase_table(pairs, alignments, tgt_given_src, src_given_tgt,
+                                         max_len=max_phrase_len, role=role)
     if prune_top_k > 0:
         table = phrasetab.prune_table(table, prune_top_k)
     return table
 
 
-def synthesize_bitext(
-    bitext: Bitext,
-    system: decoder.DecoderSystem,
-    model: decoder.LogLinearModel | None = None,
-) -> Bitext:
+def synthesize_bitext(pairs: Sequence[TokenPair], system: decoder.DecoderSystem,
+                      model: decoder.LogLinearModel | None = None) -> list[TokenPair]:
     """Replace the source side of every pair with its decoder output.
 
-    Pair count is preserved unless a non-empty source gets no hypothesis
-    (its search dead-ended); such a pair is dropped and counted.
+    A pair whose non-empty source gets no hypothesis (its search dead-ended)
+    is dropped; every other pair is kept, in order.
     """
     model = model or system.default_model()
-    decoded = decoder.decode_corpus(system, model, [src for src, _ in bitext.pairs])
-    out = Bitext()
-    for (src, tgt), (hyp, _) in zip(bitext.pairs, decoded):
-        if src and not hyp:
-            out.dropped_pairs += 1
-        else:
-            out.add_pair(hyp, tgt)
-    return out
+    decoded = decoder.decode_corpus(system, model, [src for src, _ in pairs])
+    return [(hyp, tgt) for (src, tgt), (hyp, _) in zip(pairs, decoded) if hyp or not src]
 
 
 # --- The experiment matrix ----------------------------------------------------
@@ -209,18 +200,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     test = read_parallel(config.test_src, config.test_tgt)
     test_src = [src for src, _ in test]
     if "lm_corpus" in inputs:
-        lm_sentences = [tuple(line.split()) for line in read_lines(config.lm_corpus)]
+        lm_sentences = read_sentences(config.lm_corpus, LM_RESERVED)
     else:
-        lm_sentences = [tgt for _, tgt in baseline.pairs]
+        lm_sentences = [tgt for _, tgt in baseline]
     translit_model = None
     if "translit_model" in inputs:
         translit_model = translit.read_char_model(config.translit_model)
     synth = None
     if "synth_src" in inputs:
         synth = ingest_bitext(config.synth_src, config.synth_tgt, max_len=config.max_sent_len)
-    dict_entries = None
+    dict_pairs = None  # each dictionary entry is one sentence pair
     if "dict_tsv" in inputs:
-        dict_entries = read_dictionary_tsv(config.dict_tsv)
+        dict_pairs = [(entry.source, entry.target)
+                      for entry in read_dictionary_tsv(config.dict_tsv)]
     dev_pairs = None
     if "dev_src" in inputs:
         dev_pairs = read_parallel(config.dev_src, config.dev_tgt)
@@ -231,22 +223,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     os.makedirs(config.work_dir, exist_ok=True)
     lm = ngramlm.train_kn(lm_sentences, config.lm_order)
 
-    def make_table(parts: list[Bitext], role: str) -> phrasetab.PhraseTable:
-        return build_phrase_table(concat_bitexts(parts), config.em_iterations,
-                                  config.max_phrase_len, config.prune_top_k, role)
+    def make_table(pairs: list[TokenPair], role: str = "baseline") -> phrasetab.PhraseTable:
+        return build_phrase_table(pairs, config.em_iterations, config.max_phrase_len,
+                                  config.prune_top_k, role)
 
-    # each mode's tables; the data list grows as the modes stack
-    parts = [baseline]
-    baseline_table = make_table(parts, "baseline")
+    # each mode's tables; the training data grows as the modes stack
+    data = baseline
+    baseline_table = make_table(data)
     mode_tables = {"B0": [baseline_table]}
     if config.use_synth == "concat":
-        parts.append(synth)
-        mode_tables["Syn"] = [make_table(parts, "baseline")]
+        data = baseline + synth
+        mode_tables["Syn"] = [make_table(data)]
     elif config.use_synth == "separate":
-        mode_tables["PT"] = [baseline_table, make_table([synth], "synthetic")]
-    if dict_entries is not None:
+        mode_tables["PT"] = [baseline_table, make_table(synth, "synthetic")]
+    if dict_pairs is not None:
         # dictionaries stack on top of the best previous data configuration
-        mode_tables["Dict"] = [make_table(parts + [dict_to_bitext(dict_entries)], "baseline")]
+        mode_tables["Dict"] = [make_table(data + dict_pairs)]
 
     artifacts: dict[str, str] = {}  # manifest name: path under work_dir
 

@@ -41,6 +41,8 @@ INDEL_BUDGET = 3
 # this many distinct pairs.
 MULTI_OP_MIN_SUPPORT = 3
 
+DEFAULT_MINE_THRESHOLD = 0.5  # a pair whose posterior reaches it is mined
+
 _BOW = "\x02"  # begin-of-word marker for the target character model
 _EOW = "\x03"
 
@@ -336,7 +338,7 @@ def _initial_ops(pairs: Sequence[tuple[str, str, float]]) -> dict[str, dict[str,
 def mine_transliterations(
     corpus: WordPairCorpus,
     iterations: int,
-    threshold: float = 0.5,
+    threshold: float = DEFAULT_MINE_THRESHOLD,
 ) -> tuple[CharModel, list[MinedPair]]:
     """EM-fit the transliteration mixture and return pairs above threshold.
 

@@ -161,7 +161,7 @@ def _lex_weight_reference(phrase_words, other_words, links_for, probs, use_null)
     for idx, word in enumerate(phrase_words):
         linked = links_for.get(idx)
         if linked:
-            avg = sum(_t_prob(probs, word, other_words[k]) for k in linked) / len(linked)
+            avg = _ltr_sum(_t_prob(probs, word, other_words[k]) for k in linked) / len(linked)
         elif use_null:
             avg = _t_prob(probs, word, None)
         else:
@@ -443,8 +443,8 @@ def enumerate_decodings(n, lattice, weights, lm, distortion_limit):
             if abs(start - prev_end) > distortion_limit:
                 continue
             for option in options:
-                static = sum(weights[name] * value
-                             for name, value in option.features.items())
+                static = _ltr_sum(weights[name] * value
+                                  for name, value in option.features.items())
                 lm_inc, new_state = lm_step(state, option.target)
                 inc = (static
                        + weights["lm"] * lm_inc

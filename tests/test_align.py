@@ -160,15 +160,21 @@ class TestBitExact:
             pairs = repetitive_corpus(rng)
             held_out = repetitive_corpus(rng, vocab=6)  # s4, s5, t4, t5 unknown
             for use_null in (False, True):
-                cond_tgt = train_model1(pairs, iterations=4, use_null=use_null)
-                cond_src = train_model1([(t, s) for s, t in pairs], iterations=4,
-                                        use_null=use_null)
-                for pair in pairs + held_out:
-                    for table, direction in ((cond_tgt, "forward"),
-                                             (cond_src, "backward")):
-                        got = viterbi_align(table, pair, direction=direction)
-                        assert got.links == viterbi_reference(
-                            table.probs, use_null, pair, direction)
+                src_given_tgt = train_model1(pairs, iterations=4, use_null=use_null)
+                tgt_given_src = train_model1([(t, s) for s, t in pairs], iterations=4,
+                                             use_null=use_null)
+                for src, tgt in pairs + held_out:
+                    got = viterbi_align(src_given_tgt, (src, tgt))
+                    assert got.links == viterbi_reference(
+                        src_given_tgt.probs, use_null, (src, tgt), "forward")
+                    # the backward orientation: the swapped pair, transposed
+                    got = viterbi_align(tgt_given_src, (tgt, src))
+                    assert transposed(got.links) == viterbi_reference(
+                        tgt_given_src.probs, use_null, (src, tgt), "backward")
+
+
+def transposed(links):
+    return {(j, i) for i, j in links}
 
 
 def both_directions(pairs, cpus, iterations=4, use_null=True):
@@ -267,32 +273,33 @@ class TestBothDirections:
 class TestViterbi:
     def test_forced_link(self):
         table = TranslationTable(probs={"a": {"x": 1.0}})
-        matrix = viterbi_align(table, (("a",), ("x",)), direction="backward")
+        # a table conditioned on the source side aligns the swapped pair
+        matrix = viterbi_align(table, (("x",), ("a",)))
         assert matrix.links == {(0, 0)}
 
     def test_das_haus_alignment(self):
         table = train_model1(DAS_HAUS, iterations=20, use_null=False)
-        matrix = viterbi_align(table, DAS_HAUS[0], direction="forward")
+        matrix = viterbi_align(table, DAS_HAUS[0])
         assert matrix.links == {(0, 0), (1, 1)}
 
     def test_empty_target(self):
         table = TranslationTable(probs={"x": {"a": 1.0}})
-        matrix = viterbi_align(table, (("a", "b"), ()), direction="forward")
+        matrix = viterbi_align(table, (("a", "b"), ()))
         assert matrix.links == frozenset()
 
     def test_unknown_word_fallback_smallest_index(self, caplog):
         table = TranslationTable(probs={"t": {"known": 1.0}})
-        matrix = viterbi_align(table, (("zzz",), ("t", "u")), direction="forward")
+        matrix = viterbi_align(table, (("zzz",), ("t", "u")))
         assert matrix.links == {(0, 0)}
 
     def test_unknown_word_with_null_unaligned(self):
         table = TranslationTable(probs={None: {"w": 0.5}}, use_null=True)
-        matrix = viterbi_align(table, (("zzz",), ("t",)), direction="forward")
+        matrix = viterbi_align(table, (("zzz",), ("t",)))
         assert matrix.links == frozenset()
 
     def test_tie_breaks_to_smaller_index(self):
         table = TranslationTable(probs={"t": {"a": 0.5}, "u": {"a": 0.5}})
-        matrix = viterbi_align(table, (("a",), ("t", "u")), direction="forward")
+        matrix = viterbi_align(table, (("a",), ("t", "u")))
         assert matrix.links == {(0, 0)}
 
 

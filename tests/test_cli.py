@@ -47,6 +47,9 @@ _READS = [
      ("separator_src",)),
     ("decode --input {separator_src} --output {out}" + _SYSTEM, ("separator_src",)),
     ("tokenize --input {separator_src} --output {out}", ("separator_src",)),
+    ("train-lm --corpus {separator_src} --out {out}", ("separator_src",)),
+    ("train-lm --corpus {marker_lm} --out {out}", ("marker_lm",)),
+    ("experiment --config {config}", ("marker_lm",)),
 ]
 _BAD_CHAR_MODEL = (b'{"lambda": "half", "ops": {"a": {"a": 1.0}}, "src_chars": ["a"], '
                    b'"tgt_lm": {"alphabet": ["a"], "counts": {}}}')
@@ -63,6 +66,7 @@ _MALFORMED = {
     "dict_tsv": b"a00\tb00\n",
     "config": b"lm_order = three\n",
     "separator_src": b"a b\n||| b\n",
+    "marker_lm": b"b01 b02\nb03 </s>\n",  # the experiment's lm_corpus
 }
 
 
@@ -136,7 +140,8 @@ class TestExitCodes:
         paths["config"] = write_config(str(tmp_path / "exp.conf"), str(tmp_path / "run"),
                                        fixture, use_synth="concat", use_dict="on",
                                        tune_rounds=1, **experiment)
-        paths.update(experiment, train_src=fixture["train"][0], train_tgt=fixture["train"][1],
+        paths.update(experiment, marker_lm=experiment["lm_corpus"],
+                     train_src=fixture["train"][0], train_tgt=fixture["train"][1],
                      test_src=fixture["test"][0], test_tgt=fixture["test"][1],
                      synth_src=fixture["synth"][0], synth_tgt=fixture["synth"][1],
                      dict_tsv=fixture["dict"])
@@ -179,7 +184,9 @@ class TestCommands:
                      "--out-tgt", str(tmp_path / "o.t"),
                      "--max-len", "80"])
         assert code == 0
-        assert "dropped 1" in capsys.readouterr().out
+        assert capsys.readouterr().out == "kept 1 pairs, dropped 1\n"
+        assert read(tmp_path / "o.s").splitlines() == ["one two"]
+        assert read(tmp_path / "o.t").splitlines() == ["x"]
 
     def test_score(self, tmp_path, capsys):
         hyp = write(tmp_path / "h.txt", ["the cat is on the mat"])
@@ -250,7 +257,7 @@ sys.exit(code)
             runs.append((printed, done.stderr, [read(out + ext) for ext in ("", ".fwd", ".bwd")]))
         assert runs[0] == runs[1]
         assert runs[0][0] == ["aligned 4 pairs"]
-        # one warning from each direction, the forward one first
+        # one warning from each Model 1 direction, t(src|tgt) first
         assert runs[0][1] == "WARNING skipping sentence pair with an empty side\n" * 2
 
     def test_decode_nbest_output(self, tmp_path, capsys):
@@ -314,9 +321,10 @@ sys.exit(code)
                      "--out", str(tmp_path / "a.txt"),
                      "--iterations", "10", "--dump-tables", prefix]) == 0
         from pivotsmt.align import read_table
-        with open(prefix + ".bwd", encoding="utf-8") as handle:
-            back = read_table(handle.read().splitlines())
-        assert back.prob("das", "the") > 0.9
+        # .fwd holds t(tgt|src) and .bwd t(src|tgt)
+        fwd, bwd = (read_table(prefix + ext) for ext in (".fwd", ".bwd"))
+        assert fwd.prob("the", "das") > 0.9
+        assert bwd.prob("das", "the") > 0.9
 
     def test_triangulate_command(self, tmp_path, capsys):
         pivot_to_tgt = write(tmp_path / "p2t.moses",
@@ -498,7 +506,7 @@ class TestCorpusDecoding:
                      "--out-src", str(tmp_path / "syn.s"),
                      "--out-tgt", str(tmp_path / "syn.t"),
                      "--table", table, "--lm", arpa]) == 0
-        assert "dropped 1" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines()[-1] == "synthesized 2 pairs, dropped 1"
         assert read(tmp_path / "syn.t").splitlines() == ["e1", "e3"]
 
     def test_tune_survives_a_dead_end(self, tmp_path, capsys, dead_end_on_b):

@@ -1,5 +1,6 @@
 import logging
 import os
+import re
 import struct
 import time
 from unittest import mock
@@ -9,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from pivotsmt import corpus
 from pivotsmt.corpus import (
-    DictionaryEntry, concat_bitexts, count_oov, dict_to_bitext,
-    extract_language_links, forked_map, ingest_bitext, ltr_sum, mine_language_links,
-    parse_wiki_pages, read_dictionary_tsv, read_lines, tokenize,
+    DictionaryEntry, count_oov, extract_language_links, forked_map, ingest_bitext, ltr_sum,
+    mine_language_links, parse_wiki_pages, read_dictionary_tsv, read_lines, read_sentences,
+    tokenize, within_length,
 )
 from pivotsmt.errors import DataError
 
@@ -56,21 +57,25 @@ class TestTokenize:
 
 class TestIngest:
     def test_basic(self):
-        bitext = ingest_bitext(["a b", "c", "d e f"], ["x", "y z", "w"], max_len=80)
-        assert len(bitext) == 3
-        assert bitext.dropped_pairs == 0
-        assert bitext.pairs[0] == (("a", "b"), ("x",))
+        pairs = ingest_bitext(["a b", "c", "d e f"], ["x", "y z", "w"], max_len=80)
+        assert pairs == [(("a", "b"), ("x",)), (("c",), ("y", "z")), (("d", "e", "f"), ("w",))]
 
-    def test_drop_over_limit(self):
+    def test_drop_over_limit(self, caplog):
         long_line = " ".join(f"w{i}" for i in range(81))
-        bitext = ingest_bitext([long_line, "short"], ["t", "t"], max_len=80)
-        assert len(bitext) == 1
-        assert bitext.dropped_pairs == 1
+        with caplog.at_level(logging.INFO, logger="pivotsmt.corpus"):
+            pairs = ingest_bitext([long_line, "short"], ["t", "t"], max_len=80)
+        assert pairs == [(("short",), ("t",))]
+        assert caplog.messages == ["ingest: dropped 1 pairs over 80 tokens"]
 
     def test_exactly_at_limit_kept(self):
         line = " ".join(f"w{i}" for i in range(80))
-        bitext = ingest_bitext([line], ["t"], max_len=80)
-        assert len(bitext) == 1
+        assert len(ingest_bitext([line], ["t"], max_len=80)) == 1
+        assert len(ingest_bitext(["t"], [line], max_len=80)) == 1
+        assert ingest_bitext(["t"], [line], max_len=79) == []
+
+    def test_max_len_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_len must be >= 1, got 0"):
+            within_length([(("a",), ("x",))], 0)
 
     def test_mismatched_counts(self):
         with pytest.raises(DataError, match=r"2.*3"):
@@ -78,9 +83,9 @@ class TestIngest:
 
     def test_drop_filter_invariant(self):
         lines = [" ".join("w" for _ in range(n)) for n in (1, 5, 9, 12, 3)]
-        bitext = ingest_bitext(lines, list(lines), max_len=8)
-        assert bitext.dropped_pairs + len(bitext) == 5
-        for src, tgt in bitext.pairs:
+        pairs = ingest_bitext(lines, list(lines), max_len=8)
+        assert [len(src) for src, _ in pairs] == [1, 5, 3]
+        for src, tgt in pairs:
             assert len(src) <= 8 and len(tgt) <= 8
 
     def test_invalid_utf8_names_line(self, tmp_path):
@@ -98,41 +103,34 @@ class TestIngest:
         src.write_text("a\n|||\n", encoding="utf-8")
         with pytest.raises(DataError, match=f"^{src}:2: "):
             ingest_bitext(str(src), ["x", "y"])
-        assert ingest_bitext(["a|||b"], ["x||| |||y"]).pairs == [(("a|||b",), ("x|||", "|||y"))]
+        assert ingest_bitext(["a|||b"], ["x||| |||y"]) == [(("a|||b",), ("x|||", "|||y"))]
+
+
+class TestLmCorpus:
+    @pytest.mark.parametrize("line, token", [
+        ("b <s>", "<s>"), ("</s> a", "</s>"), ("a <unk>", "<unk>"), ("a ||| b", "|||")])
+    def test_reserved_token_names_its_line(self, tmp_path, line, token):
+        path = tmp_path / "lm.txt"
+        path.write_text(f"a b\n{line}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{path}:2: the token '{re.escape(token)}' is "):
+            read_sentences(str(path), corpus.LM_RESERVED)
+
+    def test_markers_inside_longer_tokens_kept(self, tmp_path):
+        path = tmp_path / "lm.txt"
+        path.write_text("a<s> <unk>b\n\nc\n", encoding="utf-8")
+        assert read_sentences(str(path), corpus.LM_RESERVED) == [("a<s>", "<unk>b"), (), ("c",)]
+        assert read_sentences(str(path)) == [("a<s>", "<unk>b"), (), ("c",)]
 
 
 class TestConcat:
-    def test_empty(self):
-        assert len(concat_bitexts([])) == 0
-
-    def test_order_preserved(self):
-        a = ingest_bitext([f"a{i}" for i in range(10)],
-                          [f"x{i}" for i in range(10)])
-        b = ingest_bitext([f"b{i}" for i in range(5)],
-                          [f"y{i}" for i in range(5)])
-        merged = concat_bitexts([a, b])
-        assert len(merged) == 15
-        assert merged.pairs[0] == (("a0",), ("x0",))
-        assert merged.pairs[10] == (("b0",), ("y0",))
-
-    def test_associative_pair_multiset(self):
-        parts = [
-            ingest_bitext([f"s{i}{j}" for j in range(3)],
-                          [f"t{i}{j}" for j in range(3)])
-            for i in range(3)
-        ]
-        left = concat_bitexts([concat_bitexts(parts[:2]), parts[2]])
-        right = concat_bitexts([parts[0], concat_bitexts(parts[1:])])
-        assert left.pairs == right.pairs
-
     def test_dictionary_reduces_oov(self):
         train = ingest_bitext(["a b", "b c"], ["A B", "B C"])
         entries = [DictionaryEntry(("d",), ("D",), "wikipedia")]
-        merged = concat_bitexts([train, dict_to_bitext(entries)])
+        merged = train + [(entry.source, entry.target) for entry in entries]
         test_set = [("a", "d"), ("c",)]
         # oracle: plain set-difference OOV counting
-        before = {w for s, _ in train.pairs for w in s}
-        after = {w for s, _ in merged.pairs for w in s}
+        before = {w for s, _ in train for w in s}
+        after = {w for s, _ in merged for w in s}
         oov_before = sum(1 for s in test_set for w in s if w not in before)
         oov_after = sum(1 for s in test_set for w in s if w not in after)
         assert count_oov(test_set, before) == oov_before == 1
@@ -142,23 +140,20 @@ class TestConcat:
 
 class TestDictionary:
     def test_empty(self):
-        assert len(dict_to_bitext([])) == 0
+        assert read_dictionary_tsv([]) == []
 
     def test_single_entry(self):
-        bitext = dict_to_bitext([DictionaryEntry(("house",), ("haus",), "wiktionary")])
-        assert len(bitext) == 1
-        assert bitext.pairs == [(("house",), ("haus",))]
+        assert read_dictionary_tsv(["house\thaus\twiktionary"]) == [
+            DictionaryEntry(("house",), ("haus",), "wiktionary")]
 
     def test_collection_sized_fixture(self):
         # sizes of the three mined word-pair collections
         sizes = {"wikipedia": 40764, "wiktionary": 10352, "omegawiki": 3476}
-        entries = [
-            DictionaryEntry((f"{prov[:2]}{i}",), (f"t{prov[:2]}{i}",), prov)
-            for prov, size in sizes.items()
-            for i in range(size)
-        ]
-        bitext = dict_to_bitext(entries)
-        assert len(bitext) == 54592
+        lines = [f"{prov[:2]}{i}\tt{prov[:2]}{i}\t{prov}"
+                 for prov, size in sizes.items() for i in range(size)]
+        entries = read_dictionary_tsv(lines)
+        assert len(entries) == 54592
+        assert entries[40764] == DictionaryEntry(("wi0",), ("twi0",), "wiktionary")
 
     def test_invalid_provenance(self):
         with pytest.raises(ValueError):
