@@ -21,6 +21,7 @@ from .errors import DataError
 logger = logging.getLogger(__name__)
 
 NULL_TOKEN = "<null>"  # serialization form of the NULL conditioning row
+DEFAULT_EM_ITERATIONS = 5  # Model 1 EM iterations of `align`, `extract` and an experiment
 
 
 @dataclass
@@ -62,17 +63,12 @@ def train_model1(
     bitext: Iterable[TokenPair],
     iterations: int,
     use_null: bool = True,
-    initial: TranslationTable | None = None,
 ) -> TranslationTable:
     """EM-train t(source word | target word) on a bitext.
 
     The conditioning side is the target side of each pair (plus NULL when
     enabled), i.e. each source word is generated by one target word.
-    Initialization is uniform over the source vocabulary; passing a
-    previously trained table as `initial` resumes EM from it, so k
-    iterations followed by k more equals 2k iterations in one call. On
-    resume, a (conditioning, predicted) pair absent from `initial` starts
-    at the fresh-run uniform value.
+    Initialization is uniform over the source vocabulary.
 
     EM runs over interned co-occurrence cells: every (conditioning,
     predicted) pair of the bitext is numbered once, in corpus-scan order,
@@ -89,8 +85,6 @@ def train_model1(
         pairs.append((src, tgt))
     if not pairs:
         raise DataError("cannot train alignment model on an empty bitext")
-    if initial is not None and initial.use_null != use_null:
-        raise ValueError("initial table NULL setting does not match use_null")
 
     words = list(dict.fromkeys(w for src, _ in pairs for w in src))
     word_ids = {w: i for i, w in enumerate(words)}
@@ -118,16 +112,8 @@ def train_model1(
     del rows, word_ids
     cond_words = list(cond_ids)
 
-    uniform = 1.0 / len(words)
-    if initial is None:
-        t = array("d", [uniform]) * len(cell_cond)
-    else:
-        t = array("d", [
-            initial.probs.get(cond_words[e], {}).get(words[w], uniform)
-            for e, w in zip(cell_cond, cell_word)
-        ])
-
-    log_likelihoods = list(initial.log_likelihoods) if initial is not None else []
+    t = array("d", [1.0 / len(words)]) * len(cell_cond)
+    log_likelihoods: list[float] = []
     for iteration in range(iterations):
         if iteration:  # M-step; a cell no posterior reached stays at 0
             t = array("d", [
@@ -273,7 +259,7 @@ def format_alignment(matrix: AlignmentMatrix) -> str:
 
 
 def parse_alignment(line: str, src_len: int, tgt_len: int,
-                    lineno: int = 0, name: str = "<alignments>") -> AlignmentMatrix:
+                    lineno: int, name: str) -> AlignmentMatrix:
     links = set()
     for chunk in line.split():
         try:
@@ -291,18 +277,15 @@ def write_alignments(dest: str | TextIO, matrices: Iterable[AlignmentMatrix]) ->
     write_lines(dest, map(format_alignment, matrices))
 
 
-def read_alignments(src: str | Iterable[str], sizes: Sequence[tuple[int, int]],
-                    name: str = "<alignments>") -> list[AlignmentMatrix]:
-    """One matrix per line of a path or of lines; a blank line is a pair with no links."""
-    if isinstance(src, str):
-        name, src = src, read_lines(src)
-    lines = list(src)
+def read_alignments(path: str, sizes: Sequence[tuple[int, int]]) -> list[AlignmentMatrix]:
+    """One matrix per line of a file; a blank line is a pair with no links."""
+    lines = read_lines(path)
     if len(lines) != len(sizes):
         raise DataError(
-            f"{name}: alignment file has {len(lines)} lines but corpus has {len(sizes)} pairs"
+            f"{path}: alignment file has {len(lines)} lines but corpus has {len(sizes)} pairs"
         )
     return [
-        parse_alignment(line, src_len, tgt_len, lineno, name)
+        parse_alignment(line, src_len, tgt_len, lineno, path)
         for lineno, (line, (src_len, tgt_len)) in enumerate(zip(lines, sizes), start=1)
     ]
 
@@ -315,9 +298,9 @@ def write_table(dest: str | TextIO, table: TranslationTable) -> None:
         for word, prob in sorted(table.probs[cond].items(), key=lambda kv: (-kv[1], kv[0]))))
 
 
-def read_table(lines: str | Iterable[str], path: str = "<table>") -> TranslationTable:
+def read_table(path: str) -> TranslationTable:
     probs: dict[str | None, dict[str, float]] = {}
-    for where, (cond, word, prob) in records(lines, path):
+    for where, (cond, word, prob) in records(path):
         cond = None if cond == NULL_TOKEN else cond
         probs.setdefault(cond, {})[word] = number(prob, where, "probability", prob=True)
     return TranslationTable(probs=probs, use_null=None in probs)

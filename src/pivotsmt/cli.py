@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
     p.add_argument("--out", required=True, help="alignment file (i-j links per line)")
-    p.add_argument("--iterations", type=int, default=5)
+    p.add_argument("--iterations", type=int, default=align_mod.DEFAULT_EM_ITERATIONS)
     p.add_argument("--no-null", action="store_true")
     p.add_argument("--dump-tables",
                    help="prefix for t-table dumps: PREFIX.fwd holds t(tgt|src), "
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alignments", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-phrase-len", type=int, default=phrasetab.DEFAULT_MAX_PHRASE_LEN)
-    p.add_argument("--iterations", type=int, default=5,
+    p.add_argument("--iterations", type=int, default=align_mod.DEFAULT_EM_ITERATIONS,
                    help="EM iterations for the lexical-weight tables")
     p.add_argument("--top-k", type=_at_least(0), default=0,
                    help="prune per source (0 = off)")
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--table", help="Moses table; 1-token entries become pairs")
     p.add_argument("--model-out", required=True)
     p.add_argument("--pairs-out")
-    p.add_argument("--iterations", type=int, default=10)
+    p.add_argument("--iterations", type=int, default=translit.DEFAULT_MINE_ITERATIONS)
     p.add_argument("--threshold", type=float, default=translit.DEFAULT_MINE_THRESHOLD)
 
     p = sub.add_parser("translit-table", help="k-best transliterations as a phrase table")
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-lm", help="train a Kneser-Ney n-gram model (ARPA)")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--order", type=int, default=3)
+    p.add_argument("--order", type=int, default=ngramlm.DEFAULT_ORDER)
 
     def decoder_flags(p):
         p.add_argument("--table", action="append", required=True,
@@ -207,7 +207,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_dict_links(args) -> int:
-    entries, malformed = mine_language_links(read_lines(args.pages), args.lang, args.pages)
+    entries, malformed = mine_language_links(args.pages, args.lang)
     write_lines(args.out, (f"{' '.join(e.source)}\t{' '.join(e.target)}\t{e.provenance}"
                            for e in entries))
     print(f"mined {len(entries)} entries, skipped {malformed} malformed links")
@@ -267,7 +267,7 @@ def cmd_mine_translit(args) -> int:
 
 def cmd_translit_table(args) -> int:
     model = translit.read_char_model(args.model)
-    words = [word for _, (word,) in records(args.words, args.words, sep=None, widths=(1,))]
+    words = [word for _, (word,) in records(args.words, sep=None, widths=(1,))]
     table = translit.build_translit_table(model, words, args.k)
     phrasetab.write_moses(table, args.out)
     print(f"built {len(table)} transliteration entries for {len(words)} words")

@@ -109,22 +109,18 @@ def write_lines(dest: str | TextIO, lines: Iterable[str]) -> None:
         dest.write("\n")
 
 
-def records(src: str | TextIO | Iterable[str], name: str, sep: str | None = "\t",
+def records(path: str, sep: str | None = "\t",
             widths: Sequence[int] = (3,)) -> Iterator[tuple[str, list[str]]]:
-    """Yield (`name:lineno`, fields) for every non-blank line of a line-record file.
+    """Yield (`path:lineno`, fields) for every non-blank line of a line-record file.
 
-    `src` is a path, read through read_lines so that it names itself and a
-    bad byte is a DataError at its line, or an open handle or list of lines,
-    used as it is. A `sep` of None splits on runs of whitespace. A line
-    whose field count is not in `widths` is a DataError.
+    The file is read through read_lines, so a bad byte is a DataError at its
+    line. A `sep` of None splits on runs of whitespace. A line whose field
+    count is not in `widths` is a DataError.
     """
-    if isinstance(src, str):
-        name, src = src, read_lines(src)
-    for lineno, line in enumerate(src, start=1):
-        line = line.rstrip("\r\n")
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
-        where = f"{name}:{lineno}"
+        where = f"{path}:{lineno}"
         fields = line.split(sep)
         if len(fields) not in widths:
             expected = " or ".join(map(str, widths))
@@ -219,11 +215,11 @@ def ingest_bitext(source: str | Iterable[str], target: str | Iterable[str],
     return within_length(read_parallel(source, target), max_len)
 
 
-def read_dictionary_tsv(src: str | Iterable[str], name: str = "<dict>") -> list[DictionaryEntry]:
-    """Parse `source<TAB>target<TAB>provenance` lines of a path, a handle or lines;
-    a `|||` token is a DataError at its line, as in read_parallel."""
+def read_dictionary_tsv(path: str) -> list[DictionaryEntry]:
+    """Parse the `source<TAB>target<TAB>provenance` lines of a file; a `|||`
+    token is a DataError at its line, as in read_parallel."""
     entries = []
-    for where, (source, target, provenance) in records(src, name):
+    for where, (source, target, provenance) in records(path):
         try:
             entries.append(DictionaryEntry(_tokens_of(source, where), _tokens_of(target, where),
                                            provenance.strip()))
@@ -250,7 +246,7 @@ _LINK = re.compile(r"\[\[((?:(?!\[\[|\]\]).)*)(\]\])?", re.S)
 _LANG_CODE = re.compile(r"[A-Za-z][A-Za-z-]*")
 
 
-def parse_wiki_pages(lines: Iterable[str], name: str = "<pages>") -> list[tuple[str, str]]:
+def parse_wiki_pages(lines: Iterable[str], name: str) -> list[tuple[str, str]]:
     """Split a concatenated page file into (title, body) chunks; an untitled header
     is a DataError at its line."""
     pages: list[tuple[str, str]] = []
@@ -297,13 +293,11 @@ def extract_language_links(
     return entries, malformed
 
 
-def mine_language_links(
-    lines: Iterable[str], target_lang: str, name: str = "<pages>"
-) -> tuple[list[DictionaryEntry], int]:
+def mine_language_links(path: str, target_lang: str) -> tuple[list[DictionaryEntry], int]:
     """Extract language links from every page of a concatenated page file."""
     all_entries: list[DictionaryEntry] = []
     malformed = 0
-    for title, body in parse_wiki_pages(lines, name):
+    for title, body in parse_wiki_pages(read_lines(path), path):
         entries, bad = extract_language_links(title, body, target_lang)
         all_entries.extend(entries)
         malformed += bad

@@ -753,7 +753,7 @@ def read_weights(path: str, n_tables: int, use_translit: bool = False) -> LogLin
     line, and one the file lacks weighs 0."""
     known = feature_names(n_tables, use_translit)
     weights = {}
-    for where, (name, weight) in records(path, path, widths=(2,)):
+    for where, (name, weight) in records(path, widths=(2,)):
         if name not in known:
             raise DataError(f"{where}: unknown feature {name!r} (known: {', '.join(known)})")
         weights[name] = number(weight, where, "weight")

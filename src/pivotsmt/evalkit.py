@@ -137,11 +137,11 @@ class ManualTally:
         }
 
 
-def read_manual_labels(src: str | Iterable[str], name: str = "<labels>") -> list[str]:
-    """The category of each `sent_id,judge_id,category` CSV line of a path, a handle
-    or lines; a category outside MANUAL_CATEGORIES is a DataError at its line."""
+def read_manual_labels(path: str) -> list[str]:
+    """The category of each `sent_id,judge_id,category` CSV line of a file; a
+    category outside MANUAL_CATEGORIES is a DataError at its line."""
     labels = []
-    for where, (_, _, category) in records(src, name, sep=","):
+    for where, (_, _, category) in records(path, sep=","):
         category = category.strip()
         if category not in MANUAL_CATEGORIES:
             raise DataError(f"{where}: unknown manual category {category!r}")

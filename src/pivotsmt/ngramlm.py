@@ -79,6 +79,7 @@ def _discount(counts: Iterable[float]) -> float:
 
 
 MAX_ORDER = 5
+DEFAULT_ORDER = 3  # of `train-lm` and an experiment
 
 
 def _count(padded: list[NGram], n: int) -> dict[NGram, int]:
@@ -218,7 +219,7 @@ def _arpa_lines(model: NGramModel) -> Iterator[str]:
     yield "\\end\\"
 
 
-def read_arpa(src: str | TextIO | Iterable[str], name: str = "<arpa>") -> NGramModel:
+def read_arpa(path: str) -> NGramModel:
     """Parse an ARPA model; a malformed or non-finite value raises DataError with path:line.
 
     Every proper prefix of a stored n-gram gets a backoff, 0.0 where the
@@ -226,14 +227,13 @@ def read_arpa(src: str | TextIO | Iterable[str], name: str = "<arpa>") -> NGramM
     keeps `NGramModel.minimal_state` exact even for a file that leaves out
     zero backoffs or the prefixes of an n-gram.
     """
-    name = src if isinstance(src, str) else name
     counts: dict[int, int] = {}
     logprobs: dict[NGram, float] = {}
     backoffs: dict[NGram, float] = {}
     unk_logprob = -99.0
     section = None  # None | "data" | int order
     seen: dict[int, int] = {}
-    for where, fields in records(src, name, widths=(1, 2, 3)):
+    for where, fields in records(path, widths=(1, 2, 3)):
         stripped = fields[0].strip()
         if len(fields) == 1 and stripped == "\\data\\":
             section = "data"
@@ -282,11 +282,11 @@ def read_arpa(src: str | TextIO | Iterable[str], name: str = "<arpa>") -> NGramM
         raise DataError(f"{where}: content outside any section: {stripped!r}")
 
     if not counts:
-        raise DataError(f"{name}: missing \\data\\ section")
+        raise DataError(f"{path}: missing \\data\\ section")
     for n, declared in counts.items():
         if declared and seen.get(n, 0) != declared:
             raise DataError(
-                f"{name}: \\{n}-grams\\ section has {seen.get(n, 0)} entries, "
+                f"{path}: \\{n}-grams\\ section has {seen.get(n, 0)} entries, "
                 f"header declares {declared}"
             )
     for gram in logprobs:

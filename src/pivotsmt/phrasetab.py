@@ -252,10 +252,9 @@ def write_moses(table: PhraseTable, dest: str | TextIO) -> None:
         for entry in sorted(table.get(source), key=lambda e: e.target)))
 
 
-def read_moses(src: str | TextIO | Iterable[str], role: str = "",
-               name: str = "<phrase-table>") -> PhraseTable:
-    table = PhraseTable(role=role)
-    for where, (source, target, score_field) in records(src, name, sep=_DELIM):
+def read_moses(path: str) -> PhraseTable:
+    table = PhraseTable()
+    for where, (source, target, score_field) in records(path, sep=_DELIM):
         scores = score_field.split()
         if len(scores) != 4:
             raise DataError(f"{where}: expected 4 scores, got {len(scores)}")

@@ -44,8 +44,8 @@ class ExperimentConfig:
     use_synth: str = "off"      # off | concat | separate
     use_dict: str = "off"       # off | on
     max_sent_len: int = DEFAULT_MAX_SENT_LEN
-    lm_order: int = 3
-    em_iterations: int = 5
+    lm_order: int = ngramlm.DEFAULT_ORDER
+    em_iterations: int = align.DEFAULT_EM_ITERATIONS
     max_phrase_len: int = phrasetab.DEFAULT_MAX_PHRASE_LEN
     prune_top_k: int = 0        # 0 disables pruning
     option_limit: int = decoder.DecoderSystem.option_limit
@@ -65,8 +65,9 @@ class ExperimentConfig:
             raise DataError(f"use_dict must be off|on, got {self.use_dict!r}")
         # checked here so that a bad value fails before any training
         decoder.check_at_least(self, {"prune_top_k": 0, "tune_rounds": 0,  # 0 turns it off
-                                      "em_iterations": 1, "max_phrase_len": 1,
-                                      "nbest_size": 1, **decoder.SEARCH_LOWS})
+                                      "max_sent_len": 1, "em_iterations": 1,
+                                      "max_phrase_len": 1, "nbest_size": 1,
+                                      **decoder.SEARCH_LOWS})
         if not 1 <= self.lm_order <= ngramlm.MAX_ORDER:
             raise ValueError(f"lm_order must be in 1..{ngramlm.MAX_ORDER}, got {self.lm_order}")
 

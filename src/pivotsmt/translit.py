@@ -42,6 +42,7 @@ INDEL_BUDGET = 3
 MULTI_OP_MIN_SUPPORT = 3
 
 DEFAULT_MINE_THRESHOLD = 0.5  # a pair whose posterior reaches it is mined
+DEFAULT_MINE_ITERATIONS = 10  # mining EM iterations of `mine-translit`
 
 _BOW = "\x02"  # begin-of-word marker for the target character model
 _EOW = "\x03"
@@ -68,10 +69,10 @@ class WordPairCorpus:
         return len(self.pairs)
 
     @classmethod
-    def from_tsv(cls, src: str | Iterable[str], name: str = "<pairs>") -> "WordPairCorpus":
-        """Parse `src<TAB>tgt[<TAB>weight]` lines (weight defaults to 1)."""
+    def from_tsv(cls, path: str) -> "WordPairCorpus":
+        """Parse the `src<TAB>tgt[<TAB>weight]` lines of a file (weight defaults to 1)."""
         pairs = []
-        for where, (source, target, *weight) in records(src, name, widths=(2, 3)):
+        for where, (source, target, *weight) in records(path, widths=(2, 3)):
             pair = (source, target, number(weight[0], where, "weight") if weight else 1.0)
             try:
                 _check_pair(*pair)
@@ -596,9 +597,9 @@ def write_mined_pairs(pairs: Iterable[MinedPair], dest: str | TextIO) -> None:
     write_lines(dest, (f"{pair.source}\t{pair.target}\t{pair.posterior:.6f}" for pair in pairs))
 
 
-def read_mined_pairs(src: str | Iterable[str], name: str = "<mined>") -> list[MinedPair]:
+def read_mined_pairs(path: str) -> list[MinedPair]:
     return [MinedPair(source, target, number(posterior, where, "posterior", prob=True))
-            for where, (source, target, posterior) in records(src, name)]
+            for where, (source, target, posterior) in records(path)]
 
 
 def write_char_model(model: CharModel, path: str) -> None:

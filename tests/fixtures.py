@@ -5,7 +5,8 @@ training data covers only the low part of the vocabulary, test data mixes
 in held-out words, and synthetic/dictionary data covers what the baseline
 misses.
 
-Also the helpers that pick and check corpus.forked_map's path.
+Also the helpers that pick and check corpus.forked_map's path, and one
+that hands a reader its input as a file.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import contextlib
 import os
 import random
 import signal
+import tempfile
 from unittest import mock
 
 import pytest
@@ -68,6 +70,18 @@ def assert_no_child_left():
 
 def open_fds():
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def read_file(read, text, name: str = "in"):
+    """`read(path)` of a temporary UTF-8 file called `name` that holds `text`:
+    a string, written as it is, or a list of lines, each ended by a `\\n`."""
+    if not isinstance(text, str):
+        text = "".join(f"{line}\n" for line in text)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, name)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        return read(path)
 
 
 def _sentence(rng, indices, min_len=3, max_len=8):

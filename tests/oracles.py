@@ -40,24 +40,22 @@ def reference_tokenize(line: str) -> list[str]:
 
 # --- brute-force IBM Model 1 EM ----------------------------------------------
 
-def em_model1_reference(pairs, iterations, use_null=False, initial=None):
+def em_model1_reference(pairs, iterations, use_null=False):
     """Flat-dict EM over t(src_word | tgt_word); returns (probs, lls).
 
     probs is keyed (conditioning, predicted); lls is the corpus
     log-likelihood evaluated with the parameters entering each iteration.
-    initial, keyed the same way, resumes EM from earlier parameters; a
-    co-occurring pair it lacks starts at 1 / |source vocabulary|.
+    Every co-occurring pair starts at 1 / |source vocabulary|.
     """
     pairs = [(list(s), list(t)) for s, t in pairs if s and t]
     src_vocab = sorted({w for s, _ in pairs for w in s})
     uniform = 1.0 / len(src_vocab)
-    initial = initial or {}
     t: dict[tuple, float] = {}
     for s, tgt in pairs:
         conds = [None] + tgt if use_null else tgt
         for e in conds:
             for f in s:
-                t[(e, f)] = initial.get((e, f), uniform)
+                t[(e, f)] = uniform
     lls = []
     for _ in range(iterations):
         counts = {key: 0.0 for key in t}
@@ -91,15 +89,15 @@ def _ltr_sum(values):
     return total
 
 
-def model1_dict_reference(pairs, iterations, use_null=False, initial=None):
+def model1_dict_reference(pairs, iterations, use_null=False):
     """Nested-dict Model 1 EM; returns (probs, lls) like TranslationTable.
 
     probs is {conditioning: {predicted: t}} holding the pairs the last
-    E-step scored non-zero; initial is such a dict to resume from.
+    E-step scored non-zero.
     """
     pairs = [(tuple(s), tuple(t)) for s, t in pairs if s and t]
     uniform = 1.0 / len({w for s, _ in pairs for w in s})
-    probs = {e: dict(row) for e, row in (initial or {}).items()}
+    probs: dict = {}
     lls = []
     for _ in range(iterations):
         counts: dict = {}

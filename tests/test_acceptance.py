@@ -15,7 +15,7 @@ from pivotsmt import align, decoder, evalkit, ngramlm, phrasetab, pipeline, \
     pivot, translit
 
 import oracles
-from fixtures import make_experiment_fixture, write_config
+from fixtures import make_experiment_fixture, read_file, write_config
 
 
 @contextmanager
@@ -177,7 +177,7 @@ def test_criterion_05_kn_lm():
         import io
         buf = io.StringIO()
         ngramlm.write_arpa(model, buf)
-        back = ngramlm.read_arpa(io.StringIO(buf.getvalue()))
+        back = read_file(ngramlm.read_arpa, buf.getvalue())
         for _ in range(100):
             ctx = tuple(rng.choice(words) for _ in range(rng.randint(0, 2)))
             word = rng.choice(words + ["oov"])

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ import sys
 import pytest
 
 from pivotsmt import align, ngramlm
-from pivotsmt.cli import main
+from pivotsmt.cli import build_parser, main
+from pivotsmt.pipeline import ExperimentConfig
 
 from fixtures import PATHS, log_lines, make_experiment_fixture, usable_cpus, write_config
 
@@ -621,7 +623,7 @@ _OUT_OF_RANGE = [
     ("extract", ["--top-k", "-1"], 1, "--top-k: must be >= 0"),
     ("experiment", {"prune_top_k": -1}, 1, "prune_top_k must be >= 0"),
     ("experiment", {"tune_rounds": -1}, 1, "tune_rounds must be >= 0"),
-    ("experiment", {"max_sent_len": 0}, 1, "max_len must be >= 1"),
+    ("experiment", {"max_sent_len": 0}, 1, "max_sent_len must be >= 1"),
     ("decode", ["--threads", "0"], 1, "unrecognized arguments: --threads"),
     ("synthesize", ["--threads", "-3"], 1, "unrecognized arguments: --threads"),
     ("tokenize", ["--threads", "4"], 1, "unrecognized arguments: --threads"),
@@ -742,3 +744,27 @@ class TestBoundaries:
         assert main(args) == 2
         err = one_line_error(capsys)
         assert f"{one} has 3 lines" in err and f"{other} has 1 lines" in err, err
+
+
+# Each command flag whose setting is also a config key. `tune --rounds` (3)
+# and `tune_rounds` (0) differ on purpose: an experiment keeps the default
+# weights unless it asks for tuning.
+_SHARED_SETTINGS = [
+    ("ingest", "max_len", "max_sent_len"),
+    ("align", "iterations", "em_iterations"),
+    ("extract", "iterations", "em_iterations"),
+    ("extract", "max_phrase_len", "max_phrase_len"),
+    ("extract", "top_k", "prune_top_k"),
+    ("train-lm", "order", "lm_order"),
+    ("tune", "nbest", "nbest_size"),
+    *((command, key, key) for command in ("synthesize", "tune", "decode")
+      for key in ("option_limit", "translit_k", "distortion_limit", "stack_size")),
+]
+
+
+@pytest.mark.parametrize("command, dest, key", _SHARED_SETTINGS)
+def test_flag_and_config_key_share_a_default(command, dest, key):
+    subparsers, = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    default = subparsers.choices[command].get_default(dest)
+    assert default is not None and default == getattr(ExperimentConfig(), key)

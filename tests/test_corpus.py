@@ -16,7 +16,7 @@ from pivotsmt.corpus import (
 )
 from pivotsmt.errors import DataError
 
-from fixtures import assert_no_child_left, deadline, log_lines, open_fds, usable_cpus
+from fixtures import assert_no_child_left, deadline, log_lines, open_fds, read_file, usable_cpus
 from oracles import reference_tokenize
 
 
@@ -140,10 +140,10 @@ class TestConcat:
 
 class TestDictionary:
     def test_empty(self):
-        assert read_dictionary_tsv([]) == []
+        assert read_file(read_dictionary_tsv, []) == []
 
     def test_single_entry(self):
-        assert read_dictionary_tsv(["house\thaus\twiktionary"]) == [
+        assert read_file(read_dictionary_tsv, ["house\thaus\twiktionary"]) == [
             DictionaryEntry(("house",), ("haus",), "wiktionary")]
 
     def test_collection_sized_fixture(self):
@@ -151,7 +151,7 @@ class TestDictionary:
         sizes = {"wikipedia": 40764, "wiktionary": 10352, "omegawiki": 3476}
         lines = [f"{prov[:2]}{i}\tt{prov[:2]}{i}\t{prov}"
                  for prov, size in sizes.items() for i in range(size)]
-        entries = read_dictionary_tsv(lines)
+        entries = read_file(read_dictionary_tsv, lines)
         assert len(entries) == 54592
         assert entries[40764] == DictionaryEntry(("wi0",), ("twi0",), "wiktionary")
 
@@ -164,19 +164,20 @@ class TestDictionary:
             DictionaryEntry((), ("b",), "mesh")
 
     def test_tsv_roundtrip(self):
-        entries = read_dictionary_tsv(["house\thaus\twikipedia", "big dog\tgros chien\tmesh"])
+        entries = read_file(read_dictionary_tsv,
+                            ["house\thaus\twikipedia", "big dog\tgros chien\tmesh"])
         assert entries[0].source == ("house",)
         assert entries[1].source == ("big", "dog")
         assert entries[1].provenance == "mesh"
 
     def test_tsv_malformed(self):
         with pytest.raises(DataError, match=":1"):
-            read_dictionary_tsv(["just-one-field"])
+            read_file(read_dictionary_tsv, ["just-one-field"])
 
     @pytest.mark.parametrize("line", ["a ||| b\tx\tmesh", "a\t||| x\tmesh"])
     def test_tsv_field_separator_token_rejected(self, line):
-        with pytest.raises(DataError, match=r"^d.tsv:2: the token '\|\|\|'"):
-            read_dictionary_tsv(["house\thaus\twikipedia", line], "d.tsv")
+        with pytest.raises(DataError, match=r"^\S+/d\.tsv:2: the token '\|\|\|'"):
+            read_file(read_dictionary_tsv, ["house\thaus\twikipedia", line], "d.tsv")
 
 
 class TestLanguageLinks:
@@ -214,7 +215,7 @@ class TestLanguageLinks:
             body = " ".join(f"[[{c}:title{i}{k}]]" for k, c in enumerate(codes))
             pages.append(f"== Page{i}\n{body}")
         text = "\n".join(pages).split("\n")
-        entries, bad = mine_language_links(text, "hi")
+        entries, bad = read_file(lambda path: mine_language_links(path, "hi"), text)
         assert bad == 0
         joined = "\n".join(text)
         expected = len(re.findall(r"\[\[hi:[^\]]+\]\]", joined))
@@ -222,7 +223,7 @@ class TestLanguageLinks:
         assert all(e.provenance == "wikipedia" for e in entries)
 
     def test_page_parsing(self):
-        pages = parse_wiki_pages(["== One", "body a", "== Two", "body b", "more"])
+        pages = parse_wiki_pages(["== One", "body a", "== Two", "body b", "more"], "pages")
         assert pages == [("One", "body a"), ("Two", "body b\nmore")]
 
     def test_output_subset_of_wellformed(self):

@@ -14,6 +14,7 @@ from pivotsmt.ngramlm import read_arpa, train_kn
 from pivotsmt.phrasetab import PhraseEntry, PhraseTable, TableSet
 from pivotsmt.translit import WordPairCorpus, mine_transliterations
 
+from fixtures import read_file
 from oracles import (coverage_future_reference, decode_reference, enumerate_decodings,
                      nbest_reference)
 
@@ -688,7 +689,7 @@ class TestMinimalLMStates:
 
     @pytest.mark.parametrize("name", sorted(ARPA_TRIGRAM_CONTEXTS))
     def test_arpa_context_without_backoff_equals_enumeration(self, name):
-        lm = read_arpa(["\\data\\", *ARPA_TRIGRAM_CONTEXTS[name], "", "\\end\\"])
+        lm = read_file(read_arpa, ["\\data\\", *ARPA_TRIGRAM_CONTEXTS[name], "", "\\end\\"])
         assert lm.minimal_state(("c", "a")) == ("a",)
         assert lm.minimal_state(("a", "b")) == ("a", "b")
         feats = {f"tm0.{f}": -0.5 for f in TM_FEATURES}

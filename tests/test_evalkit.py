@@ -8,6 +8,8 @@ from pivotsmt.evalkit import (
     read_manual_labels, render_columns, render_tsv, tally_manual,
 )
 
+from fixtures import read_file
+
 
 class TestBleu:
     def test_identity_is_100(self):
@@ -107,8 +109,8 @@ class TestManualTally:
         }
 
     def test_unknown_category_named(self):
-        with pytest.raises(DataError, match="^labels.csv:2: .*'excellent'"):
-            read_manual_labels(["1,j1,helpful", "2,j1,excellent"], "labels.csv")
+        with pytest.raises(DataError, match=r"^\S+/labels\.csv:2: .*'excellent'"):
+            read_file(read_manual_labels, ["1,j1,helpful", "2,j1,excellent"], "labels.csv")
 
     def test_percentages_sum_to_100(self):
         tally = tally_manual(["helpful"] * 7 + ["doubtful"] * 11 +
@@ -117,10 +119,10 @@ class TestManualTally:
         assert abs(total - 100.0) < 0.2
 
     def test_csv_reader(self):
-        labels = read_manual_labels(["1,j1,helpful", "2,j2, doubtful"])
+        labels = read_file(read_manual_labels, ["1,j1,helpful", "2,j2, doubtful"])
         assert labels == ["helpful", "doubtful"]
         with pytest.raises(DataError):
-            read_manual_labels(["missing fields"])
+            read_file(read_manual_labels, ["missing fields"])
 
 
 class TestErrorProfile:

@@ -13,6 +13,7 @@ from pivotsmt.ngramlm import (
     write_arpa,
 )
 
+from fixtures import read_file
 from oracles import KNReference, train_kn_reference
 
 
@@ -138,7 +139,7 @@ def drop_backoffs(model, rng):
     write_arpa(model, buf)
     lines = [line.rsplit("\t", 1)[0] if line.count("\t") == 2 and rng.random() < 0.5
              else line for line in buf.getvalue().splitlines()]
-    return read_arpa(lines)
+    return read_file(read_arpa, lines)
 
 
 _WORDS = st.sampled_from(["a", "b", "c", "d"])
@@ -246,7 +247,7 @@ class TestArpa:
         model = train_kn(fixture_corpus(), order=3)
         buf = io.StringIO()
         write_arpa(model, buf)
-        back = read_arpa(io.StringIO(buf.getvalue()))
+        back = read_file(read_arpa, buf.getvalue())
         assert back.order == model.order
         rng = random.Random(21)
         for ctx in random_contexts(model, rng, 40):
@@ -261,7 +262,7 @@ class TestArpa:
         text = buf.getvalue()
         assert text.startswith("\\data\\\n")
         assert "\\1-grams:" in text and text.rstrip().endswith("\\end\\")
-        back = read_arpa(io.StringIO(text))
+        back = read_file(read_arpa, text)
         assert back.logprob((), "a") == pytest.approx(model.logprob((), "a"),
                                                       abs=1e-4)
 
@@ -282,7 +283,7 @@ class TestArpa:
             "",
             "\\end\\",
         ])
-        model = read_arpa(io.StringIO(text))
+        model = read_file(read_arpa, text)
         assert model.logprob(("a",), "b") == pytest.approx(-0.2)
         assert model.logprob(("a",), "a") == pytest.approx(-0.9)
         # backoff path: p(b | b) = bow(b)=0 + p(b)
@@ -294,7 +295,7 @@ class TestArpa:
         model = train_kn(fixture_corpus(seed=55, n_tokens=60), order=5)
         buf = io.StringIO()
         write_arpa(model, buf)
-        back = read_arpa(io.StringIO(buf.getvalue()))
+        back = read_file(read_arpa, buf.getvalue())
         assert back.order == 5
         ctx = ("w1", "w2", "w3", "w4")
         for word in list(model.vocab)[:4]:
@@ -311,11 +312,11 @@ class TestArpa:
             "-0.5\ta", "", "\\end\\",
         ])
         with pytest.raises(DataError, match="declares 5"):
-            read_arpa(io.StringIO(text))
+            read_file(read_arpa, text)
 
     def test_malformed_header_rejected(self):
         with pytest.raises(DataError, match=":1"):
-            read_arpa(io.StringIO("garbage first line\n"))
+            read_file(read_arpa, "garbage first line\n")
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("entry", ["{bad}\ta\t-0.3", "-0.5\ta\t{bad}"])

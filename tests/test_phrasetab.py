@@ -1,15 +1,17 @@
-import io
 import random
+import re
 
 import pytest
 
 from pivotsmt.align import AlignmentMatrix, TranslationTable, train_model1
+from pivotsmt.corpus import read_lines
 from pivotsmt.errors import DataError
 from pivotsmt.phrasetab import (
     PhraseEntry, PhraseTable, TableSet, extract_phrases, moses_dumps,
     prune_table, read_moses, score_phrase_table, write_moses,
 )
 
+from fixtures import read_file
 from oracles import enumerate_phrase_pairs, score_phrases_reference
 
 
@@ -242,13 +244,13 @@ class TestMosesFormat:
     def test_empty_roundtrip(self):
         table = PhraseTable()
         assert moses_dumps(table) == ""
-        assert len(read_moses(io.StringIO(""))) == 0
+        assert len(read_file(read_moses, "")) == 0
 
     def test_single_entry_roundtrip(self):
         table = make_table([("ein haus", "a house", 0.25)])
         text = moses_dumps(table)
         assert text == "ein haus ||| a house ||| 0.25 0.25 0.25 0.25\n"
-        back = read_moses(io.StringIO(text))
+        back = read_file(read_moses, text)
         assert back.get(("ein", "haus"))[0].target == ("a", "house")
         # membership is by source phrase; the benchmark picks OOV words with it
         assert ("ein", "haus") in back and ["ein", "haus"] in back
@@ -260,7 +262,7 @@ class TestMosesFormat:
         for i in range(1000):
             scores = [rng.random() for _ in range(4)]
             table.add(PhraseEntry((f"s{i % 37}", f"w{i}"), (f"t{i}",), *scores))
-        back = read_moses(io.StringIO(moses_dumps(table)))
+        back = read_file(read_moses, moses_dumps(table))
         assert len(back) == 1000
         for entry in table:
             twin = next(e for e in back.get(entry.source)
@@ -271,16 +273,16 @@ class TestMosesFormat:
     def test_score_floor_applied(self):
         table = make_table([("s", "t", 0.0)])
         text = moses_dumps(table)
-        back = read_moses(io.StringIO(text))
+        back = read_file(read_moses, text)
         assert back.get(("s",))[0].phi_tgt_given_src == pytest.approx(1e-12)
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(DataError, match=":2"):
-            read_moses(io.StringIO("a ||| b ||| 1 1 1 1\nbroken line\n"))
+            read_file(read_moses, "a ||| b ||| 1 1 1 1\nbroken line\n")
 
     def test_bad_score_count(self):
         with pytest.raises(DataError, match="4 scores"):
-            read_moses(io.StringIO("a ||| b ||| 1 1\n"))
+            read_file(read_moses, "a ||| b ||| 1 1\n")
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-0.5"])
     @pytest.mark.parametrize("column", range(4))
@@ -289,7 +291,7 @@ class TestMosesFormat:
         scores[column] = bad
         text = "a ||| b ||| 1 1 1 1\nc ||| d ||| " + " ".join(scores) + "\n"
         with pytest.raises(DataError, match="pt.moses:2"):
-            read_moses(io.StringIO(text), name="pt.moses")
+            read_file(read_moses, text, "pt.moses")
 
     @pytest.mark.parametrize("column", [0, 2])
     def test_phrase_probability_above_one_rejected(self, column):
@@ -297,21 +299,31 @@ class TestMosesFormat:
         scores[column] = "1.5"
         text = "a ||| b ||| 1 1 1 1\nc ||| d ||| " + " ".join(scores) + "\n"
         with pytest.raises(DataError, match="pt.moses:2: score '1.5' is not a probability"):
-            read_moses(io.StringIO(text), name="pt.moses")
+            read_file(read_moses, text, "pt.moses")
 
     @pytest.mark.parametrize("column", [1, 3])
     def test_lexical_weight_above_one_accepted(self, column):
         # a triangulated lexical weight sums over pivot phrases
         scores = ["0.5"] * 4
         scores[column] = "2.5"
-        entry, = read_moses(io.StringIO("c ||| d ||| " + " ".join(scores) + "\n"))
+        entry, = read_file(read_moses, "c ||| d ||| " + " ".join(scores) + "\n")
         assert entry.scores()[column] == 2.5
 
     @pytest.mark.parametrize("line", [" ||| b ||| 1 1 1 1", "a |||  ||| 1 1 1 1"])
     def test_empty_phrase_rejected(self, line):
         text = "a ||| b ||| 1 1 1 1\n" + line + "\n"
         with pytest.raises(DataError, match="pt.moses:2: empty"):
-            read_moses(io.StringIO(text), name="pt.moses")
+            read_file(read_moses, text, "pt.moses")
+
+    @pytest.mark.parametrize("brk", ["\u2028", "\f"], ids=["U+2028", "form-feed"])
+    def test_only_newline_ends_a_line(self, tmp_path, brk):
+        # str.splitlines would make two entries of this line
+        path = tmp_path / "pt.moses"
+        path.write_text(f"a ||| b ||| 1 1 1 1{brk}c ||| d ||| 1 1 1 1\n", encoding="utf-8")
+        assert len(read_lines(str(path))) == 1
+        message = f"{path}:1: expected 3 ' ||| '-separated fields, got 5"
+        with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
+            read_moses(str(path))
 
 
 class TestTableSet:

@@ -2,8 +2,8 @@
 
 Arbitrary text either parses to finite values or raises DataError, a bad
 byte in a file is a DataError at its line, and whatever a line-format
-writer produces through a path or an open handle is the same text and reads
-back to the same value.
+writer produces through a path or an open handle is the same text, whose
+file reads back to the same value.
 """
 
 import io
@@ -59,43 +59,40 @@ _TEXT = st.one_of(
     _FILLED,
 )
 
-# Every converted reader, how it is given its input and the numbers it parsed.
+# Every reader of a path, with the numbers it parsed.
 _READERS = [
-    (read_moses, ("handle", "lines"), lambda t: [x for e in t for x in e.scores()]),
-    (read_arpa, ("handle", "lines"),
-     lambda m: [*m.logprobs.values(), *m.backoffs.values(), m.unk_logprob]),
-    (read_table, ("handle", "lines"),
-     lambda t: [p for row in t.probs.values() for p in row.values()]),
-    (lambda path: read_weights(path, 1), ("path",), lambda m: list(m.weights.values())),
-    (read_dictionary_tsv, ("handle", "lines"), lambda entries: []),
-    (WordPairCorpus.from_tsv, ("handle", "lines"), lambda c: [w for _, _, w in c.pairs]),
-    (read_mined_pairs, ("handle", "lines"), lambda pairs: [p.posterior for p in pairs]),
-    (read_manual_labels, ("handle", "lines"), lambda labels: []),
-    (lambda src: read_alignments(src, [(3, 3)] * 3), ("path", "handle", "lines"),
-     lambda matrices: []),
-    (read_char_model, ("path",), lambda m: [
+    (read_moses, lambda t: [x for e in t for x in e.scores()]),
+    (read_arpa, lambda m: [*m.logprobs.values(), *m.backoffs.values(), m.unk_logprob]),
+    (read_table, lambda t: [p for row in t.probs.values() for p in row.values()]),
+    (lambda path: read_weights(path, 1), lambda m: list(m.weights.values())),
+    (read_dictionary_tsv, lambda entries: []),
+    (WordPairCorpus.from_tsv, lambda c: [w for _, _, w in c.pairs]),
+    (read_mined_pairs, lambda pairs: [p.posterior for p in pairs]),
+    (read_manual_labels, lambda labels: []),
+    (lambda path: read_alignments(path, [(3, 3)] * 3), lambda matrices: []),
+    (read_char_model, lambda m: [
         m.lam, *(x for rows in (m.ops, m.tgt_lm.counts) for row in rows.values()
                  for x in row.values())]),
-    (ExperimentConfig.from_file, ("path",), lambda config: []),
+    (ExperimentConfig.from_file, lambda config: []),
 ]
 # A value out of range in a config is a usage error (exit 1), not a data error.
 _ALSO_RAISES = {ExperimentConfig.from_file: ValueError}
-
-
-def _written(write, obj, directory: str) -> list:
-    """What `write` produced, as a path, an open handle and a list of lines."""
-    path = os.path.join(directory, "out")
-    write(obj, path)
-    buf = io.StringIO()
-    write(obj, buf)
-    buf.seek(0)
-    return [path, buf, buf.getvalue().splitlines(keepends=True)]
 
 
 def _dumps(write, obj) -> str:
     buf = io.StringIO()
     write(obj, buf)
     return buf.getvalue()
+
+
+def _written(write, obj, directory: str) -> str:
+    """The path `write` wrote `obj` to, once its text is checked to be what
+    `write` gives an open handle."""
+    path = os.path.join(directory, "out")
+    write(obj, path)
+    with open(path, encoding="utf-8", newline="") as handle:
+        assert handle.read() == _dumps(write, obj)
+    return path
 
 
 @settings(deadline=None)
@@ -107,15 +104,12 @@ def test_arbitrary_text_parses_or_raises_data_error(text):
         path = os.path.join(directory, "in")
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        for read, forms, values in _READERS:
-            sources = {"path": path, "handle": io.StringIO(text),
-                       "lines": text.splitlines(keepends=True)}
-            for form in forms:
-                try:
-                    parsed = read(sources[form])
-                except (DataError, _ALSO_RAISES.get(read, DataError)):
-                    continue
-                assert all(math.isfinite(x) for x in values(parsed))
+        for read, values in _READERS:
+            try:
+                parsed = read(path)
+            except (DataError, _ALSO_RAISES.get(read, DataError)):
+                continue
+            assert all(math.isfinite(x) for x in values(parsed))
 
 
 # Each file holds a 0xff byte on line 2.
@@ -147,12 +141,10 @@ def test_moses_write_read_round_trip(entries):
     table = PhraseTable()
     for (source, target), scores in entries.items():
         table.add(PhraseEntry(source, target, *scores))
-    text = _dumps(write_moses, table)
     with tempfile.TemporaryDirectory() as directory:
-        for src in _written(write_moses, table, directory):
-            back = read_moses(src)
-            assert len(back) == len(table)
-            assert _dumps(write_moses, back) == text
+        back = read_moses(_written(write_moses, table, directory))
+    assert len(back) == len(table)
+    assert _dumps(write_moses, back) == _dumps(write_moses, table)
 
 
 @settings(deadline=None)
@@ -161,27 +153,25 @@ def test_moses_write_read_round_trip(entries):
        st.integers(1, 3))
 def test_arpa_write_read_round_trip(corpus, order):
     model = train_kn(corpus, order)
-    text = _dumps(write_arpa, model)
     with tempfile.TemporaryDirectory() as directory:
-        for src in _written(write_arpa, model, directory):
-            back = read_arpa(src)
-            assert back.order == order
-            assert back.vocab == model.vocab
-            assert _dumps(write_arpa, back) == text
+        back = read_arpa(_written(write_arpa, model, directory))
+    assert back.order == order
+    assert back.vocab == model.vocab
+    assert _dumps(write_arpa, back) == _dumps(write_arpa, model)
 
 
 # Every other line-format writer, with a reader of what it wrote and a value
 # whose numbers survive the writer's formatting exactly.
 _ROUND_TRIPS = [
     pytest.param(lambda matrices, dest: write_alignments(dest, matrices),
-                 lambda src: read_alignments(src, [(2, 3), (1, 1), (2, 2)]),
+                 lambda path: read_alignments(path, [(2, 3), (1, 1), (2, 2)]),
                  [AlignmentMatrix(2, 3, frozenset({(0, 0), (1, 2), (1, 1)})),
                   AlignmentMatrix(1, 1, frozenset()),
                   AlignmentMatrix(2, 2, frozenset({(1, 0)}))], id="alignments"),
     pytest.param(lambda table, dest: write_table(dest, table), read_table,
                  TranslationTable({None: {"a": 0.25, "ÿ": 0.75}, "x": {"a": 1.0},
                                    "y": {"b": 0.5, "a": 0.5}}, use_null=True), id="t-table"),
-    pytest.param(write_weights, lambda src: read_weights(src, 2, True),
+    pytest.param(write_weights, lambda path: read_weights(path, 2, True),
                  LogLinearModel({"lm": 0.5, "tm1.phi_fwd": -1.25, "translit": 3.0}, 2, True),
                  id="weights"),
     pytest.param(write_mined_pairs, read_mined_pairs,
@@ -191,10 +181,4 @@ _ROUND_TRIPS = [
 
 @pytest.mark.parametrize("write, read, value", _ROUND_TRIPS)
 def test_write_read_round_trip(tmp_path, write, read, value):
-    path = str(tmp_path / "out")
-    write(value, path)
-    buf = io.StringIO()
-    write(value, buf)
-    with open(path, encoding="utf-8", newline="") as handle:
-        assert handle.read() == buf.getvalue()
-    assert read(path) == value
+    assert read(_written(write, value, str(tmp_path))) == value

@@ -20,6 +20,7 @@ from pivotsmt.translit import (
     read_mined_pairs, transliterate, write_char_model, write_mined_pairs,
 )
 
+from fixtures import read_file
 from oracles import (
     SRC_ALPHABET, apply_bijection, initial_ops_reference, make_bijection_fixture,
     make_heldout_words, mine_reference, transliterate_reference,
@@ -383,7 +384,7 @@ class TestSerialization:
         _, _, _, mined = mined_fixture
         buf = io.StringIO()
         write_mined_pairs(mined[:10], buf)
-        back = read_mined_pairs(buf.getvalue().splitlines())
+        back = read_file(read_mined_pairs, buf.getvalue())
         assert len(back) == 10
         assert back[0].source == mined[0].source
         assert back[0].posterior == pytest.approx(mined[0].posterior, abs=1e-6)
@@ -403,29 +404,29 @@ class TestSerialization:
             assert x.score == pytest.approx(y.score, abs=1e-9)
 
     def test_corpus_tsv_parsing(self):
-        corpus = WordPairCorpus.from_tsv(["ab\tAB", "cd\tCD\t2.5"])
+        corpus = read_file(WordPairCorpus.from_tsv, ["ab\tAB", "cd\tCD\t2.5"])
         assert corpus.pairs == [("ab", "AB", 1.0), ("cd", "CD", 2.5)]
 
     @pytest.mark.parametrize("line", ["cd\tCD\t0", "cd\tCD\t-1", "\tCD\t1", "cd\t"])
     def test_corpus_tsv_bad_pair_names_line(self, line):
-        with pytest.raises(DataError, match="^pairs.tsv:2: "):
-            WordPairCorpus.from_tsv(["ab\tAB", line], "pairs.tsv")
+        with pytest.raises(DataError, match=r"^\S+/pairs\.tsv:2: "):
+            read_file(WordPairCorpus.from_tsv, ["ab\tAB", line], "pairs.tsv")
 
     def test_posterior_above_one_rejected(self):
         with pytest.raises(DataError, match="mined.tsv:2: posterior '1.5'"):
-            read_mined_pairs(["ab\tAB\t1.0", "cd\tCD\t1.5"], "mined.tsv")
+            read_file(read_mined_pairs, ["ab\tAB\t1.0", "cd\tCD\t1.5"], "mined.tsv")
 
     def test_corpus_tsv_malformed(self):
         with pytest.raises(DataError, match=":1"):
-            WordPairCorpus.from_tsv(["only-one-field"])
+            read_file(WordPairCorpus.from_tsv, ["only-one-field"])
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_weight_or_posterior_names_line(self, bad):
         lines = ["ab\tAB\t0.5", f"cd\tCD\t{bad}"]
         with pytest.raises(DataError, match="pairs.tsv:2"):
-            WordPairCorpus.from_tsv(lines, "pairs.tsv")
+            read_file(WordPairCorpus.from_tsv, lines, "pairs.tsv")
         with pytest.raises(DataError, match="mined.tsv:2"):
-            read_mined_pairs(lines, "mined.tsv")
+            read_file(read_mined_pairs, lines, "mined.tsv")
 
     @pytest.mark.parametrize("field, value", [
         ("lambda", "NaN"), ("lambda", "Infinity"), ("lambda", "-Infinity"),
