@@ -6,9 +6,12 @@ back-pointer to the first arc that gave it its best score, and the 1-best
 is read back along them from the goal. Only a search for n-best lists
 also keeps every arc, the recombination lattice: n-best lists are exact
 back-pointer enumerations of it, and their first derivation is the 1-best.
-One or more phrase tables score as separate blocks of four features;
-sources covered by no table fall back to transliteration or pass-through
-options, so decoding never fails for lack of coverage.
+Each phrase table has its own block of four features, and an option
+carries only the features of its own source: a table option its table's
+block, a transliteration the one `translit` feature, a pass-through none.
+A feature an option lacks adds 0, as in Moses (Koehn et al. 2007). Sources
+covered by no table fall back to transliteration or pass-through options,
+so decoding never fails for lack of coverage.
 
 Within one sentence the search skips work that cannot change its result:
 each option's static score is computed once, each weighted LM step once per
@@ -42,8 +45,6 @@ from .phrasetab import SCORE_FLOOR, TableSet
 from .translit import CharModel, kbest_probs, transliterate
 
 logger = logging.getLogger(__name__)
-
-FLOOR_LOG = math.log10(SCORE_FLOOR)  # feature value for absent-table scoring
 
 TM_FEATURES = ("phi_fwd", "lex_fwd", "phi_bwd", "lex_bwd")
 CORE_FEATURES = ("lm", "word_penalty", "phrase_penalty", "distortion")
@@ -129,16 +130,14 @@ def collect_options(
     weighted table score. Any single word covered by no table receives
     k-best transliteration options when a character model is supplied,
     else one pass-through option copying the surface form, so every
-    source position is coverable.
+    source position is coverable. An option's features are those its
+    source sets (table i's `tm{i}.*` block, `translit`, or none for a
+    pass-through); every feature it lacks adds 0.
     """
     if not sentence:
         raise ValueError("cannot collect options for an empty sentence")
     n = len(sentence)
-    n_tables = len(tables.tables)
-    use_translit = translit_model is not None
-    table_floor = {name: FLOOR_LOG
-                   for name in feature_names(n_tables, use_translit)
-                   if name.startswith("tm") or name == TRANSLIT_FEATURE}
+    blocks = [[f"tm{i}.{feat}" for feat in TM_FEATURES] for i in range(len(tables.tables))]
     max_len = min(n, max(t.max_source_len for t in tables.tables) or 1)
     lattice: OptionLattice = {}
     for start in range(n):
@@ -147,9 +146,8 @@ def collect_options(
             opts = []
             for t_idx, table in enumerate(tables.tables):
                 for entry in table.get(phrase):
-                    features = dict(table_floor)
-                    for feat, score in zip(TM_FEATURES, entry.scores()):
-                        features[f"tm{t_idx}.{feat}"] = math.log10(max(score, SCORE_FLOOR))
+                    features = {name: math.log10(max(score, SCORE_FLOOR))
+                                for name, score in zip(blocks[t_idx], entry.scores())}
                     opts.append(TranslationOption(
                         start=start, end=end, target=entry.target,
                         features=features, origin=table.role or f"table{t_idx}",
@@ -171,16 +169,15 @@ def collect_options(
         if translit_model is not None:
             candidates = transliterate(translit_model, word, translit_k)
             for cand, prob in zip(candidates, kbest_probs(candidates)):
-                features = dict(table_floor)
-                features[TRANSLIT_FEATURE] = math.log10(max(prob, SCORE_FLOOR))
                 opts.append(TranslationOption(
                     start=pos, end=pos + 1, target=(cand.target,),
-                    features=features, origin="translit",
+                    features={TRANSLIT_FEATURE: math.log10(max(prob, SCORE_FLOOR))},
+                    origin="translit",
                 ))
         else:
             opts.append(TranslationOption(
                 start=pos, end=pos + 1, target=(word,),
-                features=dict(table_floor), origin="pass-through",
+                features={}, origin="pass-through",
             ))
         lattice[(pos, pos + 1)] = opts[:limit]
     return lattice

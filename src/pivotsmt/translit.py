@@ -49,8 +49,9 @@ _EOW = "\x03"
 
 
 def _check_pair(src: str, tgt: str, weight: float) -> None:
-    if not src or not tgt:
-        raise ValueError("word pair sides must be non-empty")
+    for word in (src, tgt):
+        if word.split() != [word]:  # empty, or whitespace that splits it
+            raise ValueError(f"word pair side {word!r} is not one non-empty word")
     if weight <= 0:
         raise ValueError(f"pair ({src!r}, {tgt!r}) has non-positive weight")
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from pivotsmt import align, ngramlm
 from pivotsmt.cli import build_parser, main
+from pivotsmt.decoder import TM_FEATURES
 from pivotsmt.pipeline import ExperimentConfig
 
 from fixtures import PATHS, log_lines, make_experiment_fixture, usable_cpus, write_config
@@ -32,6 +34,7 @@ _READS = [
     ("triangulate --pivot-to-tgt {table} --src-to-pivot {table2} --out {out}",
      ("table", "table2")),
     ("mine-translit --pairs {pairs} --model-out {out}", ("pairs",)),
+    ("mine-translit --pairs {spaced_pairs} --model-out {out}", ("spaced_pairs",)),
     ("mine-translit --table {table} --model-out {out}", ("table",)),
     ("translit-table --model {char} --words {src} --out {out}", ("char", "src")),
     ("train-lm --corpus {src} --out {out}", ("src",)),
@@ -64,6 +67,7 @@ _MALFORMED = {
     "char": _BAD_CHAR_MODEL,
     "translit_model": _BAD_CHAR_MODEL,
     "pairs": b"ab\tAB\theavy\n",
+    "spaced_pairs": b"ab\tAB\nab c\tABC\n",  # a space inside a word
     "alignments": b"0-0 1-1\n0-x\n",
     "dict_tsv": b"a00\tb00\n",
     "config": b"lm_order = three\n",
@@ -128,6 +132,7 @@ class TestExitCodes:
                  "weights": write(tmp_path / "w.tsv", ["lm\t0.5", "distortion\t0.3"]),
                  "char": char_model(tmp_path / "char.json", {"a": {"a": 1.0}}),
                  "pairs": write(tmp_path / "pairs.tsv", ["ab\tAB", "ba\tBA\t2"]),
+                 "spaced_pairs": write(tmp_path / "spaced.tsv", ["ab\tAB", "ba\tBA"]),
                  "alignments": write(tmp_path / "a.txt", ["0-0 1-1", "0-0"]),
                  "pages": write(tmp_path / "pages.txt", ["== a00", "[[hi:b00]]"]),
                  "labels": write(tmp_path / "labels.csv", ["1,j1,helpful", "2,j2,doubtful"]),
@@ -279,6 +284,29 @@ sys.exit(code)
         assert len(lines) == 2
         assert lines[0].startswith("0 ||| ")
         assert " ||| tm0.phi_fwd=" in lines[0]
+
+    def test_decode_nbest_prints_0_for_a_table_no_option_came_from(self, tmp_path, capsys):
+        # table 1 covers no input word, so no derivation holds one of its options
+        table0 = write(tmp_path / "t0.moses", ["a ||| x ||| 0.6 0.6 0.6 0.6",
+                                               "a ||| y ||| 0.4 0.4 0.4 0.4",
+                                               "b ||| y ||| 0.9 0.9 0.9 0.9"])
+        table1 = write(tmp_path / "t1.moses", ["c ||| x ||| 0.5 0.5 0.5 0.5"])
+        corpus = write(tmp_path / "lmc.txt", ["x y", "y x"])
+        arpa = str(tmp_path / "lm.arpa")
+        assert main(["train-lm", "--corpus", corpus, "--out", arpa, "--order", "2"]) == 0
+        inp = write(tmp_path / "in.txt", ["a b", "b a"])
+        nbest_path = str(tmp_path / "nbest.txt")
+        assert main(["decode", "--input", inp, "--table", table0, "--table", table1,
+                     "--lm", arpa, "--output", str(tmp_path / "o.txt"),
+                     "--nbest", "5", "--nbest-out", nbest_path]) == 0
+        lines = read(nbest_path).splitlines()
+        assert {line.split(" ||| ")[0] for line in lines} == {"0", "1"}
+        for line in lines:
+            _, _, feats, total = line.split(" ||| ")
+            values = dict(feat.split("=") for feat in feats.split())
+            assert [values[f"tm1.{feat}"] for feat in TM_FEATURES] == ["0.000000"] * 4, line
+            assert float(values["tm0.phi_fwd"]) < 0
+            assert math.isfinite(float(total)), line
 
     def test_decode_nbest_decodes_each_sentence_once(self, tmp_path, capsys,
                                                      monkeypatch):

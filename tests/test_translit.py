@@ -407,10 +407,16 @@ class TestSerialization:
         corpus = read_file(WordPairCorpus.from_tsv, ["ab\tAB", "cd\tCD\t2.5"])
         assert corpus.pairs == [("ab", "AB", 1.0), ("cd", "CD", 2.5)]
 
-    @pytest.mark.parametrize("line", ["cd\tCD\t0", "cd\tCD\t-1", "\tCD\t1", "cd\t"])
+    @pytest.mark.parametrize("line", ["cd\tCD\t0", "cd\tCD\t-1", "\tCD\t1", "cd\t",
+                                      "c d\tCD", "cd\tC D\t2", "cd \tCD", "cd\t\xa0CD"])
     def test_corpus_tsv_bad_pair_names_line(self, line):
         with pytest.raises(DataError, match=r"^\S+/pairs\.tsv:2: "):
             read_file(WordPairCorpus.from_tsv, ["ab\tAB", line], "pairs.tsv")
+
+    @pytest.mark.parametrize("pair", [("c d", "CD", 1.0), ("cd", "C\tD", 1.0), ("", "CD", 1.0)])
+    def test_corpus_side_not_one_word_is_value_error(self, pair):
+        with pytest.raises(ValueError, match="is not one non-empty word"):
+            WordPairCorpus([("ab", "AB", 1.0), pair])
 
     def test_posterior_above_one_rejected(self):
         with pytest.raises(DataError, match="mined.tsv:2: posterior '1.5'"):
