@@ -318,17 +318,23 @@ def _usable_cpus() -> int:
 def forked_map(fn: Callable[[_Item], _Result], items: Sequence[_Item]) -> list[_Result]:
     """`[fn(item) for item in items]`, spread over the usable CPUs.
 
-    The items are split into one contiguous share per usable CPU, at most
-    one per item. This process maps the first share; each later one is
-    mapped in a child started with os.fork, which sends its results, or the
-    exception that stopped them, and its log records back pickled through a
-    pipe. The results come back in input order and the children's log
-    records reach this process's handlers in share order, so both are the
-    same as a serial map's. The first exception in share order is raised
-    here, and every child is reaped whatever happens.
+    Share k of the items is `items[k::shares]`, one share per usable CPU and
+    at most one per item, so a length-sorted input gives each share a like
+    load. This process maps share 0; each later one is mapped in a child
+    started with os.fork, which sends its outcome back pickled through a
+    pipe. Every share, this process's too, maps its items in order until one
+    raises, and keeps for each item mapped the log records it emitted and
+    its result or exception. Once every child is reaped, this process goes
+    through the items in input order: it hands each item's records to its
+    handlers and returns the results, or raises the exception of the first
+    item that failed. Results, log records and exception are therefore
+    exactly a serial map's, and the records of an item after a failing one
+    are never handled. A child that ends without an outcome fails at its
+    share's first item with a ChildProcessError.
     """
     shares = max(1, min(_usable_cpus(), len(items)))
-    bounds = [len(items) * k // shares for k in range(shares + 1)]
+    if shares == 1:
+        return [fn(item) for item in items]
     children: list[tuple[int, BinaryIO]] = []  # (pid, read end) of each later share
     try:
         for k in range(1, shares):
@@ -340,49 +346,70 @@ def forked_map(fn: Callable[[_Item], _Result], items: Sequence[_Item]) -> list[_
                 os.close(write_end)
                 raise
             if pid == 0:
-                _map_in_child(fn, items[bounds[k]:bounds[k + 1]], write_end,
+                _map_in_child(fn, items[k::shares], write_end,
                               [read_end] + [pipe.fileno() for _, pipe in children])
             os.close(write_end)
             children.append((pid, open(read_end, "rb")))
-        results = [fn(item) for item in items[:bounds[1]]]
+        outcomes = [_map_share(fn, items[0::shares])]
         payloads = [pipe.read() for _, pipe in children]
     finally:
         for _, pipe in children:
             pipe.close()
         statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
     for payload, status in zip(payloads, statuses):
-        if not payload:
-            raise ChildProcessError(f"a forked share ended without a result "
-                                    f"(wait status {status})")
-        share, log_records = pickle.loads(payload)
+        outcomes.append(pickle.loads(payload) if payload else [(
+            [], False, ChildProcessError(f"a forked share ended without a result "
+                                         f"(wait status {status})"))])
+    results = []
+    for i in range(len(items)):
+        log_records, ok, value = outcomes[i % shares][i // shares]
         for record in log_records:
             logging.getLogger(record.name).callHandlers(record)
-        if isinstance(share, BaseException):
-            raise share
-        results.extend(share)
+        if not ok:
+            raise value
+        results.append(value)
     return results
+
+
+_Outcome = tuple[list[logging.LogRecord], bool, object]  # (log records, ok, result or exception)
+
+
+def _map_share(fn: Callable[[_Item], _Result], share: Sequence[_Item]) -> list[_Outcome]:
+    """One outcome per item of `share`, mapped in order up to and including
+    the first that raises. The log records that pass their logger's level
+    and filters are kept with their item instead of handled, their messages
+    formatted."""
+    outcomes: list[_Outcome] = []
+    buffered: list[logging.LogRecord] = []
+    call_handlers = logging.Logger.callHandlers
+    logging.Logger.callHandlers = lambda _logger, record: buffered.append(record)
+    try:
+        for item in share:
+            try:
+                value, ok = fn(item), True
+            except Exception as exc:  # raised in item order; an interrupt or exit goes at once
+                value, ok = exc, False
+            for record in buffered:
+                record.msg, record.args = record.getMessage(), None
+            outcomes.append((buffered[:], ok, value))
+            buffered.clear()
+            if not ok:
+                break
+    finally:
+        logging.Logger.callHandlers = call_handlers
+    return outcomes
 
 
 def _map_in_child(fn: Callable[[_Item], _Result], share: Sequence[_Item], write_end: int,
                   read_ends: list[int]) -> NoReturn:
-    """A forked child of forked_map: it maps its share, writes the results or
-    the exception that stopped them and its log records to `write_end`, and
-    exits without running any cleanup of the process it was copied from."""
+    """A forked child of forked_map: it maps its share, writes the outcomes
+    to `write_end`, and exits without running any cleanup of the process it
+    was copied from."""
     status = 1
     try:
         for fd in read_ends:  # else a parent that stopped reading leaves the write blocked
             os.close(fd)
-        log_records: list[logging.LogRecord] = []
-        # the records that pass their logger's level and filters, kept for
-        # the parent's handlers instead of written here
-        logging.Logger.callHandlers = lambda _logger, record: log_records.append(record)
-        try:
-            result: object = [fn(item) for item in share]
-        except BaseException as exc:  # raised again in the parent
-            result = exc
-        for record in log_records:
-            record.msg, record.args = record.getMessage(), None
-        payload = pickle.dumps((result, log_records))
+        payload = pickle.dumps(_map_share(fn, share))
         with open(write_end, "wb") as pipe:
             pipe.write(payload)
         status = 0

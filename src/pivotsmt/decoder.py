@@ -21,7 +21,10 @@ only the spans there that the reordering constraint admits. A span keeps
 an option only if it scores higher than every earlier option with the same
 target; the options dropped give the same strings with no higher score, so
 the nodes, the 1-best and the n-best lists equal those of a search that
-keeps them all (`decode_reference` in the tests).
+keeps them all (`decode_reference` in the tests). A 1-best search also
+counts as one target all targets of one length whose words the LM stores
+in no n-gram (`lm.stores`): the LM scores them alike from every state and
+they leave one state, so the ones dropped change no node and no 1-best.
 
 Hypotheses recombine on the minimal LM state (`_lm_walk`), the shortest
 one the LM can still tell apart: all the transliterations of a word the LM
@@ -40,7 +43,9 @@ from typing import Iterable, Sequence, TextIO
 
 from .corpus import BOS, forked_map, ltr_sum, number, records, write_lines
 from .errors import DataError
-from .evalkit import corpus_bleu
+# corpus_bleu is no longer called here, but the benchmark's per-layer
+# tracer wraps decoder.corpus_bleu by name
+from .evalkit import DEFAULT_MAX_N, BleuStats, corpus_bleu, sentence_stats
 from .phrasetab import SCORE_FLOOR, TableSet
 from .translit import CharModel, kbest_probs, transliterate
 
@@ -337,6 +342,14 @@ def decode(
     arc would come later. It could not raise the child's score, and the
     1-best and `nbest` reach the kept arc first, so the result is the one
     that keeping every option gives, to the last bit.
+
+    Without arcs, "the same target" widens to any target of the same
+    length made only of words the LM does not store (`lm.stores`), such as
+    the transliterations of an unseen word. From every state all such
+    targets score the same LM bits and word penalty and leave the same
+    minimal state, so the dropped option again reaches the kept one's child
+    with no higher increment and later: no node, back-pointer or 1-best
+    changes. An n-best search keeps them, since their strings differ.
     """
     n = len(sentence)
     if n == 0:
@@ -355,17 +368,21 @@ def decode(
     # penalty, LM steps)]) in end order. LM steps are shared by every option
     # with the same target and map an LM state to (w_lm * lm_sum, next state).
     # A span keeps an option only if it scores higher than every earlier
-    # option with its target (see the docstring).
+    # option with its target, or without arcs with a target the LM cannot
+    # tell apart from it, which is its length alone (see the docstring).
     lm_steps: dict[tuple[str, ...], dict[tuple[str, ...], tuple[float, tuple[str, ...]]]] = {}
     by_start: list[list[tuple[int, int, int, list]]] = [[] for _ in range(n)]
     for start, end in sorted(options):
         scored = []
-        kept: dict[tuple[str, ...], float] = {}
+        kept: dict[tuple[str, ...] | int, float] = {}
         for option in options[(start, end)]:
             static = weighted_total(option.features, model.weights)
-            if option.target in kept and static <= kept[option.target]:
+            same: tuple[str, ...] | int = option.target
+            if not keep_arcs and not any(map(lm.stores, same)):
+                same = len(same)
+            if same in kept and static <= kept[same]:
                 continue
-            kept[option.target] = static
+            kept[same] = static
             scored.append((option, static, w_wp * len(option.target),
                            lm_steps.setdefault(option.target, {})))
         by_start[start].append((end, ((1 << (end - start)) - 1) << start,
@@ -672,8 +689,11 @@ def tune_weights(
 
     The dev set of (source, reference) token pairs is re-decoded every
     round with the current weights; the n-best pool accumulates across
-    rounds. Fully deterministic: the step grid is fixed and ties keep the
-    incumbent weight.
+    rounds. Each pooled hypothesis's BLEU statistics are computed once per
+    round, and a trial's corpus BLEU adds those of each pool's best
+    hypothesis: they are integer counts, so the sum is exact and the score
+    is corpus_bleu's. Fully deterministic: the step grid is fixed and ties
+    keep the incumbent weight.
     """
     if not any(src for src, _ in dev):  # no sentence, or only blank ones
         raise DataError("cannot tune on an empty dev set")
@@ -684,18 +704,21 @@ def tune_weights(
     weights = dict(initial.weights)
     order = initial.feature_order()
     refs = [tuple(ref) for _, ref in dev]
+    empty_stats = [sentence_stats((), ref, DEFAULT_MAX_N) for ref in refs]
     pools: list[dict[tuple[str, ...], dict[str, float]]] = [dict() for _ in dev]
-    # each pool's (tokens, feature values in `order`) in token order; pools
-    # change only while decoding, so this is rebuilt once per round
-    sorted_pools: list[list[tuple[tuple[str, ...], list[float]]]] = []
+    # each pool's (feature values in `order`, BLEU statistics) in token
+    # order; pools change only while decoding, so this is rebuilt once per round
+    sorted_pools: list[list[tuple[list[float], BleuStats]]] = []
 
     def rescore_bleu(trial: list[float]) -> float:
         # `trial` holds the weights in `order`, the order of every pooled
         # feature dict, so each score is weighted_total's products in its order.
         # max keeps the first of equal scores; an empty pool scores as ()
-        hyps = [max(pool, key=lambda entry: ltr_sum(map(operator.mul, trial, entry[1])),
-                    default=((), None))[0] for pool in sorted_pools]
-        return corpus_bleu(hyps, refs)[0]
+        total = BleuStats(max_n=DEFAULT_MAX_N)
+        for pool, empty in zip(sorted_pools, empty_stats):
+            total.add(max(pool, key=lambda entry: ltr_sum(map(operator.mul, trial, entry[0])),
+                          default=(None, empty))[1])
+        return total.score()
 
     best_weights = dict(weights)
     best_bleu = -1.0
@@ -709,8 +732,10 @@ def tune_weights(
                 if (existing is None or weighted_total(item.features, weights)
                         > weighted_total(existing, weights)):
                     pool[item.tokens] = item.features
-        sorted_pools = [[(tokens, [features[name] for name in order])
-                         for tokens, features in sorted(pool.items())] for pool in pools]
+        sorted_pools = [[([features[name] for name in order],
+                          sentence_stats(tokens, ref, DEFAULT_MAX_N))
+                         for tokens, features in sorted(pool.items())]
+                        for pool, ref in zip(pools, refs)]
         # BLEU of the current weights, carried from coordinate to coordinate
         best_score = rescore_bleu([weights[name] for name in order])
         if best_score > best_bleu:

@@ -13,6 +13,7 @@ types plus one unknown-word type.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -51,6 +52,24 @@ class NGramModel:
                 return penalty + self.unk_logprob
             penalty += self.backoffs.get(ctx, 0.0)
             ctx = ctx[1:]
+
+    def stores(self, word: str) -> bool:
+        """Whether `word` is in an n-gram of `logprobs` or `backoffs`.
+
+        A word in none matches no stored n-gram, so `logprob` gives it
+        unk_logprob plus the backoffs of its context's suffixes, and a
+        context that ends in it has no suffix in `backoffs`: it adds no
+        backoff and minimizes to (). Two targets of one length made only of
+        such words therefore score the same bits from every state and leave
+        the same minimal state, so the LM cannot tell them apart. Unlike
+        `vocab`, this counts `<s>` and a word that is only ever context.
+        """
+        return word in self._stored_words
+
+    @functools.cached_property
+    def _stored_words(self) -> frozenset[str]:
+        return frozenset(word for table in (self.logprobs, self.backoffs)
+                         for gram in table for word in gram)
 
     def minimal_state(self, context: NGram) -> NGram:
         """The longest suffix of `context` that is a key of `backoffs`.
@@ -187,6 +206,11 @@ class MixtureModel:
         pa = 10.0 ** self.a.logprob(context, word)
         pb = 10.0 ** self.b.logprob(context, word)
         return math.log10(self.lam * pa + (1.0 - self.lam) * pb)
+
+    def stores(self, word: str) -> bool:
+        """Whether either model stores `word` (NGramModel.stores); two
+        targets made only of words neither stores are the same to both."""
+        return self.a.stores(word) or self.b.stores(word)
 
     def minimal_state(self, context: NGram) -> NGram:
         """The longer of the two models' minimal states, exact for both."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .align import AlignmentMatrix, TranslationTable
-from .corpus import TokenPair, ltr_sum, number, records, write_lines
+from .corpus import FIELD_SEP, TokenPair, ltr_sum, number, records, write_lines
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -244,12 +244,26 @@ _DELIM = " ||| "
 
 
 def write_moses(table: PhraseTable, dest: str | TextIO) -> None:
-    """Serialize a table; scores are floored at 1e-12 so logs stay finite."""
+    """Serialize a table; scores are floored at 1e-12 so logs stay finite.
+
+    A table that read_moses would not read back as it is, a ValueError
+    before anything is written: one with an empty phrase, or with a token
+    that is empty, holds whitespace or is the field separator `|||`.
+    """
+    entries = [entry for source in sorted(table.sources())
+               for entry in sorted(table.get(source), key=lambda e: e.target)]
+    # an empty phrase counts as one empty token
+    tokens = {token for entry in entries for phrase in (entry.source, entry.target)
+              for token in phrase or ("",)}
+    bad = min((token for token in tokens if token.split() != [token] or token == FIELD_SEP),
+              default=None)
+    if bad is not None:
+        raise ValueError(f"a Moses table cannot hold the token {bad!r}: read back, "
+                         "it would split, vanish or separate fields")
     write_lines(dest, (
         f"{' '.join(entry.source)}{_DELIM}{' '.join(entry.target)}{_DELIM}"
         + " ".join(f"{max(s, SCORE_FLOOR):.10g}" for s in entry.scores())
-        for source in sorted(table.sources())
-        for entry in sorted(table.get(source), key=lambda e: e.target)))
+        for entry in entries))
 
 
 def read_moses(path: str) -> PhraseTable:

@@ -616,7 +616,8 @@ def write_char_model(model: CharModel, path: str) -> None:
 
 def read_char_model(path: str) -> CharModel:
     """Load a JSON character model; a malformed, mistyped or out-of-range
-    value raises DataError."""
+    value, or whitespace in an operation segment or an alphabet, raises
+    DataError."""
     def finite(text: str) -> float:  # also rejects NaN, Infinity and overflowing literals
         return number(text, path, "number")
 
@@ -632,10 +633,16 @@ def read_char_model(path: str) -> CharModel:
                             "count is not a number")
         if any(p < 0 for p in values):
             raise DataError(f"{path}: negative operation probability or trigram count")
-        for what, chars in (("src_chars", data["src_chars"]),
-                            ("tgt_lm.alphabet", tgt_lm["alphabet"])):
-            if not (isinstance(chars, list) and all(isinstance(c, str) for c in chars)):
+        segments = [*ops, *(b for row in ops.values() for b in row)]
+        for what, texts in (("src_chars", data["src_chars"]),
+                            ("tgt_lm.alphabet", tgt_lm["alphabet"]),
+                            ("operation segments", segments)):
+            if not (isinstance(texts, list) and all(isinstance(c, str) for c in texts)):
                 raise DataError(f"{path}: {what} is not a list of strings")
+            # each is part of a word, which whitespace would split
+            spaced = next((text for text in texts if any(map(str.isspace, text))), None)
+            if spaced is not None:
+                raise DataError(f"{path}: {what}: {spaced!r} holds whitespace")
         for a, row in ops.items():
             if not row or abs(ltr_sum(row.values()) - 1.0) > 1e-6:
                 raise DataError(f"{path}: operation row {a!r} is empty or does not sum to 1")

@@ -37,6 +37,7 @@ _READS = [
     ("mine-translit --pairs {spaced_pairs} --model-out {out}", ("spaced_pairs",)),
     ("mine-translit --table {table} --model-out {out}", ("table",)),
     ("translit-table --model {char} --words {src} --out {out}", ("char", "src")),
+    ("translit-table --model {spaced_char} --words {src} --out {out}", ("spaced_char",)),
     ("train-lm --corpus {src} --out {out}", ("src",)),
     ("synthesize --src {src} --tgt {tgt} --out-src {out} --out-tgt {out2}" + _SYSTEM,
      ("src", "tgt", *_SYSTEM_READS)),
@@ -68,6 +69,8 @@ _MALFORMED = {
     "translit_model": _BAD_CHAR_MODEL,
     "pairs": b"ab\tAB\theavy\n",
     "spaced_pairs": b"ab\tAB\nab c\tABC\n",  # a space inside a word
+    "spaced_char": (b'{"lambda": 0.5, "ops": {"a": {"A": 0.5, "A A": 0.5}}, "src_chars": ["a"], '
+                    b'"tgt_lm": {"alphabet": ["A"], "counts": {}}}'),  # an operation with a space
     "alignments": b"0-0 1-1\n0-x\n",
     "dict_tsv": b"a00\tb00\n",
     "config": b"lm_order = three\n",
@@ -131,6 +134,7 @@ class TestExitCodes:
                  "lm": str(tmp_path / "lm.arpa"), "lm2": str(tmp_path / "lm2.arpa"),
                  "weights": write(tmp_path / "w.tsv", ["lm\t0.5", "distortion\t0.3"]),
                  "char": char_model(tmp_path / "char.json", {"a": {"a": 1.0}}),
+                 "spaced_char": char_model(tmp_path / "spaced.json", {"a": {"a": 1.0}}),
                  "pairs": write(tmp_path / "pairs.tsv", ["ab\tAB", "ba\tBA\t2"]),
                  "spaced_pairs": write(tmp_path / "spaced.tsv", ["ab\tAB", "ba\tBA"]),
                  "alignments": write(tmp_path / "a.txt", ["0-0 1-1", "0-0"]),

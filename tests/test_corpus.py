@@ -6,7 +6,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from pivotsmt import corpus
 from pivotsmt.corpus import (
@@ -306,6 +306,43 @@ class TestForkedMap:
         with usable_cpus(3) as forks, pytest.raises(DataError, match="^item 0$"):
             forked_map(fails_here, list(range(6)))
         assert len(forks) == 2
+        assert_no_child_left()
+        assert open_fds() == fds
+
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 4), st.integers(0, 9), st.frozensets(st.integers(0, 9)))
+    def test_equals_a_serial_map(self, cpus, n, failing):
+        # results, handled log records and the exception raised are a serial
+        # map's, whichever items fail and however many shares there are
+        def fn(x):
+            logging.getLogger("pivotsmt.corpus").info("start %d", x)
+            if x in failing:
+                raise ValueError(f"item {x}")
+            return logged_square(x)
+
+        def run(mapper):
+            handled = []
+            handler = logging.Handler()
+            handler.emit = lambda record: handled.append(record.getMessage())
+            logger = logging.getLogger("pivotsmt.corpus")
+            level = logger.level
+            logger.addHandler(handler)
+            logger.setLevel(logging.INFO)
+            try:
+                outcome = mapper(fn, list(range(n)))
+            except ValueError as exc:
+                outcome = exc.args
+            finally:
+                logger.removeHandler(handler)
+                logger.setLevel(level)
+            return outcome, handled
+
+        serial = run(lambda f, items: [f(x) for x in items])
+        fds = open_fds()
+        with usable_cpus(cpus) as forks:
+            assert run(forked_map) == serial
+        assert len(forks) == max(min(cpus, n) - 1, 0)
         assert_no_child_left()
         assert open_fds() == fds
 

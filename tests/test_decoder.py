@@ -10,7 +10,8 @@ from pivotsmt.decoder import (
     tune_weights, weighted_total, write_weights,
 )
 from pivotsmt.errors import DataError
-from pivotsmt.ngramlm import read_arpa, train_kn
+from pivotsmt.evalkit import BleuStats
+from pivotsmt.ngramlm import MixtureModel, read_arpa, train_kn
 from pivotsmt.phrasetab import PhraseEntry, PhraseTable, TableSet
 from pivotsmt.translit import WordPairCorpus, mine_transliterations
 
@@ -619,6 +620,10 @@ class FullStateLM:
     def minimal_state(self, context):
         return context
 
+    def stores(self, word):
+        # a full state tells every two words apart, so no targets are merged
+        return True
+
 
 def oov_target_instance(rng, n):
     """Options over a sentence where most words get several targets the LM
@@ -701,6 +706,104 @@ class TestMinimalLMStates:
         assert result.best_score == pytest.approx(ranked[0][1], abs=1e-9)
 
 
+class CountingLM:
+    """An LM that counts its `logprob` queries."""
+
+    def __init__(self, lm) -> None:
+        self.lm = lm
+        self.order = lm.order
+        self.queries = 0
+
+    def logprob(self, context, word):
+        self.queries += 1
+        return self.lm.logprob(context, word)
+
+    def minimal_state(self, context):
+        return self.lm.minimal_state(context)
+
+    def stores(self, word):
+        return self.lm.stores(word)
+
+
+def _x_lm():
+    return train_kn([[f"x{k}" for k in range(8)], [f"x{k}" for k in range(7, -1, -1)],
+                     ["x0", "x2", "x4", "x6"], ["x1", "x3", "x1", "x3"]], order=3)
+
+
+def word_option(i, word, score):
+    """A one-word option at position i whose four table features are `score`."""
+    return TranslationOption(i, i + 1, (word,), {f"tm0.{f}": score for f in TM_FEATURES},
+                             "table0")
+
+
+class TestTargetsTheLMCannotTellApart:
+    """A search without arcs keeps one option per span and target length
+    among the targets made only of words the LM stores in no n-gram
+    (`lm.stores`). It must still find `decode_reference`'s best score and
+    1-best options to the bit, under any beam, and it must not merge a word
+    that the LM stores but its `vocab` lacks."""
+
+    LMS = {
+        "ngram": _x_lm,
+        # the other model stores o0 and o1, so only o2..o7 are merged
+        "mixture": lambda: MixtureModel(_x_lm(), train_kn([["o0", "x1", "o1"], ["x2", "o0"]],
+                                                          order=3), 0.6),
+        "full_state": lambda: FullStateLM(_x_lm()),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(LMS))
+    def test_arc_free_search_equals_reference(self, kind):
+        lm = CountingLM(self.LMS[kind]())
+        rng = random.Random(2222)
+        model = LogLinearModel.default(1)
+        arc_free = with_arcs = 0
+        for _ in range(150):
+            sentence, lattice = oov_target_instance(rng, rng.randint(1, 6))
+            search = dict(distortion_limit=rng.randint(0, 6),
+                          stack_size=rng.choice([1, 2, 5, 10 ** 6]))
+            args = (sentence, model, lm, lattice)
+            expected = decode_reference(*args, **search)
+            lm.queries = 0
+            assert_arc_free_search_agrees(args, search, expected)
+            arc_free += lm.queries
+            lm.queries = 0
+            decode(*args, **search, keep_arcs=True)
+            with_arcs += lm.queries
+        # the merged options' LM steps are never taken, except with full states
+        if kind == "full_state":
+            assert arc_free == with_arcs
+        else:
+            assert arc_free < with_arcs, (arc_free, with_arcs)
+
+    def test_sentence_start_target_is_not_merged(self):
+        # `<s>` is stored, as the unigram (<s>,), though not in `vocab`: it
+        # scores -99, so the later unseen word must survive and win
+        lm = _x_lm()
+        assert "<s>" not in lm.vocab and lm.stores("<s>") and not lm.stores("o1")
+        lattice = {(i, i + 1): [word_option(i, "<s>", -0.1), word_option(i, "o1", -0.2)]
+                   for i in range(2)}
+        args = (["w0", "w1"], LogLinearModel.default(1), lm, lattice)
+        search = dict(distortion_limit=6, stack_size=100)
+        expected = decode_reference(*args, **search)
+        assert expected.best_tokens() == ("o1", "o1")
+        assert_arc_free_search_agrees(args, search, expected)
+
+    def test_word_only_inside_a_context_is_not_merged(self):
+        # "a" is only the context of the trigram "a b c": not in `vocab`,
+        # but stored, and the trigram makes it beat the unseen o0
+        lines = [line for line in ARPA_TRIGRAM_CONTEXTS["prefix_left_out"] if line != "-0.6\ta"]
+        lines[0] = "ngram 1=4"
+        lm = read_file(read_arpa, ["\\data\\", *lines, "", "\\end\\"])
+        assert "a" not in lm.vocab and lm.stores("a") and not lm.stores("o0")
+        lattice = {(0, 1): [word_option(0, "o0", -0.5), word_option(0, "a", -0.6)],
+                   (1, 2): [word_option(1, "b", 0.0)], (2, 3): [word_option(2, "c", 0.0)]}
+        args = (["s0", "s1", "s2"], LogLinearModel.default(1), lm, lattice)
+        search = dict(distortion_limit=0, stack_size=100)
+        expected = decode_reference(*args, **search)
+        assert expected.best_tokens() == ("a", "b", "c")
+        assert_arc_free_search_agrees(args, search, expected)
+
+
 class TestTune:
     def make_system(self, uniform_lm):
         table = table_of([("a", "x0", 0.6), ("a", "x1", 0.4),
@@ -733,11 +836,11 @@ class TestTune:
         # A round scores its starting weights once; a coordinate then scores
         # only its trial steps, since it starts from the BLEU of the weights
         # that the previous coordinate kept.
+        # Each weight vector's corpus BLEU is one BleuStats.score call.
         import pivotsmt.decoder as decoder_module
         calls = []
-        bleu = decoder_module.corpus_bleu
-        monkeypatch.setattr(decoder_module, "corpus_bleu",
-                            lambda hyps, refs: calls.append(hyps) or bleu(hyps, refs))
+        score = BleuStats.score
+        monkeypatch.setattr(BleuStats, "score", lambda stats: calls.append(stats) or score(stats))
         system = self.make_system(uniform_lm)
         initial = system.default_model()
         tune_weights([(("a",), ("x1",))] * 3, system, initial, rounds=1)

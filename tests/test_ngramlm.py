@@ -174,6 +174,29 @@ def test_minimal_state_scores_like_the_full_state(corpus, other, order, kind, se
     assert walked_state == lm.minimal_state(full_state)
 
 
+@settings(deadline=None, max_examples=300)
+@given(_CORPORA, _CORPORA, st.integers(1, 5),
+       st.sampled_from(["train_kn", "arpa", "mixture"]), st.integers(0, 2 ** 16),
+       st.lists(st.sampled_from(["a", "b", "c", "d", "<s>", "zz"]), max_size=4),
+       st.integers(1, 4))
+def test_targets_of_unstored_words_are_one_to_the_lm(corpus, other, order, kind, seed,
+                                                     state, length):
+    # two targets of one length made only of words the LM stores in no
+    # n-gram score the same bits from every minimal state and leave ()
+    lm = train_kn(corpus, order)
+    if kind == "arpa":
+        lm = drop_backoffs(lm, random.Random(seed))
+    elif kind == "mixture":
+        lm = MixtureModel(lm, train_kn(other, order), random.Random(seed).choice([0.0, 0.3, 1.0]))
+    assert lm.stores("<s>") and not lm.stores("zz")
+    unstored = [word for word in ("a", "b", "c", "d", "zz", "yy") if not lm.stores(word)]
+    rng = random.Random(seed)
+    one, two = ([rng.choice(unstored) for _ in range(length)] for _ in range(2))
+    state = lm.minimal_state(tuple(state[:order - 1]))
+    assert _lm_walk(lm, state, one) == _lm_walk(lm, state, two)
+    assert _lm_walk(lm, state, one)[1] == ()
+
+
 class TestLogprob:
     def test_long_context_truncated(self):
         model = train_kn(fixture_corpus(), order=2)

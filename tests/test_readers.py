@@ -130,18 +130,30 @@ def test_bad_utf8_is_data_error_at_its_line(tmp_path, read, data):
         read(str(path))
 
 
-_PHRASE = st.lists(st.sampled_from(["a", "b", "ab", "ÿ", "x"]),
+# tokens over an alphabet with a space, a tab and `|`, so also empty ones,
+# ones that whitespace splits and the field separator `|||`
+_PHRASE = st.lists(st.sampled_from(["a", "b", "ab", "ÿ", "x"]) | st.text("ab |\t", max_size=3),
                    min_size=1, max_size=3).map(tuple)
 _SCORES = st.tuples(*[st.floats(0.0, 1.0)] * 4)
 
 
 @settings(deadline=None)
 @given(st.dictionaries(st.tuples(_PHRASE, _PHRASE), _SCORES, min_size=1, max_size=12))
+@example({(("a",), ("x\ty",)): (0.5,) * 4})
 def test_moses_write_read_round_trip(entries):
+    # a table reads back as it was written, or the writer rejects it, and
+    # only for a token that could not read back as one token
     table = PhraseTable()
     for (source, target), scores in entries.items():
         table.add(PhraseEntry(source, target, *scores))
+    readable = all(token.split() == [token] and token != "|||"
+                   for phrases in entries for phrase in phrases for token in phrase)
     with tempfile.TemporaryDirectory() as directory:
+        if not readable:
+            with pytest.raises(ValueError, match="a Moses table cannot hold the token"):
+                _written(write_moses, table, directory)
+            assert not os.listdir(directory)
+            return
         back = read_moses(_written(write_moses, table, directory))
     assert len(back) == len(table)
     assert _dumps(write_moses, back) == _dumps(write_moses, table)
