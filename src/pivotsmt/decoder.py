@@ -43,8 +43,8 @@ from typing import Iterable, Sequence, TextIO
 
 from .corpus import BOS, forked_map, ltr_sum, number, records, write_lines
 from .errors import DataError
-# corpus_bleu is no longer called here, but the benchmark's per-layer
-# tracer wraps decoder.corpus_bleu by name
+# corpus_bleu stays importable from here: the benchmark's per-layer tracer
+# wraps decoder.corpus_bleu by name
 from .evalkit import DEFAULT_MAX_N, BleuStats, corpus_bleu, sentence_stats
 from .phrasetab import SCORE_FLOOR, TableSet
 from .translit import CharModel, kbest_probs, transliterate

@@ -13,7 +13,6 @@ types plus one unknown-word type.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -38,6 +37,11 @@ class NGramModel:
     backoffs: dict[NGram, float] = field(default_factory=dict)
     unk_logprob: float = -99.0
     vocab: frozenset[str] = frozenset()
+    # every word of a key of `logprobs` or `backoffs`, built by the first
+    # `stores`; None from __init__ on, since an attribute first set later
+    # slowed `logprob` by a third (CPython 3.11)
+    _stored_words: frozenset[str] | None = field(default=None, init=False, repr=False,
+                                                 compare=False)
 
     def logprob(self, context: Sequence[str], word: str) -> float:
         """log10 p(word | context) with standard backoff recursion."""
@@ -54,22 +58,19 @@ class NGramModel:
             ctx = ctx[1:]
 
     def stores(self, word: str) -> bool:
-        """Whether `word` is in an n-gram of `logprobs` or `backoffs`.
+        """Whether `word` is in an n-gram of `logprobs` or `backoffs`;
+        unlike `vocab`, this counts `<s>` and a word seen only as context.
 
-        A word in none matches no stored n-gram, so `logprob` gives it
-        unk_logprob plus the backoffs of its context's suffixes, and a
-        context that ends in it has no suffix in `backoffs`: it adds no
-        backoff and minimizes to (). Two targets of one length made only of
-        such words therefore score the same bits from every state and leave
-        the same minimal state, so the LM cannot tell them apart. Unlike
-        `vocab`, this counts `<s>` and a word that is only ever context.
+        `logprob` gives a word in none unk_logprob plus the backoffs of its
+        context's suffixes, and a context ending in it has no suffix in
+        `backoffs`, so it adds no backoff and minimizes to (). Two targets
+        of one length made only of such words thus score the same bits from
+        every state and leave the same state: the LM cannot tell them apart.
         """
+        if self._stored_words is None:
+            self._stored_words = frozenset(word for table in (self.logprobs, self.backoffs)
+                                           for gram in table for word in gram)
         return word in self._stored_words
-
-    @functools.cached_property
-    def _stored_words(self) -> frozenset[str]:
-        return frozenset(word for table in (self.logprobs, self.backoffs)
-                         for gram in table for word in gram)
 
     def minimal_state(self, context: NGram) -> NGram:
         """The longest suffix of `context` that is a key of `backoffs`.

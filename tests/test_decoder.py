@@ -835,16 +835,15 @@ class TestTune:
     def test_each_weight_vector_scored_once(self, uniform_lm, monkeypatch):
         # A round scores its starting weights once; a coordinate then scores
         # only its trial steps, since it starts from the BLEU of the weights
-        # that the previous coordinate kept.
-        # Each weight vector's corpus BLEU is one BleuStats.score call.
-        import pivotsmt.decoder as decoder_module
+        # that the previous coordinate kept. Scoring one weight vector is
+        # one BleuStats.score call on the summed statistics.
         calls = []
         score = BleuStats.score
         monkeypatch.setattr(BleuStats, "score", lambda stats: calls.append(stats) or score(stats))
         system = self.make_system(uniform_lm)
         initial = system.default_model()
         tune_weights([(("a",), ("x1",))] * 3, system, initial, rounds=1)
-        visits, rest = divmod(len(calls) - 1, len(decoder_module._TUNE_STEPS))
+        visits, rest = divmod(len(calls) - 1, len(decoder._TUNE_STEPS))
         assert rest == 0
         assert visits > 0 and visits % len(initial.feature_order()) == 0
 
