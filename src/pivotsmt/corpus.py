@@ -382,6 +382,8 @@ def _map_share(fn: Callable[[_Item], _Result], share: Sequence[_Item]) -> list[_
     outcomes: list[_Outcome] = []
     buffered: list[logging.LogRecord] = []
     call_handlers = logging.Logger.callHandlers
+    # patched for the whole process, which runs no other thread here (forked_map
+    # maps in shares only when _usable_cpus finds none)
     logging.Logger.callHandlers = lambda _logger, record: buffered.append(record)
     try:
         for item in share:
