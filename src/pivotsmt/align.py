@@ -291,7 +291,18 @@ def read_alignments(path: str, sizes: Sequence[tuple[int, int]]) -> list[Alignme
 
 
 def write_table(dest: str | TextIO, table: TranslationTable) -> None:
-    """Dump `e<TAB>f<TAB>prob` lines sorted by (e, descending prob)."""
+    """Dump `e<TAB>f<TAB>prob` lines sorted by (e, descending prob).
+
+    A table that read_table would not read back as it is, a ValueError
+    before anything is written: one with a word that is empty, holds
+    whitespace or is NULL_TOKEN, the name of the NULL row.
+    """
+    bad = min((word for cond, row in table.probs.items() for word in (cond, *row)
+               if word is not None and (word.split() != [word] or word == NULL_TOKEN)),
+              default=None)
+    if bad is not None:
+        raise ValueError(f"a t-table cannot hold the word {bad!r}: read back, it would "
+                         "split, vanish or name the NULL row")
     write_lines(dest, (
         f"{NULL_TOKEN if cond is None else cond}\t{word}\t{prob:.10g}"
         for cond in sorted(table.probs, key=lambda e: (e is None, e or ""))
@@ -301,6 +312,8 @@ def write_table(dest: str | TextIO, table: TranslationTable) -> None:
 def read_table(path: str) -> TranslationTable:
     probs: dict[str | None, dict[str, float]] = {}
     for where, (cond, word, prob) in records(path):
-        cond = None if cond == NULL_TOKEN else cond
-        probs.setdefault(cond, {})[word] = number(prob, where, "probability", prob=True)
+        row = probs.setdefault(None if cond == NULL_TOKEN else cond, {})
+        if word in row:
+            raise DataError(f"{where}: repeated pair ({cond!r}, {word!r})")
+        row[word] = number(prob, where, "probability", prob=True)
     return TranslationTable(probs=probs, use_null=None in probs)

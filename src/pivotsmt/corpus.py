@@ -34,7 +34,7 @@ TOKENIZE_SCHEMES = ("unicode-punct", "whitespace")
 DEFAULT_MAX_SENT_LEN = 80
 
 FIELD_SEP = "|||"  # separates the fields of a phrase-table line, so never a token
-LM_RESERVED = (FIELD_SEP, BOS, EOS, UNK)  # tokens no language-model corpus line may hold
+LM_RESERVED = (FIELD_SEP, BOS, EOS, UNK)  # tokens no LM corpus line or table target may hold
 
 TokenPair = tuple[Sequence[str], Sequence[str]]  # (source tokens, target tokens)
 
@@ -148,16 +148,16 @@ def number(text: str, where: str, what: str, nonneg: bool = False,
     return value
 
 
-def ltr_sum(values: Iterable[float]) -> float:
-    """Left-to-right float sum, the same bits on every interpreter.
+def ltr_sum(values: Iterable[float], start: float = 0.0) -> float:
+    """Left-to-right float sum from `start`, the same bits on every interpreter.
 
     From Python 3.12 on the builtin `sum` compensates rounding, so there
     the additions go one by one through functools.reduce. Before 3.12 the
     builtin adds left to right itself, about four times as fast.
     """
     if _SUM_COMPENSATES:
-        return functools.reduce(operator.add, values, 0.0)
-    return sum(values, 0.0)
+        return functools.reduce(operator.add, values, start)
+    return sum(values, start)
 
 
 def _tokens_of(text: str, where: str, reserved: Sequence[str] = (FIELD_SEP,)) -> tuple[str, ...]:

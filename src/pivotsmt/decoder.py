@@ -710,14 +710,18 @@ def tune_weights(
     # order; pools change only while decoding, so this is rebuilt once per round
     sorted_pools: list[list[tuple[list[float], BleuStats]]] = []
 
-    def rescore_bleu(trial: list[float]) -> float:
+    def pick(pool: list[tuple[list[float], BleuStats]], trial: list[float],
+             empty: BleuStats) -> BleuStats:
         # `trial` holds the weights in `order`, the order of every pooled
         # feature dict, so each score is weighted_total's products in its order.
         # max keeps the first of equal scores; an empty pool scores as ()
+        return max(pool, key=lambda entry: ltr_sum(map(operator.mul, trial, entry[0])),
+                   default=(None, empty))[1]
+
+    def rescore_bleu(trial: list[float]) -> float:
         total = BleuStats(max_n=DEFAULT_MAX_N)
         for pool, empty in zip(sorted_pools, empty_stats):
-            total.add(max(pool, key=lambda entry: ltr_sum(map(operator.mul, trial, entry[0])),
-                          default=(None, empty))[1])
+            total.add(pick(pool, trial, empty))
         return total.score()
 
     best_weights = dict(weights)
@@ -748,12 +752,33 @@ def tune_weights(
                 base = weights[name]
                 best_value = base
                 trial = [weights[feature] for feature in order]
+                # A trial changes only the k-th product of a score, so each
+                # hypothesis stores the sum of its products before k and its
+                # products after k, and a trial score adds them in
+                # weighted_total's order. A pool with no non-zero value at k
+                # scores the same under every trial: its base pick is fixed.
+                fixed = BleuStats(max_n=DEFAULT_MAX_N)
+                moving = []
+                for pool, empty in zip(sorted_pools, empty_stats):
+                    if any(values[k] for values, _ in pool):
+                        moving.append([(ltr_sum(map(operator.mul, trial[:k], values)), values[k],
+                                        list(map(operator.mul, trial[k + 1:], values[k + 1:])),
+                                        stats) for values, stats in pool])
+                    else:
+                        fixed.add(pick(pool, trial, empty))
+                if not moving:  # every trial would score best_score
+                    continue
                 for step in _TUNE_STEPS:
-                    trial[k] = base + step
-                    bleu = rescore_bleu(trial)
+                    value = base + step
+                    total = BleuStats(max_n=DEFAULT_MAX_N)
+                    total.add(fixed)
+                    for parts in moving:
+                        total.add(max(parts, key=lambda part: ltr_sum(
+                            part[2], part[0] + value * part[1]))[3])
+                    bleu = total.score()
                     if bleu > best_score + 1e-12:
                         best_score = bleu
-                        best_value = base + step
+                        best_value = value
                 if best_value != base:
                     weights[name] = best_value
                     improved = True

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .align import AlignmentMatrix, TranslationTable
-from .corpus import FIELD_SEP, TokenPair, ltr_sum, number, records, write_lines
+from .corpus import (FIELD_SEP, LM_RESERVED, TokenPair, _tokens_of, ltr_sum, number, records,
+                     write_lines)
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -247,19 +248,20 @@ def write_moses(table: PhraseTable, dest: str | TextIO) -> None:
     """Serialize a table; scores are floored at 1e-12 so logs stay finite.
 
     A table that read_moses would not read back as it is, a ValueError
-    before anything is written: one with an empty phrase, or with a token
-    that is empty, holds whitespace or is the field separator `|||`.
+    before anything is written: one with an empty phrase, with a token
+    that is empty, holds whitespace or is the field separator `|||`, or
+    with a target token that is a language-model marker.
     """
     entries = [entry for source in sorted(table.sources())
                for entry in sorted(table.get(source), key=lambda e: e.target)]
     # an empty phrase counts as one empty token
-    tokens = {token for entry in entries for phrase in (entry.source, entry.target)
-              for token in phrase or ("",)}
-    bad = min((token for token in tokens if token.split() != [token] or token == FIELD_SEP),
+    bad = min((token for entry in entries
+               for phrase, reserved in ((entry.source, (FIELD_SEP,)), (entry.target, LM_RESERVED))
+               for token in phrase or ("",) if token.split() != [token] or token in reserved),
               default=None)
     if bad is not None:
         raise ValueError(f"a Moses table cannot hold the token {bad!r}: read back, "
-                         "it would split, vanish or separate fields")
+                         "it would split, vanish, separate fields or be a language-model marker")
     write_lines(dest, (
         f"{' '.join(entry.source)}{_DELIM}{' '.join(entry.target)}{_DELIM}"
         + " ".join(f"{max(s, SCORE_FLOOR):.10g}" for s in entry.scores())
@@ -272,7 +274,8 @@ def read_moses(path: str) -> PhraseTable:
         scores = score_field.split()
         if len(scores) != 4:
             raise DataError(f"{where}: expected 4 scores, got {len(scores)}")
-        source, target = tuple(source.split()), tuple(target.split())
+        # a target is language-model input, which adds its own markers
+        source, target = _tokens_of(source, where), _tokens_of(target, where, LM_RESERVED)
         if not source or not target:
             raise DataError(f"{where}: empty source or target phrase")
         # phrase probabilities are at most 1; a lexical weight is not bounded,

@@ -48,10 +48,14 @@ _BOW = "\x02"  # begin-of-word marker for the target character model
 _EOW = "\x03"
 
 
-def _check_pair(src: str, tgt: str, weight: float) -> None:
-    for word in (src, tgt):
+def _check_words(*words: str) -> None:
+    for word in words:
         if word.split() != [word]:  # empty, or whitespace that splits it
             raise ValueError(f"word pair side {word!r} is not one non-empty word")
+
+
+def _check_pair(src: str, tgt: str, weight: float) -> None:
+    _check_words(src, tgt)
     if weight <= 0:
         raise ValueError(f"pair ({src!r}, {tgt!r}) has non-positive weight")
 
@@ -183,6 +187,12 @@ class _Lattice:
         reached = bytearray(self.size)
         reached[0] = 1
         moves: list[int] = []
+        # each source position's (di, operation row) and each target
+        # position's (dj, segment), in ascending di and dj
+        rows = [[(di, op_ids[s[i:i + di]]) for di in range(min(MAX_SEG, m - i) + 1)
+                 if s[i:i + di] in op_ids] for i in range(m + 1)]
+        segs = [[(dj, t[j:j + dj]) for dj in range(min(MAX_SEG, n - j) + 1)]
+                for j in range(n + 1)]
         for i in range(m + 1):
             for j in range(n + 1):
                 cell = (i * (n + 1) + j) * width
@@ -190,18 +200,9 @@ class _Lattice:
                     continue
                 # (cell offset, budget spent, op id) of each step in (di, dj) order
                 steps = []
-                for di in range(0, MAX_SEG + 1):
-                    if i + di > m:
-                        break
-                    row = op_ids.get(s[i:i + di])
-                    if row is None:
-                        continue
-                    for dj in range(0, MAX_SEG + 1):
-                        if di == 0 and dj == 0:
-                            continue
-                        if j + dj > n:
-                            break
-                        op = row.get(t[j:j + dj])
+                for di, row in rows[i]:
+                    for dj, seg in segs[j]:
+                        op = row.get(seg) if di or dj else None
                         if op is not None:
                             spent = dj if di == 0 else (di if dj == 0 else 0)
                             steps.append(((di * (n + 1) + dj) * width + spent, spent, op))
@@ -509,6 +510,11 @@ def transliterate(model: CharModel, word: str, k: int) -> list[TransliterationCa
              for i in range(m + 1)]
     # each character-LM term once per call, keyed on (context, character)
     char_lps: dict[tuple[tuple[str, str], str], float] = {}
+    # each position's steps once per call and LM context, as (target segment,
+    # its length, di, budget spent, log10 probability plus the segment's
+    # LM terms, the LM context after it)
+    scored_steps: dict[tuple[int, tuple[str, str]],
+                       list[tuple[str, int, int, int, float, tuple[str, str]]]] = {}
     # state: (neg score, output, source position, last two output chars,
     # indel budget spent); the LM context is determined by the output. A
     # state popped earlier scores at least as high, so a later pop of the
@@ -535,18 +541,22 @@ def transliterate(model: CharModel, word: str, k: int) -> list[TransliterationCa
                 end_lp = char_lps[ctx, _EOW] = lm.logprob(ctx[0], ctx[1], _EOW)
             heapq.heappush(heap, (neg - end_lp, out, m + 1, ctx, 0))
             # insertions may still apply before finalizing (fall through)
-        for di, b, dj, lp, cost in steps[i]:
-            if spent + cost > INDEL_BUDGET or len(out) + dj > max_out:
-                continue
-            new_ctx = ctx
-            for ch in b:
-                term = char_lps.get((new_ctx, ch))
-                if term is None:
-                    term = char_lps[new_ctx, ch] = lm.logprob(new_ctx[0], new_ctx[1], ch)
-                lp += term
-                new_ctx = (new_ctx[1], ch)
-            heapq.heappush(heap, (neg - lp, out + b, i + di,
-                                  new_ctx, spent + cost))
+        scored = scored_steps.get((i, ctx))
+        if scored is None:
+            scored = scored_steps[i, ctx] = []
+            for di, b, dj, lp, cost in steps[i]:
+                new_ctx = ctx
+                for ch in b:
+                    term = char_lps.get((new_ctx, ch))
+                    if term is None:
+                        term = char_lps[new_ctx, ch] = lm.logprob(new_ctx[0], new_ctx[1], ch)
+                    lp += term
+                    new_ctx = (new_ctx[1], ch)
+                scored.append((b, dj, di, cost, lp, new_ctx))
+        room = max_out - len(out)
+        for b, dj, di, cost, lp, new_ctx in scored:
+            if spent + cost <= INDEL_BUDGET and dj <= room:
+                heapq.heappush(heap, (neg - lp, out + b, i + di, new_ctx, spent + cost))
     if not results:
         # no usable operations at all: copy the word through, flagged
         score = 0.0
@@ -595,6 +605,10 @@ def build_translit_table(model: CharModel, words: Sequence[str], k: int) -> Phra
 # --- Serialization -----------------------------------------------------------
 
 def write_mined_pairs(pairs: Iterable[MinedPair], dest: str | TextIO) -> None:
+    """A side that is not one non-empty word, a ValueError before anything is written."""
+    pairs = list(pairs)
+    for pair in pairs:
+        _check_words(pair.source, pair.target)
     write_lines(dest, (f"{pair.source}\t{pair.target}\t{pair.posterior:.6f}" for pair in pairs))
 
 

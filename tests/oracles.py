@@ -8,7 +8,10 @@ the search and of its n-best enumeration kept to compare the current ones
 against bit for bit: they build and read the decoder's own nodes and
 results, so that either enumeration can read either search's lattice. The
 reference search reads its 1-best from the arcs
-(`best_derivation_reference`), never from the back-pointers.
+(`best_derivation_reference`), never from the back-pointers. Likewise
+`tune_reference` is the coordinate ascent as it was before its trials were
+scored from stored parts: it decodes through the package and adds the
+package's BLEU statistics, but scores every hypothesis of every trial in full.
 """
 
 from __future__ import annotations
@@ -22,8 +25,10 @@ from typing import Sequence
 from pivotsmt.decoder import (NBEST_MAX_POPS, DecodeResult, LogLinearModel, NBestItem,
                               OptionLattice, TranslationOption,
                               _coverage_future, _future_costs, _lm_walk, _Node,
-                              derivation_features, derivation_tokens, weighted_total)
+                              decode_corpus, derivation_features, derivation_tokens,
+                              weighted_total)
 from pivotsmt.errors import DataError
+from pivotsmt.evalkit import BleuStats, sentence_stats
 
 BOS = "<s>"
 
@@ -959,3 +964,59 @@ def transliterate_reference(model, word, k, max_seg=2, indel_budget=3):
 
     walk(0, "", bow, bow, 0, 0.0)
     return sorted(best.items(), key=lambda item: (-item[1], item[0]))[:k]
+
+
+def tune_reference(dev, system, initial, rounds, nbest_size, steps, max_n=4):
+    """Coordinate ascent on corpus BLEU over pooled n-best lists, scoring
+    each trial weight vector over every hypothesis of every pool.
+
+    A hypothesis scores the left-to-right sum of its weight-times-value
+    products, in feature order; each pool picks its first best hypothesis
+    in token order (an empty pool scores as the empty output), and a trial
+    is kept only if its BLEU beats the best so far by more than 1e-12.
+    """
+    weights = dict(initial.weights)
+    order = initial.feature_order()
+    refs = [tuple(ref) for _, ref in dev]
+    pools = [{} for _ in dev]
+
+    def bleu_of(trial):
+        total = BleuStats(max_n=max_n)
+        for pool, ref in zip(pools, refs):
+            best_tokens, best_score = (), None
+            for tokens in sorted(pool):
+                score = _ltr_sum(t * v for t, v in zip(trial, (pool[tokens][n] for n in order)))
+                if best_score is None or score > best_score:
+                    best_tokens, best_score = tokens, score
+            total.add(sentence_stats(best_tokens, ref, max_n))
+        return total.score()
+
+    best_weights, best_bleu = dict(weights), -1.0
+    for _ in range(rounds):
+        model = LogLinearModel(dict(weights), initial.n_tables, initial.use_translit)
+        decoded = decode_corpus(system, model, [src for src, _ in dev], nbest_size=nbest_size)
+        for (_, items), pool in zip(decoded, pools):
+            for item in items:
+                if (item.tokens not in pool or weighted_total(item.features, weights)
+                        > weighted_total(pool[item.tokens], weights)):
+                    pool[item.tokens] = item.features
+        best_score = bleu_of([weights[name] for name in order])
+        if best_score > best_bleu:
+            best_bleu, best_weights = best_score, dict(weights)
+        improved = True
+        while improved:
+            improved = False
+            for k, name in enumerate(order):
+                base = best_value = weights[name]
+                for step in steps:
+                    trial = [weights[n] for n in order]
+                    trial[k] = base + step
+                    bleu = bleu_of(trial)
+                    if bleu > best_score + 1e-12:
+                        best_score, best_value = bleu, base + step
+                if best_value != base:
+                    weights[name] = best_value
+                    improved = True
+                    if best_score > best_bleu:
+                        best_bleu, best_weights = best_score, dict(weights)
+    return LogLinearModel(best_weights, initial.n_tables, initial.use_translit)

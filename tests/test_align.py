@@ -338,6 +338,19 @@ class TestSerialization:
             for word, prob in row.items():
                 assert back.prob(word, cond) == pytest.approx(prob, rel=1e-8)
 
+    def test_table_repeated_pair_rejected(self):
+        # "<null>" names the NULL row, so these two lines are one pair
+        with pytest.raises(DataError, match=r"t.tsv:3: repeated pair \('<null>', 'a'\)"):
+            read_file(read_table, ["<null>\ta\t0.5", "x\ta\t1", "<null>\ta\t0.5"], "t.tsv")
+
+    def test_null_word_table_not_written(self, tmp_path):
+        # a conditioning word "<null>" would read back as the NULL row
+        table = train_model1([(("a",), ("<null>",))], iterations=1, use_null=True)
+        path = tmp_path / "ttable.tsv"
+        with pytest.raises(ValueError, match="cannot hold the word '<null>'"):
+            write_table(str(path), table)
+        assert not path.exists()
+
     def test_table_probability_above_one_rejected(self):
         with pytest.raises(DataError, match="t.tsv:2: probability '1.5' is not a probability"):
             read_file(read_table, ["x\ta\t1", "x\tb\t1.5"], "t.tsv")

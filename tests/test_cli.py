@@ -56,6 +56,7 @@ _READS = [
     ("train-lm --corpus {separator_src} --out {out}", ("separator_src",)),
     ("train-lm --corpus {marker_lm} --out {out}", ("marker_lm",)),
     ("experiment --config {config}", ("marker_lm",)),
+    ("decode --input {src} --output {out} --table {marker_table} --lm {lm}", ("marker_table",)),
 ]
 _BAD_CHAR_MODEL = (b'{"lambda": "half", "ops": {"a": {"a": 1.0}}, "src_chars": ["a"], '
                    b'"tgt_lm": {"alphabet": ["a"], "counts": {}}}')
@@ -76,6 +77,7 @@ _MALFORMED = {
     "config": b"lm_order = three\n",
     "separator_src": b"a b\n||| b\n",
     "marker_lm": b"b01 b02\nb03 </s>\n",  # the experiment's lm_corpus
+    "marker_table": b"a ||| x ||| 1 1 1 1\nb ||| y <s> ||| 1 1 1 1\n",  # an LM marker as target
 }
 
 
@@ -131,6 +133,8 @@ class TestExitCodes:
                  "table": write(tmp_path / "t.moses", ["a ||| x ||| 1 1 1 1",
                                                        "b ||| y ||| 1 1 1 1"]),
                  "table2": write(tmp_path / "t2.moses", ["x ||| a ||| 1 1 1 1"]),
+                 "marker_table": write(tmp_path / "marker.moses", ["a ||| x ||| 1 1 1 1",
+                                                                   "b ||| y ||| 1 1 1 1"]),
                  "lm": str(tmp_path / "lm.arpa"), "lm2": str(tmp_path / "lm2.arpa"),
                  "weights": write(tmp_path / "w.tsv", ["lm\t0.5", "distortion\t0.3"]),
                  "char": char_model(tmp_path / "char.json", {"a": {"a": 1.0}}),

@@ -234,17 +234,22 @@ class TestLanguageLinks:
 
 
 @settings(max_examples=300)
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
-@example([1e16, 1.0, -1e16])  # 0.0 left to right; a compensated sum gives 1.0
-@example([-0.0])
-def test_ltr_sum_adds_left_to_right(values):
-    total = 0.0
-    for value in values:
-        total += value
-    bits = struct.pack("<d", total)
-    assert struct.pack("<d", ltr_sum(values)) == bits
-    with mock.patch.object(corpus, "_SUM_COMPENSATES", True):  # the path from 3.12 on
-        assert struct.pack("<d", ltr_sum(iter(values))) == bits
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20),
+       st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0]))
+@example([1e16, 1.0, -1e16], 0.0)  # 0.0 left to right; a compensated sum gives 1.0
+@example([-0.0], 0.0)
+@example([], -0.0)
+@example([-0.0], -0.0)
+@example([1.0, -1e16], 1e16)
+def test_ltr_sum_adds_left_to_right(values, start):
+    for given_start in ((), (start,)):  # the default start 0.0, then `start`
+        total = given_start[0] if given_start else 0.0
+        for value in values:
+            total += value
+        bits = struct.pack("<d", total)
+        assert struct.pack("<d", ltr_sum(values, *given_start)) == bits
+        with mock.patch.object(corpus, "_SUM_COMPENSATES", True):  # the path from 3.12 on
+            assert struct.pack("<d", ltr_sum(iter(values), *given_start)) == bits
 
 
 def logged_square(x):

@@ -17,7 +17,7 @@ from pivotsmt.translit import WordPairCorpus, mine_transliterations
 
 from fixtures import read_file
 from oracles import (coverage_future_reference, decode_reference, enumerate_decodings,
-                     nbest_reference)
+                     nbest_reference, tune_reference)
 
 
 def table_of(entries, role="baseline"):
@@ -835,17 +835,57 @@ class TestTune:
     def test_each_weight_vector_scored_once(self, uniform_lm, monkeypatch):
         # A round scores its starting weights once; a coordinate then scores
         # only its trial steps, since it starts from the BLEU of the weights
-        # that the previous coordinate kept. Scoring one weight vector is
-        # one BleuStats.score call on the summed statistics.
+        # that the previous coordinate kept, and a coordinate at which every
+        # pooled hypothesis has the value 0 scores none. Scoring one weight
+        # vector is one BleuStats.score call on the summed statistics.
         calls = []
         score = BleuStats.score
         monkeypatch.setattr(BleuStats, "score", lambda stats: calls.append(stats) or score(stats))
         system = self.make_system(uniform_lm)
         initial = system.default_model()
-        tune_weights([(("a",), ("x1",))] * 3, system, initial, rounds=1)
+        dev = [(("a",), ("x1",))] * 3
+        pooled = decode_corpus(system, initial, [src for src, _ in dev],
+                               nbest_size=decoder.DEFAULT_NBEST_SIZE)
+        used = {name for _, items in pooled for item in items
+                for name, value in item.features.items() if value}
+        assert "distortion" not in used  # one-word sentences never reorder
+        tune_weights(dev, system, initial, rounds=1)
         visits, rest = divmod(len(calls) - 1, len(decoder._TUNE_STEPS))
         assert rest == 0
-        assert visits > 0 and visits % len(initial.feature_order()) == 0
+        assert visits > 0 and visits % len(used) == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_reference(self, uniform_lm, seed):
+        # 1-3 tables and 1-2 rounds. Table 1 covers only words some dev
+        # sentences lack, so its features are 0 in some pools only; table 2
+        # covers no dev word, so its features are 0 in every pool.
+        rng = random.Random(seed)
+        n_tables, rounds = 1 + seed % 3, 1 + seed // 3
+        targets = [f"x{i}" for i in range(8)] + [f"y{i}" for i in range(4)]
+
+        def random_table(sources):
+            entries = {(src, " ".join(rng.sample(targets, rng.randint(1, 2)))):
+                       rng.uniform(0.05, 1.0) for src in sources for _ in range(3)}
+            return table_of([(src, tgt, p) for (src, tgt), p in entries.items()])
+
+        tables = [random_table(["a", "b", "c", "d", "a b"]), random_table(["c", "d"]),
+                  random_table(["z"])][:n_tables]
+        system = DecoderSystem(tables=TableSet(tables), lm=uniform_lm)
+        sources = [("a",), ("b", "a"), ("a", "b", "c"), ("d", "b", "a", "c"), ("c", "a", "b")]
+        initial = system.default_model()
+        pooled = decode_corpus(system, initial, sources, nbest_size=10)
+        # each reference is a hypothesis of the first n-best list, so that
+        # the weights have a BLEU to gain
+        dev = [(src, rng.choice(items).tokens) for src, (_, items) in zip(sources, pooled)]
+        used = [{name for item in items for name, value in item.features.items() if value}
+                for _, items in pooled]
+        if n_tables >= 2:
+            assert "tm1.phi_fwd" in used[2] and "tm1.phi_fwd" not in used[1]
+        if n_tables == 3:
+            assert not any("tm2.phi_fwd" in names for names in used)
+        tuned = tune_weights(dev, system, initial, rounds=rounds, nbest_size=10)
+        assert tuned.weights == tune_reference(dev, system, initial, rounds, 10,
+                                               decoder._TUNE_STEPS).weights
 
     def test_deterministic(self, uniform_lm):
         system = self.make_system(uniform_lm)

@@ -315,6 +315,21 @@ class TestMosesFormat:
         with pytest.raises(DataError, match="pt.moses:2: empty"):
             read_file(read_moses, text, "pt.moses")
 
+    @pytest.mark.parametrize("line, token", [
+        ("b ||| y <s> ||| 1 1 1 1", "<s>"), ("b ||| </s> ||| 1 1 1 1", "</s>"),
+        ("b ||| <unk> y ||| 1 1 1 1", "<unk>"), ("b ||| ||| ||| 1 1 1 1", "|||"),
+        ("||| ||| y ||| 1 1 1 1", "|||")])
+    def test_reserved_token_rejected(self, line, token):
+        # an LM marker as a target token, and `|||` on either side
+        text = "a ||| b ||| 1 1 1 1\n" + line + "\n"
+        with pytest.raises(DataError, match=f"pt.moses:2: the token {re.escape(repr(token))}"):
+            read_file(read_moses, text, "pt.moses")
+
+    def test_marker_source_token_read(self):
+        # the LM never sees a source phrase
+        entry, = read_file(read_moses, "<s> a ||| b ||| 1 1 1 1\n")
+        assert entry.source == ("<s>", "a")
+
     @pytest.mark.parametrize("brk", ["\u2028", "\f"], ids=["U+2028", "form-feed"])
     def test_only_newline_ends_a_line(self, tmp_path, brk):
         # str.splitlines would make two entries of this line

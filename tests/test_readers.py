@@ -130,24 +130,35 @@ def test_bad_utf8_is_data_error_at_its_line(tmp_path, read, data):
         read(str(path))
 
 
-# tokens over an alphabet with a space, a tab and `|`, so also empty ones,
-# ones that whitespace splits and the field separator `|||`
-_PHRASE = st.lists(st.sampled_from(["a", "b", "ab", "ÿ", "x"]) | st.text("ab |\t", max_size=3),
-                   min_size=1, max_size=3).map(tuple)
+# words over an alphabet with a space, a tab, `|` and a non-ASCII letter,
+# so also empty ones, ones that whitespace splits and the field separator
+# `|||`, plus the reserved markers
+_MARKERS = ["<s>", "</s>", "<unk>", "<null>"]
+_WORD = st.sampled_from(["a", "b", "ab", "ÿ", "x", *_MARKERS]) | st.text("aÿ |\t", max_size=3)
+_PHRASE = st.lists(_WORD, min_size=1, max_size=3).map(tuple)
 _SCORES = st.tuples(*[st.floats(0.0, 1.0)] * 4)
+
+
+def _one_word(word: str) -> bool:
+    return word.split() == [word]
 
 
 @settings(deadline=None)
 @given(st.dictionaries(st.tuples(_PHRASE, _PHRASE), _SCORES, min_size=1, max_size=12))
 @example({(("a",), ("x\ty",)): (0.5,) * 4})
+@example({(("<s>",), ("a",)): (0.5,) * 4})
+@example({(("a",), ("</s>",)): (0.5,) * 4})
 def test_moses_write_read_round_trip(entries):
     # a table reads back as it was written, or the writer rejects it, and
-    # only for a token that could not read back as one token
+    # only for a token that could not read back as one token, or for a
+    # target token that is a language-model marker
     table = PhraseTable()
     for (source, target), scores in entries.items():
         table.add(PhraseEntry(source, target, *scores))
-    readable = all(token.split() == [token] and token != "|||"
-                   for phrases in entries for phrase in phrases for token in phrase)
+    readable = all(_one_word(token) and token != "|||"
+                   and not (side == 1 and token in ("<s>", "</s>", "<unk>"))
+                   for phrases in entries for side, phrase in enumerate(phrases)
+                   for token in phrase)
     with tempfile.TemporaryDirectory() as directory:
         if not readable:
             with pytest.raises(ValueError, match="a Moses table cannot hold the token"):
@@ -170,6 +181,47 @@ def test_arpa_write_read_round_trip(corpus, order):
     assert back.order == order
     assert back.vocab == model.vocab
     assert _dumps(write_arpa, back) == _dumps(write_arpa, model)
+
+
+_PROBS = st.sampled_from([0.0, 0.25, 0.5, 1.0])  # exact under either writer's format
+
+
+@settings(deadline=None)
+@given(st.dictionaries(_WORD | st.none(), st.dictionaries(_WORD, _PROBS, min_size=1, max_size=3),
+                       max_size=4))
+@example({"<null>": {"a": 0.5}, None: {"a": 0.5}})
+@example({"a": {"b\tc": 0.5}})
+def test_t_table_write_read_round_trip(probs):
+    # a t-table reads back as it was written, or the writer rejects it, and
+    # only for a word that could not read back as one word of its row
+    table = TranslationTable(probs, use_null=None in probs)
+    readable = all(word is None or (_one_word(word) and word != "<null>")
+                   for cond, row in probs.items() for word in (cond, *row))
+    def write(table, dest):
+        write_table(dest, table)
+
+    with tempfile.TemporaryDirectory() as directory:
+        if not readable:
+            with pytest.raises(ValueError, match="a t-table cannot hold the word"):
+                _written(write, table, directory)
+            assert not os.listdir(directory)
+            return
+        assert read_table(_written(write, table, directory)) == table
+
+
+@settings(deadline=None)
+@given(st.lists(st.builds(MinedPair, _WORD, _WORD, _PROBS), max_size=6))
+@example([MinedPair("a", "b\tc", 0.5)])
+def test_mined_pairs_write_read_round_trip(pairs):
+    # mined pairs read back as they were written, or the writer rejects
+    # them, and only for a side that is not one word
+    with tempfile.TemporaryDirectory() as directory:
+        if not all(_one_word(pair.source) and _one_word(pair.target) for pair in pairs):
+            with pytest.raises(ValueError, match="is not one non-empty word"):
+                _written(write_mined_pairs, pairs, directory)
+            assert not os.listdir(directory)
+            return
+        assert read_mined_pairs(_written(write_mined_pairs, pairs, directory)) == pairs
 
 
 # Every other line-format writer, with a reader of what it wrote and a value

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from pivotsmt.errors import DataError
 import pivotsmt
+from pivotsmt import translit
 from pivotsmt.phrasetab import PhraseEntry, PhraseTable
 from pivotsmt.translit import (
     CharModel, CharTrigramModel, TransliterationCandidate, WordPairCorpus, _initial_ops,
@@ -317,6 +318,25 @@ class TestTransliterate:
         _, _, model, _ = mined_fixture
         with pytest.raises(ValueError):
             transliterate(model, "ab", 0)
+
+    @pytest.mark.parametrize("budget", [translit.INDEL_BUDGET, 8])
+    def test_equals_brute_force_at_the_limits(self, monkeypatch, budget):
+        # Each source character can become two target characters and
+        # insertions can spend the whole budget, so the longest candidate
+        # reaches the indel budget; with a budget of 8 it stops at the
+        # output bound of 2 * len(word) + 4 instead.
+        lm = CharTrigramModel()
+        for word in ("xyzx", "yzxy", "zz"):
+            lm.observe(word)
+        model = CharModel(ops={"": {"xy": 0.5, "z": 0.5}, "a": {"xy": 0.4, "zx": 0.3, "": 0.3},
+                               "b": {"yz": 0.6, "x": 0.4}},
+                          src_chars=frozenset("ab"), tgt_lm=lm)
+        monkeypatch.setattr(translit, "INDEL_BUDGET", budget)
+        for word in ("a", "ab", "ba", "abb"):
+            want = transliterate_reference(model, word, 10 ** 6, indel_budget=budget)
+            assert [(c.target, c.score) for c in transliterate(model, word, 10 ** 6)] == want
+            longest = 2 * len(word) + (4 if budget == 8 else budget)
+            assert max(len(target) for target, _ in want) == longest
 
     def test_equals_brute_force_best_derivation(self):
         # "d" is unseen, so it also exercises the identity rescue
