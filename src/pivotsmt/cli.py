@@ -267,7 +267,10 @@ def cmd_mine_translit(args) -> int:
 
 def cmd_translit_table(args) -> int:
     model = translit.read_char_model(args.model)
-    words = [word for _, (word,) in records(args.words, sep=None, widths=(1,))]
+    # a word is a table source, and through the identity fallback a
+    # target, so it may be neither `|||` nor a language-model marker
+    words = [_tokens_of(word, where, LM_RESERVED)[0]
+             for where, (word,) in records(args.words, sep=None, widths=(1,))]
     table = translit.build_translit_table(model, words, args.k)
     phrasetab.write_moses(table, args.out)
     print(f"built {len(table)} transliteration entries for {len(words)} words")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .corpus import BOS, EOS, UNK, number, records, write_lines
@@ -221,6 +222,18 @@ class MixtureModel:
 # --- ARPA I/O ----------------------------------------------------------------
 
 def write_arpa(model: NGramModel, dest: str | TextIO) -> None:
+    """Write `model` in ARPA format.
+
+    A model that read_arpa would not read back as it is, a ValueError
+    before anything is written: one with a token that is empty or holds
+    whitespace.
+    """
+    # each distinct token once: a train pass writes some 43,000 n-grams
+    bad = min((token for token in set(chain.from_iterable(model.logprobs))
+               if token.split() != [token]), default=None)
+    if bad is not None:
+        raise ValueError(f"an ARPA file cannot hold the token {bad!r}: read back, "
+                         "it would split or vanish")
     write_lines(dest, _arpa_lines(model))
 
 

@@ -14,8 +14,8 @@ import heapq
 import json
 import logging
 import math
-from array import array
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Sequence, TextIO
 
 from .corpus import ltr_sum, number, read_lines, records, write_lines
@@ -172,21 +172,29 @@ class _Lattice:
 
     Cell (i, j, d) is numbered (i * (n + 1) + j) * (INDEL_BUDGET + 1) + d
     for a target of n characters, so the final cells (m, n, *) come last.
-    `moves` holds flat (source cell, destination cell, operation id)
-    triples in (i, j, d, di, dj) order, the order the forward sum adds in.
+    Move k goes from cell `srcs[k]` to cell `dsts[k]` through operation
+    `ops[k]`. The moves come in (i, j, d, di, dj) order, the order the
+    forward sum adds in, so they are sorted by source cell, and every
+    destination numbers higher than its source.
+
+    Only moves on a complete path are kept: their source is reachable from
+    (0, 0, 0) and their destination reaches a final cell. Dropping any
+    other move is exact. Its forward value never reaches the total, it
+    adds p * 0.0 = +0.0 to a backward value that is not negative, and its
+    expectation is 0, which is never counted.
     """
 
-    __slots__ = ("size", "moves")
+    __slots__ = ("size", "srcs", "dsts", "ops")
 
     def __init__(self, s: str, t: str, op_ids: dict[str, dict[str, int]]) -> None:
-        """Every move of the cells reachable from (0, 0, 0) through `op_ids`,
-        which maps source segments to target segments to operation ids."""
+        """Every move on a complete path through `op_ids`, which maps source
+        segments to target segments to operation ids."""
         m, n = len(s), len(t)
         width = INDEL_BUDGET + 1
         self.size = (m + 1) * (n + 1) * width
         reached = bytearray(self.size)
         reached[0] = 1
-        moves: list[int] = []
+        moves: list[int] = []  # flat (source cell, destination cell, op id) triples
         # each source position's (di, operation row) and each target
         # position's (dj, segment), in ascending di and dj
         rows = [[(di, op_ids[s[i:i + di]]) for di in range(min(MAX_SEG, m - i) + 1)
@@ -206,84 +214,121 @@ class _Lattice:
                         if op is not None:
                             spent = dj if di == 0 else (di if dj == 0 else 0)
                             steps.append(((di * (n + 1) + dj) * width + spent, spent, op))
-                for d in range(width):
-                    if reached[cell + d]:
+                for src in range(cell, cell + width):
+                    if reached[src]:
+                        room = cell + width - src  # budget left at this cell, plus 1
                         for offset, spent, op in steps:
-                            if d + spent < width:
-                                reached[cell + d + offset] = 1
-                                moves += (cell + d, cell + d + offset, op)
-        self.moves = array("i", moves)
+                            if spent < room:
+                                reached[src + offset] = 1
+                                moves += (src, src + offset, op)
+        self._keep_finishing(moves[0::3], moves[1::3], moves[2::3])
+
+    def _keep_finishing(self, srcs: list[int], dsts: list[int], ops: list[int]) -> None:
+        """Keep the moves whose destination reaches a final cell.
+
+        One sweep in reverse move order decides every cell: the moves out
+        of a move's destination all come after it, so the sweep has
+        already decided the destination when it reaches the move.
+        """
+        finishes = bytearray(self.size)
+        finishes[-(INDEL_BUDGET + 1):] = b"\x01" * (INDEL_BUDGET + 1)
+        for src, dst in zip(reversed(srcs), reversed(dsts)):
+            if finishes[dst]:
+                finishes[src] = 1
+        keep = list(map(finishes.__getitem__, dsts))
+        self.srcs = list(compress(srcs, keep))
+        self.dsts = list(compress(dsts, keep))
+        self.ops = list(compress(ops, keep))
+
+    def move_probs(self, probs: Sequence[float]) -> list[float]:
+        """Each move's operation probability, from `probs` by operation id.
+
+        Once half the moves have probability 0, the dead moves are dropped
+        first: each drop costs one scan and halves the sweeps after it.
+        """
+        ps = list(map(probs.__getitem__, self.ops))
+        dead = ps.count(0.0)
+        if dead and 2 * dead >= len(ps):
+            self.drop_dead(probs)
+            ps = list(map(probs.__getitem__, self.ops))
+        return ps
 
     def drop_dead(self, probs: Sequence[float]) -> None:
-        """Drop the moves of zero-probability operations, and every move out
-        of a cell that no remaining move reaches. EM never revives an
-        operation once its probability is 0, so these moves stay dead."""
+        """Drop the moves of zero-probability operations, then every move
+        that is no longer on a complete path. EM never revives an operation
+        once its probability is 0, so these moves stay dead."""
         live = bytearray(self.size)
         live[0] = 1
-        kept = array("i")
-        moves = iter(self.moves)
-        for src, dst, op in zip(moves, moves, moves):
+        srcs: list[int] = []
+        dsts: list[int] = []
+        ops: list[int] = []
+        for src, dst, op in zip(self.srcs, self.dsts, self.ops):
             if live[src] and probs[op]:
                 live[dst] = 1
-                kept.extend((src, dst, op))
-        self.moves = kept
+                srcs.append(src)
+                dsts.append(dst)
+                ops.append(op)
+        self._keep_finishing(srcs, dsts, ops)
 
 
-def _forward_lattice(lattice: _Lattice, probs: Sequence[float]) -> tuple[float, list[float]]:
+def _forward_lattice(lattice: _Lattice, ps: list[float]) -> tuple[float, list[float]]:
     """Forward sum over a pair's monotone segmentations within the indel budget.
 
-    `probs` holds each operation id's probability. Returns (total
-    probability, forward table by cell number). A move adds v * p into its
-    destination unless its source value v or its probability p is 0, so a
-    cell that underflows to 0 passes nothing on. Once half the lattice's
-    moves have probability 0, the dead moves are dropped: each drop costs
-    one scan and halves the scans after it.
+    `ps` holds each move's probability (`_Lattice.move_probs`). Returns
+    (total probability, forward table by cell number). A move adds v * p
+    into its destination unless its source value v or its probability p is
+    0, so a cell that underflows to 0 passes nothing on. The lattice keeps
+    only moves whose source is reachable from (0, 0, 0) and whose
+    destination reaches a final cell: a dropped move would only feed
+    forward values that never reach the total, so the total keeps its bits.
     """
     fwd = [0.0] * lattice.size
     fwd[0] = 1.0
-    dead = 0
-    moves = iter(lattice.moves)
-    for src, dst, op in zip(moves, moves, moves):
-        p = probs[op]
-        if not p:
-            dead += 1
-            continue
-        v = fwd[src]
-        if v:
-            fwd[dst] += v * p
-    if dead and 2 * dead >= len(lattice.moves) // 3:
-        lattice.drop_dead(probs)
+    for src, dst, p in zip(lattice.srcs, lattice.dsts, ps):
+        if p:
+            v = fwd[src]
+            if v:
+                fwd[dst] += v * p
     return ltr_sum(fwd[-(INDEL_BUDGET + 1):]), fwd
 
 
-def _accumulate_counts(lattice: _Lattice, fwd: list[float], probs: Sequence[float],
+def _accumulate_counts(lattice: _Lattice, fwd: list[float], ps: list[float],
                        total: float, scale: float, counts: list[float],
                        touched: list[int]) -> None:
     """Add one pair's forward-backward expectations into `counts` by operation id.
 
     Only the moves the forward sum took count: those out of cells whose
-    forward value is not 0. A move whose probability is 0 adds 0.0 to a
-    backward value and yields no expectation, so it changes nothing. Each
-    operation id gets appended to `touched` when its count first becomes
-    non-zero.
+    forward value is not 0. One sweep in reverse move order adds each
+    move's p * bwd[dst] into bwd[src] and computes its expectation
+    v * p * bwd[dst] * norm. bwd[dst] is final when the sweep reaches the
+    move, because the moves are sorted by source cell and dst numbers
+    higher than the move's source, so every move out of dst comes after it
+    in move order. A move whose probability is 0 adds 0.0 to a backward
+    value and yields no expectation, and so would a move the lattice
+    dropped, whose bwd[dst] is 0.0: neither changes anything. The
+    expectations are then added in move order, so every sum keeps its
+    order; each operation id gets appended to `touched` when its count
+    first becomes non-zero.
     """
     bwd = [0.0] * lattice.size
     bwd[-(INDEL_BUDGET + 1):] = [1.0] * (INDEL_BUDGET + 1)
-    moves = reversed(lattice.moves)
-    for op, dst, src in zip(moves, moves, moves):
-        if fwd[src]:
-            bwd[src] += probs[op] * bwd[dst]
     norm = scale / total
-    moves = iter(lattice.moves)
-    for src, dst, op in zip(moves, moves, moves):
+    gammas = []
+    for src, dst, p in zip(reversed(lattice.srcs), reversed(lattice.dsts), reversed(ps)):
         v = fwd[src]
         if v:
-            gamma = v * probs[op] * bwd[dst] * norm
-            if gamma:
-                count = counts[op]
-                if not count:
-                    touched.append(op)
-                counts[op] = count + gamma
+            b = bwd[dst]
+            bwd[src] += p * b
+            gammas.append(v * p * b * norm)
+        else:
+            gammas.append(0.0)
+    gammas.reverse()
+    for op, gamma in zip(lattice.ops, gammas):
+        if gamma:
+            count = counts[op]
+            if not count:
+                touched.append(op)
+            counts[op] = count + gamma
 
 
 def _segments(word: str) -> list[str]:
@@ -403,7 +448,8 @@ def mine_transliterations(
         ll = 0.0
         posteriors = []
         for idx, ((_, _, w), lattice) in enumerate(zip(pairs, lattices)):
-            p_translit, fwd = _forward_lattice(lattice, probs)
+            ps = lattice.move_probs(probs)
+            p_translit, fwd = _forward_lattice(lattice, ps)
             p_noise = math.exp(log_noise[idx])
             mix = lam * p_translit + (1.0 - lam) * p_noise
             # a long pair can underflow both terms; its noise term in log space stays finite
@@ -413,7 +459,7 @@ def mine_transliterations(
             lam_num += w * post
             weight_total += w
             if collect and post > 0 and p_translit > 0:
-                _accumulate_counts(lattice, fwd, probs, p_translit, w * post,
+                _accumulate_counts(lattice, fwd, ps, p_translit, w * post,
                                    counts, touched)
         return ll, counts, touched, lam_num / weight_total, posteriors
 

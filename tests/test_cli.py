@@ -38,6 +38,7 @@ _READS = [
     ("mine-translit --table {table} --model-out {out}", ("table",)),
     ("translit-table --model {char} --words {src} --out {out}", ("char", "src")),
     ("translit-table --model {spaced_char} --words {src} --out {out}", ("spaced_char",)),
+    ("translit-table --model {char} --words {marker_words} --out {out}", ("marker_words",)),
     ("train-lm --corpus {src} --out {out}", ("src",)),
     ("synthesize --src {src} --tgt {tgt} --out-src {out} --out-tgt {out2}" + _SYSTEM,
      ("src", "tgt", *_SYSTEM_READS)),
@@ -78,6 +79,7 @@ _MALFORMED = {
     "separator_src": b"a b\n||| b\n",
     "marker_lm": b"b01 b02\nb03 </s>\n",  # the experiment's lm_corpus
     "marker_table": b"a ||| x ||| 1 1 1 1\nb ||| y <s> ||| 1 1 1 1\n",  # an LM marker as target
+    "marker_words": b"a\n<s>\n",  # a word that the identity fallback makes an LM marker
 }
 
 
@@ -129,6 +131,7 @@ class TestExitCodes:
         """A well-formed file for every input of _READS, by name, plus output paths."""
         paths = {"src": write(tmp_path / "s.txt", ["a b", "b"]),
                  "separator_src": write(tmp_path / "sep.txt", ["a b", "b"]),
+                 "marker_words": write(tmp_path / "words.txt", ["a", "b"]),
                  "tgt": write(tmp_path / "t.txt", ["x y", "y"]),
                  "table": write(tmp_path / "t.moses", ["a ||| x ||| 1 1 1 1",
                                                        "b ||| y ||| 1 1 1 1"]),

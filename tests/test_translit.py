@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import math
 import os
 import random
@@ -9,7 +10,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pivotsmt.errors import DataError
 import pivotsmt
@@ -199,13 +200,79 @@ class TestMiningEqualsDictReference:
         assert mined[-1].posterior == 1.0
 
 
+_PAIRS = st.lists(st.tuples(st.text(alphabet="abcd", min_size=1, max_size=6),
+                           st.text(alphabet="ABCD", min_size=1, max_size=6),
+                           st.sampled_from([0.25, 1.0, 4.0])), min_size=1, max_size=10)
+# A source three characters longer than its target: a complete path must
+# spend the whole indel budget on deletions, so every move that inserts is
+# a dead end.
+_UNEQUAL_PAIRS = [("abcab", "AB", 1.0), ("ab", "AB", 1.0), ("ba", "BA", 1.0)]
+
+
 @settings(deadline=None, max_examples=40)
-@given(st.lists(st.tuples(st.text(alphabet="abcd", min_size=1, max_size=6),
-                          st.text(alphabet="ABCD", min_size=1, max_size=6),
-                          st.sampled_from([0.25, 1.0, 4.0])), min_size=1, max_size=10),
-       st.integers(1, 4))
+@given(_PAIRS, st.integers(1, 4))
+@example(_UNEQUAL_PAIRS, 3)
 def test_mining_equals_dict_reference_on_random_pairs(pairs, iterations):
     assert_mining_equals_reference(pairs, iterations)
+
+
+def lattice_moves_reference(s, t, op_ids, live):
+    """(every move out of a cell reachable from (0, 0, 0), the moves on a
+    complete path) of a pair's lattice through the operation ids in `live`,
+    by brute force over every cell and step: (source cell, destination
+    cell, op id) triples numbered as in _Lattice, in (i, j, d, di, dj) order."""
+    m, n, width = len(s), len(t), translit.INDEL_BUDGET + 1
+
+    def cell(i, j, d):
+        return (i * (n + 1) + j) * width + d
+
+    moves = []
+    for i, j, d in itertools.product(range(m + 1), range(n + 1), range(width)):
+        for di, dj in itertools.product(range(translit.MAX_SEG + 1), repeat=2):
+            spent = dj if di == 0 else (di if dj == 0 else 0)
+            op = op_ids.get(s[i:i + di], {}).get(t[j:j + dj])
+            if (di or dj) and i + di <= m and j + dj <= n and d + spent < width and op in live:
+                moves.append((cell(i, j, d), cell(i + di, j + dj, d + spent), op))
+    reached, finishing = {0}, {cell(m, n, d) for d in range(width)}
+    while True:  # both closures, to a fixed point
+        size = len(reached) + len(finishing)
+        for src, dst, _ in moves:
+            if src in reached:
+                reached.add(dst)
+            if dst in finishing:
+                finishing.add(src)
+        if len(reached) + len(finishing) == size:
+            break
+    reachable = [move for move in moves if move[0] in reached]
+    return reachable, [move for move in reachable if move[1] in finishing]
+
+
+@settings(deadline=None, max_examples=60)
+@given(_PAIRS, st.integers(0, 2 ** 16))
+@example(_UNEQUAL_PAIRS, 0)
+def test_lattice_keeps_exactly_the_moves_on_a_complete_path(pairs, seed):
+    # after compiling, and after drop_dead with about a third of the
+    # operations at probability 0, a lattice holds the moves whose source
+    # is reachable from (0, 0, 0) and whose destination reaches a final
+    # cell, all of them and in order
+    ops_by_id = [(a, b) for a, row in _initial_ops(pairs).items() for b in row]
+    op_ids = {}
+    for op, (a, b) in enumerate(ops_by_id):
+        op_ids.setdefault(a, {})[b] = op
+    rng = random.Random(seed)
+    probs = [0.0 if rng.random() < 1 / 3 else 0.5 for _ in ops_by_id]
+    live = {op for op, p in enumerate(probs) if p}
+    dropped = 0
+    for s, t, _ in pairs:
+        lattice = translit._Lattice(s, t, op_ids)
+        reachable, complete = lattice_moves_reference(s, t, op_ids, set(range(len(ops_by_id))))
+        assert list(zip(lattice.srcs, lattice.dsts, lattice.ops)) == complete
+        dropped += len(reachable) - len(complete)
+        lattice.drop_dead(probs)
+        assert list(zip(lattice.srcs, lattice.dsts, lattice.ops)) == \
+            lattice_moves_reference(s, t, op_ids, live)[1]
+    if pairs == _UNEQUAL_PAIRS:
+        assert dropped > 0
 
 
 class TestDeterminism:
