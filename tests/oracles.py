@@ -17,6 +17,7 @@ package's BLEU statistics, but scores every hypothesis of every trial in full.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 import unicodedata
@@ -843,6 +844,37 @@ def _accumulate_counts(s, t, fwd, moves, total, scale, counts):
         if gamma:
             row = counts.setdefault(a, {})
             row[b] = row.get(b, 0.0) + gamma
+
+
+def lattice_moves_reference(s, t, op_ids, live):
+    """(every move out of a cell reachable from (0, 0, 0), the moves on a
+    complete path) of a pair's lattice through the operation ids in `live`,
+    by brute force over every cell and step: (source cell, destination
+    cell, op id) triples numbered as in _Lattice, in (i, j, d, di, dj) order."""
+    m, n, width = len(s), len(t), INDEL_BUDGET + 1
+
+    def cell(i, j, d):
+        return (i * (n + 1) + j) * width + d
+
+    moves = []
+    for i, j, d in itertools.product(range(m + 1), range(n + 1), range(width)):
+        for di, dj in itertools.product(range(MAX_SEG + 1), repeat=2):
+            spent = dj if di == 0 else (di if dj == 0 else 0)
+            op = op_ids.get(s[i:i + di], {}).get(t[j:j + dj])
+            if (di or dj) and i + di <= m and j + dj <= n and d + spent < width and op in live:
+                moves.append((cell(i, j, d), cell(i + di, j + dj, d + spent), op))
+    reached, finishing = {0}, {cell(m, n, d) for d in range(width)}
+    while True:  # both closures, to a fixed point
+        size = len(reached) + len(finishing)
+        for src, dst, _ in moves:
+            if src in reached:
+                reached.add(dst)
+            if dst in finishing:
+                finishing.add(src)
+        if len(reached) + len(finishing) == size:
+            break
+    reachable = [move for move in moves if move[0] in reached]
+    return reachable, [move for move in reachable if move[1] in finishing]
 
 
 def mine_reference(pairs, iterations, joint):

@@ -1,6 +1,5 @@
 import hashlib
 import io
-import itertools
 import math
 import os
 import random
@@ -24,8 +23,8 @@ from pivotsmt.translit import (
 
 from fixtures import read_file
 from oracles import (
-    SRC_ALPHABET, apply_bijection, initial_ops_reference, make_bijection_fixture,
-    make_heldout_words, mine_reference, transliterate_reference,
+    SRC_ALPHABET, apply_bijection, initial_ops_reference, lattice_moves_reference,
+    make_bijection_fixture, make_heldout_words, mine_reference, transliterate_reference,
 )
 
 
@@ -214,37 +213,6 @@ _UNEQUAL_PAIRS = [("abcab", "AB", 1.0), ("ab", "AB", 1.0), ("ba", "BA", 1.0)]
 @example(_UNEQUAL_PAIRS, 3)
 def test_mining_equals_dict_reference_on_random_pairs(pairs, iterations):
     assert_mining_equals_reference(pairs, iterations)
-
-
-def lattice_moves_reference(s, t, op_ids, live):
-    """(every move out of a cell reachable from (0, 0, 0), the moves on a
-    complete path) of a pair's lattice through the operation ids in `live`,
-    by brute force over every cell and step: (source cell, destination
-    cell, op id) triples numbered as in _Lattice, in (i, j, d, di, dj) order."""
-    m, n, width = len(s), len(t), translit.INDEL_BUDGET + 1
-
-    def cell(i, j, d):
-        return (i * (n + 1) + j) * width + d
-
-    moves = []
-    for i, j, d in itertools.product(range(m + 1), range(n + 1), range(width)):
-        for di, dj in itertools.product(range(translit.MAX_SEG + 1), repeat=2):
-            spent = dj if di == 0 else (di if dj == 0 else 0)
-            op = op_ids.get(s[i:i + di], {}).get(t[j:j + dj])
-            if (di or dj) and i + di <= m and j + dj <= n and d + spent < width and op in live:
-                moves.append((cell(i, j, d), cell(i + di, j + dj, d + spent), op))
-    reached, finishing = {0}, {cell(m, n, d) for d in range(width)}
-    while True:  # both closures, to a fixed point
-        size = len(reached) + len(finishing)
-        for src, dst, _ in moves:
-            if src in reached:
-                reached.add(dst)
-            if dst in finishing:
-                finishing.add(src)
-        if len(reached) + len(finishing) == size:
-            break
-    reachable = [move for move in moves if move[0] in reached]
-    return reachable, [move for move in reachable if move[1] in finishing]
 
 
 @settings(deadline=None, max_examples=60)
