@@ -26,6 +26,12 @@ counts as one target all targets of one length whose words the LM stores
 in no n-gram (`lm.stores`): the LM scores them alike from every state and
 they leave one state, so the ones dropped change no node and no 1-best.
 
+A stack's beam is expanded one coverage at a time: its nodes of one
+coverage share their uncovered starts and spans, so each span is found once
+for all of them. Every predecessor that one stack gives a node reaches it
+through the same span, so the node's arcs, its back-pointer and every tie
+between them come out as when each hypothesis is expanded on its own.
+
 Hypotheses recombine on the minimal LM state (`_lm_walk`), the shortest
 one the LM can still tell apart: all the transliterations of a word the LM
 has never seen leave one state, so they lead to one node. Every later word
@@ -330,11 +336,25 @@ def decode(
     position, so that every gap stays reachable; the distortion feature is
     the negated jump distance.
 
-    Each hypothesis walks the uncovered starts of its window by bitmask, low
-    to high. A phrase at the first uncovered position may end anywhere
-    before the next covered one; a phrase right of it must end by that
-    position plus distortion_limit, so no later start is tried. These are
-    exactly the spans the constraints admit, in (start, end) order.
+    The beam, best first (ties by stack key), is expanded one coverage
+    group at a time, each group holding its nodes in beam order. A group
+    walks the uncovered starts of its nodes' windows by bitmask, low to
+    high. A phrase at the first uncovered position may end anywhere before
+    the next covered one; a phrase right of it must end by that position
+    plus distortion_limit, so no later start is tried. Each span from a
+    start is tried by every node of the group whose window holds the start,
+    in beam order, with its own distortion cost. These are exactly the
+    (node, span) pairs the constraints admit; only the order of the visits
+    differs from a node-by-node expansion.
+
+    That order changes no result. A node's predecessors from one stack all
+    reach it through one span, since the node's previous end and the
+    stack's cardinality fix the span's end and length, so they share one
+    coverage and their arcs arrive in beam order, one predecessor's
+    options together and in option order. Stacks are expanded by
+    cardinality, so each node's arcs come in the node-major order of a
+    node-by-node expansion, and the back-pointer, set only on a strictly
+    higher total, is the first arc of the best total, ties included.
 
     Within a span, an option is dropped when an earlier option with the
     same target scores at least as high. Both lead to the same child, and
@@ -400,60 +420,63 @@ def decode(
 
     for cardinality in range(n):
         # a stack key is (coverage, LM state, previous end), unique per node
-        beam = heapq.nsmallest(stack_size, [(-(nd.score + nd.future), key, nd)
-                                            for key, nd in stacks[cardinality].items()])
+        beam = sorted([(-(nd.score + nd.future), key, nd)
+                       for key, nd in stacks[cardinality].items()])[:stack_size]
         # children point to parents only, so the goal can reach no node of
         # this stack outside the beam: free the rest, and their arcs, now
         stacks[cardinality] = {}
+        groups: dict[int, list[_Node]] = {}
         for _, _, node in beam:
-            covered = node.coverage
-            node_state = node.lm_state
-            node_score = node.score
-            prev_end = node.prev_end
+            groups.setdefault(node.coverage, []).append(node)
+        for covered, nodes in groups.items():
             gaps = ~covered & full
             first_gap = (gaps & -gaps).bit_length() - 1
-            # Uncovered starts in the distortion window, low to high. None
-            # lies left of prev_end - distortion_limit: the last phrase either
-            # started at the old first gap, which now lies past its end, or
-            # ended within distortion_limit of that gap, which is still open.
-            # A span right of the first gap leaves that gap open, so it must
-            # end by first_gap + distortion_limit; no start from first_gap +
-            # reach on has such a span (at distortion_limit 0 only the first
-            # gap itself can start one).
-            starts = gaps & ((1 << min(prev_end + distortion_limit + 1, first_gap + reach)) - 1)
+            # Uncovered starts in some node's distortion window, low to
+            # high. None lies left of a node's prev_end - distortion_limit:
+            # its last phrase either started at the old first gap, which now
+            # lies past its end, or ended within distortion_limit of that
+            # gap, which is still open. A span right of the first gap leaves
+            # that gap open, so it must end by first_gap + distortion_limit;
+            # no start from first_gap + reach on has such a span (at
+            # distortion_limit 0 only the first gap itself can start one).
+            window = max(node.prev_end for node in nodes) + distortion_limit + 1
+            starts = gaps & ((1 << min(window, first_gap + reach)) - 1)
             while starts:
                 low = starts & -starts
                 starts ^= low
                 start = low.bit_length() - 1
-                dist_cost = w_dist * abs(start - prev_end)
+                # the nodes whose window holds start, in beam order
+                reaching = [(node, node.lm_state, node.score, w_dist * abs(start - node.prev_end))
+                            for node in nodes if start <= node.prev_end + distortion_limit]
                 last_end = n if start == first_gap else first_gap + distortion_limit
                 for end, mask, length, scored in by_start[start]:
                     if end > last_end or covered & mask:
                         break  # every longer span from this start fails too
                     coverage = covered | mask
                     child_stack = stacks[cardinality + length]
-                    for option, static, wp_cost, steps in scored:
-                        step = steps.get(node_state)
-                        if step is None:
-                            lm_sum, state = _lm_walk(lm, node_state, option.target)
-                            step = steps[node_state] = (w_lm * lm_sum, state)
-                        lm_score, state = step
-                        inc = static + lm_score - wp_cost - w_pp - dist_cost
-                        key = (coverage, state, end)
-                        child = child_stack.get(key)
-                        if child is None:
-                            future = futures.get(coverage)
-                            if future is None:
-                                future = futures[coverage] = _coverage_future(
-                                    coverage, n, fc)
-                            child = _Node(coverage, state, end, future, keep_arcs)
-                            child_stack[key] = child
-                        if keep_arcs:
-                            child.arcs.append((node, option, inc))
-                        total = node_score + inc
-                        if total > child.score:
-                            child.score = total
-                            child.back = (node, option)
+                    for node, node_state, node_score, dist_cost in reaching:
+                        for option, static, wp_cost, steps in scored:
+                            step = steps.get(node_state)
+                            if step is None:
+                                lm_sum, state = _lm_walk(lm, node_state, option.target)
+                                step = steps[node_state] = (w_lm * lm_sum, state)
+                            lm_score, state = step
+                            inc = static + lm_score - wp_cost - w_pp - dist_cost
+                            key = (coverage, state, end)
+                            child = child_stack.get(key)
+                            if child is None:
+                                future = futures.get(coverage)
+                                if future is None:
+                                    future = futures[coverage] = _coverage_future(
+                                        coverage, n, fc)
+                                child = _Node(coverage, state, end, future, keep_arcs)
+                                child_stack[key] = child
+                            if keep_arcs:
+                                child.arcs.append((node, option, inc))
+                            total = node_score + inc
+                            if total > child.score:
+                                child.score = total
+                                child.back = (node, option)
 
     # every complete hypothesis, best first, ties by stack key
     complete = sorted(stacks[n].items(), key=lambda item: (-item[1].score, item[0]))

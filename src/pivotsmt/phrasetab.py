@@ -11,6 +11,7 @@ import io
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .align import AlignmentMatrix, TranslationTable
@@ -254,11 +255,12 @@ def write_moses(table: PhraseTable, dest: str | TextIO) -> None:
     """
     entries = [entry for source in sorted(table.sources())
                for entry in sorted(table.get(source), key=lambda e: e.target)]
-    # an empty phrase counts as one empty token
-    bad = min((token for entry in entries
-               for phrase, reserved in ((entry.source, (FIELD_SEP,)), (entry.target, LM_RESERVED))
-               for token in phrase or ("",) if token.split() != [token] or token in reserved),
-              default=None)
+    # each distinct token of a side once; an empty phrase counts as one empty token
+    sources = set(chain.from_iterable(source or ("",) for source in table.sources()))
+    targets = set(chain.from_iterable(entry.target or ("",) for entry in entries))
+    bad = min(chain((token for token in sources if token.split() != [token] or token == FIELD_SEP),
+                    (token for token in targets if token.split() != [token]
+                     or token in LM_RESERVED)), default=None)
     if bad is not None:
         raise ValueError(f"a Moses table cannot hold the token {bad!r}: read back, "
                          "it would split, vanish, separate fields or be a language-model marker")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable, Sequence, TextIO
 
-from .corpus import ltr_sum, number, read_lines, records, write_lines
+from .corpus import LM_RESERVED, ltr_sum, number, read_lines, records, write_lines
 from .errors import DataError
 from .phrasetab import PhraseEntry, PhraseTable
 
@@ -632,7 +632,10 @@ def build_translit_table(model: CharModel, words: Sequence[str], k: int) -> Phra
     """k-best transliterations of each word as a one-word-phrase table.
 
     Forward features are the normalized candidate scores, duplicated to the
-    backward features.
+    backward features. A candidate whose target is a language-model marker
+    or the field separator (`LM_RESERVED`) is dropped before the rest are
+    normalized, since no table target may be one; a word left with no
+    candidate gets no entry.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -642,7 +645,10 @@ def build_translit_table(model: CharModel, words: Sequence[str], k: int) -> Phra
         if word in done:
             continue
         done.add(word)
-        candidates = transliterate(model, word, k)
+        candidates = [cand for cand in transliterate(model, word, k)
+                      if cand.target not in LM_RESERVED]
+        if not candidates:
+            continue
         for cand, prob in zip(candidates, kbest_probs(candidates)):
             table.add(PhraseEntry((word,), (cand.target,), prob, prob, prob, prob))
     return table

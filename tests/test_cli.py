@@ -408,6 +408,18 @@ sys.exit(code)
         assert f"{words}:2: expected 1 whitespace-separated fields, got 2" in err
         assert not os.path.exists(out)
 
+    def test_translit_table_leaves_out_a_marker_the_model_writes(self, tmp_path, capsys):
+        # the model writes a, b, c as <, s, >, so "abc" becomes the LM
+        # marker <s>, which no table may hold: the table leaves it out
+        model_path = char_model(tmp_path / "char.json",
+                                {"a": {"<": 0.75, "x": 0.25}, "b": {"s": 1.0}, "c": {">": 1.0}})
+        words = write(tmp_path / "words.txt", ["abc"])
+        out = str(tmp_path / "translit.moses")
+        assert main(["translit-table", "--model", model_path,
+                     "--words", words, "--out", out, "--k", "5"]) == 0
+        with open(out, encoding="utf-8") as handle:
+            assert handle.read() == "abc ||| xs> ||| 1 1 1 1\n"
+
     def test_dict_links_writes_the_experiment_dictionary(self, tmp_path, capsys):
         fixture = make_experiment_fixture(str(tmp_path / "fix"), seed=3, vocab=12, covered=8,
                                           n_train=30, n_synth=10, n_test=5, n_dev=3)

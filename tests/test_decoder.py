@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pivotsmt import decoder
 from pivotsmt.decoder import (
@@ -604,6 +605,156 @@ class TestSearchEqualsReference:
         expected = decode_reference(*args, **search)
         assert_same_search(result, expected)
         assert_arc_free_search_agrees(args, search, result, expected)
+
+
+class TableLM:
+    """An LM that looks each (context, word) up in a table, else scores -1;
+    with dyadic values every score is exact, so ties are easy to build.
+    Every state is minimal and every word stored."""
+
+    def __init__(self, order, logprobs) -> None:
+        self.order = order
+        self.logprobs = logprobs
+
+    def logprob(self, context, word):
+        context = tuple(context)[-(self.order - 1):] if self.order > 1 else ()
+        return self.logprobs.get((context, word), -1.0)
+
+    def minimal_state(self, context):
+        return context
+
+    def stores(self, word):
+        return True
+
+
+def reachable_nodes(result):
+    """Every node the goal reaches through its arcs, the goal itself left out."""
+    seen, todo, nodes = {id(result.goal)}, [result.goal], []
+    while todo:
+        for pred, _, _ in todo.pop().arcs:
+            if id(pred) not in seen:
+                seen.add(id(pred))
+                todo.append(pred)
+                nodes.append(pred)
+    return nodes
+
+
+def beam_order(nodes):
+    """`nodes` in the order `decode` ranks a stack: best score plus future
+    first, ties by stack key."""
+    return sorted(nodes, key=lambda nd: (-(nd.score + nd.future),
+                                         (nd.coverage, nd.lm_state, nd.prev_end)))
+
+
+def assert_one_span_per_stack(result):
+    """The predecessors that one stack gives a node share one coverage: the
+    node's previous end and the stack's cardinality fix the span that
+    reaches it. This is why expanding a beam one coverage at a time leaves
+    every node's arcs in the node-major beam order."""
+    for node in reachable_nodes(result):
+        by_stack = {}
+        for pred, _, _ in node.arcs:
+            by_stack.setdefault(bin(pred.coverage).count("1"), set()).add(pred.coverage)
+        assert all(len(coverages) == 1 for coverages in by_stack.values())
+
+
+@st.composite
+def tie_heavy_search(draw):
+    """A sentence, options over spans of up to three words, and search
+    settings. Each option's target is made of x0 and x1 and its four table
+    features share one value, -0.5 or -1: under dyadic weights and an LM
+    with dyadic scores every score is exact, and many derivations tie."""
+    n = draw(st.integers(1, 7))
+    lattice = {}
+    for i in range(n):
+        for j in range(i + 1, min(n, i + 3) + 1):
+            if j > i + 1 and not draw(st.booleans()):
+                continue
+            lattice[(i, j)] = [TranslationOption(
+                i, j, tuple(draw(st.lists(st.sampled_from(["x0", "x1"]), min_size=1, max_size=2))),
+                dict.fromkeys([f"tm0.{f}" for f in TM_FEATURES],
+                              draw(st.sampled_from([-0.5, -1.0]))), "table0")
+                for _ in range(draw(st.integers(1, 3)))]
+    search = dict(distortion_limit=draw(st.integers(0, 3)),
+                  stack_size=draw(st.sampled_from([1, 2, 3, 5, 1000])))
+    return [f"w{i}" for i in range(n)], lattice, search
+
+
+class TestGroupedExpansion:
+    """`decode` expands each beam one coverage at a time; it must still
+    give every node the arcs and back-pointer of the node-by-node
+    `decode_reference`, in the same order, also where totals tie."""
+
+    def test_interleaved_coverages_keep_the_first_tied_arc(self):
+        # The beam of stack 1 is A (covers w0, ends in a), B (covers w1),
+        # then C (covers w0, ends in c), so the search expands A and C
+        # before B. A scores higher than C, but its LM step to y costs 1
+        # more, so A and C reach the child (w0 w1, y) with equal totals:
+        # its back-pointer must be A's arc, the first in beam order.
+        lm = TableLM(2, {(("a",), "y"): -2.0})
+        weights = {name: 0.25 for name in decoder.feature_names(1, False)}
+        weights.update(lm=1.0, word_penalty=0.0, phrase_penalty=0.0, distortion=0.5)
+        model = LogLinearModel(weights=weights, n_tables=1)
+        lattice = {(0, 1): [word_option(0, "a", -1.0), word_option(0, "c", -2.0)],
+                   (1, 2): [word_option(1, "y", -1.0)]}
+        args, search = (["w0", "w1"], model, lm, lattice), dict(distortion_limit=6,
+                                                                stack_size=10)
+        result = decode(*args, **search, keep_arcs=True)
+        stack = beam_order([nd for nd in reachable_nodes(result) if nd.coverage in (1, 2)])
+        assert [(nd.coverage, nd.lm_state) for nd in stack] == [(1, ("a",)), (2, ("y",)),
+                                                                 (1, ("c",))]
+        child = next(nd for nd in reachable_nodes(result) if nd.coverage == 3
+                     and nd.lm_state == ("y",))
+        totals = [pred.score + inc for pred, _, inc in child.arcs]
+        assert [pred for pred, _, _ in child.arcs] == [stack[0], stack[2]]
+        assert totals == [child.score, child.score] == [-5.0, -5.0]
+        assert child.back[0] is stack[0]
+        assert result.best_tokens() == ("a", "y")
+        expected = decode_reference(*args, **search)
+        assert_same_search(result, expected)
+        assert_arc_free_search_agrees(args, search, result, expected)
+
+    def test_a_start_only_some_nodes_of_a_group_reach(self, uniform_lm):
+        # One node covers w0-w2 ending at 3, as [0, 3) does, and another
+        # ending at 1, as [1, 3) then [0, 1) does. At distortion limit 3,
+        # [5, 6) lies in the window of the first only; the second may not
+        # jump there.
+        lattice = {(i, i + 1): [word_option(i, f"x{i}", -0.5)] for i in range(6)}
+        lattice[(0, 3)] = [TranslationOption(0, 3, ("x0", "x1", "x2"),
+                                             {f"tm0.{f}": -1.5 for f in TM_FEATURES}, "table0")]
+        lattice[(1, 3)] = [TranslationOption(1, 3, ("x1", "x2"),
+                                             {f"tm0.{f}": -1.0 for f in TM_FEATURES}, "table0")]
+        args = ([f"w{i}" for i in range(6)], LogLinearModel.default(1), uniform_lm, lattice)
+        search = dict(distortion_limit=3, stack_size=1000)
+        result = decode(*args, **search, keep_arcs=True)
+        ends = {nd.prev_end for nd in reachable_nodes(result) if nd.coverage == 0b111}
+        assert {1, 3} <= ends
+        expected = decode_reference(*args, **search)
+        assert_same_search(result, expected)
+        assert_arc_free_search_agrees(args, search, result, expected)
+
+    @settings(deadline=None, max_examples=150)
+    @given(tie_heavy_search(), st.sampled_from([0.0, 0.5]), st.booleans())
+    def test_tie_heavy_searches_equal_reference(self, instance, w_dist, keep_arcs):
+        # with the distortion weight 0, nodes of one coverage that differ
+        # only in their end often reach one child with equal totals
+        sentence, lattice, search = instance
+        lm = TableLM(1, {((), "x0"): -0.5, ((), "x1"): -0.75})
+        weights = {name: 0.25 for name in decoder.feature_names(1, False)}
+        weights.update(lm=0.5, word_penalty=0.125, phrase_penalty=-0.0625, distortion=w_dist)
+        args = (sentence, LogLinearModel(weights=weights, n_tables=1), lm, lattice)
+        try:
+            expected = decode_reference(*args, **search)
+        except DataError:
+            with pytest.raises(DataError):
+                decode(*args, **search, keep_arcs=keep_arcs)
+            return
+        if keep_arcs:
+            result = decode(*args, **search, keep_arcs=True)
+            assert_same_search(result, expected)
+            assert_one_span_per_stack(result)
+        else:
+            assert_arc_free_search_agrees(args, search, expected)
 
 
 class FullStateLM:

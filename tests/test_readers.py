@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from pivotsmt.align import (AlignmentMatrix, TranslationTable, read_alignments, read_table,
                             write_alignments, write_table)
 from pivotsmt.corpus import read_dictionary_tsv
-from pivotsmt.decoder import LogLinearModel, read_weights, write_weights
+from pivotsmt.decoder import LogLinearModel, feature_names, read_weights, write_weights
 from pivotsmt.errors import DataError
 from pivotsmt.evalkit import read_manual_labels
 from pivotsmt.ngramlm import read_arpa, train_kn, write_arpa
@@ -148,20 +148,22 @@ def _one_word(word: str) -> bool:
 @example({(("a",), ("x\ty",)): (0.5,) * 4})
 @example({(("<s>",), ("a",)): (0.5,) * 4})
 @example({(("a",), ("</s>",)): (0.5,) * 4})
+@example({(("b c", "<s>"), ("a",)): (0.5,) * 4, (("a",), ("<s>", "|||")): (0.5,) * 4})
 def test_moses_write_read_round_trip(entries):
     # a table reads back as it was written, or the writer rejects it, and
     # only for a token that could not read back as one token, or for a
-    # target token that is a language-model marker
+    # target token that is a language-model marker; the error names the
+    # smallest such token, a source "<s>" being none
     table = PhraseTable()
     for (source, target), scores in entries.items():
         table.add(PhraseEntry(source, target, *scores))
-    readable = all(_one_word(token) and token != "|||"
-                   and not (side == 1 and token in ("<s>", "</s>", "<unk>"))
-                   for phrases in entries for side, phrase in enumerate(phrases)
-                   for token in phrase)
+    bad = [token for phrases in entries for side, phrase in enumerate(phrases)
+           for token in phrase if not _one_word(token) or token == "|||"
+           or (side == 1 and token in ("<s>", "</s>", "<unk>"))]
     with tempfile.TemporaryDirectory() as directory:
-        if not readable:
-            with pytest.raises(ValueError, match="a Moses table cannot hold the token"):
+        if bad:
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"a Moses table cannot hold the token {min(bad)!r}:")):
                 _written(write_moses, table, directory)
             assert not os.listdir(directory)
             return
@@ -233,6 +235,46 @@ def test_mined_pairs_write_read_round_trip(pairs):
             assert not os.listdir(directory)
             return
         assert read_mined_pairs(_written(write_mined_pairs, pairs, directory)) == pairs
+
+
+_MATRIX = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda size: st.frozensets(st.tuples(st.integers(0, size[0] - 1),
+                                         st.integers(0, size[1] - 1)), max_size=8)
+    .map(lambda links: AlignmentMatrix(*size, links)))
+
+
+@settings(deadline=None)
+@given(st.lists(_MATRIX, max_size=6))
+@example([AlignmentMatrix(1, 1, frozenset())] * 2)  # blank lines only
+def test_alignments_write_read_round_trip(matrices):
+    # alignments read back exactly, a pair with no links as a blank line
+    def write(matrices, dest):
+        write_alignments(dest, matrices)
+
+    with tempfile.TemporaryDirectory() as directory:
+        path = _written(write, matrices, directory)
+        assert read_alignments(path, [(m.src_len, m.tgt_len) for m in matrices]) == matrices
+
+
+_WEIGHTS = st.tuples(st.integers(1, 3), st.booleans()).flatmap(
+    lambda system: st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                            min_size=len(feature_names(*system)),
+                            max_size=len(feature_names(*system)))
+    .map(lambda values: LogLinearModel(dict(zip(feature_names(*system), values)), *system)))
+
+
+@settings(deadline=None)
+@given(_WEIGHTS)
+# to -0.0, to 0.0 and 0.000001, and a line of 301 digits
+@example(LogLinearModel({"lm": -1e-9, "word_penalty": 2.5e-7, "distortion": 1e300}, 1))
+def test_weights_write_read_round_trip(model):
+    # write_weights keeps 6 decimals: a weights file reads back to each
+    # weight rounded to 6 decimals, and writing that again gives the same file
+    with tempfile.TemporaryDirectory() as directory:
+        back = read_weights(_written(write_weights, model, directory), model.n_tables,
+                            model.use_translit)
+    assert back.weights == {name: float(f"{value:.6f}") for name, value in model.weights.items()}
+    assert _dumps(write_weights, back) == _dumps(write_weights, model)
 
 
 # Every other line-format writer, with a reader of what it wrote and a value

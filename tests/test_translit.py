@@ -413,6 +413,26 @@ class TestTranslitTable:
         _, _, model, _ = mined_fixture
         assert build_translit_table(model, ["ab"], 3).role == "transliterated"
 
+    def test_marker_candidates_are_dropped_before_normalizing(self):
+        # writing a, b, c as <, s, > turns "abc" into the LM marker <s>, and
+        # "d" has only the marker <unk> as a target: no table may hold
+        # either, so the marker is left out, the other candidates of "abc"
+        # sum to 1, and "d" gets no entry
+        lm = CharTrigramModel()
+        for word in ("<s>", "xs>", "<unk>"):
+            lm.observe(word)
+        model = CharModel(ops={"a": {"<": 0.75, "x": 0.25}, "b": {"s": 0.5, "y": 0.5},
+                               "c": {">": 1.0}, "d": {"<unk>": 1.0}},
+                          src_chars=frozenset("abcd"), tgt_lm=lm)
+        kbest = [c.target for c in transliterate(model, "abc", 10)]
+        assert sorted(kbest) == ["<s>", "<y>", "xs>", "xy>"]
+        assert [c.target for c in transliterate(model, "d", 10)] == ["<unk>"]
+        table = build_translit_table(model, ["abc", "d"], 10)
+        entries = table.get(("abc",))
+        assert sorted(e.target for e in entries) == [("<y>",), ("xs>",), ("xy>",)]
+        assert sum(e.phi_tgt_given_src for e in entries) == pytest.approx(1.0, abs=1e-12)
+        assert table.get(("d",)) == []
+
     def test_kbest_probs_relative_to_best_do_not_underflow(self):
         candidates = [TransliterationCandidate("a", -400.0, False),
                       TransliterationCandidate("b", -401.0, False)]
