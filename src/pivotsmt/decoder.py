@@ -53,7 +53,7 @@ from .errors import DataError
 # wraps decoder.corpus_bleu by name
 from .evalkit import DEFAULT_MAX_N, BleuStats, corpus_bleu, sentence_stats
 from .phrasetab import SCORE_FLOOR, TableSet
-from .translit import CharModel, kbest_probs, transliterate
+from .translit import CharModel, transliterate, usable_candidates
 
 logger = logging.getLogger(__name__)
 
@@ -139,11 +139,13 @@ def collect_options(
 
     At most `limit` options are kept per span, ranked by the model's
     weighted table score. Any single word covered by no table receives
-    k-best transliteration options when a character model is supplied,
-    else one pass-through option copying the surface form, so every
-    source position is coverable. An option's features are those its
-    source sets (table i's `tm{i}.*` block, `translit`, or none for a
-    pass-through); every feature it lacks adds 0.
+    its k-best transliterations when a character model is supplied
+    (`usable_candidates`, so no target is an LM marker or the field
+    separator), else, or if none is usable, one pass-through option
+    copying the surface form, so every source position is coverable. An
+    option's features are those its source sets (table i's `tm{i}.*`
+    block, `translit`, or none for a pass-through); every feature it lacks
+    adds 0.
     """
     if not sentence:
         raise ValueError("cannot collect options for an empty sentence")
@@ -178,14 +180,13 @@ def collect_options(
         word = sentence[pos]
         opts = []
         if translit_model is not None:
-            candidates = transliterate(translit_model, word, translit_k)
-            for cand, prob in zip(candidates, kbest_probs(candidates)):
+            for cand, prob in usable_candidates(transliterate(translit_model, word, translit_k)):
                 opts.append(TranslationOption(
                     start=pos, end=pos + 1, target=(cand.target,),
                     features={TRANSLIT_FEATURE: math.log10(max(prob, SCORE_FLOOR))},
                     origin="translit",
                 ))
-        else:
+        if not opts:
             opts.append(TranslationOption(
                 start=pos, end=pos + 1, target=(word,),
                 features={}, origin="pass-through",

@@ -41,6 +41,13 @@ INDEL_BUDGET = 3
 # this many distinct pairs.
 MULTI_OP_MIN_SUPPORT = 3
 
+# Pops one k-best search may make before it returns what it has found. The
+# bound keeps realistic words far below it (a 100-best list of a word of 40
+# characters takes a few thousand pops), but a model whose strings tie in
+# large blocks, asked for very many of them, can still need an exponential
+# number.
+MAX_POPS = 200_000
+
 DEFAULT_MINE_THRESHOLD = 0.5  # a pair whose posterior reaches it is mined
 DEFAULT_MINE_ITERATIONS = 10  # mining EM iterations of `mine-translit`
 
@@ -530,13 +537,34 @@ class TransliterationCandidate:
 
 
 def transliterate(model: CharModel, word: str, k: int) -> list[TransliterationCandidate]:
-    """The k best distinct target strings, by exact best-first search.
+    """The k best distinct target strings, by exact A* search.
 
     A derivation is scored by its character operations plus the target
     character trigram model, and each string by its best derivation;
     results come sorted by descending score with lexicographic
     tie-breaking. Characters never seen by the model fall back to identity
     mapping and flag the result.
+
+    A search state is (output, source position, indel budget spent); its
+    LM context is the output's last two characters. The bound h(position,
+    context, spent) is the best log10 completion: every operation, its
+    character-LM terms and the end-of-word term, under the indel budget.
+    It ignores only the output room of 2 * len(word) + 4 characters, so it
+    never underestimates a completion and is consistent. It is computed
+    once per call, bottom-up over the states reachable from the start, and
+    a state it puts at -inf is never pushed. States pop by prefix score
+    plus h, while each prefix score is still accumulated step by step, so
+    a string's score is the float its best derivation sums to. A pop is
+    skipped when an earlier pop of the same (output, position) had no more
+    budget spent and no lower prefix score: every completion of the later
+    one is open to the earlier one and scores no higher.
+
+    The bound is summed in another order than a prefix, so priorities may
+    be off by rounding, far below 1e-9 for any realistic word. After the
+    k-th string is found the search therefore keeps popping while the next
+    priority is within 1e-9 of the k-th score, then sorts by (-score,
+    target) and cuts to k: strings tied at the k-th place are broken by
+    target, as if every derivation had been scored.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -556,53 +584,98 @@ def transliterate(model: CharModel, word: str, k: int) -> list[TransliterationCa
              for i in range(m + 1)]
     # each character-LM term once per call, keyed on (context, character)
     char_lps: dict[tuple[tuple[str, str], str], float] = {}
-    # each position's steps once per call and LM context, as (target segment,
-    # its length, di, budget spent, log10 probability plus the segment's
-    # LM terms, the LM context after it)
-    scored_steps: dict[tuple[int, tuple[str, str]],
-                       list[tuple[str, int, int, int, float, tuple[str, str]]]] = {}
-    # state: (neg score, output, source position, last two output chars,
-    # indel budget spent); the LM context is determined by the output. A
-    # state popped earlier scores at least as high, so a later pop of the
-    # same (output, position) with no less budget spent can reach nothing
-    # better and is skipped. A finalized state spends 0, so each string is
-    # finalized once, by its best derivation.
-    start = (0.0, "", 0, (_BOW, _BOW), 0)
-    heap: list[tuple[float, str, int, tuple[str, str], int]] = [start]
-    results: list[TransliterationCandidate] = []
-    least_spent: dict[tuple[str, int], int] = {}
-    pops = 0
-    while heap and len(results) < k and pops < 200000:
-        pops += 1
-        neg, out, i, ctx, spent = heapq.heappop(heap)
-        if least_spent.get((out, i), spent + 1) <= spent:
-            continue
-        least_spent[(out, i)] = spent
-        if i == m + 1:  # finalized
-            results.append(TransliterationCandidate(out, -neg, fallback))
-            continue
+
+    def score_steps(i: int, ctx: tuple[str, str]
+                    ) -> list[tuple[str, int, int, int, float, tuple[str, str]]]:
+        """Position i's steps from LM context ctx, as (target segment, its
+        length, di, budget spent, log10 probability plus the segment's LM
+        terms, the LM context after it). Ending the word is the last step
+        of position m; it leads to the one finalized state."""
+        row = []
+        for di, b, dj, lp, cost in steps[i]:
+            new_ctx = ctx
+            for ch in b:
+                term = char_lps.get((new_ctx, ch))
+                if term is None:
+                    term = char_lps[new_ctx, ch] = lm.logprob(new_ctx[0], new_ctx[1], ch)
+                lp += term
+                new_ctx = (new_ctx[1], ch)
+            row.append((b, dj, di, cost, lp, new_ctx))
         if i == m:
-            end_lp = char_lps.get((ctx, _EOW))
-            if end_lp is None:
-                end_lp = char_lps[ctx, _EOW] = lm.logprob(ctx[0], ctx[1], _EOW)
-            heapq.heappush(heap, (neg - end_lp, out, m + 1, ctx, 0))
-            # insertions may still apply before finalizing (fall through)
-        scored = scored_steps.get((i, ctx))
-        if scored is None:
-            scored = scored_steps[i, ctx] = []
-            for di, b, dj, lp, cost in steps[i]:
-                new_ctx = ctx
-                for ch in b:
-                    term = char_lps.get((new_ctx, ch))
-                    if term is None:
-                        term = char_lps[new_ctx, ch] = lm.logprob(new_ctx[0], new_ctx[1], ch)
-                    lp += term
-                    new_ctx = (new_ctx[1], ch)
-                scored.append((b, dj, di, cost, lp, new_ctx))
+            row.append(("", 0, 1, 0, lm.logprob(ctx[0], ctx[1], _EOW), ctx))
+        return row
+
+    # The states reachable from the start, output aside, numbered in
+    # (position, budget spent) order: a step advances the position or, as
+    # an insertion, spends budget, so each state comes after its
+    # predecessors. layers[i][spent] maps each LM context of position i to
+    # its state's number, and scored[i, ctx] holds score_steps(i, ctx).
+    layers: list[list[dict[tuple[str, str], int]]] = \
+        [[{} for _ in range(INDEL_BUDGET + 1)] for _ in range(m + 1)]
+    layers[0][0][_BOW, _BOW] = 0
+    states: list[tuple[int, int, tuple[str, str]]] = []
+    scored: dict[tuple[int, tuple[str, str]], list] = {}
+    for i in range(m + 1):
+        for spent in range(INDEL_BUDGET + 1):
+            layer = layers[i][spent]
+            for ctx in layer:
+                layer[ctx] = len(states)
+                states.append((i, spent, ctx))
+                row = scored.get((i, ctx))
+                if row is None:
+                    row = scored[i, ctx] = score_steps(i, ctx)
+                for b, dj, di, cost, lp, new_ctx in row:
+                    if spent + cost <= INDEL_BUDGET and i + di <= m:
+                        layers[i + di][spent + cost].setdefault(new_ctx, -1)
+    # State s is at position pos[s] with budget spent_of[s]; the finalized
+    # state, number `final`, is at m + 1 with 0 spent. bound[s] is its h,
+    # summed from the last state back, and moves[s] its steps to states of
+    # finite h, as (log10 score, target segment, its length, next state,
+    # the next state's h).
+    final = len(states)
+    pos = [i for i, _, _ in states] + [m + 1]
+    spent_of = [spent for _, spent, _ in states] + [0]
+    bound = [-math.inf] * final + [0.0]
+    moves: list[list[tuple[float, str, int, int, float]]] = [[] for _ in range(final + 1)]
+    for s in range(final - 1, -1, -1):
+        i, spent, ctx = states[s]
+        for b, dj, di, cost, lp, new_ctx in scored[i, ctx]:
+            if spent + cost <= INDEL_BUDGET:
+                t = layers[i + di][spent + cost][new_ctx] if i + di <= m else final
+                h = bound[t]
+                if h != -math.inf:
+                    moves[s].append((lp, b, dj, t, h))
+                    bound[s] = max(bound[s], lp + h)
+    # heap entry: (-(prefix score + h), output, state, -prefix score)
+    heap = [(-bound[0], "", 0, 0.0)] if bound[0] != -math.inf else []
+    best_of: dict[str, float] = {}
+    popped: dict[tuple[str, int], list[tuple[int, float]]] = {}
+    kth_neg = math.inf  # -score of the k-th string found
+    pops = 0
+    while heap and heap[0][0] <= kth_neg + 1e-9:
+        if pops == MAX_POPS:
+            logger.warning("transliterate: %r stopped after %d pops with %d candidates",
+                           word, pops, len(best_of))
+            break
+        pops += 1
+        _, out, s, neg = heapq.heappop(heap)
+        earlier = popped.setdefault((out, pos[s]), [])
+        spent = spent_of[s]
+        if any(e_spent <= spent and e_neg <= neg for e_spent, e_neg in earlier):
+            continue
+        earlier.append((spent, neg))
+        if s == final:
+            if out not in best_of and len(best_of) == k - 1:
+                kth_neg = neg
+            best_of[out] = -neg
+            continue
         room = max_out - len(out)
-        for b, dj, di, cost, lp, new_ctx in scored:
-            if spent + cost <= INDEL_BUDGET and dj <= room:
-                heapq.heappush(heap, (neg - lp, out + b, i + di, new_ctx, spent + cost))
+        for lp, b, dj, t, h in moves[s]:
+            if dj <= room:
+                prefix = neg - lp
+                heapq.heappush(heap, (prefix - h, out + b, t, prefix))
+    ranked = sorted(best_of.items(), key=lambda item: (-item[1], item[0]))[:k]
+    results = [TransliterationCandidate(target, score, fallback) for target, score in ranked]
     if not results:
         # no usable operations at all: copy the word through, flagged
         score = 0.0
@@ -628,14 +701,24 @@ def kbest_probs(candidates: Sequence[TransliterationCandidate]) -> list[float]:
     return [mass / total for mass in rel]
 
 
+def usable_candidates(candidates: Sequence[TransliterationCandidate]
+                      ) -> list[tuple[TransliterationCandidate, float]]:
+    """The candidates that may be a phrase target, each with its
+    probability among them (`kbest_probs`).
+
+    A candidate whose target is a language-model marker or the field
+    separator (`LM_RESERVED`) is dropped before the rest are normalized;
+    the list is empty if none is left.
+    """
+    kept = [cand for cand in candidates if cand.target not in LM_RESERVED]
+    return list(zip(kept, kbest_probs(kept))) if kept else []
+
+
 def build_translit_table(model: CharModel, words: Sequence[str], k: int) -> PhraseTable:
     """k-best transliterations of each word as a one-word-phrase table.
 
-    Forward features are the normalized candidate scores, duplicated to the
-    backward features. A candidate whose target is a language-model marker
-    or the field separator (`LM_RESERVED`) is dropped before the rest are
-    normalized, since no table target may be one; a word left with no
-    candidate gets no entry.
+    Forward features are the `usable_candidates` probabilities, duplicated
+    to the backward features; a word left with no candidate gets no entry.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -645,11 +728,7 @@ def build_translit_table(model: CharModel, words: Sequence[str], k: int) -> Phra
         if word in done:
             continue
         done.add(word)
-        candidates = [cand for cand in transliterate(model, word, k)
-                      if cand.target not in LM_RESERVED]
-        if not candidates:
-            continue
-        for cand, prob in zip(candidates, kbest_probs(candidates)):
+        for cand, prob in usable_candidates(transliterate(model, word, k)):
             table.add(PhraseEntry((word,), (cand.target,), prob, prob, prob, prob))
     return table
 

@@ -14,7 +14,8 @@ from pivotsmt.errors import DataError
 from pivotsmt.evalkit import BleuStats
 from pivotsmt.ngramlm import MixtureModel, read_arpa, train_kn
 from pivotsmt.phrasetab import PhraseEntry, PhraseTable, TableSet
-from pivotsmt.translit import WordPairCorpus, mine_transliterations
+from pivotsmt.translit import (CharModel, CharTrigramModel, WordPairCorpus,
+                               mine_transliterations)
 
 from fixtures import read_file
 from oracles import (coverage_future_reference, decode_reference, enumerate_decodings,
@@ -72,6 +73,27 @@ class TestCollect:
         scores = [o.features["translit"] for o in opts]
         assert scores == sorted(scores, reverse=True)
         assert opts[0].target == ("AB",)
+
+    def test_marker_transliterations_are_dropped(self):
+        # d is written | and a, b, c as <, s, >, so the only transliteration
+        # of "ddd" is the field separator and that of "abc" the LM marker
+        # <s>: both words pass through. e is written > or x, so "abe" keeps
+        # "<sx" alone, with probability 1.
+        char_lm = CharTrigramModel()
+        for word in ("|||", "<s>", "<sx"):
+            char_lm.observe(word)
+        char_model = CharModel(ops={"d": {"|": 1.0}, "a": {"<": 1.0}, "b": {"s": 1.0},
+                                    "c": {">": 1.0}, "e": {">": 0.5, "x": 0.5}},
+                               src_chars=frozenset("abcde"), tgt_lm=char_lm)
+        tables = TableSet([table_of([("q", "Q", 1.0)])])
+        system = DecoderSystem(tables=tables, lm=train_kn([["Q"]], order=2),
+                               translit_model=char_model)
+        assert system.translate(("q", "ddd")) == ("Q", "ddd")
+        assert system.translate(("q", "abc")) == ("Q", "abc")
+        lattice = system.lattice(("q", "abc", "abe"), system.default_model())
+        assert [(o.origin, o.target) for o in lattice[1, 2]] == [("pass-through", ("abc",))]
+        assert [(o.origin, o.target, o.features) for o in lattice[2, 3]] == \
+            [("translit", ("<sx",), {"translit": 0.0})]
 
     def test_limit_keeps_best(self, uniform_lm):
         entries = [("a", f"x{i}", (i + 1) / 10.0) for i in range(8)]

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import logging
 import math
 import os
 import random
@@ -36,21 +37,51 @@ def mined_fixture():
     return pairs, labels, model, mined
 
 
-def small_char_model(seed):
+def random_char_model(seed, dyadic):
     """A seeded model from source "abc" to target "xyz", with insertions,
-    deletions and two 2-character source segments."""
+    deletions and two 2-character source segments. A dyadic one has
+    operation probabilities of 1, 1/2 and 1/4 only and an LM that saw every
+    target word of one or two characters once, so that many strings tie
+    to the bit."""
     rng = random.Random(seed)
     ops = {}
     for segment in ["", "a", "b", "c", "ab", "ca"]:
-        row = {target: rng.uniform(0.05, 1.0)
-               for target in rng.sample(["", "x", "y", "z", "xy", "zx"], 3)
-               if segment or target}
-        total = sum(row.values())
-        ops[segment] = {target: value / total for target, value in row.items()}
+        targets = rng.sample([target for target in ["", "x", "y", "z", "xy", "zx"]
+                              if segment or target], rng.randint(1, 4))
+        if dyadic:
+            probs = {1: [1.0], 2: [0.5, 0.5], 3: [0.5, 0.25, 0.25], 4: [0.25] * 4}[len(targets)]
+        else:
+            weights = [rng.uniform(0.05, 1.0) for _ in targets]
+            probs = [weight / sum(weights) for weight in weights]
+        ops[segment] = dict(zip(targets, probs))
     lm = CharTrigramModel()
-    for _ in range(12):
-        lm.observe("".join(rng.choice("xyz") for _ in range(rng.randint(1, 4))))
+    words = ["x", "y", "z"] + [c1 + c2 for c1 in "xyz" for c2 in "xyz"] if dyadic else \
+        ["".join(rng.choice("xyz") for _ in range(rng.randint(1, 4))) for _ in range(12)]
+    for word in words:
+        lm.observe(word)
     return CharModel(ops=ops, src_chars=frozenset("abc"), tgt_lm=lm)
+
+
+def hand_built_model():
+    lm = CharTrigramModel()
+    for word in ["xy", "hx"]:
+        lm.observe(word)
+    return CharModel(ops={"": {"h": 0.5}, "a": {"x": 0.7, "xy": 0.2, "": 0.1}},
+                     src_chars=frozenset("a"), tgt_lm=lm)
+
+
+def ambiguous_pairs(seed, count=120):
+    """Word pairs over "abcdefgh" whose targets write each letter as its
+    capital or, three times in ten, as X, Y or Z: a model mined from them
+    has several likely operations for every letter, so a long word has a
+    great many strings of nearly the best score."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        word = "".join(rng.choice("abcdefgh") for _ in range(rng.randint(3, 8)))
+        target = "".join(c.upper() if rng.random() < 0.7 else rng.choice("XYZ") for c in word)
+        pairs.append((word, target, 1.0))
+    return pairs
 
 
 class TestMining:
@@ -279,11 +310,7 @@ class TestDeterminism:
 
 class TestTransliterate:
     def test_hand_built_model_exact_candidates(self):
-        lm = CharTrigramModel()
-        for word in ["xy", "hx"]:
-            lm.observe(word)
-        model = CharModel(ops={"": {"h": 0.5}, "a": {"x": 0.7, "xy": 0.2, "": 0.1}},
-                          src_chars=frozenset("a"), tgt_lm=lm)
+        model = hand_built_model()
         # every output of "a": x, xy or nothing, with at most INDEL_BUDGET = 3
         # inserted h's and deleted characters together
         expected = [
@@ -376,13 +403,61 @@ class TestTransliterate:
     def test_equals_brute_force_best_derivation(self):
         # "d" is unseen, so it also exercises the identity rescue
         for seed in range(6):
-            model = small_char_model(seed)
+            model = random_char_model(seed, dyadic=False)
             rng = random.Random(seed)
             for _ in range(8):
                 word = "".join(rng.choice("abcd") for _ in range(rng.randint(1, 4)))
                 for k in (1, 7, 100000):
                     assert [(c.target, c.score) for c in transliterate(model, word, k)] \
                         == transliterate_reference(model, word, k)
+
+    @pytest.mark.parametrize("length", [28, 40])
+    def test_long_word_gives_k_candidates_without_fallback(self, caplog, length):
+        model, _ = mine_transliterations(WordPairCorpus(ambiguous_pairs(1)), iterations=5)
+        word = "".join(random.Random(length).choice("abcdefgh") for _ in range(length))
+        with caplog.at_level(logging.WARNING, logger="pivotsmt"):
+            results = transliterate(model, word, 100)
+        assert len({c.target for c in results}) == len(results) == 100
+        assert not any(c.fallback for c in results)
+        assert caplog.records == []
+
+    def test_very_long_word_needs_no_recursion(self, mined_fixture):
+        _, _, model, _ = mined_fixture
+        word = "".join(random.Random(2).choice(SRC_ALPHABET) for _ in range(2000))
+        [best] = transliterate(model, word, 1)
+        assert best.target == apply_bijection(word)
+        assert not best.fallback
+
+    def test_pop_cap_returns_what_was_found(self, monkeypatch, caplog):
+        model = hand_built_model()
+        every = {c.target for c in transliterate(model, "a", 100)}
+        monkeypatch.setattr(translit, "MAX_POPS", 12)
+        with caplog.at_level(logging.WARNING, logger="pivotsmt"):
+            results = transliterate(model, "a", 100)
+        assert 0 < len(results) < len(every)
+        assert {c.target for c in results} <= every
+        assert [r.getMessage() for r in caplog.records] == \
+            [f"transliterate: 'a' stopped after 12 pops with {len(results)} candidates"]
+
+
+def tie_cuts(ranked):
+    """Each k whose k-th string ties the next one's score."""
+    return [j + 1 for j in range(len(ranked) - 1) if ranked[j][1] == ranked[j + 1][1]]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 16), st.booleans(), st.text(alphabet="abcd", min_size=1, max_size=4))
+@example(3, True, "ab")
+def test_transliterate_equals_reference_on_random_models(seed, dyadic, word):
+    # "d" is unseen, so it also exercises the identity rescue; a dyadic
+    # model ties strings at the k-th place, where the target breaks the tie
+    model = random_char_model(seed, dyadic)
+    every = transliterate_reference(model, word, 10 ** 6)
+    cuts = tie_cuts(every)
+    if (seed, dyadic, word) == (3, True, "ab"):
+        assert cuts
+    for k in [1, *cuts[:4], 10 ** 6]:
+        assert [(c.target, c.score) for c in transliterate(model, word, k)] == every[:k]
 
 
 class TestTranslitTable:
