@@ -639,13 +639,16 @@ def transliterate(model: CharModel, word: str, k: int) -> list[TransliterationCa
     moves: list[list[tuple[float, str, int, int, float]]] = [[] for _ in range(final + 1)]
     for s in range(final - 1, -1, -1):
         i, spent, ctx = states[s]
+        best = -math.inf
         for b, dj, di, cost, lp, new_ctx in scored[i, ctx]:
             if spent + cost <= INDEL_BUDGET:
                 t = layers[i + di][spent + cost][new_ctx] if i + di <= m else final
                 h = bound[t]
                 if h != -math.inf:
                     moves[s].append((lp, b, dj, t, h))
-                    bound[s] = max(bound[s], lp + h)
+                    if lp + h > best:
+                        best = lp + h
+        bound[s] = best
     # heap entry: (-(prefix score + h), output, state, -prefix score)
     heap = [(-bound[0], "", 0, 0.0)] if bound[0] != -math.inf else []
     best_of: dict[str, float] = {}
@@ -659,11 +662,15 @@ def transliterate(model: CharModel, word: str, k: int) -> list[TransliterationCa
             break
         pops += 1
         _, out, s, neg = heapq.heappop(heap)
-        earlier = popped.setdefault((out, pos[s]), [])
-        spent = spent_of[s]
-        if any(e_spent <= spent and e_neg <= neg for e_spent, e_neg in earlier):
-            continue
-        earlier.append((spent, neg))
+        key = (out, pos[s])
+        earlier = popped.get(key)
+        if earlier is None:
+            popped[key] = [(spent_of[s], neg)]
+        else:
+            spent = spent_of[s]
+            if any(e_spent <= spent and e_neg <= neg for e_spent, e_neg in earlier):
+                continue
+            earlier.append((spent, neg))
         if s == final:
             if out not in best_of and len(best_of) == k - 1:
                 kth_neg = neg
