@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--words", required=True, help="one word per line")
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=100)
+    p.add_argument("--k", type=int, default=translit.DEFAULT_KBEST)
 
     p = sub.add_parser("train-lm", help="train a Kneser-Ney n-gram model (ARPA)")
     p.add_argument("--corpus", required=True)
@@ -122,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--translit-model")
         search = decoder.DecoderSystem
         p.add_argument("--option-limit", type=int, default=search.option_limit)
-        p.add_argument("--translit-k", type=int, default=search.translit_k)
         p.add_argument("--distortion-limit", type=int, default=search.distortion_limit)
         p.add_argument("--stack-size", type=int, default=search.stack_size)
 
@@ -173,12 +172,11 @@ def _load_system(args) -> tuple[decoder.DecoderSystem, decoder.LogLinearModel]:
         translit_model = translit.read_char_model(args.translit_model)
     system = decoder.DecoderSystem(
         tables=table_set, lm=lm, translit_model=translit_model,
-        option_limit=args.option_limit, translit_k=args.translit_k,
-        distortion_limit=args.distortion_limit, stack_size=args.stack_size,
+        option_limit=args.option_limit, distortion_limit=args.distortion_limit,
+        stack_size=args.stack_size,
     )
     if args.weights:
-        model = decoder.read_weights(args.weights, len(tables),
-                                     translit_model is not None)
+        model = decoder.read_weights(args.weights, system.n_blocks)
     else:
         model = system.default_model()
     return system, model

@@ -8,10 +8,11 @@ also keeps every arc, the recombination lattice: n-best lists are exact
 back-pointer enumerations of it, and their first derivation is the 1-best.
 Each phrase table has its own block of four features, and an option
 carries only the features of its own source: a table option its table's
-block, a transliteration the one `translit` feature, a pass-through none.
-A feature an option lacks adds 0, as in Moses (Koehn et al. 2007). Sources
-covered by no table fall back to transliteration or pass-through options,
-so decoding never fails for lack of coverage.
+block, a pass-through none. A feature an option lacks adds 0, as in Moses
+(Koehn et al. 2007). A character model adds one table, the k-best
+transliterations of the words no table covers (Durrani et al. 2014), and a
+word still uncovered passes through, so decoding never fails for lack of
+coverage.
 
 Within one sentence the search skips work that cannot change its result:
 each option's static score is computed once, each weighted LM step once per
@@ -52,14 +53,15 @@ from .errors import DataError
 # corpus_bleu stays importable from here: the benchmark's per-layer tracer
 # wraps decoder.corpus_bleu by name
 from .evalkit import DEFAULT_MAX_N, BleuStats, corpus_bleu, sentence_stats
-from .phrasetab import SCORE_FLOOR, TableSet
-from .translit import CharModel, transliterate, usable_candidates
+from .phrasetab import SCORE_FLOOR, PhraseTable, TableSet
+# transliterate stays importable from here: the benchmark's per-layer tracer
+# wraps decoder.transliterate by name
+from .translit import DEFAULT_KBEST, CharModel, build_translit_table, transliterate
 
 logger = logging.getLogger(__name__)
 
 TM_FEATURES = ("phi_fwd", "lex_fwd", "phi_bwd", "lex_bwd")
 CORE_FEATURES = ("lm", "word_penalty", "phrase_penalty", "distortion")
-TRANSLIT_FEATURE = "translit"
 
 DEFAULT_WEIGHTS = {
     "tm": 0.2,
@@ -67,16 +69,11 @@ DEFAULT_WEIGHTS = {
     "word_penalty": 0.0,
     "phrase_penalty": 0.0,
     "distortion": 0.3,
-    "translit": 0.2,
 }
 
 
-def feature_names(n_tables: int, use_translit: bool) -> list[str]:
-    names = [f"tm{i}.{feat}" for i in range(n_tables) for feat in TM_FEATURES]
-    names.extend(CORE_FEATURES)
-    if use_translit:
-        names.append(TRANSLIT_FEATURE)
-    return names
+def feature_names(n_tables: int) -> list[str]:
+    return [f"tm{i}.{feat}" for i in range(n_tables) for feat in TM_FEATURES] + list(CORE_FEATURES)
 
 
 @dataclass
@@ -85,25 +82,24 @@ class LogLinearModel:
 
     weights: dict[str, float]
     n_tables: int
-    use_translit: bool = False
 
     def __post_init__(self) -> None:
         if self.n_tables < 1:
             raise ValueError("at least one phrase table must be registered")
-        for name in feature_names(self.n_tables, self.use_translit):
+        for name in feature_names(self.n_tables):
             self.weights.setdefault(name, 0.0)
         for name, value in self.weights.items():
             if not math.isfinite(value):
                 raise ValueError(f"weight {name} is not finite")
 
     @classmethod
-    def default(cls, n_tables: int, use_translit: bool = False) -> "LogLinearModel":
+    def default(cls, n_tables: int) -> "LogLinearModel":
         weights = {name: DEFAULT_WEIGHTS["tm" if name.startswith("tm") else name]
-                   for name in feature_names(n_tables, use_translit)}
-        return cls(weights=weights, n_tables=n_tables, use_translit=use_translit)
+                   for name in feature_names(n_tables)}
+        return cls(weights=weights, n_tables=n_tables)
 
     def feature_order(self) -> list[str]:
-        return feature_names(self.n_tables, self.use_translit)
+        return feature_names(self.n_tables)
 
 
 @dataclass
@@ -113,7 +109,7 @@ class TranslationOption:
     start: int  # half-open span [start, end)
     end: int
     target: tuple[str, ...]
-    features: dict[str, float]  # static (table/translit) log10 features
+    features: dict[str, float]  # static (table) log10 features
     origin: str
 
     def __post_init__(self) -> None:
@@ -133,65 +129,54 @@ def collect_options(
     translit_model: CharModel | None,
     model: LogLinearModel,
     limit: int,
-    translit_k: int,
 ) -> OptionLattice:
     """Gather per-span translation options from all registered tables.
 
     At most `limit` options are kept per span, ranked by the model's
-    weighted table score. Any single word covered by no table receives
-    its k-best transliterations when a character model is supplied
-    (`usable_candidates`, so no target is an LM marker or the field
-    separator), else, or if none is usable, one pass-through option
-    copying the surface form, so every source position is coverable. An
-    option's features are those its source sets (table i's `tm{i}.*`
-    block, `translit`, or none for a pass-through); every feature it lacks
-    adds 0.
+    weighted table score. With a character model, the words that no table
+    covers give one more table, `build_translit_table(translit_model,
+    words, DEFAULT_KBEST)`, appended as block `tm{len(tables.tables)}`: the
+    lattice is the one that the tables and that table give. A word still
+    covered by no option gets one pass-through option copying the surface
+    form, so every source position is coverable. An option's features are
+    those its source sets (table i's `tm{i}.*` block, or none for a
+    pass-through); every feature it lacks adds 0.
     """
     if not sentence:
         raise ValueError("cannot collect options for an empty sentence")
     n = len(sentence)
-    blocks = [[f"tm{i}.{feat}" for feat in TM_FEATURES] for i in range(len(tables.tables))]
     max_len = min(n, max(t.max_source_len for t in tables.tables) or 1)
-    lattice: OptionLattice = {}
-    for start in range(n):
-        for end in range(start + 1, min(start + max_len, n) + 1):
-            phrase = tuple(sentence[start:end])
-            opts = []
-            for t_idx, table in enumerate(tables.tables):
-                for entry in table.get(phrase):
-                    features = {name: math.log10(max(score, SCORE_FLOOR))
-                                for name, score in zip(blocks[t_idx], entry.scores())}
-                    opts.append(TranslationOption(
-                        start=start, end=end, target=entry.target,
-                        features=features, origin=table.role or f"table{t_idx}",
-                    ))
-            if opts:
-                opts.sort(key=lambda o: (-weighted_total(o.features, model.weights),
-                                         o.target, o.origin))
-                lattice[(start, end)] = opts[:limit]
+    phrases = {(start, end): tuple(sentence[start:end]) for start in range(n)
+               for end in range(start + 1, min(start + max_len, n) + 1)}
+    found: dict[tuple[int, int], list[TranslationOption]] = {span: [] for span in phrases}
 
-    covered = [False] * n
-    for (start, end) in lattice:
-        for k in range(start, end):
-            covered[k] = True
-    for pos, is_covered in enumerate(covered):
-        if is_covered:
-            continue
-        word = sentence[pos]
-        opts = []
-        if translit_model is not None:
-            for cand, prob in usable_candidates(transliterate(translit_model, word, translit_k)):
-                opts.append(TranslationOption(
-                    start=pos, end=pos + 1, target=(cand.target,),
-                    features={TRANSLIT_FEATURE: math.log10(max(prob, SCORE_FLOOR))},
-                    origin="translit",
-                ))
-        if not opts:
-            opts.append(TranslationOption(
-                start=pos, end=pos + 1, target=(word,),
-                features={}, origin="pass-through",
-            ))
-        lattice[(pos, pos + 1)] = opts[:limit]
+    def add(table: PhraseTable, t_idx: int) -> None:
+        block = [f"tm{t_idx}.{feat}" for feat in TM_FEATURES]
+        for (start, end), phrase in phrases.items():
+            for entry in table.get(phrase):
+                found[(start, end)].append(TranslationOption(
+                    start=start, end=end, target=entry.target,
+                    features={name: math.log10(max(score, SCORE_FLOOR))
+                              for name, score in zip(block, entry.scores())},
+                    origin=table.role or f"table{t_idx}"))
+
+    for t_idx, table in enumerate(tables.tables):
+        add(table, t_idx)
+    covered = {pos for (start, end), opts in found.items() if opts for pos in range(start, end)}
+    uncovered = [pos for pos in range(n) if pos not in covered]
+    if translit_model is not None and uncovered:
+        add(build_translit_table(translit_model, [sentence[pos] for pos in uncovered],
+                                 DEFAULT_KBEST), len(tables.tables))
+    lattice: OptionLattice = {}
+    for span, opts in found.items():
+        if opts:
+            opts.sort(key=lambda o: (-weighted_total(o.features, model.weights),
+                                     o.target, o.origin))
+            lattice[span] = opts[:limit]
+    for pos in uncovered:
+        lattice.setdefault((pos, pos + 1), [TranslationOption(
+            start=pos, end=pos + 1, target=(sentence[pos],), features={},
+            origin="pass-through")])
     return lattice
 
 
@@ -615,7 +600,7 @@ def format_nbest_line(sent_id: int, item: NBestItem, order: Sequence[str]) -> st
 
 # --- System bundle and tuning ------------------------------------------------
 
-SEARCH_LOWS = {"option_limit": 1, "translit_k": 1, "distortion_limit": 0, "stack_size": 1}
+SEARCH_LOWS = {"option_limit": 1, "distortion_limit": 0, "stack_size": 1}
 
 
 def check_at_least(settings: object, lows: dict[str, int]) -> None:
@@ -633,20 +618,22 @@ class DecoderSystem:
     lm: object
     translit_model: CharModel | None = None
     option_limit: int = 20
-    translit_k: int = 10
     distortion_limit: int = 6
     stack_size: int = 200
 
     def __post_init__(self) -> None:
         check_at_least(self, SEARCH_LOWS)
 
+    @property
+    def n_blocks(self) -> int:  # a character model adds a block (`collect_options`)
+        return len(self.tables.tables) + (self.translit_model is not None)
+
     def lattice(self, sentence: Sequence[str], model: LogLinearModel) -> OptionLattice:
         return collect_options(sentence, self.tables, self.translit_model, model,
-                               self.option_limit, self.translit_k)
+                               self.option_limit)
 
     def default_model(self) -> LogLinearModel:
-        return LogLinearModel.default(len(self.tables.tables),
-                                      self.translit_model is not None)
+        return LogLinearModel.default(self.n_blocks)
 
     def decode(self, sentence: Sequence[str], model: LogLinearModel | None = None,
                keep_arcs: bool = True) -> DecodeResult:
@@ -751,8 +738,7 @@ def tune_weights(
     best_weights = dict(weights)
     best_bleu = -1.0
     for _ in range(rounds):
-        model = LogLinearModel(weights=dict(weights), n_tables=initial.n_tables,
-                               use_translit=initial.use_translit)
+        model = LogLinearModel(weights=dict(weights), n_tables=initial.n_tables)
         decoded = decode_corpus(system, model, [src for src, _ in dev], nbest_size=nbest_size)
         for (_, items), pool in zip(decoded, pools):
             for item in items:
@@ -764,6 +750,9 @@ def tune_weights(
                           sentence_stats(tokens, ref, DEFAULT_MAX_N))
                          for tokens, features in sorted(pool.items())]
                         for pool, ref in zip(pools, refs)]
+        # a feature no pooled hypothesis has scores every trial as best_score
+        used = [any(values[k] for pool in sorted_pools for values, _ in pool)
+                for k in range(len(order))]
         # BLEU of the current weights, carried from coordinate to coordinate
         best_score = rescore_bleu([weights[name] for name in order])
         if best_score > best_bleu:
@@ -773,6 +762,8 @@ def tune_weights(
         while improved:
             improved = False
             for k, name in enumerate(order):
+                if not used[k]:
+                    continue
                 base = weights[name]
                 best_value = base
                 trial = [weights[feature] for feature in order]
@@ -790,8 +781,6 @@ def tune_weights(
                                         stats) for values, stats in pool])
                     else:
                         fixed.add(pick(pool, trial, empty))
-                if not moving:  # every trial would score best_score
-                    continue
                 for step in _TUNE_STEPS:
                     value = base + step
                     total = BleuStats(max_n=DEFAULT_MAX_N)
@@ -809,8 +798,7 @@ def tune_weights(
                     if best_score > best_bleu:
                         best_bleu = best_score
                         best_weights = dict(weights)
-    return LogLinearModel(weights=best_weights, n_tables=initial.n_tables,
-                          use_translit=initial.use_translit)
+    return LogLinearModel(weights=best_weights, n_tables=initial.n_tables)
 
 
 # --- Weights file I/O --------------------------------------------------------
@@ -819,13 +807,15 @@ def write_weights(model: LogLinearModel, dest: str | TextIO) -> None:
     write_lines(dest, (f"{name}\t{model.weights[name]:.6f}" for name in model.feature_order()))
 
 
-def read_weights(path: str, n_tables: int, use_translit: bool = False) -> LogLinearModel:
-    """A `feature<TAB>weight` file; a feature the system lacks is a DataError at its
-    line, and one the file lacks weighs 0."""
-    known = feature_names(n_tables, use_translit)
+def read_weights(path: str, n_tables: int) -> LogLinearModel:
+    """A `feature<TAB>weight` file; a feature the system lacks, or one given
+    twice, is a DataError at its line, and one the file lacks weighs 0."""
+    known = feature_names(n_tables)
     weights = {}
     for where, (name, weight) in records(path, widths=(2,)):
         if name not in known:
             raise DataError(f"{where}: unknown feature {name!r} (known: {', '.join(known)})")
+        if name in weights:
+            raise DataError(f"{where}: feature {name!r} is given twice")
         weights[name] = number(weight, where, "weight")
-    return LogLinearModel(weights=weights, n_tables=n_tables, use_translit=use_translit)
+    return LogLinearModel(weights=weights, n_tables=n_tables)

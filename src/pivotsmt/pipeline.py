@@ -49,7 +49,6 @@ class ExperimentConfig:
     max_phrase_len: int = phrasetab.DEFAULT_MAX_PHRASE_LEN
     prune_top_k: int = 0        # 0 disables pruning
     option_limit: int = decoder.DecoderSystem.option_limit
-    translit_k: int = decoder.DecoderSystem.translit_k
     distortion_limit: int = decoder.DecoderSystem.distortion_limit
     stack_size: int = decoder.DecoderSystem.stack_size
     tune_rounds: int = 0        # 0 freezes the default weights
@@ -255,8 +254,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         tables = phrasetab.TableSet(table_list)
         system = decoder.DecoderSystem(
             tables=tables, lm=lm, translit_model=translit_model,
-            option_limit=config.option_limit, translit_k=config.translit_k,
-            distortion_limit=config.distortion_limit, stack_size=config.stack_size,
+            option_limit=config.option_limit, distortion_limit=config.distortion_limit,
+            stack_size=config.stack_size,
         )
         model = system.default_model()
         if dev_pairs is not None:

@@ -50,6 +50,7 @@ MAX_POPS = 200_000
 
 DEFAULT_MINE_THRESHOLD = 0.5  # a pair whose posterior reaches it is mined
 DEFAULT_MINE_ITERATIONS = 10  # mining EM iterations of `mine-translit`
+DEFAULT_KBEST = 100  # transliterations per word of a `transliterated` table
 
 _BOW = "\x02"  # begin-of-word marker for the target character model
 _EOW = "\x03"

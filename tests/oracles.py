@@ -1025,7 +1025,7 @@ def tune_reference(dev, system, initial, rounds, nbest_size, steps, max_n=4):
 
     best_weights, best_bleu = dict(weights), -1.0
     for _ in range(rounds):
-        model = LogLinearModel(dict(weights), initial.n_tables, initial.use_translit)
+        model = LogLinearModel(dict(weights), initial.n_tables)
         decoded = decode_corpus(system, model, [src for src, _ in dev], nbest_size=nbest_size)
         for (_, items), pool in zip(decoded, pools):
             for item in items:
@@ -1051,4 +1051,4 @@ def tune_reference(dev, system, initial, rounds, nbest_size, steps, max_n=4):
                     improved = True
                     if best_score > best_bleu:
                         best_bleu, best_weights = best_score, dict(weights)
-    return LogLinearModel(best_weights, initial.n_tables, initial.use_translit)
+    return LogLinearModel(best_weights, initial.n_tables)

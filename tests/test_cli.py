@@ -58,6 +58,10 @@ _READS = [
     ("train-lm --corpus {marker_lm} --out {out}", ("marker_lm",)),
     ("experiment --config {config}", ("marker_lm",)),
     ("decode --input {src} --output {out} --table {marker_table} --lm {lm}", ("marker_table",)),
+    ("decode --input {src} --output {out} --table {table} --lm {lm} --weights {twice_weights}",
+     ("twice_weights",)),
+    ("decode --input {src} --output {out} --table {table} --lm {lm} --weights {translit_weights}",
+     ("translit_weights",)),
 ]
 _BAD_CHAR_MODEL = (b'{"lambda": "half", "ops": {"a": {"a": 1.0}}, "src_chars": ["a"], '
                    b'"tgt_lm": {"alphabet": ["a"], "counts": {}}}')
@@ -80,6 +84,8 @@ _MALFORMED = {
     "marker_lm": b"b01 b02\nb03 </s>\n",  # the experiment's lm_corpus
     "marker_table": b"a ||| x ||| 1 1 1 1\nb ||| y <s> ||| 1 1 1 1\n",  # an LM marker as target
     "marker_words": b"a\n<s>\n",  # a word that the identity fallback makes an LM marker
+    "twice_weights": b"lm\t0.5\nlm\t0.7\n",  # a feature given twice
+    "translit_weights": b"lm\t0.5\ntranslit\t0.2\n",  # a feature that no system weighs
 }
 
 
@@ -140,6 +146,8 @@ class TestExitCodes:
                                                                    "b ||| y ||| 1 1 1 1"]),
                  "lm": str(tmp_path / "lm.arpa"), "lm2": str(tmp_path / "lm2.arpa"),
                  "weights": write(tmp_path / "w.tsv", ["lm\t0.5", "distortion\t0.3"]),
+                 "twice_weights": write(tmp_path / "w2.tsv", ["lm\t0.5", "distortion\t0.3"]),
+                 "translit_weights": write(tmp_path / "w3.tsv", ["lm\t0.5", "distortion\t0.3"]),
                  "char": char_model(tmp_path / "char.json", {"a": {"a": 1.0}}),
                  "spaced_char": char_model(tmp_path / "spaced.json", {"a": {"a": 1.0}}),
                  "pairs": write(tmp_path / "pairs.tsv", ["ab\tAB", "ba\tBA\t2"]),
@@ -663,7 +671,7 @@ def one_line_error(capsys):
 _OUT_OF_RANGE = [
     ("decode", ["--option-limit", "0"], 1, "option_limit must be >= 1"),
     ("decode", ["--option-limit", "-5"], 1, "option_limit must be >= 1"),
-    ("decode", ["--translit-k", "0"], 1, "translit_k must be >= 1"),
+    ("decode", ["--translit-k", "3"], 1, "unrecognized arguments: --translit-k"),
     ("decode", ["--distortion-limit", "-1"], 1, "distortion_limit must be >= 0"),
     ("synthesize", ["--stack-size", "0"], 1, "stack_size must be >= 1"),
     ("tune", ["--option-limit", "0"], 1, "option_limit must be >= 1"),
@@ -687,7 +695,7 @@ _OUT_OF_RANGE = [
     ("experiment", {"lm_order": 9}, 1, "lm_order must be in 1..5"),
     ("experiment", {"stack_size": 0}, 1, "stack_size must be >= 1"),
     ("experiment", {"option_limit": 0}, 1, "option_limit must be >= 1"),
-    ("experiment", {"translit_k": 0}, 1, "translit_k must be >= 1"),
+    ("experiment", {"option_limit": -5}, 1, "option_limit must be >= 1"),
     ("decode", ["--nbest", "-1"], 1, "--nbest: must be >= 0"),
     ("mine-translit", ["--threshold", "7"], 1, "threshold must be in [0, 1]"),
     ("mine-translit", ["--threshold", "-0.5"], 1, "threshold must be in [0, 1]"),
@@ -699,6 +707,7 @@ _OUT_OF_RANGE = [
                     "dev_tgt": "{tmp}/blank.txt"}, 2, "dev_src is empty"),
     ("tune", ["--dev-src", "{tmp}/blank.txt", "--dev-ref", "{tmp}/blank.txt"], 2,
      "cannot tune on an empty dev set"),
+    ("experiment", {"translit_k": 3}, 2, "unknown config key 'translit_k'"),
 ]
 
 
@@ -809,7 +818,7 @@ _SHARED_SETTINGS = [
     ("train-lm", "order", "lm_order"),
     ("tune", "nbest", "nbest_size"),
     *((command, key, key) for command in ("synthesize", "tune", "decode")
-      for key in ("option_limit", "translit_k", "distortion_limit", "stack_size")),
+      for key in ("option_limit", "distortion_limit", "stack_size")),
 ]
 
 

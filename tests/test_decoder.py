@@ -14,8 +14,8 @@ from pivotsmt.errors import DataError
 from pivotsmt.evalkit import BleuStats
 from pivotsmt.ngramlm import MixtureModel, read_arpa, train_kn
 from pivotsmt.phrasetab import PhraseEntry, PhraseTable, TableSet
-from pivotsmt.translit import (CharModel, CharTrigramModel, WordPairCorpus,
-                               mine_transliterations)
+from pivotsmt.translit import (DEFAULT_KBEST, CharModel, CharTrigramModel, WordPairCorpus,
+                               build_translit_table, mine_transliterations)
 
 from fixtures import read_file
 from oracles import (coverage_future_reference, decode_reference, enumerate_decodings,
@@ -65,14 +65,19 @@ class TestCollect:
                             ("aa", "AA", 1.0), ("bb", "BB", 1.0)] * 3),
             iterations=6, threshold=0.5)
         tables = TableSet([table_of([("known", "x0", 1.0)])])
-        lattice = options_of(["known", "ab"], tables,
-                             translit_model=model, translit_k=3)
+        lattice = options_of(["known", "ab"], tables, translit_model=model, option_limit=3)
+        # the uncovered word's options are the first three of block tm1,
+        # the `transliterated` table of its DEFAULT_KBEST transliterations
+        entries = build_translit_table(model, ["ab"], DEFAULT_KBEST).get(("ab",))
         opts = lattice[(1, 2)]
-        assert 1 <= len(opts) <= 3
-        assert all(o.origin == "translit" for o in opts)
-        scores = [o.features["translit"] for o in opts]
+        assert len(opts) == min(3, len(entries))
+        assert all(o.origin == "transliterated" for o in opts)
+        assert all(list(o.features) == [f"tm1.{f}" for f in TM_FEATURES] for o in opts)
+        scores = [o.features["tm1.phi_fwd"] for o in opts]
         assert scores == sorted(scores, reverse=True)
         assert opts[0].target == ("AB",)
+        assert {o.target for o in opts} <= {e.target for e in entries}
+        assert [o.origin for o in lattice[(0, 1)]] == ["baseline"]
 
     def test_marker_transliterations_are_dropped(self):
         # d is written | and a, b, c as <, s, >, so the only transliteration
@@ -93,7 +98,19 @@ class TestCollect:
         lattice = system.lattice(("q", "abc", "abe"), system.default_model())
         assert [(o.origin, o.target) for o in lattice[1, 2]] == [("pass-through", ("abc",))]
         assert [(o.origin, o.target, o.features) for o in lattice[2, 3]] == \
-            [("translit", ("<sx",), {"translit": 0.0})]
+            [("transliterated", ("<sx",), {f"tm1.{f}": 0.0 for f in TM_FEATURES})]
+
+    def test_covered_sentence_gets_no_transliteration(self, uniform_lm):
+        char_model = CharModel(ops={"a": {"x": 1.0}}, src_chars=frozenset("a"),
+                               tgt_lm=CharTrigramModel())
+        tables = TableSet([table_of([("a", "x0", 1.0)])])
+        system = DecoderSystem(tables=tables, lm=uniform_lm, translit_model=char_model)
+        # the model adds one block, weighed by every model of the system
+        assert system.n_blocks == 2
+        assert system.default_model().feature_order()[:8] == \
+            [f"tm{i}.{f}" for i in range(2) for f in TM_FEATURES]
+        lattice = system.lattice(["a", "a"], system.default_model())
+        assert [o.origin for opts in lattice.values() for o in opts] == ["baseline"] * 2
 
     def test_limit_keeps_best(self, uniform_lm):
         entries = [("a", f"x{i}", (i + 1) / 10.0) for i in range(8)]
@@ -134,6 +151,45 @@ class TestCollect:
         for i, prob in enumerate((0.9, 0.8, 0.7)):
             for feat in TM_FEATURES:
                 assert feats[f"tm{i}.{feat}"] == math.log10(prob)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_character_model_decodes_as_its_table_appended(seed):
+    # a system with a character model decodes, 1-best and n-best, as one
+    # without it whose tables end with build_translit_table of the words
+    # that no table covers. The first "ab" is one of them; the one after
+    # "k0" is covered by a two-word phrase, and still gets the block's options
+    char_lm = CharTrigramModel()
+    for word in ("AB", "BA", "EB", "BAP", "ABBA"):
+        char_lm.observe(word)
+    char_model = CharModel(ops={"a": {"A": 0.7, "E": 0.3}, "b": {"B": 0.6, "P": 0.4}},
+                           src_chars=frozenset("ab"), tgt_lm=char_lm)
+    tables = [table_of([("k0", "x0", 0.7), ("k0", "x1", 0.3), ("k1", "x1", 1.0),
+                        ("k0 ab", "x0 AB", 0.5)]),
+              table_of([("k1", "x0", 0.6)], role="triangulated")]
+    lm = train_kn([["x0", "x1", "AB"], ["BA", "x1"], ["x0", "AA", "x1"]], order=2)
+    with_model = DecoderSystem(tables=TableSet(tables), lm=lm, translit_model=char_model)
+    plain = DecoderSystem(tables=TableSet(tables), lm=lm)
+    rng = random.Random(seed)
+    sentence = [rng.choice(["k0", "k1", "ba", "aab", "abba"]) for _ in range(3)]
+    at = rng.randrange(4)
+    sentence[at:at] = ["k0", "ab"]
+    sentence.insert(0, "ab")
+    uncovered = [sentence[start] for (start, _), opts in
+                 plain.lattice(sentence, plain.default_model()).items()
+                 if opts[0].origin == "pass-through"]
+    appended = DecoderSystem(tables=TableSet(tables + [build_translit_table(
+        char_model, uncovered, DEFAULT_KBEST)]), lm=lm)
+    model = with_model.default_model()
+    assert model == appended.default_model()
+    one, other = (system.decode(sentence, model, keep_arcs=False)
+                  for system in (with_model, appended))
+    assert (one.best_tokens(), one.best_score) == (other.best_tokens(), other.best_score)
+    one, other = (nbest(system.decode(sentence, model), 10)
+                  for system in (with_model, appended))
+    assert one == other
+    assert any(name.startswith("tm2.") and value for item in one
+               for name, value in item.features.items())
 
 
 def random_instance(rng, lm_words, min_len=1, max_len=4):
@@ -557,7 +613,7 @@ class TestSearchEqualsReference:
 
     def test_random_lattices_with_repeated_targets(self, uniform_lm):
         rng = random.Random(1414)
-        weights = {name: 0.25 for name in decoder.feature_names(2, False)}
+        weights = {name: 0.25 for name in decoder.feature_names(2)}
         weights.update(lm=0.5, word_penalty=0.125, phrase_penalty=-0.0625)
         model = LogLinearModel(weights=weights, n_tables=2)
         exact_ties = 0
@@ -587,7 +643,7 @@ class TestSearchEqualsReference:
         # back-pointer must be the first of them, as in the reference.
         lm = train_kn([["x0", "x1"]], order=1)
         rng = random.Random(1616)
-        weights = {name: 0.25 for name in decoder.feature_names(1, False)}
+        weights = {name: 0.25 for name in decoder.feature_names(1)}
         weights.update(lm=0.0, word_penalty=0.125, phrase_penalty=0.0, distortion=0.5)
         model = LogLinearModel(weights=weights, n_tables=1)
         tied_nodes = 0
@@ -613,7 +669,7 @@ class TestSearchEqualsReference:
     def test_option_one_ulp_below_a_later_one_is_kept(self, uniform_lm):
         # the two static scores differ, but their sums with the LM score
         # round to one value, so the earlier option's arc is the first best
-        weights = {name: 0.0 for name in decoder.feature_names(1, False)}
+        weights = {name: 0.0 for name in decoder.feature_names(1)}
         weights.update({"tm0.phi_fwd": 1.0, "lm": 4.0})
         model = LogLinearModel(weights=weights, n_tables=1)
         lower = TranslationOption(0, 1, ("x0",), {"tm0.phi_fwd": -1.0}, "table0")
@@ -714,7 +770,7 @@ class TestGroupedExpansion:
         # more, so A and C reach the child (w0 w1, y) with equal totals:
         # its back-pointer must be A's arc, the first in beam order.
         lm = TableLM(2, {(("a",), "y"): -2.0})
-        weights = {name: 0.25 for name in decoder.feature_names(1, False)}
+        weights = {name: 0.25 for name in decoder.feature_names(1)}
         weights.update(lm=1.0, word_penalty=0.0, phrase_penalty=0.0, distortion=0.5)
         model = LogLinearModel(weights=weights, n_tables=1)
         lattice = {(0, 1): [word_option(0, "a", -1.0), word_option(0, "c", -2.0)],
@@ -762,7 +818,7 @@ class TestGroupedExpansion:
         # only in their end often reach one child with equal totals
         sentence, lattice, search = instance
         lm = TableLM(1, {((), "x0"): -0.5, ((), "x1"): -0.75})
-        weights = {name: 0.25 for name in decoder.feature_names(1, False)}
+        weights = {name: 0.25 for name in decoder.feature_names(1)}
         weights.update(lm=0.5, word_penalty=0.125, phrase_penalty=-0.0625, distortion=w_dist)
         args = (sentence, LogLinearModel(weights=weights, n_tables=1), lm, lattice)
         try:
@@ -1077,11 +1133,11 @@ class TestTune:
 
 class TestWeightsIO:
     def test_roundtrip(self, tmp_path, uniform_lm):
-        model = LogLinearModel.default(2, use_translit=True)
+        model = LogLinearModel.default(2)
         model.weights["lm"] = 0.75
         path = str(tmp_path / "weights.tsv")
         write_weights(model, path)
-        back = read_weights(path, 2, use_translit=True)
+        back = read_weights(path, 2)
         assert back.weights == pytest.approx(model.weights)
 
     def test_malformed(self, tmp_path):
@@ -1098,16 +1154,23 @@ class TestWeightsIO:
         path.write_text("tm1.phi_fwd\t0.5\n", encoding="utf-8")
         with pytest.raises(DataError, match="w.tsv:1: unknown feature"):
             read_weights(str(path), 1)
+        # a character model weighs a table block, no `translit` feature
         path.write_text("translit\t0.5\n", encoding="utf-8")
         with pytest.raises(DataError, match="w.tsv:1: unknown feature"):
-            read_weights(str(path), 1, use_translit=False)
+            read_weights(str(path), 2)
+
+    def test_repeated_feature_names_line(self, tmp_path):
+        path = tmp_path / "w.tsv"
+        path.write_text("lm\t0.5\ndistortion\t0.3\nlm\t0.7\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"w.tsv:3: feature 'lm' is given twice"):
+            read_weights(str(path), 1)
 
     def test_missing_feature_weighs_zero(self, tmp_path):
         path = tmp_path / "w.tsv"
         path.write_text("lm\t0.5\n", encoding="utf-8")
-        weights = read_weights(str(path), 2, use_translit=True).weights
+        weights = read_weights(str(path), 2).weights
         assert weights["lm"] == 0.5
-        assert weights["tm1.phi_fwd"] == weights["translit"] == 0.0
+        assert weights["tm1.phi_fwd"] == 0.0
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_weight_names_line(self, tmp_path, bad):

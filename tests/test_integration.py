@@ -111,7 +111,7 @@ def decode_bleu(workspace, tables, translit=None):
     for table in tables:
         argv += ["--table", table]
     if translit:
-        argv += ["--translit-model", translit, "--translit-k", "3"]
+        argv += ["--translit-model", translit]
     assert main(argv) == 0
     with open(out, encoding="utf-8") as handle:
         hyps = [line.split() for line in handle.read().splitlines()]

@@ -256,11 +256,11 @@ def test_alignments_write_read_round_trip(matrices):
         assert read_alignments(path, [(m.src_len, m.tgt_len) for m in matrices]) == matrices
 
 
-_WEIGHTS = st.tuples(st.integers(1, 3), st.booleans()).flatmap(
-    lambda system: st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                            min_size=len(feature_names(*system)),
-                            max_size=len(feature_names(*system)))
-    .map(lambda values: LogLinearModel(dict(zip(feature_names(*system), values)), *system)))
+_WEIGHTS = st.integers(1, 3).flatmap(
+    lambda n_tables: st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                              min_size=len(feature_names(n_tables)),
+                              max_size=len(feature_names(n_tables)))
+    .map(lambda values: LogLinearModel(dict(zip(feature_names(n_tables), values)), n_tables)))
 
 
 @settings(deadline=None)
@@ -271,8 +271,7 @@ def test_weights_write_read_round_trip(model):
     # write_weights keeps 6 decimals: a weights file reads back to each
     # weight rounded to 6 decimals, and writing that again gives the same file
     with tempfile.TemporaryDirectory() as directory:
-        back = read_weights(_written(write_weights, model, directory), model.n_tables,
-                            model.use_translit)
+        back = read_weights(_written(write_weights, model, directory), model.n_tables)
     assert back.weights == {name: float(f"{value:.6f}") for name, value in model.weights.items()}
     assert _dumps(write_weights, back) == _dumps(write_weights, model)
 
@@ -288,8 +287,8 @@ _ROUND_TRIPS = [
     pytest.param(lambda table, dest: write_table(dest, table), read_table,
                  TranslationTable({None: {"a": 0.25, "ÿ": 0.75}, "x": {"a": 1.0},
                                    "y": {"b": 0.5, "a": 0.5}}, use_null=True), id="t-table"),
-    pytest.param(write_weights, lambda path: read_weights(path, 2, True),
-                 LogLinearModel({"lm": 0.5, "tm1.phi_fwd": -1.25, "translit": 3.0}, 2, True),
+    pytest.param(write_weights, lambda path: read_weights(path, 2),
+                 LogLinearModel({"lm": 0.5, "tm1.phi_fwd": -1.25, "tm0.lex_bwd": 3.0}, 2),
                  id="weights"),
     pytest.param(write_mined_pairs, read_mined_pairs,
                  [MinedPair("ab", "AB", 0.75), MinedPair("ÿx", "Y", 0.5)], id="mined-pairs"),
