@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import operator
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -71,9 +72,12 @@ def train_model1(
     Initialization is uniform over the source vocabulary.
 
     EM runs over interned co-occurrence cells: every (conditioning,
-    predicted) pair of the bitext is numbered once, in corpus-scan order,
-    and each iteration walks flat arrays of cell ids, adding up posteriors
-    in the same order as a per-word dict walk would.
+    predicted) pair of the bitext is numbered once, in corpus-scan order.
+    Each iteration's E-step works a sentence at a time, with C-level passes
+    over its flat cell ids (each source token's conditioning cells in turn),
+    and adds up the posteriors in the same order as a per-word dict walk
+    would: a cell's count token by token, a conditioning word's total over
+    its positions token by token.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -92,16 +96,23 @@ def train_model1(
     next_cell = itertools.count().__next__
     rows: list[dict[int, int]] = []  # per conditioning id: word id -> cell id
     cells = array("i")  # per source token, the cells of its conditioning words
-    shapes = []  # per pair: (source length, conditioning ids)
+    # per pair: (source length, conditioning length, the (word, position)
+    # pairs of the words at one position laid out flat, (word, positions)
+    # of the words at several)
+    shapes = []
     for src, tgt in pairs:
         cond = (None, *tgt) if use_null else tgt
-        conds = tuple([cond_ids.setdefault(e, len(cond_ids)) for e in cond])
+        conds = [cond_ids.setdefault(e, len(cond_ids)) for e in cond]
         rows += [defaultdict(next_cell) for _ in range(len(cond_ids) - len(rows))]
         sentence_rows = [rows[e] for e in conds]
         for f in src:
-            f_id = word_ids[f]
-            cells.extend([row[f_id] for row in sentence_rows])
-        shapes.append((len(src), conds))
+            cells.extend(map(operator.getitem, sentence_rows, itertools.repeat(word_ids[f])))
+        positions: dict[int, list[int]] = {}
+        for j, e in enumerate(conds):
+            positions.setdefault(e, []).append(j)
+        shapes.append((len(src), len(conds),
+                       tuple([x for e, js in positions.items() if len(js) == 1 for x in (e, *js)]),
+                       tuple([(e, js) for e, js in positions.items() if len(js) > 1])))
     n_cells = sum(map(len, rows))
     cell_cond = array("i", bytes(4 * n_cells))
     cell_word = array("i", bytes(4 * n_cells))
@@ -112,93 +123,106 @@ def train_model1(
     del rows, word_ids
     cond_words = list(cond_ids)
 
-    t = array("d", [1.0 / len(words)]) * len(cell_cond)
+    # t and counts are lists: reading a list hands back the stored float,
+    # reading an array makes a new one.
+    t = [1.0 / len(words)] * n_cells
     log_likelihoods: list[float] = []
     for iteration in range(iterations):
-        if iteration:  # M-step; a cell no posterior reached stays at 0
-            t = array("d", [
-                c / totals[e] if p else 0.0
-                for p, c, e in zip(t, counts, cell_cond)
-            ])
-        counts = array("d", bytes(8 * len(t)))
+        if iteration:
+            # M-step. A cell that scored 0 has count 0 and stays at 0. No total
+            # is 0: each row sums to 1, so one of its cells scores well again.
+            del t  # the old scores go before the new ones are made
+            t = list(map(operator.truediv, counts, map(totals.__getitem__, cell_cond)))
+        counts = [0.0] * n_cells
         totals = [0.0] * len(cond_words)
         ll = 0.0
         pos = 0
-        for n_src, conds in shapes:
-            n = len(conds)
-            norm = math.log(n)
-            for _ in range(n_src):
-                ids = cells[pos:pos + n]
-                pos += n
-                scores = list(map(t.__getitem__, ids))
-                denom = ltr_sum(scores)
-                ll += math.log(denom) - norm
-                for c, e, score in zip(ids, conds, scores):
-                    if score == 0.0:
-                        continue
-                    post = score / denom
-                    counts[c] += post
-                    totals[e] += post
+        for n_src, n, once, repeated in shapes:
+            ids = cells[pos:pos + n_src * n].tolist()
+            pos += n_src * n
+            scores = list(map(t.__getitem__, ids))
+            denoms = [ltr_sum(scores[k:k + n]) for k in range(0, len(scores), n)]
+            ll = ltr_sum(map(operator.sub, map(math.log, denoms),
+                             itertools.repeat(math.log(n))), ll)
+            posts = list(map(operator.truediv, scores, itertools.chain.from_iterable(
+                map(itertools.repeat, denoms, itertools.repeat(n)))))
+            for c, post in zip(ids, posts):  # a zero score adds +0.0, which changes no bit
+                counts[c] += post
+            flat = iter(once)
+            for e, j in zip(flat, flat):
+                totals[e] = ltr_sum(posts[j::n], totals[e])
+            for e, js in repeated:  # a word at several positions: token by token
+                totals[e] = ltr_sum(itertools.chain.from_iterable(
+                    zip(*[posts[j::n] for j in js])), totals[e])
         log_likelihoods.append(ll)
         logger.info("model 1 iteration %d/%d: log-likelihood %.6f",
                     iteration + 1, iterations, ll)
 
-    # Keep the cells the last E-step scored, in cell order.
+    # Keep the cells the last E-step scored, in cell order. The scores and
+    # counts go before the rows are filled, which take the new values' floats.
+    del cells, shapes
+    scored = bytes(map(bool, t))
+    del t
+    values = list(map(operator.truediv, counts, map(totals.__getitem__, cell_cond)))
+    del counts
     probs: dict[str | None, dict[str, float]] = {}
-    for p, c, e, w in zip(t, counts, cell_cond, cell_word):
+    for p, v, e, w in zip(scored, values, cell_cond, cell_word):
         if p:
-            probs.setdefault(cond_words[e], {})[words[w]] = c / totals[e]
+            probs.setdefault(cond_words[e], {})[words[w]] = v
     return TranslationTable(probs=probs, use_null=use_null,
                             log_likelihoods=log_likelihoods)
 
 
-def train_both_directions(pairs: Sequence[TokenPair], iterations: int,
-                          use_null: bool = True) -> tuple[TranslationTable, TranslationTable]:
-    """`train_model1` on `pairs` and on the swapped pairs: (t(src|tgt), t(tgt|src)).
+Links = list[tuple[int, ...]]  # per pair, per source word: its target index, or -1
 
-    Neither direction reads the other, so they train through
-    corpus.forked_map: with two usable CPUs the swapped direction trains in a
-    forked child while this process trains the other. The tables and the
-    log are the same bits either way.
+
+def viterbi_align(table: TranslationTable, bitext: Sequence[TokenPair]) -> Links:
+    """Argmax links of every pair: per source word, the index of its best
+    target word, or -1 for no link.
+
+    `table` is conditioned on the target side of `bitext`, as train_model1
+    trained on it is. Ties go to the smaller target index. With the NULL
+    row, a word whose NULL score is higher, or whose every score is 0,
+    gets no link; without it, a word whose every score is 0 links to the
+    first target word. A pair with an empty side has no links.
     """
-    return tuple(forked_map(lambda bitext: train_model1(bitext, iterations, use_null),
-                            [pairs, [(t, s) for s, t in pairs]]))
+    probs = table.probs
+    null_row = probs.get(None, {}) if table.use_null else None
+    links = []
+    for src, tgt in bitext:
+        if not tgt:
+            links.append((-1,) * len(src))
+            continue
+        rows = [probs.get(e, {}) for e in tgt]
+        best_js = []
+        for f in src:
+            scores = [row.get(f, 0.0) for row in rows]
+            best = max(scores)  # the first maximum, which scores.index finds
+            if null_row is not None and (best == 0.0 or null_row.get(f, 0.0) > best):
+                best_js.append(-1)
+            else:
+                best_js.append(scores.index(best))
+        links.append(tuple(best_js))
+    return links
 
 
-def viterbi_align(table: TranslationTable, pair: TokenPair) -> AlignmentMatrix:
-    """Argmax word alignment of one sentence pair, links as (src, tgt) indices.
+def train_both_directions(pairs: Sequence[TokenPair], iterations: int, use_null: bool = True
+                          ) -> tuple[tuple[TranslationTable, Links], tuple[TranslationTable, Links]]:
+    """`train_model1` on `pairs` and on the swapped pairs, each with the
+    `viterbi_align` links of the pairs it trained on:
+    ((t(src|tgt), a target index per source word),
+    (t(tgt|src), a source index per target word)).
 
-    `table` is conditioned on the pair's target side (the orientation
-    train_model1 produces on these pairs), and each source word links to its
-    best target word. The other orientation is this one on the swapped pair,
-    with the table trained on the swapped pairs, and its links transposed.
-
-    Ties break toward the smaller target index; NULL alignments produce no
-    link. A word unknown to the table aligns to NULL when the NULL row is
-    enabled, else to the uniform-fallback argmax (index 0) with a warning.
+    Neither direction reads the other, so they run through
+    corpus.forked_map: with two usable CPUs the swapped direction trains and
+    aligns in a forked child while this process does the other. The tables,
+    the links and the log are the same bits either way.
     """
-    src, tgt = pair
-    links: set[tuple[int, int]] = set()
-    if not tgt:
-        return AlignmentMatrix(len(src), 0, frozenset())
-    rows = [table.probs.get(tgt_word) or {} for tgt_word in tgt]
-    null_row = (table.probs.get(None) or {}) if table.use_null else {}
-    for i, word in enumerate(src):
-        best_j = 0  # the uniform fallback when no row knows the word
-        best = 0.0
-        for j, row in enumerate(rows):
-            score = row.get(word, 0.0)
-            if score > best:
-                best = score
-                best_j = j
-        if best == 0.0:
-            if table.use_null:
-                continue  # unknown word absorbed by NULL
-            logger.warning("word %r unknown to table; uniform fallback alignment", word)
-        elif null_row.get(word, 0.0) > best:
-            continue  # NULL alignment: no link
-        links.add((i, best_j))
-    return AlignmentMatrix(len(src), len(tgt), frozenset(links))
+    def train_and_align(bitext):
+        table = train_model1(bitext, iterations, use_null)
+        return table, viterbi_align(table, bitext)
+
+    return tuple(forked_map(train_and_align, [pairs, [(t, s) for s, t in pairs]]))
 
 
 # Neighborhood scan order for the grow step: the published pseudocode leaves

@@ -41,6 +41,8 @@ def _at_least(low: int):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pivotsmt", description=__doc__)
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log at INFO, e.g. the log-likelihood of each EM iteration")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("tokenize", help="tokenize raw text, one sentence per line")
@@ -227,7 +229,8 @@ def cmd_extract(args) -> int:
     pairs = read_parallel(args.src, args.tgt)
     sizes = [(len(s), len(t)) for s, t in pairs]
     matrices = align_mod.read_alignments(args.alignments, sizes)
-    src_given_tgt, tgt_given_src = align_mod.train_both_directions(pairs, args.iterations)
+    (src_given_tgt, _), (tgt_given_src, _) = align_mod.train_both_directions(
+        pairs, args.iterations)
     table = phrasetab.score_phrase_table(pairs, matrices, tgt_given_src, src_given_tgt,
                                          max_len=args.max_phrase_len)
     if args.top_k > 0:
@@ -357,12 +360,13 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
+                        format="%(levelname)s %(message)s")
     try:
         return COMMANDS[args.command](args)
     except PivotSmtError as exc:

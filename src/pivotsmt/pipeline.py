@@ -115,17 +115,19 @@ def file_hash(path: str) -> str:
 def align_bitext(pairs: Sequence[TokenPair], iterations: int, use_null: bool = True):
     """Train both directional models and GDFA-symmetrize every pair.
 
-    The backward alignment of a pair is the Viterbi alignment of the swapped
-    pair under t(tgt|src), transposed. Returns (alignments, t(tgt|src),
-    t(src|tgt)).
+    Each direction's share of align.train_both_directions brings its own
+    Viterbi links; the backward ones, a source index per target word, are
+    transposed. Returns (alignments, t(tgt|src), t(src|tgt)).
     """
-    src_given_tgt, tgt_given_src = align.train_both_directions(pairs, iterations, use_null)
+    (src_given_tgt, forward), (tgt_given_src, backward) = align.train_both_directions(
+        pairs, iterations, use_null)
     matrices = []
-    for src, tgt in pairs:
-        forward = align.viterbi_align(src_given_tgt, (src, tgt))
-        backward = align.viterbi_align(tgt_given_src, (tgt, src))
-        matrices.append(align.symmetrize_gdfa(forward, align.AlignmentMatrix(
-            len(src), len(tgt), frozenset((i, j) for j, i in backward.links))))
+    for (src, tgt), src_links, tgt_links in zip(pairs, forward, backward):
+        matrices.append(align.symmetrize_gdfa(
+            align.AlignmentMatrix(len(src), len(tgt), frozenset(
+                (i, j) for i, j in enumerate(src_links) if j >= 0)),
+            align.AlignmentMatrix(len(src), len(tgt), frozenset(
+                (i, j) for j, i in enumerate(tgt_links) if i >= 0))))
     return matrices, tgt_given_src, src_given_tgt
 
 

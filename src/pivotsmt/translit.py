@@ -471,9 +471,11 @@ def mine_transliterations(
                                    counts, touched)
         return ll, counts, touched, lam_num / weight_total, posteriors
 
-    for _ in range(iterations):
+    for iteration in range(iterations):
         ll, counts, touched, new_lam, _ = e_pass(collect=True)
         log_likelihoods.append(ll)
+        logger.info("mining iteration %d/%d: log-likelihood %.6f",
+                    iteration + 1, iterations, ll)
         # count rows by source segment, each in the order its counts first
         # became non-zero: the order the total is summed and `joint` is built in
         rows: dict[str, list[int]] = {}
@@ -497,6 +499,7 @@ def mine_transliterations(
     # final posteriors under the converged parameters
     ll, _, _, _, final_posteriors = e_pass(collect=False)
     log_likelihoods.append(ll)
+    logger.info("mining, final parameters: log-likelihood %.6f", ll)
 
     # expose row-conditional operation probabilities
     ops: dict[str, dict[str, float]] = {}

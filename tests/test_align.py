@@ -116,22 +116,32 @@ class TestBitExact:
                 assert table.log_likelihoods == lls
 
     def test_viterbi_equals_per_cell_lookup(self):
+        """Each direction's links, on every pair it trained on."""
         rng = random.Random(23)
         for _ in range(12):
             pairs = repetitive_corpus(rng)
-            held_out = repetitive_corpus(rng, vocab=6)  # s4, s5, t4, t5 unknown
             for use_null in (False, True):
-                src_given_tgt = train_model1(pairs, iterations=4, use_null=use_null)
-                tgt_given_src = train_model1([(t, s) for s, t in pairs], iterations=4,
-                                             use_null=use_null)
-                for src, tgt in pairs + held_out:
-                    got = viterbi_align(src_given_tgt, (src, tgt))
-                    assert got.links == viterbi_reference(
-                        src_given_tgt.probs, use_null, (src, tgt), "forward")
-                    # the backward orientation: the swapped pair, transposed
-                    got = viterbi_align(tgt_given_src, (tgt, src))
-                    assert transposed(got.links) == viterbi_reference(
-                        tgt_given_src.probs, use_null, (src, tgt), "backward")
+                (src_given_tgt, forward), (tgt_given_src, backward) = \
+                    train_both_directions(pairs, 4, use_null)
+                assert_links_are_the_reference(pairs, use_null, src_given_tgt, forward,
+                                               tgt_given_src, backward)
+
+
+def link_set(links):
+    """The (predicted, conditioning) index pairs of one pair's links."""
+    return {(i, j) for i, j in enumerate(links) if j >= 0}
+
+
+def assert_links_are_the_reference(pairs, use_null, src_given_tgt, forward,
+                                   tgt_given_src, backward):
+    assert len(forward) == len(backward) == len(pairs)
+    for pair, src_links, tgt_links in zip(pairs, forward, backward):
+        assert (len(src_links), len(tgt_links)) == tuple(map(len, pair))
+        assert link_set(src_links) == viterbi_reference(
+            src_given_tgt.probs, use_null, pair, "forward")
+        # the backward links: a source index per target word, transposed
+        assert transposed(link_set(tgt_links)) == viterbi_reference(
+            tgt_given_src.probs, use_null, pair, "backward")
 
 
 def transposed(links):
@@ -159,12 +169,16 @@ class TestBothDirections:
     """train_both_directions trains the swapped direction in a forked child
     with two usable CPUs and in-process with one; the probe is patched."""
 
-    def assert_serial_tables(self, pairs, tables, use_null=True):
+    def assert_serial_tables(self, pairs, directions, use_null=True):
         expected = (train_model1(pairs, 4, use_null),
                     train_model1([(t, s) for s, t in pairs], 4, use_null))
+        tables = tuple(table for table, _ in directions)
         assert tables == expected
         for got, want in zip(tables, expected):
             assert nested_items(got.probs) == nested_items(want.probs)
+        (src_given_tgt, forward), (tgt_given_src, backward) = directions
+        assert_links_are_the_reference(pairs, use_null, src_given_tgt, forward,
+                                       tgt_given_src, backward)
 
     @PATHS
     def test_das_haus_tables_equal_serial_training(self, cpus):
@@ -175,11 +189,15 @@ class TestBothDirections:
         assert open_fds() == fds
 
     @settings(deadline=None, max_examples=40)
-    @given(st.lists(st.tuples(*[st.lists(st.sampled_from(["a", "b", "c", "d"]),
-                                         max_size=4).map(tuple)] * 2),
+    @given(st.lists(st.tuples(*[st.lists(st.sampled_from(["a", "b", "c"]),
+                                         max_size=5).map(tuple)] * 2),
                     min_size=1, max_size=6),
            st.booleans())
     def test_drawn_bitexts_give_the_same_tables_or_error(self, pairs, use_null):
+        """Three words and up to five a side, so that words repeat on both
+        sides and a repeated target word adds to its total at each of its
+        positions, token by token. Both paths give the dict walk's tables
+        and the reference's links."""
         outcomes = []
         for cpus in (1, 2):
             try:
@@ -188,16 +206,22 @@ class TestBothDirections:
                 outcomes.append(str(exc))
             assert_no_child_left()
         assert outcomes[0] == outcomes[1]
-        if not isinstance(outcomes[0], str):
-            for serial, forked in zip(*outcomes):
-                assert nested_items(serial.probs) == nested_items(forked.probs)
-            self.assert_serial_tables(pairs, outcomes[1], use_null)
+        if isinstance(outcomes[0], str):
+            return
+        for directions in outcomes:
+            for (table, _), bitext in zip(directions, (pairs, [(t, s) for s, t in pairs])):
+                probs, lls = model1_dict_reference(bitext, 4, use_null=use_null)
+                assert nested_items(table.probs) == nested_items(probs)
+                assert table.log_likelihoods == lls
+            (src_given_tgt, forward), (tgt_given_src, backward) = directions
+            assert_links_are_the_reference(pairs, use_null, src_given_tgt, forward,
+                                           tgt_given_src, backward)
 
     @PATHS
     def test_log_records_come_in_serial_order(self, cpus, caplog):
         pairs = DAS_HAUS + [(("ein",), ())]
         with caplog.at_level(logging.INFO, logger="pivotsmt.align"):
-            forward, reverse = both_directions(pairs, cpus)[0]
+            (forward, _), (reverse, _) = both_directions(pairs, cpus)[0]
         got = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
         lines = [(logging.WARNING, "skipping sentence pair with an empty side")]
         for table in (forward, reverse):
@@ -232,36 +256,43 @@ class TestBothDirections:
 
 
 class TestViterbi:
+    """Each direction's links as train_both_directions returns them, and
+    viterbi_align's rules on tables written out by hand."""
+
     def test_forced_link(self):
-        table = TranslationTable(probs={"a": {"x": 1.0}})
-        # a table conditioned on the source side aligns the swapped pair
-        matrix = viterbi_align(table, (("x",), ("a",)))
-        assert matrix.links == {(0, 0)}
+        (_, forward), (_, backward) = train_both_directions([(("a",), ("x",))], 5,
+                                                            use_null=False)
+        assert forward == backward == [(0,)]
 
     def test_das_haus_alignment(self):
-        table = train_model1(DAS_HAUS, iterations=20, use_null=False)
-        matrix = viterbi_align(table, DAS_HAUS[0])
-        assert matrix.links == {(0, 0), (1, 1)}
+        (_, forward), (_, backward) = train_both_directions(DAS_HAUS, 20, use_null=False)
+        assert forward[0] == backward[0] == (0, 1)
 
     def test_empty_target(self):
-        table = TranslationTable(probs={"x": {"a": 1.0}})
-        matrix = viterbi_align(table, (("a", "b"), ()))
-        assert matrix.links == frozenset()
+        (_, forward), (_, backward) = train_both_directions(
+            [(("a", "b"), ()), (("a",), ("x",))], 3)
+        assert forward[0] == (-1, -1)
+        assert backward[0] == ()
 
-    def test_unknown_word_fallback_smallest_index(self, caplog):
+    def test_unknown_word_fallback_smallest_index(self):
         table = TranslationTable(probs={"t": {"known": 1.0}})
-        matrix = viterbi_align(table, (("zzz",), ("t", "u")))
-        assert matrix.links == {(0, 0)}
+        assert viterbi_align(table, [(("zzz",), ("t", "u"))]) == [(0,)]
 
     def test_unknown_word_with_null_unaligned(self):
         table = TranslationTable(probs={None: {"w": 0.5}}, use_null=True)
-        matrix = viterbi_align(table, (("zzz",), ("t",)))
-        assert matrix.links == frozenset()
+        assert viterbi_align(table, [(("zzz",), ("t",))]) == [(-1,)]
+
+    def test_null_row_scoring_higher_leaves_no_link(self):
+        table = TranslationTable(probs={None: {"w": 0.5, "v": 0.25},
+                                        "t": {"w": 0.25, "v": 0.5}}, use_null=True)
+        assert viterbi_align(table, [(("w", "v"), ("t",))]) == [(-1, 0)]
 
     def test_tie_breaks_to_smaller_index(self):
-        table = TranslationTable(probs={"t": {"a": 0.5}, "u": {"a": 0.5}})
-        matrix = viterbi_align(table, (("a",), ("t", "u")))
-        assert matrix.links == {(0, 0)}
+        (table, forward), (_, backward) = train_both_directions([(("a",), ("t", "u"))], 3,
+                                                                use_null=False)
+        assert table.prob("a", "t") == table.prob("a", "u")
+        assert forward == [(0,)]
+        assert backward == [(0, 0)]
 
 
 def matrix(src_len, tgt_len, links):

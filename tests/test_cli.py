@@ -253,8 +253,8 @@ class TestCommands:
             lines = handle.read().splitlines()
         assert lines == ["the book", "a house"]
 
-    # `align` with the CPU probe patched to `cpus`, printing its fork count last
-    _ALIGN_WITH_CPUS = """
+    # a command line with the CPU probe patched to `cpus`, printing the fork count last
+    _MAIN_WITH_CPUS = """
 import os, sys
 from pivotsmt import cli, corpus
 forks, fork = [], os.fork
@@ -265,26 +265,67 @@ print("forks", len(forks))
 sys.exit(code)
 """
 
-    def test_align_prints_the_same_on_both_paths(self, tmp_path):
-        src = write(tmp_path / "s.txt", ["das haus", "ein", "das buch", "ein buch"])
-        tgt = write(tmp_path / "t.txt", ["the house", "", "the book", "a book"])
+    def run_with_cpus(self, cpus, args):
+        """`pivotsmt args` in a child interpreter with the CPU probe reading
+        `cpus`: (stdout lines, stderr, forks made)."""
         package = os.path.dirname(os.path.dirname(align.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [package, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", self._MAIN_WITH_CPUS.format(cpus=cpus), *args],
+            env=env, capture_output=True, text=True, check=True)
+        *printed, forks = done.stdout.splitlines()
+        return printed, done.stderr, int(forks.removeprefix("forks "))
+
+    def test_align_prints_the_same_on_both_paths(self, tmp_path):
+        src = write(tmp_path / "s.txt", ["das haus", "ein", "das buch", "ein buch"])
+        tgt = write(tmp_path / "t.txt", ["the house", "", "the book", "a book"])
         runs = []
         for cpus in (1, 2):
             out = str(tmp_path / f"cpus{cpus}")
-            done = subprocess.run(
-                [sys.executable, "-c", self._ALIGN_WITH_CPUS.format(cpus=cpus), "align",
-                 "--src", src, "--tgt", tgt, "--out", out, "--dump-tables", out],
-                env=env, capture_output=True, text=True, check=True)
-            *printed, forks = done.stdout.splitlines()
-            assert forks == f"forks {int(cpus > 1)}"
-            runs.append((printed, done.stderr, [read(out + ext) for ext in ("", ".fwd", ".bwd")]))
+            printed, stderr, forks = self.run_with_cpus(
+                cpus, ["align", "--src", src, "--tgt", tgt, "--out", out, "--dump-tables", out])
+            assert forks == (cpus > 1)
+            runs.append((printed, stderr, [read(out + ext) for ext in ("", ".fwd", ".bwd")]))
         assert runs[0] == runs[1]
         assert runs[0][0] == ["aligned 4 pairs"]
         # one warning from each Model 1 direction, t(src|tgt) first
         assert runs[0][1] == "WARNING skipping sentence pair with an empty side\n" * 2
+
+    @PATHS
+    def test_verbose_align_logs_both_directions_forward_first(self, tmp_path, cpus):
+        pairs = [(("das", "haus"), ("the", "house")), (("ein",), ()),
+                 (("das", "buch", "buch"), ("the", "book"))]
+        src = write(tmp_path / "s.txt", [" ".join(s) for s, _ in pairs])
+        tgt = write(tmp_path / "t.txt", [" ".join(t) for _, t in pairs])
+        args = ["align", "--src", src, "--tgt", tgt, "--out", str(tmp_path / "a.txt"),
+                "--iterations", "3"]
+        printed, stderr, forks = self.run_with_cpus(cpus, ["-v", *args])
+        assert forks == (cpus > 1)
+        expected = []
+        for bitext in (pairs, [(t, s) for s, t in pairs]):
+            expected.append("WARNING skipping sentence pair with an empty side")
+            expected += [f"INFO model 1 iteration {k}/3: log-likelihood {ll:.6f}"
+                         for k, ll in enumerate(
+                             align.train_model1(bitext, 3).log_likelihoods, start=1)]
+        assert stderr.splitlines() == expected
+        assert expected[1] != expected[5]  # so that the order shows
+        # without -v: the same output and only the warnings
+        assert self.run_with_cpus(cpus, args) == (printed, "".join(
+            line + "\n" for line in expected if line.startswith("WARNING")), forks)
+
+    @PATHS
+    def test_verbose_mine_translit_logs_each_iteration(self, tmp_path, cpus):
+        pairs = write(tmp_path / "pairs.tsv", ["ab\tAB", "ba\tBA", "abc\tXYZ"])
+        args = ["mine-translit", "--pairs", pairs, "--model-out", str(tmp_path / "c.json"),
+                "--iterations", "2"]
+        printed, stderr, _ = self.run_with_cpus(cpus, ["-v", *args])
+        lines = stderr.splitlines()
+        assert [line.rsplit(" ", 1)[0] for line in lines] == [
+            "INFO mining iteration 1/2: log-likelihood",
+            "INFO mining iteration 2/2: log-likelihood",
+            "INFO mining, final parameters: log-likelihood"]
+        assert self.run_with_cpus(cpus, args)[:2] == (printed, "")
 
     def test_decode_nbest_output(self, tmp_path, capsys):
         table = write(tmp_path / "t.moses",

@@ -115,6 +115,18 @@ class TestMining:
         for before, after in zip(lls, lls[1:]):
             assert after >= before - 1e-9 * max(1.0, abs(before))
 
+    def test_logs_each_iteration(self, caplog):
+        with caplog.at_level(logging.INFO, logger="pivotsmt.translit"):
+            model, _ = mine_transliterations(WordPairCorpus([("ab", "ab", 1.0)]),
+                                             iterations=3)
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert len(lines) == 4 == len(model.log_likelihoods)
+        for k, (line, ll) in enumerate(zip(lines[:3], model.log_likelihoods), start=1):
+            assert line.startswith(f"mining iteration {k}/3")
+            assert f"{ll:.6f}" in line
+        assert lines[3] == (f"mining, final parameters: log-likelihood "
+                            f"{model.log_likelihoods[3]:.6f}")
+
     def test_posterior_separation(self, mined_fixture):
         pairs, labels, model, _ = mined_fixture
         # recompute posteriors over the corpus via mining with 0 threshold
