@@ -16,7 +16,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
-from .corpus import TokenPair, forked_map, ltr_sum, number, read_lines, records, write_lines
+from .corpus import (TokenPair, bad_token, forked_map, ltr_sum, number, read_lines, records,
+                     write_lines)
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -321,9 +322,8 @@ def write_table(dest: str | TextIO, table: TranslationTable) -> None:
     before anything is written: one with a word that is empty, holds
     whitespace or is NULL_TOKEN, the name of the NULL row.
     """
-    bad = min((word for cond, row in table.probs.items() for word in (cond, *row)
-               if word is not None and (word.split() != [word] or word == NULL_TOKEN)),
-              default=None)
+    bad = bad_token({word for cond, row in table.probs.items() for word in (cond, *row)
+                     if word is not None}, (NULL_TOKEN,))
     if bad is not None:
         raise ValueError(f"a t-table cannot hold the word {bad!r}: read back, it would "
                          "split, vanish or name the NULL row")

@@ -14,9 +14,9 @@ import sys
 
 from . import align as align_mod
 from . import decoder, evalkit, ngramlm, phrasetab, pipeline, pivot, translit
-from .corpus import (DEFAULT_MAX_SENT_LEN, LM_RESERVED, _tokens_of, mine_language_links,
-                     read_lines, read_parallel, read_sentences, records, tokenize,
-                     within_length, write_lines)
+from .corpus import (DEFAULT_MAX_SENT_LEN, LM_RESERVED, _line_tokens, _tokens_of, forked_map,
+                     mine_language_links, read_lines, read_parallel, read_sentences, records,
+                     tokenize, within_length, write_lines)
 from .errors import PivotSmtError
 
 logger = logging.getLogger(__name__)
@@ -187,8 +187,7 @@ def _load_system(args) -> tuple[decoder.DecoderSystem, decoder.LogLinearModel]:
 def cmd_tokenize(args) -> int:
     lines = [" ".join(tokenize(line, args.scheme, lowercase=args.lowercase))
              for line in read_lines(args.input)]
-    for lineno, line in enumerate(lines, start=1):
-        _tokens_of(line, f"{args.input}:{lineno}")  # a `|||` token is a DataError
+    _line_tokens(lines, args.input)  # a `|||` token is a DataError
     write_lines(args.output, lines)
     return 0
 
@@ -229,8 +228,9 @@ def cmd_extract(args) -> int:
     pairs = read_parallel(args.src, args.tgt)
     sizes = [(len(s), len(t)) for s, t in pairs]
     matrices = align_mod.read_alignments(args.alignments, sizes)
-    (src_given_tgt, _), (tgt_given_src, _) = align_mod.train_both_directions(
-        pairs, args.iterations)
+    src_given_tgt, tgt_given_src = forked_map(
+        lambda bitext: align_mod.train_model1(bitext, args.iterations),
+        [pairs, [(t, s) for s, t in pairs]])
     table = phrasetab.score_phrase_table(pairs, matrices, tgt_given_src, src_given_tgt,
                                          max_len=args.max_phrase_len)
     if args.top_k > 0:
@@ -268,8 +268,7 @@ def cmd_mine_translit(args) -> int:
 
 def cmd_translit_table(args) -> int:
     model = translit.read_char_model(args.model)
-    # a word is a table source, and through the identity fallback a
-    # target, so it may be neither `|||` nor a language-model marker
+    # a word is a table source, and may be its own target: not `|||` nor a marker
     words = [_tokens_of(word, where, LM_RESERVED)[0]
              for where, (word,) in records(args.words, sep=None, widths=(1,))]
     table = translit.build_translit_table(model, words, args.k)

@@ -160,24 +160,43 @@ def ltr_sum(values: Iterable[float], start: float = 0.0) -> float:
     return sum(values, start)
 
 
+def bad_token(tokens: Iterable[str], reserved: Sequence[str] = ()) -> str | None:
+    """The smallest of `tokens` that is empty, holds whitespace or is in
+    `reserved`, else None: the one token rule of every file boundary, of the
+    language-model trainer and of the transliteration table. A caller with
+    many tokens passes each distinct one once."""
+    return min((token for token in tokens if token.split() != [token] or token in reserved),
+               default=None)
+
+
 def _tokens_of(text: str, where: str, reserved: Sequence[str] = (FIELD_SEP,)) -> tuple[str, ...]:
     """The whitespace tokens of `text`; a `reserved` token is a DataError at
     `where`: `|||` because no phrase table could hold a phrase with it, a
     language-model marker because the model adds its own."""
     tokens = tuple(text.split())
-    for token in reserved:
-        if token in tokens:
-            what = ("the phrase-table field separator" if token == FIELD_SEP
-                    else "a reserved language-model marker")
-            raise DataError(f"{where}: the token {token!r} is {what}")
+    bad = bad_token(tokens, reserved)
+    if bad is not None:
+        what = ("the phrase-table field separator" if bad == FIELD_SEP
+                else "a reserved language-model marker")
+        raise DataError(f"{where}: the token {bad!r} is {what}")
     return tokens
+
+
+def _line_tokens(lines: Sequence[str], name: str,
+                 reserved: Sequence[str] = (FIELD_SEP,)) -> list[tuple[str, ...]]:
+    """_tokens_of of each of the lines of `name`, asking the rule once per
+    distinct token and per line only to find the first bad line."""
+    sentences = [tuple(line.split()) for line in lines]
+    if bad_token(set().union(*sentences), reserved) is not None:
+        for lineno, line in enumerate(lines, start=1):
+            _tokens_of(line, f"{name}:{lineno}", reserved)
+    return sentences
 
 
 def read_sentences(path: str, reserved: Sequence[str] = (FIELD_SEP,)) -> list[tuple[str, ...]]:
     """The tokens of every line of a path; a `reserved` token is a DataError
     at its line (LM_RESERVED for a language-model corpus)."""
-    return [_tokens_of(line, f"{path}:{lineno}", reserved)
-            for lineno, line in enumerate(read_lines(path), start=1)]
+    return _line_tokens(read_lines(path), path, reserved)
 
 
 def read_parallel(source: str | Iterable[str], target: str | Iterable[str]) -> list[TokenPair]:
@@ -193,8 +212,7 @@ def read_parallel(source: str | Iterable[str], target: str | Iterable[str]) -> l
     if len(src_lines) != len(tgt_lines):
         raise DataError(f"line count mismatch: {src_name} has {len(src_lines)} lines, "
                         f"{tgt_name} has {len(tgt_lines)} lines")
-    return [(_tokens_of(s, f"{src_name}:{lineno}"), _tokens_of(t, f"{tgt_name}:{lineno}"))
-            for lineno, (s, t) in enumerate(zip(src_lines, tgt_lines), start=1)]
+    return list(zip(_line_tokens(src_lines, src_name), _line_tokens(tgt_lines, tgt_name)))
 
 
 def within_length(pairs: Sequence[TokenPair], max_len: int) -> list[TokenPair]:

@@ -19,14 +19,12 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .corpus import BOS, EOS, UNK, number, records, write_lines
+from .corpus import BOS, LM_RESERVED, UNK, bad_token, number, records, write_lines
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
 NGram = tuple[str, ...]
-
-_RESERVED = (BOS, EOS, UNK)
 
 
 @dataclass
@@ -127,10 +125,9 @@ def train_kn(corpus: Iterable[Sequence[str]], order: int) -> NGramModel:
     padded = [(BOS, *sent) for sent in corpus]
     if all(len(sent) == 1 for sent in padded):
         raise DataError("cannot train a language model on an empty corpus")
-    for sent in padded:
-        for tok in sent[1:]:
-            if tok in _RESERVED:
-                raise DataError(f"reserved marker {tok!r} appears in LM training data")
+    bad = bad_token({tok for sent in padded for tok in sent[1:]}, LM_RESERVED)
+    if bad is not None:
+        raise DataError(f"language-model training data cannot hold the token {bad!r}")
 
     counts = _count(padded, 1)
     vocab = frozenset(w for (w,) in counts)
@@ -229,8 +226,7 @@ def write_arpa(model: NGramModel, dest: str | TextIO) -> None:
     whitespace.
     """
     # each distinct token once: a train pass writes some 43,000 n-grams
-    bad = min((token for token in set(chain.from_iterable(model.logprobs))
-               if token.split() != [token]), default=None)
+    bad = bad_token(set(chain.from_iterable(model.logprobs)))
     if bad is not None:
         raise ValueError(f"an ARPA file cannot hold the token {bad!r}: read back, "
                          "it would split or vanish")
@@ -331,8 +327,7 @@ def read_arpa(path: str) -> NGramModel:
         for k in range(1, len(gram)):
             backoffs.setdefault(gram[:k], 0.0)
     order = max(n for n, c in counts.items())
-    vocab = frozenset(w for (w,) in [g for g in logprobs if len(g) == 1]
-                      if w not in (BOS, UNK))
+    vocab = frozenset(g[0] for g in logprobs if len(g) == 1 and g != (BOS,))
     return NGramModel(order=order, logprobs=logprobs, backoffs=backoffs,
                       unk_logprob=unk_logprob, vocab=vocab)
 

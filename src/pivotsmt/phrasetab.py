@@ -15,8 +15,8 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .align import AlignmentMatrix, TranslationTable
-from .corpus import (FIELD_SEP, LM_RESERVED, TokenPair, _tokens_of, ltr_sum, number, records,
-                     write_lines)
+from .corpus import (FIELD_SEP, LM_RESERVED, TokenPair, _tokens_of, bad_token, ltr_sum, number,
+                     records, write_lines)
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -258,9 +258,8 @@ def write_moses(table: PhraseTable, dest: str | TextIO) -> None:
     # each distinct token of a side once; an empty phrase counts as one empty token
     sources = set(chain.from_iterable(source or ("",) for source in table.sources()))
     targets = set(chain.from_iterable(entry.target or ("",) for entry in entries))
-    bad = min(chain((token for token in sources if token.split() != [token] or token == FIELD_SEP),
-                    (token for token in targets if token.split() != [token]
-                     or token in LM_RESERVED)), default=None)
+    bad = min((b for b in (bad_token(sources, (FIELD_SEP,)), bad_token(targets, LM_RESERVED))
+               if b is not None), default=None)
     if bad is not None:
         raise ValueError(f"a Moses table cannot hold the token {bad!r}: read back, "
                          "it would split, vanish, separate fields or be a language-model marker")

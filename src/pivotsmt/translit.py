@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable, Sequence, TextIO
 
-from .corpus import LM_RESERVED, ltr_sum, number, read_lines, records, write_lines
+from .corpus import LM_RESERVED, bad_token, ltr_sum, number, read_lines, records, write_lines
 from .errors import DataError
 from .phrasetab import PhraseEntry, PhraseTable
 
@@ -56,14 +56,10 @@ _BOW = "\x02"  # begin-of-word marker for the target character model
 _EOW = "\x03"
 
 
-def _check_words(*words: str) -> None:
-    for word in words:
-        if word.split() != [word]:  # empty, or whitespace that splits it
-            raise ValueError(f"word pair side {word!r} is not one non-empty word")
-
-
 def _check_pair(src: str, tgt: str, weight: float) -> None:
-    _check_words(src, tgt)
+    bad = bad_token((src, tgt))
+    if bad is not None:
+        raise ValueError(f"word pair side {bad!r} is not one non-empty word")
     if weight <= 0:
         raise ValueError(f"pair ({src!r}, {tgt!r}) has non-positive weight")
 
@@ -537,7 +533,6 @@ def mine_transliterations(
 class TransliterationCandidate:
     target: str
     score: float  # log10 of transduction prob times target char LM prob
-    fallback: bool  # identity mapping was used for unseen characters
 
 
 def transliterate(model: CharModel, word: str, k: int) -> list[TransliterationCandidate]:
@@ -546,8 +541,8 @@ def transliterate(model: CharModel, word: str, k: int) -> list[TransliterationCa
     A derivation is scored by its character operations plus the target
     character trigram model, and each string by its best derivation;
     results come sorted by descending score with lexicographic
-    tie-breaking. Characters never seen by the model fall back to identity
-    mapping and flag the result.
+    tie-breaking. Characters never seen by the model map to themselves, and
+    a word with no path at all is copied through with a warning.
 
     A search state is (output, source position, indel budget spent); its
     LM context is the output's last two characters. The bound h(position,
@@ -572,10 +567,8 @@ def transliterate(model: CharModel, word: str, k: int) -> list[TransliterationCa
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    unseen = {ch for ch in word if ch not in model.src_chars}
-    fallback = bool(unseen)
     # identity rescue for unknown characters, unless the model has a row for them
-    rows = {**{ch: {ch: 1.0} for ch in unseen}, **model.ops}
+    rows = {**{ch: {ch: 1.0} for ch in word if ch not in model.src_chars}, **model.ops}
     lm = model.tgt_lm
     max_out = 2 * len(word) + 4
     m = len(word)
@@ -686,9 +679,9 @@ def transliterate(model: CharModel, word: str, k: int) -> list[TransliterationCa
                 prefix = neg - lp
                 heapq.heappush(heap, (prefix - h, out + b, t, prefix))
     ranked = sorted(best_of.items(), key=lambda item: (-item[1], item[0]))[:k]
-    results = [TransliterationCandidate(target, score, fallback) for target, score in ranked]
+    results = [TransliterationCandidate(target, score) for target, score in ranked]
     if not results:
-        # no usable operations at all: copy the word through, flagged
+        # no usable operations at all: copy the word through
         score = 0.0
         ctx = (_BOW, _BOW)
         for ch in word:
@@ -696,39 +689,29 @@ def transliterate(model: CharModel, word: str, k: int) -> list[TransliterationCa
             ctx = (ctx[1], ch)
         score += lm.logprob(ctx[0], ctx[1], _EOW)
         logger.warning("transliterate: no path for %r; identity fallback", word)
-        results = [TransliterationCandidate(word, score, True)]
+        results = [TransliterationCandidate(word, score)]
     return results
 
 
 def kbest_probs(candidates: Sequence[TransliterationCandidate]) -> list[float]:
-    """Candidate scores normalized to probabilities over the k-best list.
+    """Candidate scores normalized to probabilities over the k-best list
+    (none for an empty list).
 
     The sum is taken in linear space relative to the best score, so long
     words cannot underflow it.
     """
-    best = max(c.score for c in candidates)
+    best = max((c.score for c in candidates), default=0.0)
     rel = [10.0 ** (c.score - best) for c in candidates]
     total = ltr_sum(rel)
     return [mass / total for mass in rel]
 
 
-def usable_candidates(candidates: Sequence[TransliterationCandidate]
-                      ) -> list[tuple[TransliterationCandidate, float]]:
-    """The candidates that may be a phrase target, each with its
-    probability among them (`kbest_probs`).
-
-    A candidate whose target is a language-model marker or the field
-    separator (`LM_RESERVED`) is dropped before the rest are normalized;
-    the list is empty if none is left.
-    """
-    kept = [cand for cand in candidates if cand.target not in LM_RESERVED]
-    return list(zip(kept, kbest_probs(kept))) if kept else []
-
-
 def build_translit_table(model: CharModel, words: Sequence[str], k: int) -> PhraseTable:
     """k-best transliterations of each word as a one-word-phrase table.
 
-    Forward features are the `usable_candidates` probabilities, duplicated
+    A candidate whose target breaks the rule of a table target
+    (`bad_token` with `LM_RESERVED`; "" if every character was deleted) is
+    dropped. Forward features are the `kbest_probs` of the rest, duplicated
     to the backward features; a word left with no candidate gets no entry.
     """
     if k < 1:
@@ -739,7 +722,9 @@ def build_translit_table(model: CharModel, words: Sequence[str], k: int) -> Phra
         if word in done:
             continue
         done.add(word)
-        for cand, prob in usable_candidates(transliterate(model, word, k)):
+        kept = [cand for cand in transliterate(model, word, k)
+                if bad_token((cand.target,), LM_RESERVED) is None]
+        for cand, prob in zip(kept, kbest_probs(kept)):
             table.add(PhraseEntry((word,), (cand.target,), prob, prob, prob, prob))
     return table
 
@@ -749,8 +734,9 @@ def build_translit_table(model: CharModel, words: Sequence[str], k: int) -> Phra
 def write_mined_pairs(pairs: Iterable[MinedPair], dest: str | TextIO) -> None:
     """A side that is not one non-empty word, a ValueError before anything is written."""
     pairs = list(pairs)
-    for pair in pairs:
-        _check_words(pair.source, pair.target)
+    bad = bad_token({side for pair in pairs for side in (pair.source, pair.target)})
+    if bad is not None:
+        raise ValueError(f"word pair side {bad!r} is not one non-empty word")
     write_lines(dest, (f"{pair.source}\t{pair.target}\t{pair.posterior:.6f}" for pair in pairs))
 
 
@@ -796,7 +782,7 @@ def read_char_model(path: str) -> CharModel:
             if not (isinstance(texts, list) and all(isinstance(c, str) for c in texts)):
                 raise DataError(f"{path}: {what} is not a list of strings")
             # each is part of a word, which whitespace would split
-            spaced = next((text for text in texts if any(map(str.isspace, text))), None)
+            spaced = bad_token(text for text in texts if text)
             if spaced is not None:
                 raise DataError(f"{path}: {what}: {spaced!r} holds whitespace")
         for a, row in ops.items():

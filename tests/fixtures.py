@@ -5,8 +5,9 @@ training data covers only the low part of the vocabulary, test data mixes
 in held-out words, and synthetic/dictionary data covers what the baseline
 misses.
 
-Also the helpers that pick and check corpus.forked_map's path, and one
-that hands a reader its input as a file.
+Also the helpers that pick and check corpus.forked_map's path, one that
+hands a reader its input as a file, and a character model whose k-best
+list holds an empty string.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from unittest import mock
 
 import pytest
 
-from pivotsmt import corpus
+from pivotsmt import corpus, translit
 
 # forked_map maps in this process alone with one usable CPU, and forks with more
 PATHS = pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "forked"])
@@ -82,6 +83,16 @@ def read_file(read, text, name: str = "in"):
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         return read(path)
+
+
+def deleting_char_model():
+    """A character model that deletes "h" with probability 0.6 and writes
+    it as "H" with 0.4: the 10-best of "h" are "H" (log10 score -0.543)
+    and the empty string (-1.336), which no token may be."""
+    lm = translit.CharTrigramModel()
+    lm.observe("H")
+    return translit.CharModel(ops={"h": {"": 0.6, "H": 0.4}}, src_chars=frozenset("h"),
+                              tgt_lm=lm)
 
 
 def _sentence(rng, indices, min_len=3, max_len=8):

@@ -7,12 +7,14 @@ import sys
 
 import pytest
 
-from pivotsmt import align, ngramlm
+from pivotsmt import align, ngramlm, translit
 from pivotsmt.cli import build_parser, main
 from pivotsmt.decoder import TM_FEATURES
+from pivotsmt.phrasetab import read_moses
 from pivotsmt.pipeline import ExperimentConfig
 
-from fixtures import PATHS, log_lines, make_experiment_fixture, usable_cpus, write_config
+from fixtures import (PATHS, deleting_char_model, log_lines, make_experiment_fixture, usable_cpus,
+                      write_config)
 
 
 def write(path, lines):
@@ -469,6 +471,17 @@ sys.exit(code)
         with open(out, encoding="utf-8") as handle:
             assert handle.read() == "abc ||| xs> ||| 1 1 1 1\n"
 
+    def test_translit_table_leaves_out_an_empty_transliteration(self, tmp_path, capsys):
+        # deleting "h" gives the candidate "", which no table may hold
+        model_path = str(tmp_path / "char.json")
+        translit.write_char_model(deleting_char_model(), model_path)
+        words = write(tmp_path / "words.txt", ["h"])
+        out = str(tmp_path / "translit.moses")
+        assert main(["translit-table", "--model", model_path,
+                     "--words", words, "--out", out, "--k", "10"]) == 0
+        assert [(e.source, e.target, e.scores()) for e in read_moses(out)] == \
+            [(("h",), ("H",), (1.0, 1.0, 1.0, 1.0))]
+
     def test_dict_links_writes_the_experiment_dictionary(self, tmp_path, capsys):
         fixture = make_experiment_fixture(str(tmp_path / "fix"), seed=3, vocab=12, covered=8,
                                           n_train=30, n_synth=10, n_test=5, n_dev=3)
@@ -600,6 +613,25 @@ class TestCorpusDecoding:
         assert read(out).split("\n")[:3] == ["x", "", "x y"]
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == 1 and "line 2" in warnings[0]
+
+    def test_decode_writes_no_empty_transliteration(self, tmp_path, capsys):
+        # "h" is uncovered, and "" is one of its transliterations; weighing
+        # the transliteration block's forward probability negatively, as
+        # tuning may, would make it the best option, and an output token of
+        # it would leave two spaces on the line
+        model_path = str(tmp_path / "char.json")
+        translit.write_char_model(deleting_char_model(), model_path)
+        table = write(tmp_path / "t.moses", ["x ||| a ||| 0.5 0.5 0.5 0.5"])
+        arpa = str(tmp_path / "lm.arpa")
+        assert main(["train-lm", "--corpus", write(tmp_path / "lmc.txt", ["a a"]),
+                     "--out", arpa, "--order", "2"]) == 0
+        weights = write(tmp_path / "w.txt", ["lm\t1", "distortion\t1", "tm1.phi_fwd\t-1"])
+        out = str(tmp_path / "o.txt")
+        assert main(["decode", "--input", write(tmp_path / "in.txt", ["x h x", "h"]),
+                     "--table", table, "--lm", arpa, "--translit-model", model_path,
+                     "--weights", weights, "--output", out]) == 0
+        lines = read(out).splitlines()
+        assert lines == [" ".join(line.split()) for line in lines] == ["a H a", "H"]
 
     def test_synthesize_drops_a_dead_end(self, tmp_path, capsys, dead_end_on_b):
         table, arpa = decode_setup(tmp_path)

@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import os
+import pathlib
 import random
 
 import pytest
@@ -182,6 +183,17 @@ class TestConfig:
     def test_bad_mode(self):
         with pytest.raises(DataError):
             ExperimentConfig(use_synth="sometimes")
+
+    def test_readme_example_parses(self, tmp_path):
+        # the README's example config, its `ini` block under "Experiments"
+        readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        block = readme.split("\n## Experiments\n", 1)[1].split("```ini\n", 1)[1]
+        path = tmp_path / "exp.conf"
+        path.write_text(block.split("```", 1)[0], encoding="utf-8")
+        config = ExperimentConfig.from_file(str(path))
+        assert (config.train_src, config.dict_tsv, config.use_synth, config.use_dict,
+                config.tune_rounds, config.seed) == ("train.src", "dict.tsv", "concat", "on", 0, 7)
 
     def test_hash_changes_with_content(self):
         a = ExperimentConfig(seed=1)

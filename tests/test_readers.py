@@ -21,7 +21,7 @@ from pivotsmt.corpus import read_dictionary_tsv
 from pivotsmt.decoder import LogLinearModel, feature_names, read_weights, write_weights
 from pivotsmt.errors import DataError
 from pivotsmt.evalkit import read_manual_labels
-from pivotsmt.ngramlm import read_arpa, train_kn, write_arpa
+from pivotsmt.ngramlm import NGramModel, read_arpa, train_kn, write_arpa
 from pivotsmt.phrasetab import PhraseEntry, PhraseTable, read_moses, write_moses
 from pivotsmt.pipeline import ExperimentConfig
 from pivotsmt.translit import (MinedPair, WordPairCorpus, read_char_model, read_mined_pairs,
@@ -180,16 +180,26 @@ def test_moses_write_read_round_trip(entries):
 @example([["a", "b c"], ["a"]], 2)
 @example([["a", "ÿ"], ["|||", "<null>"]], 3)
 def test_arpa_write_read_round_trip(corpus, order):
-    # a model reads back as it was written, or the writer rejects it, and
-    # only for a token that could not read back as one token (train_kn
-    # rejects the language-model markers itself)
-    model = train_kn(corpus, order)
+    # a trained model reads back as it was written; train_kn rejects a
+    # corpus with a token that could not read back as one token or is the
+    # field separator, and the writer a model with a token that could not
+    # read back, each naming the smallest such token
+    bad = [token for sentence in corpus for token in sentence
+           if not _one_word(token) or token == "|||"]
+    unreadable = [token for token in bad if token != "|||"]
     with tempfile.TemporaryDirectory() as directory:
-        if not all(_one_word(token) for sentence in corpus for token in sentence):
-            with pytest.raises(ValueError, match="an ARPA file cannot hold the token"):
-                _written(write_arpa, model, directory)
-            assert not os.listdir(directory)
+        if bad:
+            with pytest.raises(DataError, match="^" + re.escape(
+                    f"language-model training data cannot hold the token {min(bad)!r}") + "$"):
+                train_kn(corpus, order)
+            if unreadable:
+                model = NGramModel(1, {(token,): -1.0 for sentence in corpus for token in sentence})
+                with pytest.raises(ValueError, match="^" + re.escape(
+                        f"an ARPA file cannot hold the token {min(unreadable)!r}:")):
+                    _written(write_arpa, model, directory)
+                assert not os.listdir(directory)
             return
+        model = train_kn(corpus, order)
         back = read_arpa(_written(write_arpa, model, directory))
     assert back.order == order
     assert back.vocab == model.vocab

@@ -12,6 +12,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pivotsmt.corpus import ltr_sum
 from pivotsmt.errors import DataError
 import pivotsmt
 from pivotsmt import translit
@@ -22,7 +23,7 @@ from pivotsmt.translit import (
     read_mined_pairs, transliterate, write_char_model, write_mined_pairs,
 )
 
-from fixtures import read_file
+from fixtures import deleting_char_model, read_file
 from oracles import (
     SRC_ALPHABET, apply_bijection, initial_ops_reference, lattice_moves_reference,
     make_bijection_fixture, make_heldout_words, mine_reference, transliterate_reference,
@@ -343,8 +344,8 @@ class TestTransliterate:
         assert [c.target for c in results] == [t for t, _ in expected]
         assert [c.score for c in results] == pytest.approx([s for _, s in expected],
                                                            rel=1e-12)
-        assert not any(c.fallback for c in results)
-        # "#" is unseen: it maps to itself, and every candidate is flagged
+        assert not any("a" in c.target for c in results)  # a seen character is not copied
+        # "#" is unseen: it maps to itself, once in every candidate
         expected = [("x#", -2.3865105468912557), ("hx#", -2.8222391164526934),
                     ("xy#", -3.065277165138988), ("#", -3.0969100130080562),
                     ("x#h", -3.3865105468912557), ("xh#", -3.3865105468912557)]
@@ -352,7 +353,7 @@ class TestTransliterate:
         assert [c.target for c in results] == [t for t, _ in expected]
         assert [c.score for c in results] == pytest.approx([s for _, s in expected],
                                                            rel=1e-12)
-        assert all(c.fallback for c in results)
+        assert all(c.target.count("#") == 1 for c in results)
 
     def test_monotone_deterministic_mapping(self):
         model, _ = mine_transliterations(
@@ -382,11 +383,18 @@ class TestTransliterate:
             for w in words)
         assert correct / len(words) >= 0.95
 
-    def test_unseen_characters_fall_back_to_identity(self, mined_fixture):
+    def test_unseen_characters_fall_back_to_identity(self, mined_fixture, caplog):
         _, _, model, _ = mined_fixture
         results = transliterate(model, "a#b", 1)
-        assert results[0].fallback
-        assert "#" in results[0].target
+        assert results[0].target == apply_bijection("a") + "#" + apply_bijection("b")
+        # a word with no path at all (four deletions, over INDEL_BUDGET) is
+        # copied through, with a warning
+        model = CharModel(ops={"a": {"": 1.0}}, src_chars=frozenset("a"),
+                          tgt_lm=CharTrigramModel())
+        with caplog.at_level(logging.WARNING, logger="pivotsmt"):
+            assert [c.target for c in transliterate(model, "aaaa", 5)] == ["aaaa"]
+        assert [r.getMessage() for r in caplog.records] == \
+            ["transliterate: no path for 'aaaa'; identity fallback"]
 
     def test_k_validation(self, mined_fixture):
         _, _, model, _ = mined_fixture
@@ -430,7 +438,7 @@ class TestTransliterate:
         with caplog.at_level(logging.WARNING, logger="pivotsmt"):
             results = transliterate(model, word, 100)
         assert len({c.target for c in results}) == len(results) == 100
-        assert not any(c.fallback for c in results)
+        assert not any(set(word) & set(c.target) for c in results)  # no character copied
         assert caplog.records == []
 
     def test_very_long_word_needs_no_recursion(self, mined_fixture):
@@ -438,7 +446,6 @@ class TestTransliterate:
         word = "".join(random.Random(2).choice(SRC_ALPHABET) for _ in range(2000))
         [best] = transliterate(model, word, 1)
         assert best.target == apply_bijection(word)
-        assert not best.fallback
 
     def test_pop_cap_returns_what_was_found(self, monkeypatch, caplog):
         model = hand_built_model()
@@ -520,9 +527,19 @@ class TestTranslitTable:
         assert sum(e.phi_tgt_given_src for e in entries) == pytest.approx(1.0, abs=1e-12)
         assert table.get(("d",)) == []
 
+    def test_empty_candidate_is_dropped_before_normalizing(self):
+        # "h" may be deleted, which makes "" its second candidate: a table
+        # target is a token, so only "H" is kept, with probability 1
+        model = deleting_char_model()
+        assert [(c.target, round(c.score, 3)) for c in transliterate(model, "h", 10)] == \
+            [("H", -0.543), ("", -1.336)]
+        entries = build_translit_table(model, ["h"], 10).get(("h",))
+        assert [e.target for e in entries] == [("H",)]
+        assert ltr_sum(e.phi_tgt_given_src for e in entries) == 1.0
+
     def test_kbest_probs_relative_to_best_do_not_underflow(self):
-        candidates = [TransliterationCandidate("a", -400.0, False),
-                      TransliterationCandidate("b", -401.0, False)]
+        candidates = [TransliterationCandidate("a", -400.0),
+                      TransliterationCandidate("b", -401.0)]
         assert kbest_probs(candidates) == pytest.approx([1 / 1.1, 0.1 / 1.1], rel=1e-12)
 
 
