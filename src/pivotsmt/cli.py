@@ -231,7 +231,9 @@ def cmd_extract(args) -> int:
     src_given_tgt, tgt_given_src = forked_map(
         lambda bitext: align_mod.train_model1(bitext, args.iterations),
         [pairs, [(t, s) for s, t in pairs]])
-    table = phrasetab.score_phrase_table(pairs, matrices, tgt_given_src, src_given_tgt,
+    averages = phrasetab.link_averages(pairs, matrices, tgt_given_src, src_given_tgt)
+    del src_given_tgt, tgt_given_src  # counting reads only the averages
+    table = phrasetab.score_phrase_table(pairs, matrices, averages,
                                          max_len=args.max_phrase_len)
     if args.top_k > 0:
         table = phrasetab.prune_table(table, args.top_k)

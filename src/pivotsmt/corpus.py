@@ -7,6 +7,7 @@ A parallel corpus in memory is a list of TokenPair.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import math
@@ -14,6 +15,7 @@ import operator
 import os
 import pickle
 import re
+import shutil
 import sys
 import threading
 import unicodedata
@@ -97,11 +99,46 @@ def read_lines(path: str) -> list[str]:
     return lines
 
 
+@contextlib.contextmanager
+def replacing(path: str) -> Iterator[TextIO]:
+    """A UTF-8 handle whose text becomes the file at `path` only if the body
+    ends without an exception, so an interrupted write leaves the old file
+    or none.
+
+    The text goes to a temporary file beside the destination, which then
+    takes the destination's place by os.replace and keeps the permission
+    bits of the file it replaces; on an exception the temporary file is
+    removed. A path that exists and is not a regular file (a FIFO,
+    /dev/stdout) is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        return
+    target = os.path.realpath(path)  # a symlink keeps naming the file it named
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        handle = open(temp, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        exc.filename = path  # name the destination, not the temporary file
+        raise
+    try:
+        with handle:
+            yield handle
+        if os.path.exists(target):
+            shutil.copymode(target, temp)
+        os.replace(temp, target)
+    except BaseException:
+        os.remove(temp)
+        raise
+
+
 def write_lines(dest: str | TextIO, lines: Iterable[str]) -> None:
-    """Write each line and a `\\n` to a path, opened as UTF-8 and closed, or to an
+    """Write each line and a `\\n` to a path, through `replacing`, or to an
     open handle, left open; the one writer of every line-format file."""
     if isinstance(dest, str):
-        with open(dest, "w", encoding="utf-8", newline="\n") as handle:
+        with replacing(dest) as handle:
             write_lines(handle, lines)
         return
     for line in lines:

@@ -146,7 +146,7 @@ def extract_phrases(alignment: AlignmentMatrix, max_len: int) -> set[tuple[Span,
     return out
 
 
-def _link_averages(
+def _word_averages(
     words: Sequence[str],
     other_words: Sequence[str],
     links_for: Sequence[list[int]],
@@ -168,60 +168,90 @@ def _link_averages(
     return averages
 
 
-def score_phrase_table(
+def _aligned(bitext: Iterable[TokenPair],
+             alignments: Sequence[AlignmentMatrix]) -> list[tuple[Phrase, Phrase]]:
+    pairs = [(tuple(s), tuple(t)) for s, t in bitext]
+    if len(pairs) != len(alignments):
+        raise DataError(
+            f"bitext has {len(pairs)} pairs but {len(alignments)} alignments given"
+        )
+    return pairs
+
+
+def link_averages(
     bitext: Iterable[TokenPair],
     alignments: Sequence[AlignmentMatrix],
     tgt_given_src: TranslationTable,
     src_given_tgt: TranslationTable,
+) -> list[tuple[list[float], list[float]]]:
+    """Per pair, each target word's average t(t|s) over its links and each
+    source word's average t(s|t) over its links.
+
+    These averages are all that lexical weighting reads of the two Model 1
+    tables, so a caller can drop the tables before score_phrase_table counts.
+    A consistent box holds all of a word's links, so the averages serve every
+    box of the sentence.
+    """
+    averages = []
+    for (src, tgt), alignment in zip(_aligned(bitext, alignments), alignments):
+        tgt_links: list[list[int]] = [[] for _ in tgt]
+        src_links: list[list[int]] = [[] for _ in src]
+        for i, j in sorted(alignment.links):
+            tgt_links[j].append(i)
+            src_links[i].append(j)
+        averages.append((_word_averages(tgt, src, tgt_links, tgt_given_src),
+                         _word_averages(src, tgt, src_links, src_given_tgt)))
+    return averages
+
+
+def score_phrase_table(
+    bitext: Iterable[TokenPair],
+    alignments: Sequence[AlignmentMatrix],
+    averages: Sequence[tuple[list[float], list[float]]],
     max_len: int = DEFAULT_MAX_PHRASE_LEN,
     role: str = "baseline",
 ) -> PhraseTable:
     """Extract and score a phrase table from a word-aligned bitext.
 
     Phrase probabilities are relative frequencies of extracted pair counts
-    in both directions; lexical weights are alignment-based products of
-    averages, keeping the best weight when a pair is observed with several
-    internal alignments (deterministic). Each word's average is computed
-    once per sentence, since a consistent box holds all of its links.
+    in both directions; lexical weights are products of the link averages
+    that link_averages gives, keeping the best weight when a pair is
+    observed with several internal alignments (deterministic). Counts go
+    into the table's own source -> target dicts, and each record is then
+    replaced by its entry in place, so the table iterates in scan order.
     """
-    pairs = [(tuple(s), tuple(t)) for s, t in bitext]
-    if len(pairs) != len(alignments):
-        raise DataError(
-            f"bitext has {len(pairs)} pairs but {len(alignments)} alignments given"
-        )
-
-    src_totals: dict[Phrase, int] = {}
+    pairs = _aligned(bitext, alignments)
     tgt_totals: dict[Phrase, int] = {}
-    # per pair: [count, best lex(t|s), best lex(s|t)]; a tie keeps the first
-    stats: dict[tuple[Phrase, Phrase], list] = {}
+    # source -> target -> [count, best lex(t|s), best lex(s|t)]; a tie keeps the first
+    counts: dict[Phrase, dict] = {}
 
-    for (src, tgt), alignment in zip(pairs, alignments):
-        tgt_links: list[list[int]] = [[] for _ in tgt]
-        src_links: list[list[int]] = [[] for _ in src]
-        for i, j in sorted(alignment.links):
-            tgt_links[j].append(i)
-            src_links[i].append(j)
-        fwd_avg = _link_averages(tgt, src, tgt_links, tgt_given_src)
-        bwd_avg = _link_averages(src, tgt, src_links, src_given_tgt)
+    for (src, tgt), alignment, (fwd_avg, bwd_avg) in zip(pairs, alignments, averages,
+                                                         strict=True):
         for (i1, i2), (j1, j2) in sorted(extract_phrases(alignment, max_len)):
             s_phrase = src[i1 : i2 + 1]
             t_phrase = tgt[j1 : j2 + 1]
-            src_totals[s_phrase] = src_totals.get(s_phrase, 0) + 1
             tgt_totals[t_phrase] = tgt_totals.get(t_phrase, 0) + 1
             fwd = max(math.prod(fwd_avg[j1 : j2 + 1]), SCORE_FLOOR)
             bwd = max(math.prod(bwd_avg[i1 : i2 + 1]), SCORE_FLOOR)
-            record = stats.get((s_phrase, t_phrase))
+            targets = counts.get(s_phrase)
+            if targets is None:
+                targets = counts[s_phrase] = {}
+            record = targets.get(t_phrase)
             if record is None:
-                stats[(s_phrase, t_phrase)] = [1, fwd, bwd]
+                targets[t_phrase] = [1, fwd, bwd]
             else:
                 record[0] += 1
                 record[1] = max(record[1], fwd)
                 record[2] = max(record[2], bwd)
 
+    for s_phrase, targets in counts.items():
+        src_total = sum(record[0] for record in targets.values())
+        for t_phrase, (count, fwd, bwd) in targets.items():
+            targets[t_phrase] = PhraseEntry(s_phrase, t_phrase, count / src_total, fwd,
+                                            count / tgt_totals[t_phrase], bwd)
     table = PhraseTable(role=role)
-    for (s_phrase, t_phrase), (count, fwd, bwd) in stats.items():
-        table.add(PhraseEntry(s_phrase, t_phrase, count / src_totals[s_phrase], fwd,
-                              count / tgt_totals[t_phrase], bwd))
+    table._entries = counts
+    table.max_source_len = max(map(len, counts), default=0)
     return table
 
 

@@ -133,8 +133,15 @@ def align_bitext(pairs: Sequence[TokenPair], iterations: int, use_null: bool = T
 
 def build_phrase_table(pairs: Sequence[TokenPair], em_iterations: int, max_phrase_len: int,
                        prune_top_k: int = 0, role: str = "baseline") -> phrasetab.PhraseTable:
-    alignments, tgt_given_src, src_given_tgt = align_bitext(pairs, em_iterations)
-    table = phrasetab.score_phrase_table(pairs, alignments, tgt_given_src, src_given_tgt,
+    """Align, score and optionally prune a phrase table.
+
+    The two Model 1 tables are dropped once the link averages are read from
+    them, so that they are not alive while the phrase pairs are counted.
+    """
+    alignments, *tables = align_bitext(pairs, em_iterations)
+    averages = phrasetab.link_averages(pairs, alignments, *tables)
+    del tables
+    table = phrasetab.score_phrase_table(pairs, alignments, averages,
                                          max_len=max_phrase_len, role=role)
     if prune_top_k > 0:
         table = phrasetab.prune_table(table, prune_top_k)

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable, Sequence, TextIO
 
-from .corpus import LM_RESERVED, bad_token, ltr_sum, number, read_lines, records, write_lines
+from .corpus import (LM_RESERVED, bad_token, ltr_sum, number, read_lines, records, replacing,
+                     write_lines)
 from .errors import DataError
 from .phrasetab import PhraseEntry, PhraseTable
 
@@ -752,7 +753,7 @@ def write_char_model(model: CharModel, path: str) -> None:
         "src_chars": sorted(model.src_chars),
         "tgt_lm": model.tgt_lm.to_dict(),
     }
-    with open(path, "w", encoding="utf-8") as handle:
+    with replacing(path) as handle:
         json.dump(data, handle, ensure_ascii=False, sort_keys=True)
 
 

@@ -21,6 +21,7 @@ INTEGER_SUMS = {
     ("evalkit.py", "ManualTally.total"): 1,  # judgment counts
     ("ngramlm.py", "train_kn"): 2,  # n-gram counts, made float after the sum
     ("phrasetab.py", "PhraseTable.__len__"): 1,  # phrase pairs
+    ("phrasetab.py", "score_phrase_table"): 1,  # counts of one source phrase's pairs
 }
 
 

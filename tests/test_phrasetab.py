@@ -2,12 +2,13 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pivotsmt.align import AlignmentMatrix, TranslationTable, train_model1
 from pivotsmt.corpus import read_lines
 from pivotsmt.errors import DataError
 from pivotsmt.phrasetab import (
-    PhraseEntry, PhraseTable, TableSet, extract_phrases, moses_dumps,
+    PhraseEntry, PhraseTable, TableSet, extract_phrases, link_averages, moses_dumps,
     prune_table, read_moses, score_phrase_table, write_moses,
 )
 
@@ -68,6 +69,12 @@ class TestExtract:
                 previous = current
 
 
+def scored(pairs, alignments, w_fwd, w_bwd, max_len):
+    """score_phrase_table on the link averages of the two tables."""
+    averages = link_averages(pairs, alignments, w_fwd, w_bwd)
+    return score_phrase_table(pairs, alignments, averages, max_len=max_len)
+
+
 def uniform_table(pairs):
     """A flat t-table giving every co-occurring word pair probability 0.5."""
     probs = {}
@@ -82,7 +89,7 @@ class TestScoring:
     def test_single_pair_single_phrase(self):
         pairs = [(("a",), ("x",))]
         alignments = [matrix(1, 1, {(0, 0)})]
-        table = score_phrase_table(pairs, alignments,
+        table = scored(pairs, alignments,
                                    uniform_table([(("a",), ("x",))]),
                                    uniform_table([(("x",), ("a",))]),
                                    max_len=2)
@@ -95,7 +102,7 @@ class TestScoring:
         alignments = [matrix(1, 1, {(0, 0)})] * 2
         w_fwd = uniform_table([(("t1", "t2"), ("s",))])
         w_bwd = uniform_table([(("s",), ("t1", "t2"))])
-        table = score_phrase_table(pairs, alignments, w_fwd, w_bwd, max_len=1)
+        table = scored(pairs, alignments, w_fwd, w_bwd, max_len=1)
         for entry in table.get(("s",)):
             assert entry.phi_tgt_given_src == pytest.approx(0.5)
             assert entry.phi_src_given_tgt == pytest.approx(1.0)
@@ -110,7 +117,7 @@ class TestScoring:
                                        iterations=25, use_null=False)
         w_src_given_tgt = train_model1(bitext, iterations=25, use_null=False)
         alignments = [matrix(2, 2, {(0, 0), (1, 1)})] * 2
-        table = score_phrase_table(bitext, alignments, w_tgt_given_src,
+        table = scored(bitext, alignments, w_tgt_given_src,
                                    w_src_given_tgt, max_len=2)
         entry = next(e for e in table.get(("das", "haus"))
                      if e.target == ("the", "house"))
@@ -131,7 +138,7 @@ class TestScoring:
         w_bwd = TranslationTable(probs={"x": {"a": 0.7}, "y": {"c": 0.9},
                                         None: {"b": 0.2}},
                                  use_null=True)
-        table = score_phrase_table(pairs, alignments, w_fwd, w_bwd, max_len=3)
+        table = scored(pairs, alignments, w_fwd, w_bwd, max_len=3)
         entry = next(e for e in table.get(("a", "b", "c"))
                      if e.target == ("x", "y"))
         # backward lex: "a"->x (0.7), interior "b" unlinked -> NULL (0.2), "c"->y (0.9)
@@ -151,14 +158,32 @@ class TestScoring:
                                             for _ in range(rng.randint(1, 4))}))
         w = uniform_table([(("a", "b", "c"), ("x", "y", "z"))])
         wb = uniform_table([(("x", "y", "z"), ("a", "b", "c"))])
-        table = score_phrase_table(pairs, alignments, w, wb, max_len=3)
+        table = scored(pairs, alignments, w, wb, max_len=3)
         for source in table.sources():
             total = sum(e.phi_tgt_given_src for e in table.get(source))
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
 class TestScoringBitExact:
-    """Per-sentence link averages against the per-box link re-scan."""
+    """Per-sentence link averages against the per-box link re-scan, and the
+    table's order against `add` in the order each pair is first seen."""
+
+    @staticmethod
+    def assert_scored_as_reference(pairs, alignments, use_null, max_len):
+        w_fwd = train_model1([(t, s) for s, t in pairs], iterations=3, use_null=use_null)
+        w_bwd = train_model1(pairs, iterations=3, use_null=use_null)
+        table = scored(pairs, alignments, w_fwd, w_bwd, max_len=max_len)
+        want = score_phrases_reference(
+            pairs, [a.links for a in alignments],
+            (w_fwd.probs, use_null), (w_bwd.probs, use_null), max_len=max_len)
+        assert {(e.source, e.target): e.scores() for e in table} == want
+        ref_table = PhraseTable()
+        for (source, target), scores in want.items():
+            ref_table.add(PhraseEntry(source, target, *scores))
+        assert [(e.source, e.target) for e in table] \
+            == [(e.source, e.target) for e in ref_table]
+        assert table.max_source_len == ref_table.max_source_len
+        assert moses_dumps(table) == moses_dumps(ref_table)
 
     def test_moses_dump_equals_per_box_scoring(self):
         rng = random.Random(31)
@@ -172,18 +197,32 @@ class TestScoringBitExact:
                 alignments.append(matrix(n, m, {(rng.randrange(n), rng.randrange(m))
                                                 for _ in range(rng.randint(0, 6))}))
             for use_null in (False, True):
-                w_fwd = train_model1([(t, s) for s, t in pairs], iterations=3,
-                                     use_null=use_null)
-                w_bwd = train_model1(pairs, iterations=3, use_null=use_null)
-                table = score_phrase_table(pairs, alignments, w_fwd, w_bwd, max_len=4)
-                want = score_phrases_reference(
-                    pairs, [a.links for a in alignments],
-                    (w_fwd.probs, use_null), (w_bwd.probs, use_null), max_len=4)
-                assert {(e.source, e.target): e.scores() for e in table} == want
-                ref_table = PhraseTable()
-                for (source, target), scores in want.items():
-                    ref_table.add(PhraseEntry(source, target, *scores))
-                assert moses_dumps(table) == moses_dumps(ref_table)
+                self.assert_scored_as_reference(pairs, alignments, use_null, max_len=4)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5),
+                              st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                                       max_size=6),
+                              st.lists(st.sampled_from(["a", "b", "c"]), min_size=10,
+                                       max_size=10)),
+                    min_size=1, max_size=6),
+           st.booleans(), st.integers(1, 5))
+    def test_drawn_bitexts_score_as_the_reference(self, drawn, use_null, max_len):
+        """Three words a side, so that phrase pairs repeat across and within
+        sentences; links are drawn inside each pair's box."""
+        pairs, alignments = [], []
+        for n, m, links, words in drawn:
+            pairs.append((tuple(words[:n]), tuple(w.upper() for w in words[5:5 + m])))
+            alignments.append(matrix(n, m, {(i % n, j % m) for i, j in links}))
+        self.assert_scored_as_reference(pairs, alignments, use_null, max_len)
+
+    def test_mismatched_alignments_are_a_data_error(self):
+        pairs = [(("a",), ("x",))] * 2
+        with pytest.raises(DataError, match="^bitext has 2 pairs but 1 alignments given$"):
+            link_averages(pairs, [matrix(1, 1, {(0, 0)})], TranslationTable(),
+                          TranslationTable())
+        with pytest.raises(DataError, match="^bitext has 2 pairs but 1 alignments given$"):
+            score_phrase_table(pairs, [matrix(1, 1, {(0, 0)})], [([1.0], [1.0])])
 
 
 def make_table(entries):

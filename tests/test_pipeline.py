@@ -3,6 +3,8 @@ import logging
 import os
 import pathlib
 import random
+import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from pivotsmt.corpus import ingest_bitext
 from pivotsmt.decoder import DecoderSystem, decode_corpus, nbest
 from pivotsmt.errors import DataError
 from pivotsmt.ngramlm import train_kn
-from pivotsmt import pipeline
+from pivotsmt import phrasetab, pipeline
 from pivotsmt.phrasetab import PhraseEntry, PhraseTable, TableSet
 from pivotsmt.translit import CharModel, CharTrigramModel
 from pivotsmt.pipeline import (
@@ -82,6 +84,59 @@ class TestTraining:
                                    max_phrase_len=2)
         targets = {e.target for e in table.get(("das",))}
         assert ("the",) in targets
+
+    @PATHS
+    def test_model1_tables_are_freed_before_counting(self, monkeypatch, cpus):
+        """Scoring reads the two tables only for the link averages, so no
+        name holds them once phrase pairs are extracted and counted."""
+        tables = []
+        first_extract = []
+        align = pipeline.align_bitext
+        extract = phrasetab.extract_phrases
+
+        def aligned(*args, **kwargs):
+            alignments, *trained = align(*args, **kwargs)
+            tables.extend(weakref.ref(table) for table in trained)
+            return (alignments, *trained)
+
+        def extracting(*args, **kwargs):
+            if not first_extract:
+                first_extract.append([table() for table in tables])
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "align_bitext", aligned)
+        monkeypatch.setattr(phrasetab, "extract_phrases", extracting)
+        with usable_cpus(cpus):
+            table = build_phrase_table(toy_bitext(), em_iterations=10, max_phrase_len=2)
+        assert len(tables) == 2
+        assert first_extract == [[None, None]]
+        assert ("the",) in {e.target for e in table.get(("das",))}
+
+    def test_peak_memory_stays_near_the_table(self):
+        """The Model 1 tables are freed before counting, and counts turn into
+        the table's entries in place; holding both tables and a second,
+        pair-keyed count dict through scoring peaked at 2.7 times the table.
+        Two usable CPUs, so that the second direction trains in a child, as
+        on any host with more than one CPU; in this process alone the peak
+        is that of Model 1's EM, not of scoring."""
+        rng = random.Random(3)
+        zipf = [1.0 / (rank + 1) for rank in range(1000)]
+        pairs = []
+        for _ in range(200):
+            concepts = rng.choices(range(1000), zipf, k=rng.randint(4, 30))
+            tgt = [f"B{c}" for c in concepts]
+            for k in range(0, len(tgt) - 1, 3):  # a local word-order shift
+                tgt[k], tgt[k + 1] = tgt[k + 1], tgt[k]
+            pairs.append((tuple(f"a{c}" for c in concepts), tuple(tgt)))
+        with usable_cpus(2):
+            tracemalloc.start()
+            try:
+                table = build_phrase_table(pairs, em_iterations=2, max_phrase_len=5)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert len(table) > 3000
+        assert peak < 1.6 * held, (peak, held)
 
     def test_decode_corpus_orders_preserved(self):
         table = build_phrase_table(toy_bitext(), em_iterations=10,
@@ -239,6 +294,33 @@ class TestExperiment:
             with pytest.raises(DataError, match="dev_src is empty"):
                 run_experiment(ExperimentConfig.from_file(config_path))
             assert not os.path.exists(str(tmp_path / "run"))
+
+    def test_interrupted_last_mode_leaves_no_manifest(self, small_fixture, tmp_path,
+                                                      monkeypatch):
+        """Ctrl-C while the last mode writes its output leaves no manifest,
+        none of that output and no temporary file; the modes before it are
+        written whole."""
+        work = tmp_path / "run"
+        config_path = write_config(str(tmp_path / "c.conf"), str(work), small_fixture,
+                                   use_synth="concat")
+        write = pipeline.write_lines
+
+        def cut(lines):
+            yield next(iter(lines))
+            raise KeyboardInterrupt
+
+        def write_lines(dest, lines):
+            return write(dest, cut(lines) if dest.endswith("output.Syn.txt") else lines)
+
+        monkeypatch.setattr(pipeline, "write_lines", write_lines)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(ExperimentConfig.from_file(config_path))
+        names = sorted(os.listdir(work))
+        assert "run.manifest" not in names
+        assert "output.Syn.txt" not in names
+        assert [name for name in names if name.startswith(".")] == []
+        with open(work / "output.B0.txt", encoding="utf-8") as handle:
+            assert len(handle.read().splitlines()) == 40
 
     def test_bar_in_label_keeps_four_cells_a_row(self, small_fixture, tmp_path):
         work = str(tmp_path / "run")
