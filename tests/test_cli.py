@@ -4,10 +4,11 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
-from pivotsmt import align, ngramlm, translit
+from pivotsmt import align, ngramlm, phrasetab, translit
 from pivotsmt.cli import build_parser, main
 from pivotsmt.decoder import TM_FEATURES
 from pivotsmt.phrasetab import read_moses
@@ -254,6 +255,35 @@ class TestCommands:
         with open(out, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
         assert lines == ["the book", "a house"]
+
+    def test_extract_frees_the_model1_tables_before_counting(self, tmp_path, monkeypatch,
+                                                             capsys):
+        """One usable CPU, so that both tables are trained in this process
+        and can be watched through weak references."""
+        src = write(tmp_path / "train.s", ["das haus", "das buch", "ein haus"])
+        tgt = write(tmp_path / "train.t", ["the house", "the book", "a house"])
+        aligned = str(tmp_path / "alignments.txt")
+        assert main(["align", "--src", src, "--tgt", tgt, "--out", aligned]) == 0
+        tables, first_extract = [], []
+        train, extract = align.train_model1, phrasetab.extract_phrases
+
+        def training(*args, **kwargs):
+            table = train(*args, **kwargs)
+            tables.append(weakref.ref(table))
+            return table
+
+        def extracting(*args, **kwargs):
+            if not first_extract:
+                first_extract.append([table() for table in tables])
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(align, "train_model1", training)
+        monkeypatch.setattr(phrasetab, "extract_phrases", extracting)
+        with usable_cpus(1):
+            assert main(["extract", "--src", src, "--tgt", tgt, "--alignments", aligned,
+                         "--out", str(tmp_path / "table.moses")]) == 0
+        assert len(tables) == 2
+        assert first_extract == [[None, None]]
 
     # a command line with the CPU probe patched to `cpus`, printing the fork count last
     _MAIN_WITH_CPUS = """
