@@ -164,6 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_system(args) -> tuple[decoder.DecoderSystem, decoder.LogLinearModel]:
+    decoder.check_at_least(args, decoder.SEARCH_LOWS)  # before any file is read
     tables = [phrasetab.read_moses(path) for path in args.table]
     table_set = phrasetab.TableSet(tables)
     lm = ngramlm.read_arpa(args.lm)

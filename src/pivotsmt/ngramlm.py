@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -256,6 +257,9 @@ def _arpa_lines(model: NGramModel) -> Iterator[str]:
 def read_arpa(path: str) -> NGramModel:
     """Parse an ARPA model; a malformed or non-finite value raises DataError with path:line.
 
+    A line splits on runs of whitespace: an N-grams entry is a log
+    probability, N tokens and an optional backoff. A repeated n-gram is a DataError.
+
     Every proper prefix of a stored n-gram gets a backoff, 0.0 where the
     file omits it, which is what `logprob` backs off by without one; this
     keeps `NGramModel.minimal_state` exact even for a file that leaves out
@@ -264,69 +268,53 @@ def read_arpa(path: str) -> NGramModel:
     counts: dict[int, int] = {}
     logprobs: dict[NGram, float] = {}
     backoffs: dict[NGram, float] = {}
-    unk_logprob = -99.0
-    section = None  # None | "data" | int order
+    section = None  # None | "data" | "end" | int order
     seen: dict[int, int] = {}
-    for where, fields in records(path, widths=(1, 2, 3)):
-        stripped = fields[0].strip()
-        if len(fields) == 1 and stripped == "\\data\\":
-            section = "data"
-            continue
-        if len(fields) == 1 and stripped == "\\end\\":
-            section = "end"
-            continue
-        if len(fields) == 1 and stripped.startswith("\\") and stripped.endswith("-grams:"):
+    for where, fields in records(path, sep=None, widths=range(1, sys.maxsize)):
+        line = " ".join(fields)
+        if line in ("\\data\\", "\\end\\"):
+            section = line[1:-1]
+        elif line.startswith("\\") and line.endswith("-grams:"):
             try:
-                section = int(stripped[1:-7])
+                section = int(line[1:-7])
             except ValueError as exc:
-                raise DataError(f"{where}: malformed section header {stripped!r}") from exc
+                raise DataError(f"{where}: malformed section header {line!r}") from exc
             if section not in counts:
                 raise DataError(f"{where}: section {section} not declared in \\data\\")
             seen[section] = 0
-            continue
-        if section == "data":
-            if len(fields) != 1 or not stripped.startswith("ngram "):
-                raise DataError(f"{where}: expected 'ngram N=count', got {stripped!r}")
+        elif section == "data":
+            if not line.startswith("ngram "):
+                raise DataError(f"{where}: expected 'ngram N=count', got {line!r}")
             try:
-                n_str, count_str = stripped[6:].split("=")
+                n_str, count_str = line[6:].split("=")
                 counts[int(n_str)] = int(count_str)
             except ValueError as exc:
-                raise DataError(f"{where}: malformed count line {stripped!r}") from exc
-            continue
-        if isinstance(section, int):
-            if len(fields) == 1:
-                # whitespace-separated variant: prob, N tokens, optional backoff
-                parts = stripped.split()
-                if len(parts) not in (section + 1, section + 2):
-                    raise DataError(f"{where}: expected {section + 1} or {section + 2} "
-                                    f"whitespace-separated fields, got {len(parts)}")
-                fields = [parts[0], " ".join(parts[1:section + 1]), *parts[section + 1:]]
-            prob = number(fields[0], where, "log probability")
-            gram = tuple(fields[1].split())
-            if len(gram) != section:
-                raise DataError(f"{where}: {len(gram)}-gram in \\{section}-grams\\ section")
+                raise DataError(f"{where}: malformed count line {line!r}") from exc
+        elif isinstance(section, int):
+            if len(fields) not in (section + 1, section + 2):
+                raise DataError(f"{where}: expected {section + 1} or {section + 2} "
+                                f"whitespace-separated fields, got {len(fields)}")
+            gram = tuple(fields[1:section + 1])
+            if gram in logprobs:
+                raise DataError(f"{where}: {' '.join(gram)!r} is listed twice")
+            logprobs[gram] = number(fields[0], where, "log probability")
+            if len(fields) == section + 2:
+                backoffs[gram] = number(fields[-1], where, "backoff")
             seen[section] += 1
-            if gram == (UNK,):
-                unk_logprob = prob
-            else:
-                logprobs[gram] = prob
-            if len(fields) == 3:
-                backoffs[gram] = number(fields[2], where, "backoff")
-            continue
-        raise DataError(f"{where}: content outside any section: {stripped!r}")
+        else:
+            raise DataError(f"{where}: content outside any section: {line!r}")
 
     if not counts:
         raise DataError(f"{path}: missing \\data\\ section")
     for n, declared in counts.items():
         if declared and seen.get(n, 0) != declared:
-            raise DataError(
-                f"{path}: \\{n}-grams\\ section has {seen.get(n, 0)} entries, "
-                f"header declares {declared}"
-            )
+            raise DataError(f"{path}: \\{n}-grams\\ section has {seen.get(n, 0)} entries, "
+                            f"header declares {declared}")
+    unk_logprob = logprobs.pop((UNK,), -99.0)
     for gram in logprobs:
         for k in range(1, len(gram)):
             backoffs.setdefault(gram[:k], 0.0)
-    order = max(n for n, c in counts.items())
+    order = max(counts)
     vocab = frozenset(g[0] for g in logprobs if len(g) == 1 and g != (BOS,))
     return NGramModel(order=order, logprobs=logprobs, backoffs=backoffs,
                       unk_logprob=unk_logprob, vocab=vocab)

@@ -85,6 +85,8 @@ class ExperimentConfig:
             value = value.strip()
             if key not in types:
                 raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in values:
+                raise DataError(f"{path}:{lineno}: config key {key!r} given twice")
             try:
                 values[key] = types[key](value)
             except ValueError as exc:

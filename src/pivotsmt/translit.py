@@ -764,9 +764,17 @@ def read_char_model(path: str) -> CharModel:
     def finite(text: str) -> float:  # also rejects NaN, Infinity and overflowing literals
         return number(text, path, "number")
 
+    def unique(pairs: list[tuple[str, object]]) -> dict[str, object]:  # json keeps a last repeat
+        obj: dict[str, object] = {}
+        for key, value in pairs:
+            if key in obj:
+                raise DataError(f"{path}: the JSON key {key!r} is given twice")
+            obj[key] = value
+        return obj
+
     try:
         # every JSON number parses to a float, so any other type is an error
-        data = json.loads("\n".join(read_lines(path)),
+        data = json.loads("\n".join(read_lines(path)), object_pairs_hook=unique,
                           parse_float=finite, parse_int=finite, parse_constant=finite)
         ops, tgt_lm = data["ops"], data["tgt_lm"]
         values = [p for row in [*ops.values(), *tgt_lm["counts"].values()]

@@ -956,7 +956,9 @@ def transliterate_reference(model, word, k, max_seg=2, indel_budget=3):
     row for it. A derivation's score subtracts each step's log10 operation
     probability plus its target-character LM terms from 0.0, then the
     end-of-word term, and is negated; that is the order the search adds
-    in, so the maximum per target is the same float. Returns
+    in, so the maximum per target is the same float. A word with no
+    derivation at all is copied through, scored by its character-LM terms
+    from 0.0, left to right, then the end-of-word term. Returns
     [(target, score)] sorted by (-score, target).
     """
     bow, eow = "\x02", "\x03"
@@ -995,6 +997,12 @@ def transliterate_reference(model, word, k, max_seg=2, indel_budget=3):
                 walk(i + di, out + target, a1, a2, spent + cost, neg - step)
 
     walk(0, "", bow, bow, 0, 0.0)
+    if not best:
+        score, c1, c2 = 0.0, bow, bow
+        for ch in word + eow:
+            score += lm.logprob(c1, c2, ch)
+            c1, c2 = c2, ch
+        best[word] = score
     return sorted(best.items(), key=lambda item: (-item[1], item[0]))[:k]
 
 

@@ -135,6 +135,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("pivotsmt: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("command", [
+        ["decode", "--input", "{tmp}/in.txt", "--output", "{tmp}/out.txt"],
+        ["synthesize", "--src", "{tmp}/s.txt", "--tgt", "{tmp}/t.txt",
+         "--out-src", "{tmp}/o.s", "--out-tgt", "{tmp}/o.t"],
+        ["tune", "--dev-src", "{tmp}/s.txt", "--dev-ref", "{tmp}/t.txt",
+         "--weights-out", "{tmp}/w.tsv"],
+    ])
+    def test_search_settings_checked_before_any_file_is_read(self, tmp_path, capsys, command):
+        # every input is missing, which would exit 2 once read
+        args = [arg.format(tmp=tmp_path) for arg in command]
+        args += ["--table", str(tmp_path / "t.moses"), "--lm", str(tmp_path / "lm.arpa"),
+                 "--option-limit", "0", "--stack-size", "0"]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "pivotsmt: option_limit must be >= 1, got 0\n"
+
     @pytest.fixture
     def inputs(self, tmp_path):
         """A well-formed file for every input of _READS, by name, plus output paths."""

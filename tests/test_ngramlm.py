@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -197,6 +198,26 @@ def test_targets_of_unstored_words_are_one_to_the_lm(corpus, other, order, kind,
     assert _lm_walk(lm, state, one)[1] == ()
 
 
+def arpa_model(model):
+    return model.order, model.logprobs, model.backoffs, model.unk_logprob, model.vocab
+
+
+@settings(deadline=None, max_examples=200)
+@given(_CORPORA, st.integers(1, 5), st.sampled_from(["space", "runs"]), st.randoms())
+def test_any_whitespace_separates_like_a_tab(corpus, order, how, rng):
+    # SRILM and KenLM split an ARPA line on any run of whitespace: a file
+    # whose tabs and spaces are rewritten reads to the model its tabs give
+    buf = io.StringIO()
+    write_arpa(train_kn(corpus, order), buf)
+    text = buf.getvalue()
+    if how == "space":
+        rewritten = text.replace("\t", " ")
+    else:
+        rewritten = "".join("".join(rng.choice(" \t") for _ in range(rng.randint(1, 3)))
+                            if ch in " \t" else ch for ch in text)
+    assert arpa_model(read_file(read_arpa, rewritten)) == arpa_model(read_file(read_arpa, text))
+
+
 class TestLogprob:
     def test_long_context_truncated(self):
         model = train_kn(fixture_corpus(), order=2)
@@ -340,6 +361,17 @@ class TestArpa:
     def test_malformed_header_rejected(self):
         with pytest.raises(DataError, match=":1"):
             read_file(read_arpa, "garbage first line\n")
+
+    @pytest.mark.parametrize("word", ["a", "<unk>"])
+    def test_repeated_ngram_names_second_line(self, tmp_path, word):
+        # the second value does not silently win and count toward the header
+        path = tmp_path / "lm.arpa"
+        path.write_text("\n".join([
+            "\\data\\", "ngram 1=3", "", "\\1-grams:", f"-1.0\t{word}", "-99\t<s>",
+            f"-2.0\t{word}", "", "\\end\\",
+        ]) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:7: '{word}' is listed twice"):
+            read_arpa(str(path))
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("entry", ["{bad}\ta\t-0.3", "-0.5\ta\t{bad}"])

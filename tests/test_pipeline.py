@@ -235,6 +235,12 @@ class TestConfig:
         with pytest.raises(DataError, match="no_such_key"):
             ExperimentConfig.from_file(str(path))
 
+    def test_repeated_key_names_second_line(self, tmp_path):
+        path = tmp_path / "exp.conf"
+        path.write_text("lm_order = 3\nseed = 1\nlm_order = 5\n", encoding="utf-8")
+        with pytest.raises(DataError, match="exp.conf:3: config key 'lm_order' given twice"):
+            ExperimentConfig.from_file(str(path))
+
     def test_bad_mode(self):
         with pytest.raises(DataError):
             ExperimentConfig(use_synth="sometimes")

@@ -467,9 +467,12 @@ def tie_cuts(ranked):
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 2 ** 16), st.booleans(), st.text(alphabet="abcd", min_size=1, max_size=4))
 @example(3, True, "ab")
+@example(100, True, "cccc")
 def test_transliterate_equals_reference_on_random_models(seed, dyadic, word):
     # "d" is unseen, so it also exercises the identity rescue; a dyadic
-    # model ties strings at the k-th place, where the target breaks the tie
+    # model ties strings at the k-th place, where the target breaks the tie;
+    # seed 100 can only delete "c", so "cccc" needs four deletions, over the
+    # indel budget, and takes the identity fallback
     model = random_char_model(seed, dyadic)
     every = transliterate_reference(model, word, 10 ** 6)
     cuts = tie_cuts(every)
@@ -581,6 +584,17 @@ class TestSerialization:
         assert [c.target for c in a] == [c.target for c in b]
         for x, y in zip(a, b):
             assert x.score == pytest.approx(y.score, abs=1e-9)
+
+    @pytest.mark.parametrize("text, key", [
+        pytest.param('{"lambda": 0.5, "lambda": 0.9, "ops": {"a": {"a": 1}}, "src_chars": ["a"], '
+                     '"tgt_lm": {"alphabet": ["a"], "counts": {}}}', "lambda", id="top-level"),
+        pytest.param('{"lambda": 0.5, "ops": {"a": {"b": 0.5, "b": 1}}, "src_chars": ["a"], '
+                     '"tgt_lm": {"alphabet": ["b"], "counts": {}}}', "b", id="operation-row"),
+    ])
+    def test_char_model_repeated_key_rejected(self, text, key):
+        assert read_file(read_char_model, text.replace(f'"{key}": 0.5, ', "", 1))
+        with pytest.raises(DataError, match=f"model.json: the JSON key '{key}' is given twice"):
+            read_file(read_char_model, text, "model.json")
 
     def test_corpus_tsv_parsing(self):
         corpus = read_file(WordPairCorpus.from_tsv, ["ab\tAB", "cd\tCD\t2.5"])
